@@ -54,15 +54,6 @@ def monomial_bigrade(mon: Monomial, ring: GradedRing) -> tuple[int, int]:
     return p, sum(mon.s)
 
 
-def monomial_total_parity(mon: Monomial, ring: GradedRing) -> int:
-    """Parity of the total degree p + q; drives all Koszul signs."""
-    odd = _odd_flat(ring)
-    m = ring.top_generator_count
-    total = sum(e for pos, e in enumerate(mon.r) if odd[pos])
-    total += sum(e for pos, e in enumerate(mon.s) if odd[m + pos])
-    return total % 2
-
-
 def multiply_monomials(ring: GradedRing, a: Monomial, b: Monomial) -> tuple[int, Monomial | None]:
     """Product in the free graded-commutative algebra: (sign, monomial) or (0, None)."""
     e1 = a.r + a.s

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .basis import format_monomial
-from .differential import assemble_matrix, cell_images
+from .differential import cell_images
 from .engine import betti_odd_closed, betti_table, engine_for, stable_betti
 from .oracles import run_all
 from .rings import GradedRing, RingError, euler_characteristic, parse_ring
@@ -95,8 +95,7 @@ def _dump_matrices(config: RunConfig) -> None:
     config.dump_dir.mkdir(parents=True, exist_ok=True)
     tasks = engine.required_ranks(config.n_min, config.n_max, config.i_max)
     for p, q, n_eff in tasks:
-        matrix = assemble_matrix(config.ring, p, q, n_eff, config.reduced)
-        lines = [matrix.dump_triplets(), ""]
+        lines = [engine.truncated_matrix(p, q, n_eff).dump_triplets(), ""]
         for monomial, image in cell_images(config.ring, p, q, n_eff, config.reduced):
             terms = (
                 " + ".join(
@@ -285,6 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "i_max", None) is not None and args.i_max < 0:
+        return _fail_usage(f"--i-max must be nonnegative, got {args.i_max}")
+    if getattr(args, "workers", 1) < 1:
+        return _fail_usage(f"--workers must be at least 1, got {args.workers}")
     return args.func(args)
 
 

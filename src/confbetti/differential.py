@@ -31,9 +31,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def as_dict(self) -> dict[Monomial, Fraction]:
-        return dict(self.terms)
-
 
 def algebra_element(terms: Mapping[Monomial, Fraction]) -> AlgebraElement:
     """Normalize a coefficient map: drop zeros, order graded-lexicographically."""

@@ -1,10 +1,14 @@
 """Betti-number engine: orchestrates enumeration, differentials, and ranks.
 
-Every bigrade cell is enumerated once at its saturation truncation (length
-n = p + 2q, beyond which the cell stops growing); the basis order is graded by
-length, so the matrix at any smaller truncation is a column prefix of the
-saturated matrix and one left-to-right modular elimination yields the ranks at
-every truncation simultaneously.
+Each bigrade cell (p, q) is one record, built once at a truncation t: the
+lengths of its basis, the matrix of the differential leaving it, and one
+prefix-rank profile per prime. Before ranking, a table plans the largest
+truncation it reads each cell at, and the cell is built there; a cell no plan
+names is built at saturation (length p + 2q, beyond which it stops growing).
+The basis order is graded by length and the differential preserves length, so
+the matrix at any n <= t is a leading block of the cell's matrix, and one
+left-to-right modular elimination yields the ranks at every such truncation.
+A request beyond t rebuilds the record.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .basis import Monomial, enumerate_basis, monomial_length
+from .basis import enumerate_basis, monomial_length
 from .differential import assemble_matrix
 from .linalg import (
     CERTIFICATION_LIMIT,
@@ -36,13 +40,18 @@ def vanishing_bound(ring: GradedRing, n: int) -> int:
     return (ring.dimension - 1) * n + 2
 
 
-class _CellBasis(NamedTuple):
-    monomials: tuple[Monomial, ...]
-    lengths: tuple[int, ...]  # nondecreasing; lengths[k] = length of monomial k
+@dataclass
+class _Cell:
+    """One bigrade cell, built at truncation t; it serves every n with min(n, p + 2q) <= t."""
+
+    truncation: int
+    lengths: tuple[int, ...]  # nondecreasing; lengths[k] = length of basis monomial k
+    matrix: RationalMatrix | None = None  # the differential at `truncation`, assembled on demand
+    profiles: dict[int, RankProfile | None] = field(default_factory=dict)  # None: prime unusable
 
 
 class BettiEngine:
-    """Per-ring computation state: saturated cells, matrices, rank caches."""
+    """Per-ring computation state: one record per bigrade cell, and a rank cache."""
 
     def __init__(
         self,
@@ -57,110 +66,103 @@ class BettiEngine:
         self.reduced = reduced
         self.exact_only = exact_only
         self.primes = primes
-        self._bases: dict[tuple[int, int], _CellBasis] = {}
-        self._matrices: dict[tuple[int, int], RationalMatrix] = {}
-        self._profiles: dict[tuple[int, int], dict[int, tuple[int, RankProfile]]] = {}
+        self._cells: dict[tuple[int, int], _Cell] = {}
+        self._planned: dict[tuple[int, int], int] = {}  # largest truncation a plan reads
         self._ranks: dict[tuple[int, int, int], int] = {}
-        self._planned_cap: dict[tuple[int, int], int] = {}
         self.uncertified_cells: list[tuple[int, int, int]] = []
 
-    # -- saturated cell data ------------------------------------------------
+    # -- cell records -----------------------------------------------------------
 
-    def _saturation(self, p: int, q: int) -> int:
-        return max(1, p + 2 * q)
+    def _cell(self, p: int, q: int, n: int) -> _Cell:
+        """The record of cell (p, q), rebuilt first if it does not cover truncation n."""
+        saturation = max(1, p + 2 * q)  # the cell stops growing beyond this length
+        cell = self._cells.get((p, q))
+        if cell is None or cell.truncation < min(n, saturation):
+            planned = self._planned.get((p, q), saturation)
+            truncation = min(saturation, max(n, planned))
+            monomials = enumerate_basis(self.ring, p, q, truncation, self.reduced)
+            cell = _Cell(truncation, tuple(monomial_length(m) for m in monomials))
+            self._cells[(p, q)] = cell
+        return cell
 
-    def cell_basis(self, p: int, q: int) -> _CellBasis:
-        key = (p, q)
-        cached = self._bases.get(key)
-        if cached is None:
-            if p < 0 or q < 0:
-                cached = _CellBasis((), ())
-            else:
-                monomials = enumerate_basis(self.ring, p, q, self._saturation(p, q), self.reduced)
-                cached = _CellBasis(monomials, tuple(monomial_length(m) for m in monomials))
-            self._bases[key] = cached
-        return cached
-
-    def cell_matrix(self, p: int, q: int) -> RationalMatrix:
-        """Differential on the saturated cell (p, q); columns in basis order."""
-        key = (p, q)
-        cached = self._matrices.get(key)
-        if cached is None:
-            cached = assemble_matrix(self.ring, p, q, self._saturation(p, q), self.reduced)
-            self._matrices[key] = cached
-        return cached
+    def cell_matrix(self, p: int, q: int, n: int) -> RationalMatrix:
+        """Differential on cell (p, q) at the cell's truncation, which covers n."""
+        cell = self._cell(p, q, n)
+        if cell.matrix is None:
+            cell.matrix = assemble_matrix(self.ring, p, q, cell.truncation, self.reduced)
+        return cell.matrix
 
     def dim(self, p: int, q: int, n: int) -> int:
-        """dim of cell (p, q) at truncation n: a prefix of the saturated cell."""
-        if p < 0 or q < 0 or n < 1:
+        """dim of cell (p, q) at truncation n: a prefix of the cell's basis."""
+        if p < 0 or q < 0 or n < max(1, 2 * q):  # every monomial has length >= 2q
             return 0
-        lengths = self.cell_basis(p, q).lengths
-        return bisect_right(lengths, n)
+        return bisect_right(self._cell(p, q, n).lengths, n)
+
+    def truncated_matrix(self, p: int, q: int, n: int) -> RationalMatrix:
+        """Differential on cell (p, q) at truncation n: a leading block of the cell matrix.
+
+        Both bases are graded by length and the differential preserves length,
+        so the first dim(p, q, n) columns have no entry in a row of length > n.
+        """
+        matrix = self.cell_matrix(p, q, n)
+        return matrix.column_prefix(
+            self.dim(p, q, n), rows=self.dim(p + self.ring.dimension, q - 1, n)
+        )
 
     # -- ranks ----------------------------------------------------------------
 
-    def _profile(self, p: int, q: int, slot: int, cap: int) -> RankProfile:
-        """Prefix-rank profile for the slot-th usable prime, covering >= cap columns."""
-        per_cell = self._profiles.setdefault((p, q), {})
-        matrix = self.cell_matrix(p, q)
-        want = max(cap, self._planned_cap.get((p, q), 0))
+    def _profile(self, p: int, q: int, n: int, slot: int) -> RankProfile:
+        """Prefix-rank profile of the cell matrix for the slot-th usable prime."""
+        cell = self._cell(p, q, n)
         usable = 0
         for prime in self.primes:
-            cached = per_cell.get(prime)
-            if cached is not None and cached[0] == -1:
-                continue  # recorded as unusable
-            if cached is None or cached[0] < cap:
+            if prime not in cell.profiles:
                 try:
-                    profile = rank_profile_modular(matrix, prime, min(want, matrix.cols))
+                    cell.profiles[prime] = rank_profile_modular(self.cell_matrix(p, q, n), prime)
                 except UnusablePrimeError:
-                    per_cell[prime] = (-1, RankProfile(prime, [0], ()))
-                    continue
-                per_cell[prime] = (min(want, matrix.cols), profile)
+                    cell.profiles[prime] = None
+            profile = cell.profiles[prime]
+            if profile is None:
+                continue
             if usable == slot:
-                return per_cell[prime][1]
+                return profile
             usable += 1
         raise UnusablePrimeError("all configured primes divide some denominator")
 
-    def _exact_truncated_rank(self, p: int, q: int, n: int) -> int:
-        return exact_rank(assemble_matrix(self.ring, p, q, n, self.reduced))
-
     def rank(self, p: int, q: int, n: int) -> int:
         """Rank of the differential leaving cell (p, q) at truncation n."""
-        if q <= 0 or p < 0 or n < 1:
+        if q <= 0 or p < 0 or n < 2 * q:
             return 0
         n_eff = min(n, p + 2 * q)
         key = (p, q, n_eff)
-        cached = self._ranks.get(key)
-        if cached is not None:
-            return cached
-        cols = self.dim(p, q, n_eff)
-        if cols == 0:
-            self._ranks[key] = 0
-            return 0
-        if self.exact_only:
-            value = self._exact_truncated_rank(p, q, n_eff)
+        value = self._ranks.get(key)
+        if value is None:
+            cols = self.dim(p, q, n_eff)
+            if cols == 0:
+                value = 0
+            elif self.exact_only:
+                value = exact_rank(self.truncated_matrix(p, q, n_eff))
+            else:
+                value = self._hybrid_rank(p, q, n_eff, cols)
             self._ranks[key] = value
-            return value
-        value = self._hybrid_rank(p, q, n_eff, cols)
-        self._ranks[key] = value
         return value
 
     def _hybrid_rank(self, p: int, q: int, n_eff: int, cols: int) -> int:
         codomain_dim = self.dim(p + self.ring.dimension, q - 1, n_eff)
-        first = self._profile(p, q, 0, cols)
+        first = self._profile(p, q, n_eff, 0)
         candidate = first.prefix_ranks[cols]
         if candidate == min(cols, codomain_dim):
             return candidate  # a mod-p rank never exceeds the rational rank
-        second = self._profile(p, q, 1, cols)
+        second = self._profile(p, q, n_eff, 1)
         if second.prefix_ranks[cols] != candidate:
-            return self._exact_truncated_rank(p, q, n_eff)
+            return exact_rank(self.truncated_matrix(p, q, n_eff))
         if candidate <= CERTIFICATION_LIMIT:
             pivots = first.pivots[:candidate]
-            sub = self.cell_matrix(p, q).submatrix(
+            sub = self.cell_matrix(p, q, n_eff).submatrix(
                 [r for r, _ in pivots], [c for _, c in pivots]
             )
             if exact_rank(sub) != candidate:
-                return self._exact_truncated_rank(p, q, n_eff)
+                return exact_rank(self.truncated_matrix(p, q, n_eff))
         else:
             self.uncertified_cells.append((p, q, n_eff))
         return candidate
@@ -224,17 +226,24 @@ class BettiEngine:
                         needed.add((cp, cq, min(n, cp + 2 * cq)))
         return sorted(needed)
 
-    def _plan_caps(self, tasks: Iterable[tuple[int, int, int]]) -> None:
+    def _plan(self, tasks: Iterable[tuple[int, int, int]]) -> None:
+        """Record the largest truncation a batch of rank tasks reads each cell at.
+
+        A codomain is planned at the batch's largest truncation: a task that
+        saturates its cell stands for every larger n, and the limit page reads
+        the codomain at each of them.
+        """
+        tasks = list(tasks)
+        reach = max((n_eff for _, _, n_eff in tasks), default=0)
         for p, q, n_eff in tasks:
-            cap = self.dim(p, q, n_eff)
-            key = (p, q)
-            if cap > self._planned_cap.get(key, 0):
-                self._planned_cap[key] = cap
+            for cell, n in (((p, q), n_eff), ((p + self.ring.dimension, q - 1), reach)):
+                if n > self._planned.get(cell, 0):
+                    self._planned[cell] = n
 
     def compute_ranks(self, tasks: list[tuple[int, int, int]], workers: int = 1) -> None:
         """Fill the rank cache for the given tasks, optionally with a process pool."""
         pending = [t for t in tasks if (t[0], t[1], min(t[2], t[0] + 2 * t[1])) not in self._ranks]
-        self._plan_caps(pending)
+        self._plan(pending)
         if workers <= 1 or len(pending) <= 1:
             for p, q, n_eff in pending:
                 self.rank(p, q, n_eff)
@@ -427,5 +436,5 @@ def _pool_init(ring_json: str, reduced: bool, exact_only: bool) -> None:
 def _pool_ranks(job: tuple[int, int, tuple[int, ...]]):
     p, q, truncations = job
     engine = _POOL_ENGINE
-    engine._plan_caps((p, q, n_eff) for n_eff in truncations)
+    engine._plan((p, q, n_eff) for n_eff in truncations)
     return p, q, [(n_eff, engine.rank(p, q, n_eff)) for n_eff in truncations]

@@ -68,9 +68,13 @@ class RationalMatrix:
         }
         return RationalMatrix(rows=len(rows), cols=len(cols), entries=picked)
 
-    def column_prefix(self, cols: int) -> RationalMatrix:
+    def column_prefix(self, cols: int, rows: int | None = None) -> RationalMatrix:
+        """The first `cols` columns; `rows` drops the trailing rows they leave empty."""
         kept = {(r, c): v for (r, c), v in self.entries.items() if c < cols}
-        return RationalMatrix(rows=self.rows, cols=cols, entries=kept)
+        rows = self.rows if rows is None else rows
+        if any(r >= rows for r, _ in kept):
+            raise ValueError(f"the first {cols} columns have entries below row {rows}")
+        return RationalMatrix(rows=rows, cols=cols, entries=kept)
 
     def dump_triplets(self) -> str:
         lines = [f"{self.rows} {self.cols}"]

@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 # products[i][j] lists the nonzero structure constants of y_i * y_j.
@@ -53,6 +54,24 @@ class GradedRing:
 
     def is_odd(self, i: int) -> bool:
         return self.basis[i].degree % 2 == 1
+
+    @cached_property
+    def _hash(self) -> int:
+        # Every lru_cache lookup keyed on a ring hashes it; rehashing the
+        # Fraction product table each time dominated matrix assembly.
+        return _value_hash(self)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between interpreters, so a copy sent to another
+        # process computes its own.
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+
+def _value_hash(ring: GradedRing) -> int:
+    return hash(tuple(getattr(ring, f.name) for f in fields(ring)))
 
 
 @dataclass(frozen=True)

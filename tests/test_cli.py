@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from confbetti import serialize_ring, ring_surface
+from confbetti import assemble_matrix, ring_cp, ring_surface, serialize_ring
 from confbetti.cli import main
 
 
@@ -125,24 +125,46 @@ def test_ring_file_round_trip(tmp_path, capsys):
 
 
 def test_dump_matrices_writes_listings(tmp_path, capsys):
+    # n 1..4 reads cell (2, 1) at n = 3 and n = 4, so its n = 3 matrix is a
+    # proper leading block of the engine's cell
     dump = tmp_path / "dump"
     code, out, _ = run_cli(
-        capsys, "compute", "--space", "cp1", "--n", "3..3", "--i-max", "3",
+        capsys, "compute", "--space", "cp1", "--n", "1..4", "--i-max", "4",
         "--dump-matrices", str(dump),
     )
     assert code == 0
     files = sorted(p.name for p in dump.iterdir())
-    assert files
+    assert "d_p2_q1_n3.txt" in files and "d_p2_q1_n4.txt" in files
     text = (dump / files[0]).read_text()
     assert "->" in text
     header = text.splitlines()[0].split()
     assert len(header) == 2 and all(part.isdigit() for part in header)
+    for name in files:
+        p, q, n = (int(part[1:]) for part in name[len("d_"):-len(".txt")].split("_"))
+        dumped = (dump / name).read_text()
+        assert dumped.startswith(assemble_matrix(ring_cp(1), p, q, n).dump_triplets() + "\n")
 
 
 def test_n_range_single_value(capsys):
     code, out, _ = run_cli(capsys, "compute", "--space", "cp1", "--n", "2", "--i-max", "2")
     assert code == 0
     assert out.splitlines()[1].startswith("2,")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--space", "cp1", "--n", "1..2", "--i-max", "-1"),
+        ("stable", "--space", "sigma1", "--i-max", "-1"),
+        ("compute", "--space", "cp1", "--n", "1..2", "--i-max", "2", "--workers", "0"),
+    ],
+    ids=["compute-negative-i-max", "stable-negative-i-max", "zero-workers"],
+)
+def test_bad_counts_exit_2_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_missing_arguments_exit_2(capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import confbetti.engine as engine_module
 from confbetti import (
     BettiEngine,
     betti_number,
@@ -139,3 +140,36 @@ def test_engine_cache_is_shared(cp2):
     a = engine_for(cp2)
     b = engine_for(cp2)
     assert a is b
+
+
+@pytest.fixture
+def fresh_engines(monkeypatch):
+    """Empty the shared engine registry, so each reset starts every ring cold."""
+
+    def reset():
+        monkeypatch.setattr(engine_module, "_ENGINES", {})
+
+    reset()
+    return reset
+
+
+def test_cells_grow_when_a_later_table_reads_further(sigma2, fresh_engines):
+    betti_table(sigma2, 1, 3, 8)
+    shared = betti_table(sigma2, 1, 8, 8)
+    assert shared.betti(4, 4) == 24
+    fresh_engines()
+    assert shared.grid == betti_table(sigma2, 1, 8, 8).grid
+
+
+def test_direct_query_after_a_table_reads_past_its_cells(sigma2, fresh_engines):
+    betti_table(sigma2, 1, 3, 8)
+    shared = engine_for(sigma2)
+    fresh = BettiEngine(sigma2)
+    for i in range(9):
+        assert shared.betti_number(i, 6) == fresh.betti_number(i, 6)
+
+
+def test_worker_pool_table_matches_serial(cp1xcp1, fresh_engines):
+    pooled = betti_table(cp1xcp1, 1, 6, 10, workers=2)
+    fresh_engines()
+    assert pooled.grid == betti_table(cp1xcp1, 1, 6, 10, workers=1).grid

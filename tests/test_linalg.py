@@ -162,6 +162,11 @@ def test_submatrix_and_column_prefix():
     prefix = m.column_prefix(3)
     assert prefix.cols == 3
     assert (2, 3) not in prefix.entries
+    block = m.column_prefix(3, rows=2)
+    assert (block.rows, block.cols) == (2, 3)
+    assert block.entries == prefix.entries
+    with pytest.raises(ValueError):
+        m.column_prefix(3, rows=1)  # row 1 still holds the entry in column 2
 
 
 @settings(max_examples=40, deadline=None)

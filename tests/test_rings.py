@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import confbetti.rings as rings_module
 from confbetti import (
     BasisClass,
     GradedRing,
@@ -13,6 +19,7 @@ from confbetti import (
     basis_element,
     dual_basis,
     element,
+    engine_for,
     euler_characteristic,
     multiply,
     parse_ring,
@@ -25,6 +32,8 @@ from confbetti import (
     serialize_ring,
     validate_ring,
 )
+
+SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_cp1_shape(cp1):
@@ -161,6 +170,58 @@ def test_serialize_round_trip(sigma2, pbundle):
         again = parse_ring(text)
         assert again == ring
         assert serialize_ring(again) == text
+
+
+def test_ring_hash_is_computed_once(monkeypatch):
+    calls = []
+
+    def counting(ring):
+        calls.append(ring)
+        return value_hash(ring)
+
+    value_hash = rings_module._value_hash
+    monkeypatch.setattr(rings_module, "_value_hash", counting)
+    ring = ring_surface(2)
+    assert hash(ring) == hash(ring) == value_hash(ring)
+    assert {ring: 1}[ring] == 1
+    assert len(calls) == 1
+
+
+def test_rings_parsed_from_one_document_share_an_engine():
+    text = serialize_ring(ring_surface(2))
+    first, second = parse_ring(text), parse_ring(text)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert engine_for(first) is engine_for(second)
+
+
+def test_rings_with_other_products_differ():
+    import json
+
+    doc = json.loads(serialize_ring(ring_cp(2)))
+    for row in doc["products"]:
+        if row[0] == 1 and row[1] == 1:
+            row[2] = {"2": 2}  # x*x = 2*x2: still a valid ring, with another product
+    twisted = parse_ring(json.dumps(doc))
+    assert twisted.basis == ring_cp(2).basis
+    assert twisted != ring_cp(2)
+    assert engine_for(twisted) is not engine_for(ring_cp(2))
+
+
+def test_pickled_ring_hashes_afresh_in_another_interpreter(tmp_path):
+    ring = ring_surface(2)
+    hash(ring)  # caches this interpreter's hash on the instance
+    path = tmp_path / "ring.pickle"
+    path.write_bytes(pickle.dumps(ring))
+    script = (
+        "import pickle, sys\n"
+        "from confbetti import parse_ring, serialize_ring\n"
+        "ring = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+        "assert hash(ring) == hash(parse_ring(serialize_ring(ring)))\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "12345"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", script, str(path)], check=True, env=env)
 
 
 def test_parse_rejects_missing_unit_row():
