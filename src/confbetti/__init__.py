@@ -1,8 +1,6 @@
 """Rational Betti numbers of unordered configuration spaces of manifolds."""
 from .basis import (
-    BigradedBasis,
     Monomial,
-    enumerate_all,
     enumerate_basis,
     format_monomial,
     monomial_bigrade,

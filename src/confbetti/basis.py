@@ -9,12 +9,18 @@ derived from a ring basis {y_0 = 1, y_1, ..., y_m}:
   bigrade (|y_j|, 1) and the parity of |y_j| + 1.
 
 Truncating to total length <= n models n unlabeled points.
+
+A cell (p, q) is enumerated as pairs of exponent vectors: every s-vector with
+q entries and weight at most p, completed by every r-vector of the remaining
+weight and length at most n - 2q. The r-vectors depend only on that remaining
+weight, so each weight is enumerated once per cell. Both searches cut a branch
+as soon as the positions left cannot reach the target, and one final sort puts
+the cell in graded-lex order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .rings import GradedRing
 
@@ -89,22 +95,6 @@ def format_monomial(ring: GradedRing, mon: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-@dataclass
-class BigradedBasis:
-    """Deterministically ordered monomial bases for every bigrade cell at one truncation."""
-
-    ring: GradedRing
-    n: int
-    reduced: bool
-    cells: dict[tuple[int, int], tuple[Monomial, ...]] = field(default_factory=dict)
-
-    def cell(self, p: int, q: int) -> tuple[Monomial, ...]:
-        return self.cells.get((p, q), ())
-
-    def total_dimension(self) -> int:
-        return sum(len(c) for c in self.cells.values())
-
-
 def _vectors(
     degrees: tuple[int, ...],
     caps: tuple[int, ...],
@@ -113,15 +103,28 @@ def _vectors(
     *,
     exact_weight: bool,
     exact_count: bool,
-) -> Iterator[tuple[int, ...]]:
-    """Exponent vectors with weighted degree sum and entry count bounded (or hit exactly)."""
+) -> list[tuple[int, ...]]:
+    """Exponent vectors with weighted degree sum and entry count bounded (or hit exactly).
 
-    def descend(
-        pos: int, weight_left: int, count_left: int, prefix: list[int]
-    ) -> Iterator[tuple[int, ...]]:
-        if pos == len(degrees):
-            if (not exact_weight or weight_left == 0) and (not exact_count or count_left == 0):
-                yield tuple(prefix)
+    A branch stops as soon as it cannot finish: the positions from `pos` on
+    hold at most cap_left[pos] entries, each of degree at most deg_left[pos].
+    """
+    size = len(degrees)
+    cap_left = [0] * (size + 1)
+    deg_left = [0] * (size + 1)
+    for pos in range(size - 1, -1, -1):
+        cap_left[pos] = cap_left[pos + 1] + caps[pos]
+        deg_left[pos] = max(deg_left[pos + 1], degrees[pos])
+    found: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+
+    def descend(pos: int, weight_left: int, count_left: int) -> None:
+        if exact_count and count_left > cap_left[pos]:
+            return
+        if exact_weight and weight_left > min(count_left, cap_left[pos]) * deg_left[pos]:
+            return
+        if pos == size:  # the checks above leave only exact hits here
+            found.append(tuple(prefix))
             return
         deg = degrees[pos]
         top = min(caps[pos], count_left)
@@ -129,12 +132,12 @@ def _vectors(
             top = min(top, weight_left // deg)
         for e in range(top + 1):
             prefix.append(e)
-            yield from descend(pos + 1, weight_left - e * deg, count_left - e, prefix)
+            descend(pos + 1, weight_left - e * deg, count_left - e)
             prefix.pop()
 
-    if weight < 0 or count < 0:
-        return
-    yield from descend(0, weight, count, [])
+    if weight >= 0 and count >= 0:
+        descend(0, weight, count)
+    return found
 
 
 def _cell_monomials(
@@ -158,16 +161,20 @@ def _cell_monomials(
             cap = 0
         s_caps.append(cap)
 
-    found = []
     max_r = n - 2 * q
     if max_r < 0:
         return ()
+    found = []
+    r_by_weight: dict[int, list[tuple[int, ...]]] = {}  # s-weight -> r-vectors completing it
     for s_vec in _vectors(s_degs, tuple(s_caps), p, q, exact_weight=False, exact_count=True):
         s_weight = sum(e * d for e, d in zip(s_vec, s_degs))
-        for r_vec in _vectors(
-            r_degs, tuple(r_caps), p - s_weight, max_r, exact_weight=True, exact_count=False
-        ):
-            found.append(Monomial(r_vec, s_vec))
+        r_vecs = r_by_weight.get(s_weight)
+        if r_vecs is None:
+            r_vecs = _vectors(
+                r_degs, tuple(r_caps), p - s_weight, max_r, exact_weight=True, exact_count=False
+            )
+            r_by_weight[s_weight] = r_vecs
+        found.extend(Monomial(r_vec, s_vec) for r_vec in r_vecs)
     found.sort(key=lambda mon: (sum(mon.r) + sum(mon.s), mon.r + mon.s))
     return tuple(found)
 
@@ -183,22 +190,3 @@ def enumerate_basis(
     if p < 0 or q < 0:
         return ()
     return _cell_monomials(ring, p, q, n, reduced)
-
-
-def enumerate_all(ring: GradedRing, n: int, i_max: int, reduced: bool = True) -> BigradedBasis:
-    """Bases for every cell with p + (D-1)q <= i_max + D (codomain margin included)."""
-    if ring.dimension % 2:
-        raise ValueError("the bigraded model requires an even-dimensional ring")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    row_weight = ring.dimension - 1
-    bound = i_max + ring.dimension
-    cells: dict[tuple[int, int], tuple[Monomial, ...]] = {}
-    for q in range(n // 2 + 1):
-        if row_weight * q > bound:
-            break
-        for p in range(bound - row_weight * q + 1):
-            mons = _cell_monomials(ring, p, q, n, reduced)
-            if mons:
-                cells[(p, q)] = mons
-    return BigradedBasis(ring=ring, n=n, reduced=reduced, cells=cells)

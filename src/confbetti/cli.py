@@ -40,12 +40,23 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     return n_min, n_max
 
 
+class UsageError(Exception):
+    """Bad user input; `main` prints the message as one line and exits 2."""
+
+
 def _load_ring(args) -> tuple[GradedRing, str]:
-    if args.ring_file:
-        ring = parse_ring(Path(args.ring_file).read_text())
-        return ring, ring.name
-    ring = resolve_space(args.space)
-    return ring, args.space
+    """The ring named by --space or read from --ring-file, and its display name."""
+    try:
+        if args.ring_file:
+            ring = parse_ring(Path(args.ring_file).read_text(encoding="utf-8"))
+            return ring, ring.name
+        return resolve_space(args.space), args.space
+    except KeyError as err:  # an unknown space name; str() would quote the message
+        raise UsageError(err.args[0]) from None
+    except UnicodeDecodeError as err:
+        raise UsageError(f"ring file {args.ring_file} is not UTF-8 text: {err}") from None
+    except (RingError, OSError) as err:
+        raise UsageError(str(err)) from None
 
 
 def _fail_usage(message: str) -> int:
@@ -93,21 +104,22 @@ def _grid_rows(config: RunConfig, rows: dict[int, list[int]]) -> str:
 def _dump_matrices(config: RunConfig) -> None:
     engine = engine_for(config.ring, config.reduced, config.exact_only)
     config.dump_dir.mkdir(parents=True, exist_ok=True)
-    tasks = engine.required_ranks(config.n_min, config.n_max, config.i_max)
-    for p, q, n_eff in tasks:
-        lines = [engine.truncated_matrix(p, q, n_eff).dump_triplets(), ""]
-        for monomial, image in cell_images(config.ring, p, q, n_eff, config.reduced):
-            terms = (
-                " + ".join(
-                    f"({coeff})*{format_monomial(config.ring, m)}"
-                    for m, coeff in image.terms
-                )
-                if image.terms
-                else "0"
+    truncations: dict[tuple[int, int], list[int]] = {}
+    for p, q, n_eff in engine.required_ranks(config.n_min, config.n_max, config.i_max):
+        truncations.setdefault((p, q), []).append(n_eff)
+    for (p, q), ns in truncations.items():
+        # the basis is graded by length, so each truncation lists a prefix of the largest
+        listing = []
+        for monomial, image in cell_images(config.ring, p, q, max(ns), config.reduced):
+            terms = " + ".join(
+                f"({coeff})*{format_monomial(config.ring, m)}" for m, coeff in image.terms
             )
-            lines.append(f"{format_monomial(config.ring, monomial)} -> {terms}")
-        path = config.dump_dir / f"d_p{p}_q{q}_n{n_eff}.txt"
-        path.write_text("\n".join(lines) + "\n")
+            listing.append(f"{format_monomial(config.ring, monomial)} -> {terms or '0'}")
+        for n_eff in ns:
+            lines = [engine.truncated_matrix(p, q, n_eff).dump_triplets(), ""]
+            lines += listing[: engine.dim(p, q, n_eff)]
+            path = config.dump_dir / f"d_p{p}_q{q}_n{n_eff}.txt"
+            path.write_text("\n".join(lines) + "\n")
 
 
 def cmd_spaces(args) -> int:
@@ -137,10 +149,7 @@ def _make_config(args, ring: GradedRing, space: str, i_max: int) -> RunConfig:
 
 
 def cmd_compute(args) -> int:
-    try:
-        ring, space = _load_ring(args)
-    except (KeyError, RingError, OSError) as err:
-        return _fail_usage(str(err))
+    ring, space = _load_ring(args)
     if ring.dimension % 2:
         return _fail_usage(
             f"space {space!r} is odd-dimensional; use the betti-odd command, "
@@ -164,10 +173,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_betti_odd(args) -> int:
-    try:
-        ring, space = _load_ring(args)
-    except (KeyError, RingError, OSError) as err:
-        return _fail_usage(str(err))
+    ring, space = _load_ring(args)
     if ring.dimension % 2 == 0:
         return _fail_usage(
             f"space {space!r} is even-dimensional; use the compute command, "
@@ -185,10 +191,7 @@ def cmd_betti_odd(args) -> int:
 
 
 def cmd_stable(args) -> int:
-    try:
-        ring, space = _load_ring(args)
-    except (KeyError, RingError, OSError) as err:
-        return _fail_usage(str(err))
+    ring, space = _load_ring(args)
     if ring.dimension % 2:
         values = [betti_odd_closed(ring, i + 1)[i] for i in range(args.i_max + 1)]
     else:
@@ -198,10 +201,7 @@ def cmd_stable(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        ring, space = _load_ring(args)
-    except (KeyError, RingError, OSError) as err:
-        return _fail_usage(str(err))
+    ring, space = _load_ring(args)
     if ring.dimension % 2:
         return _fail_usage(
             f"space {space!r} is odd-dimensional; the oracle suite applies to the "
@@ -288,7 +288,10 @@ def main(argv=None) -> int:
         return _fail_usage(f"--i-max must be nonnegative, got {args.i_max}")
     if getattr(args, "workers", 1) < 1:
         return _fail_usage(f"--workers must be at least 1, got {args.workers}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as err:
+        return _fail_usage(str(err))
 
 
 if __name__ == "__main__":

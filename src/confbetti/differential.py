@@ -4,6 +4,10 @@ The differential maps bigrade (p, q) to (p + D, q - 1): it consumes one length-2
 generator and emits a length-(at most 2) product of length-1 generators, so it
 preserves the length filtration and every Koszul sign is a plain transposition
 count in the free graded-commutative algebra.
+
+Matrix assembly expands each basis monomial with `_expand`, which trusts its
+input and returns an unordered coefficient map. `d_monomial` validates the
+monomial first and orders the result; `cell_images` (the debug dump) uses it.
 """
 from __future__ import annotations
 
@@ -75,40 +79,45 @@ def d_generator(ring: GradedRing, j: int) -> AlgebraElement:
     return algebra_element(out)
 
 
-def d_monomial(ring: GradedRing, mon: Monomial, reduced: bool = True) -> AlgebraElement:
-    """Odd-derivation (Leibniz) expansion of the differential on one monomial.
+def _expand(ring: GradedRing, mon: Monomial, reduced: bool) -> dict[Monomial, Fraction]:
+    """Odd-derivation (Leibniz) expansion of the differential on one valid monomial.
 
     Each length-2 generator slot j with exponent s_j contributes s_j times the
     generator image inserted in place, signed by the total-degree parity of the
     factors preceding slot j in canonical order; in reduced mode, output terms
     with orientation-class exponents r >= 2 or s >= 1 are projected away.
+    Returns the unordered coefficient map with zeros dropped.
     """
-    monomial_bigrade(mon, ring)  # validates shape and exterior constraints
-    m = ring.top_generator_count
     top = ring.orientation_index
     sigma = sum(e for pos, e in enumerate(mon.r) if ring.is_odd(pos + 1)) % 2
     out: dict[Monomial, Fraction] = {}
-    for j in range(m + 1):
-        s_j = mon.s[j]
-        if s_j:
-            prefix = Monomial(mon.r, tuple(e if k < j else 0 for k, e in enumerate(mon.s)))
-            trailing = tuple(
-                (e - 1 if k == j else e) if k >= j else 0 for k, e in enumerate(mon.s)
-            )
-            scale = Fraction(s_j if sigma == 0 else -s_j)
+    for j, s_j in enumerate(mon.s):
+        if not s_j:
+            continue
+        # generator images have no length-2 factor, so every term of slot j
+        # keeps the length-2 part of `mon` with s_j lowered by one; those
+        # trailing factors sit above every slot of the product, so merging
+        # them needs no further sign or collision.
+        s_after = mon.s[:j] + (s_j - 1,) + mon.s[j + 1 :]
+        if not (reduced and s_after[top] >= 1):
+            prefix = Monomial(mon.r, mon.s[:j] + (0,) * (len(mon.s) - j))
+            scale = s_j if sigma == 0 else -s_j
             for image_mon, c in d_generator(ring, j).terms:
                 koszul, product = multiply_monomials(ring, prefix, image_mon)
-                if not koszul:
+                if not koszul or (reduced and product.r[top - 1] >= 2):
                     continue
-                # trailing factors sit at slots >= j, above every slot of the
-                # product, so merging them needs no further sign or collision.
-                merged = Monomial(product.r, tuple(a + b for a, b in zip(product.s, trailing)))
-                if reduced and (merged.r[top - 1] >= 2 or merged.s[top] >= 1):
-                    continue
-                out[merged] = out.get(merged, Fraction(0)) + scale * koszul * c
-            if not ring.is_odd(j):  # length-2 generator is odd iff its class is even
-                sigma ^= s_j % 2
-    return algebra_element(out)
+                merged = Monomial(product.r, s_after)
+                term = c * (scale * koszul)
+                out[merged] = out[merged] + term if merged in out else term
+        if not ring.is_odd(j):  # length-2 generator is odd iff its class is even
+            sigma ^= s_j % 2
+    return {merged: c for merged, c in out.items() if c}
+
+
+def d_monomial(ring: GradedRing, mon: Monomial, reduced: bool = True) -> AlgebraElement:
+    """The differential on one monomial, validated and in graded-lex order."""
+    monomial_bigrade(mon, ring)  # validates shape and exterior constraints
+    return algebra_element(_expand(ring, mon, reduced))
 
 
 def assemble_matrix(
@@ -126,7 +135,7 @@ def assemble_matrix(
     index = {mon: row for row, mon in enumerate(codomain)}
     entries: dict[tuple[int, int], Fraction] = {}
     for col, mon in enumerate(domain):
-        for image_mon, c in d_monomial(ring, mon, reduced).terms:
+        for image_mon, c in _expand(ring, mon, reduced).items():
             row = index.get(image_mon)
             if row is None:
                 raise RuntimeError(

@@ -8,7 +8,8 @@ names is built at saturation (length p + 2q, beyond which it stops growing).
 The basis order is graded by length and the differential preserves length, so
 the matrix at any n <= t is a leading block of the cell's matrix, and one
 left-to-right modular elimination yields the ranks at every such truncation.
-A request beyond t rebuilds the record.
+A request beyond the plan rebuilds the record at saturation, so a query past
+a table rebuilds each cell once.
 """
 from __future__ import annotations
 
@@ -79,7 +80,7 @@ class BettiEngine:
         cell = self._cells.get((p, q))
         if cell is None or cell.truncation < min(n, saturation):
             planned = self._planned.get((p, q), saturation)
-            truncation = min(saturation, max(n, planned))
+            truncation = min(saturation, planned) if n <= planned else saturation
             monomials = enumerate_basis(self.ring, p, q, truncation, self.reduced)
             cell = _Cell(truncation, tuple(monomial_length(m) for m in monomials))
             self._cells[(p, q)] = cell

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from confbetti import (
     Monomial,
-    enumerate_all,
     enumerate_basis,
     format_monomial,
     monomial_bigrade,
@@ -14,6 +15,57 @@ from confbetti import (
     ring_sphere,
     ring_surface,
 )
+
+
+def _cells(ring, n, i_max):
+    """Nonempty cells (p, q) -> basis at truncation n, for p + (D-1)q <= i_max + D."""
+    row_weight = ring.dimension - 1
+    bound = i_max + ring.dimension
+    cells = {}
+    for q in range(min(n // 2, bound // row_weight) + 1):
+        for p in range(bound - row_weight * q + 1):
+            mons = enumerate_basis(ring, p, q, n)
+            if mons:
+                cells[(p, q)] = mons
+    return cells
+
+
+def _brute_force_basis(ring, p, q, n, reduced):
+    """Every exponent vector of bigrade (p, q) and length <= n, filtered one by one."""
+    m = ring.top_generator_count
+    top = ring.orientation_index
+    degrees = [ring.degree(i) for i in range(1, m + 1)] + [ring.degree(j) for j in range(m + 1)]
+    # a length-1 generator is odd with its class, a length-2 generator with an even class
+    odd = [ring.is_odd(i) for i in range(1, m + 1)] + [not ring.is_odd(j) for j in range(m + 1)]
+    counts = [n - 2 * q] * m + [q] * (m + 1)  # a bigrade-(p, q) monomial has sum(s) = q
+    ranges = [range(min(c, p // d) + 1 if d else c + 1) for c, d in zip(counts, degrees)]
+    found = []
+    for flat in itertools.product(*ranges):
+        if any(o and e > 1 for o, e in zip(odd, flat)):
+            continue
+        mon = Monomial(flat[:m], flat[m:])
+        if monomial_length(mon) > n:
+            continue
+        if reduced and (mon.r[top - 1] >= 2 or mon.s[top] >= 1):
+            continue
+        if monomial_bigrade(mon, ring) == (p, q):
+            found.append(mon)
+    found.sort(key=lambda mon: (sum(mon.r) + sum(mon.s), mon.r + mon.s))
+    return tuple(found)
+
+
+@pytest.mark.parametrize("name", ["cp2", "cp3", "sigma1", "sigma2", "cp1xcp1"])
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+def test_enumeration_matches_brute_force(request, name, reduced):
+    ring = request.getfixturevalue(name)
+    checked = 0
+    for n in (1, 2, 3, 4, 5):
+        for q in range(n // 2 + 1):
+            for p in range(2 * ring.dimension + 3):
+                expected = _brute_force_basis(ring, p, q, n, reduced)
+                assert enumerate_basis(ring, p, q, n, reduced) == expected, (p, q, n)
+                checked += len(expected)
+    assert checked > 0
 
 
 def test_cell_counts_from_worked_examples(cp2, cp3, sigma1):
@@ -30,15 +82,14 @@ def test_zero_cell_is_the_empty_monomial(cp2):
 
 def test_cp1_low_cells(cp1):
     # n=3, i <= 3 touches exactly the four 1-dimensional cells
-    basis = enumerate_all(cp1, 3, 3)
-    sizes = {pq: len(cell) for pq, cell in basis.cells.items()}
+    sizes = {pq: len(cell) for pq, cell in _cells(cp1, 3, 3).items()}
     assert sizes == {(0, 0): 1, (2, 0): 1, (0, 1): 1, (2, 1): 1}
 
 
 def test_single_point_has_no_pairs(cp3):
-    basis = enumerate_all(cp3, 1, 20)
-    assert all(q == 0 for (_, q) in basis.cells)
-    assert all(monomial_length(m) <= 1 for cell in basis.cells.values() for m in cell)
+    cells = _cells(cp3, 1, 20)
+    assert all(q == 0 for (_, q) in cells)
+    assert all(monomial_length(m) <= 1 for cell in cells.values() for m in cell)
 
 
 def test_sigma2_i1_line_at_two_points():
@@ -78,7 +129,7 @@ def test_reduced_drops_orientation_heavy_monomials(cp2):
 
 
 def test_exterior_generators_are_square_free(sigma1):
-    for cell in enumerate_all(sigma1, 6, 8).cells.values():
+    for cell in _cells(sigma1, 6, 8).values():
         for mon in cell:
             assert mon.r[0] <= 1 and mon.r[1] <= 1  # odd surface classes
             # A length-2 generator is odd exactly when its underlying class
@@ -90,7 +141,7 @@ def test_exterior_generators_are_square_free(sigma1):
 
 
 def test_bigrade_recomputation_round_trips(sigma2):
-    for (p, q), cell in enumerate_all(sigma2, 5, 8).cells.items():
+    for (p, q), cell in _cells(sigma2, 5, 8).items():
         for mon in cell:
             assert monomial_bigrade(mon, sigma2) == (p, q)
 

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from confbetti import assemble_matrix, ring_cp, ring_surface, serialize_ring
+from confbetti import (
+    assemble_matrix,
+    cell_images,
+    format_monomial,
+    ring_cp,
+    ring_surface,
+    serialize_ring,
+)
 from confbetti.cli import main
 
 
@@ -98,6 +105,28 @@ def test_unknown_space_exits_2(capsys):
     assert "unknown space" in err
 
 
+def test_unknown_space_message_is_one_unquoted_line(capsys):
+    code, out, err = run_cli(capsys, "stable", "--space", "nope", "--i-max", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("unknown space 'nope'")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_non_utf8_ring_file_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    text = serialize_ring(ring_cp(1))
+    assert '"name": "cp1"' in text
+    path.write_bytes(text.replace('"name": "cp1"', '"name": "cp1 \u00e9t\u00e9"').encode("latin-1"))
+    code, out, err = run_cli(
+        capsys, "compute", "--ring-file", str(path), "--n", "1..2", "--i-max", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "UTF-8" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_stable_row(capsys):
     code, out, _ = run_cli(capsys, "stable", "--space", "sigma1", "--i-max", "6")
     assert code == 0
@@ -124,6 +153,11 @@ def test_ring_file_round_trip(tmp_path, capsys):
     assert out.splitlines()[1] == "3,1,4,6,11"
 
 
+def _listing_line(ring, mon, image):
+    terms = " + ".join(f"({c})*{format_monomial(ring, m)}" for m, c in image.terms)
+    return f"{format_monomial(ring, mon)} -> {terms or '0'}"
+
+
 def test_dump_matrices_writes_listings(tmp_path, capsys):
     # n 1..4 reads cell (2, 1) at n = 3 and n = 4, so its n = 3 matrix is a
     # proper leading block of the engine's cell
@@ -139,10 +173,12 @@ def test_dump_matrices_writes_listings(tmp_path, capsys):
     assert "->" in text
     header = text.splitlines()[0].split()
     assert len(header) == 2 and all(part.isdigit() for part in header)
+    ring = ring_cp(1)
     for name in files:
         p, q, n = (int(part[1:]) for part in name[len("d_"):-len(".txt")].split("_"))
-        dumped = (dump / name).read_text()
-        assert dumped.startswith(assemble_matrix(ring_cp(1), p, q, n).dump_triplets() + "\n")
+        listing = [_listing_line(ring, mon, image) for mon, image in cell_images(ring, p, q, n)]
+        expected = [assemble_matrix(ring, p, q, n).dump_triplets(), "", *listing]
+        assert (dump / name).read_text() == "\n".join(expected) + "\n"
 
 
 def test_n_range_single_value(capsys):

@@ -121,3 +121,18 @@ def test_algebra_element_drops_zeros(cp2):
     elem = algebra_element({mon: Fraction(0)})
     assert elem.is_zero()
     assert elem.terms == ()
+
+
+@pytest.mark.parametrize(
+    "mon",
+    [
+        Monomial(r=(1,), s=(0, 0, 0, 0)),  # r too short for sigma1
+        Monomial(r=(0, 0, 0), s=(1, 0, 0)),  # s too short for sigma1
+        Monomial(r=(2, 0, 0), s=(0, 0, 0, 0)),  # odd class a1 squared
+        Monomial(r=(0, 0, 0), s=(2, 0, 0, 0)),  # odd length-2 unit generator squared
+    ],
+    ids=["short-r", "short-s", "odd-r-squared", "odd-s-squared"],
+)
+def test_d_monomial_rejects_invalid_monomials(sigma1, mon):
+    with pytest.raises(ValueError):
+        d_monomial(sigma1, mon)

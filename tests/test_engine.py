@@ -173,3 +173,19 @@ def test_worker_pool_table_matches_serial(cp1xcp1, fresh_engines):
     pooled = betti_table(cp1xcp1, 1, 6, 10, workers=2)
     fresh_engines()
     assert pooled.grid == betti_table(cp1xcp1, 1, 6, 10, workers=1).grid
+
+
+def test_query_past_a_table_builds_each_cell_once(sigma2, fresh_engines, monkeypatch):
+    betti_table(sigma2, 1, 4, 8)
+    builds: dict[tuple[int, int], int] = {}
+    original = engine_module.enumerate_basis
+
+    def counting(ring, p, q, n, reduced=True):
+        builds[(p, q)] = builds.get((p, q), 0) + 1
+        return original(ring, p, q, n, reduced)
+
+    monkeypatch.setattr(engine_module, "enumerate_basis", counting)
+    values = [stable_betti(sigma2, i) for i in range(12)]
+    assert builds and max(builds.values()) == 1
+    fresh = BettiEngine(sigma2)
+    assert values == [fresh.betti_number(i, i + 1) for i in range(12)]
