@@ -1,19 +1,23 @@
 """Betti-number engine: orchestrates enumeration, differentials, and ranks.
 
 Each bigrade cell (p, q) is one record, built once at a truncation t: the
-lengths of its basis, the matrix of the differential leaving it, and one
-prefix-rank profile per prime. Before ranking, a table plans the largest
-truncation it reads each cell at, and the cell is built there; a cell no plan
-names is built at saturation (length p + 2q, beyond which it stops growing).
-The basis order is graded by length and the differential preserves length, so
-the matrix at any n <= t is a leading block of the cell's matrix, and one
-left-to-right modular elimination yields the ranks at every such truncation.
-A request beyond the plan rebuilds the record at saturation, so a query past
-a table rebuilds each cell once.
+lengths of its basis, and the blocks of the differential leaving it (the
+connected components of the matrix's row-column graph) with their prefix-rank
+profiles per prime. The matrix is assembled once, split, and dropped. Before
+ranking, a table plans the largest truncation it reads each cell at, and the
+cell is built there; a cell no plan names is built at saturation (length
+p + 2q, beyond which it stops growing). The basis order is graded by length
+and the differential preserves length, so the matrix at any n <= t is a
+leading part of the cell's matrix: each block cut to its leading columns and
+rows. The rank at n is the sum of those cut blocks' ranks, and one
+left-to-right modular elimination per block yields them at every truncation.
+Each block is proven on its own (see `_block_rank_sum`). A request beyond the
+plan rebuilds the record at saturation, so a query past a table rebuilds each
+cell once.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -23,11 +27,13 @@ from .differential import assemble_matrix
 from .linalg import (
     CERTIFICATION_LIMIT,
     PRIMES,
+    Block,
     RankProfile,
     RationalMatrix,
     UnusablePrimeError,
     rank as exact_rank,
     rank_profile_modular,
+    split_blocks,
 )
 from .rings import GradedRing, parse_ring, serialize_ring
 
@@ -47,8 +53,9 @@ class _Cell:
 
     truncation: int
     lengths: tuple[int, ...]  # nondecreasing; lengths[k] = length of basis monomial k
-    matrix: RationalMatrix | None = None  # the differential at `truncation`, assembled on demand
-    profiles: dict[int, RankProfile | None] = field(default_factory=dict)  # None: prime unusable
+    blocks: list[Block] | None = None  # of the differential at `truncation`, split on demand
+    # (block index, prime) -> that block's profile; None: the prime divides a denominator
+    profiles: dict[tuple[int, int], RankProfile | None] = field(default_factory=dict)
 
 
 class BettiEngine:
@@ -86,12 +93,25 @@ class BettiEngine:
             self._cells[(p, q)] = cell
         return cell
 
-    def cell_matrix(self, p: int, q: int, n: int) -> RationalMatrix:
-        """Differential on cell (p, q) at the cell's truncation, which covers n."""
+    def _split(self, p: int, q: int, n: int) -> _Cell:
+        """The record of cell (p, q), covering n, with the blocks of its matrix."""
         cell = self._cell(p, q, n)
-        if cell.matrix is None:
-            cell.matrix = assemble_matrix(self.ring, p, q, cell.truncation, self.reduced)
-        return cell.matrix
+        if cell.blocks is None:
+            cell.blocks = split_blocks(
+                assemble_matrix(self.ring, p, q, cell.truncation, self.reduced)
+            )
+        return cell
+
+    def cell_matrix(self, p: int, q: int, n: int) -> RationalMatrix:
+        """Differential on cell (p, q) at the cell's truncation, rebuilt from its blocks."""
+        cell = self._split(p, q, n)
+        entries = {
+            (block.rows[i], block.cols[j]): v
+            for block in cell.blocks
+            for (i, j), v in block.matrix.entries.items()
+        }
+        rows = self.dim(p + self.ring.dimension, q - 1, cell.truncation)
+        return RationalMatrix(rows, len(cell.lengths), entries)
 
     def dim(self, p: int, q: int, n: int) -> int:
         """dim of cell (p, q) at truncation n: a prefix of the cell's basis."""
@@ -100,7 +120,7 @@ class BettiEngine:
         return bisect_right(self._cell(p, q, n).lengths, n)
 
     def truncated_matrix(self, p: int, q: int, n: int) -> RationalMatrix:
-        """Differential on cell (p, q) at truncation n: a leading block of the cell matrix.
+        """Differential on cell (p, q) at truncation n: leading columns and rows of its matrix.
 
         Both bases are graded by length and the differential preserves length,
         so the first dim(p, q, n) columns have no entry in a row of length > n.
@@ -112,17 +132,17 @@ class BettiEngine:
 
     # -- ranks ----------------------------------------------------------------
 
-    def _profile(self, p: int, q: int, n: int, slot: int) -> RankProfile:
-        """Prefix-rank profile of the cell matrix for the slot-th usable prime."""
-        cell = self._cell(p, q, n)
+    def _block_profile(self, cell: _Cell, index: int, slot: int) -> RankProfile:
+        """Prefix-rank profile of one block of the cell for its slot-th usable prime."""
         usable = 0
         for prime in self.primes:
-            if prime not in cell.profiles:
+            if (index, prime) not in cell.profiles:
                 try:
-                    cell.profiles[prime] = rank_profile_modular(self.cell_matrix(p, q, n), prime)
+                    profile = rank_profile_modular(cell.blocks[index].matrix, prime)
                 except UnusablePrimeError:
-                    cell.profiles[prime] = None
-            profile = cell.profiles[prime]
+                    profile = None
+                cell.profiles[index, prime] = profile
+            profile = cell.profiles[index, prime]
             if profile is None:
                 continue
             if usable == slot:
@@ -138,35 +158,46 @@ class BettiEngine:
         key = (p, q, n_eff)
         value = self._ranks.get(key)
         if value is None:
-            cols = self.dim(p, q, n_eff)
-            if cols == 0:
-                value = 0
-            elif self.exact_only:
-                value = exact_rank(self.truncated_matrix(p, q, n_eff))
-            else:
-                value = self._hybrid_rank(p, q, n_eff, cols)
-            self._ranks[key] = value
+            value = self._ranks[key] = self._block_rank_sum(p, q, n_eff)
         return value
 
-    def _hybrid_rank(self, p: int, q: int, n_eff: int, cols: int) -> int:
-        codomain_dim = self.dim(p + self.ring.dimension, q - 1, n_eff)
-        first = self._profile(p, q, n_eff, 0)
-        candidate = first.prefix_ranks[cols]
-        if candidate == min(cols, codomain_dim):
-            return candidate  # a mod-p rank never exceeds the rational rank
-        second = self._profile(p, q, n_eff, 1)
-        if second.prefix_ranks[cols] != candidate:
-            return exact_rank(self.truncated_matrix(p, q, n_eff))
-        if candidate <= CERTIFICATION_LIMIT:
-            pivots = first.pivots[:candidate]
-            sub = self.cell_matrix(p, q, n_eff).submatrix(
-                [r for r, _ in pivots], [c for _, c in pivots]
-            )
-            if exact_rank(sub) != candidate:
-                return exact_rank(self.truncated_matrix(p, q, n_eff))
-        else:
+    def _block_rank_sum(self, p: int, q: int, n_eff: int) -> int:
+        """Sum over the blocks of their ranks cut to truncation n_eff.
+
+        A block's mod-p rank is a lower bound on its rational rank, and its
+        counts of columns and of codomain rows are upper bounds, so a block
+        whose mod-p rank meets one is proven. A deficient block of rank at most
+        CERTIFICATION_LIMIT is ranked exactly; a larger one is checked at a
+        second prime, and the task is left uncertified when the primes agree.
+        With exact_only, every block is ranked exactly.
+        """
+        cols = self.dim(p, q, n_eff)
+        if cols == 0:
+            return 0
+        rows = self.dim(p + self.ring.dimension, q - 1, n_eff)
+        cell = self._split(p, q, n_eff)
+        total, uncertified = 0, False
+        for index, block in enumerate(cell.blocks):
+            k = bisect_left(block.cols, cols)
+            if k == 0:
+                break  # blocks are ordered by first column
+            r = bisect_left(block.rows, rows)
+            if not self.exact_only:
+                candidate = self._block_profile(cell, index, 0).prefix_ranks[k]
+                if candidate == min(k, r):
+                    total += candidate
+                    continue
+                if (
+                    candidate > CERTIFICATION_LIMIT
+                    and self._block_profile(cell, index, 1).prefix_ranks[k] == candidate
+                ):
+                    total += candidate
+                    uncertified = True
+                    continue
+            total += exact_rank(block.matrix.column_prefix(k, rows=r))
+        if uncertified:
             self.uncertified_cells.append((p, q, n_eff))
-        return candidate
+        return total
 
     # -- dimensions of the limit page and Betti numbers ------------------------
 

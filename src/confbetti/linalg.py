@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +24,8 @@ _DENSE_CELL_LIMIT = 20_000_000
 # Keep float64 entries exactly integral: reduce once sums could approach 2^53.
 _FLOAT_EXACT_LIMIT = 4.0e15
 
-# Largest pivot set certified by exact elimination on the hybrid path.
+# Largest mod-p rank of a rank-deficient block that the hybrid path ranks
+# exactly; a deficient block above it is only cross-checked at a second prime.
 CERTIFICATION_LIMIT = 64
 
 
@@ -58,16 +59,6 @@ class RationalMatrix:
         out = {key: v for key, v in out.items() if v}
         return RationalMatrix(rows=self.rows, cols=other.cols, entries=out)
 
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> RationalMatrix:
-        row_pos = {r: i for i, r in enumerate(rows)}
-        col_pos = {c: j for j, c in enumerate(cols)}
-        picked = {
-            (row_pos[r], col_pos[c]): v
-            for (r, c), v in self.entries.items()
-            if r in row_pos and c in col_pos
-        }
-        return RationalMatrix(rows=len(rows), cols=len(cols), entries=picked)
-
     def column_prefix(self, cols: int, rows: int | None = None) -> RationalMatrix:
         """The first `cols` columns; `rows` drops the trailing rows they leave empty."""
         kept = {(r, c): v for (r, c), v in self.entries.items() if c < cols}
@@ -81,6 +72,47 @@ class RationalMatrix:
         for (r, c), v in sorted(self.entries.items()):
             lines.append(f"{r} {c} {v}")
         return "\n".join(lines) + "\n"
+
+
+class Block(NamedTuple):
+    """One connected component of a matrix's row-column graph."""
+
+    rows: tuple[int, ...]  # increasing global row indices
+    cols: tuple[int, ...]  # increasing global column indices
+    matrix: RationalMatrix  # local entry (i, j) is global entry (rows[i], cols[j])
+
+
+def split_blocks(m: RationalMatrix) -> list[Block]:
+    """The connected components of m's row-column graph, ordered by first column.
+
+    No entry links two blocks, so the rank of m and of every column prefix is
+    the sum over the blocks. Rows and columns without entries are in no block;
+    the local matrices share the Fraction objects of m.
+    """
+    parent = list(range(m.rows + m.cols))  # row r is node r, column c is node rows + c
+
+    def find(node: int) -> int:
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for r, c in m.entries:
+        a, b = find(r), find(m.rows + c)
+        if a != b:
+            parent[a] = b
+    groups: dict[int, list[tuple[int, int, Fraction]]] = {}
+    for (r, c), v in m.entries.items():
+        groups.setdefault(find(r), []).append((r, c, v))
+    blocks = []
+    for group in groups.values():
+        rows = sorted({r for r, _, _ in group})
+        cols = sorted({c for _, c, _ in group})
+        row_at = {r: i for i, r in enumerate(rows)}
+        col_at = {c: j for j, c in enumerate(cols)}
+        local = {(row_at[r], col_at[c]): v for r, c, v in group}
+        blocks.append(Block(tuple(rows), tuple(cols), RationalMatrix(len(rows), len(cols), local)))
+    return sorted(blocks, key=lambda block: block.cols[0])
 
 
 def _integer_rows(m: RationalMatrix) -> dict[int, dict[int, int]]:
@@ -175,7 +207,6 @@ class RankProfile:
 
     prime: int
     prefix_ranks: list[int]  # prefix_ranks[k] = rank of the first k columns
-    pivots: tuple[tuple[int, int], ...]  # (row, col) in elimination order
 
     @property
     def rank(self) -> int:
@@ -204,8 +235,7 @@ def _dense_profile(
     for r, c, v in triples:
         matrix[r, c] = v
     free = np.ones(rows, dtype=bool)
-    pivots: list[tuple[int, int]] = []
-    prefix = [0]
+    prefix = [0]  # prefix[-1] = pivots found so far
     bound = float(prime - 1)
     step_growth = float(prime - 1) ** 2
     for j in range(col_cap):
@@ -213,7 +243,7 @@ def _dense_profile(
             matrix[free, j] %= prime
         candidates = np.nonzero(free & (matrix[:, j] != 0))[0]
         if candidates.size == 0:
-            prefix.append(len(pivots))
+            prefix.append(prefix[-1])
             continue
         pivot_row = int(candidates[0])
         free[pivot_row] = False
@@ -228,12 +258,11 @@ def _dense_profile(
             if bound > _FLOAT_EXACT_LIMIT:
                 matrix[:, j + 1 :] %= prime
                 bound = float(prime - 1)
-        pivots.append((pivot_row, j))
-        prefix.append(len(pivots))
-        if len(pivots) == rows:
+        prefix.append(prefix[-1] + 1)
+        if prefix[-1] == rows:
             prefix.extend([rows] * (col_cap - j - 1))
             break
-    return RankProfile(prime=prime, prefix_ranks=prefix, pivots=tuple(pivots))
+    return RankProfile(prime=prime, prefix_ranks=prefix)
 
 
 def _sparse_profile(
@@ -243,8 +272,7 @@ def _sparse_profile(
     for r, c, v in triples:
         by_row.setdefault(r, {})[c] = v
     live = dict(by_row)
-    pivots: list[tuple[int, int]] = []
-    prefix = [0]
+    prefix = [0]  # prefix[-1] = pivots found so far
     for j in range(col_cap):
         pivot_row = None
         for r in sorted(live):
@@ -252,7 +280,7 @@ def _sparse_profile(
                 pivot_row = r
                 break
         if pivot_row is None:
-            prefix.append(len(pivots))
+            prefix.append(prefix[-1])
             continue
         pivot_entries = {c: v % prime for c, v in live.pop(pivot_row).items() if v % prime}
         inverse = pow(pivot_entries[j], prime - 2, prime)
@@ -270,12 +298,11 @@ def _sparse_profile(
             row.pop(j, None)
             if not any(v % prime for v in row.values()):
                 del live[r]
-        pivots.append((pivot_row, j))
-        prefix.append(len(pivots))
-        if len(pivots) == rows:
+        prefix.append(prefix[-1] + 1)
+        if prefix[-1] == rows:
             prefix.extend([rows] * (col_cap - j - 1))
             break
-    return RankProfile(prime=prime, prefix_ranks=prefix, pivots=tuple(pivots))
+    return RankProfile(prime=prime, prefix_ranks=prefix)
 
 
 def rank_profile_modular(

@@ -1,23 +1,30 @@
 from __future__ import annotations
 
+from bisect import bisect_left
+from fractions import Fraction
+
 import pytest
 
 import confbetti.engine as engine_module
 from confbetti import (
     BettiEngine,
+    RationalMatrix,
     betti_number,
     betti_odd_closed,
     betti_table,
     detect_stabilization,
     e_infinity_dim,
     engine_for,
+    rank_profile_modular,
     ring_cp,
     ring_product,
+    ring_projective_bundle_cp2,
     ring_sphere,
     ring_surface,
     stable_betti,
     vanishing_bound,
 )
+from confbetti.linalg import PRIMES
 
 
 def test_e_infinity_worked_examples(cp3, sigma1):
@@ -189,3 +196,105 @@ def test_query_past_a_table_builds_each_cell_once(sigma2, fresh_engines, monkeyp
     assert builds and max(builds.values()) == 1
     fresh = BettiEngine(sigma2)
     assert values == [fresh.betti_number(i, i + 1) for i in range(12)]
+
+
+@pytest.fixture
+def planted_cell(cp1, monkeypatch):
+    """Make cell (0, 1) of cp1 the given 2 x 2 matrix, between two length-2 bases."""
+
+    def plant(entries):
+        original = engine_module.enumerate_basis
+
+        def two_copies(ring, p, q, n, reduced=True):
+            (monomial,) = original(ring, p, q, n, reduced)
+            return (monomial, monomial)
+
+        def planted(ring, p, q, n, reduced=True):
+            assert (p, q) == (0, 1)
+            values = {key: Fraction(v) for key, v in entries.items()}
+            return RationalMatrix(2, 2, values)
+
+        monkeypatch.setattr(engine_module, "enumerate_basis", two_copies)
+        monkeypatch.setattr(engine_module, "assemble_matrix", planted)
+        return BettiEngine(cp1)
+
+    return plant
+
+
+def test_rank_above_both_modular_ranks_is_found(planted_cell):
+    p1, p2 = PRIMES[:2]
+    engine = planted_cell({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1 + p1 * p2})
+    # the determinant p1 * p2 vanishes at both primes, so both mod-p ranks are 1
+    assert engine.rank(0, 1, 2) == 2
+    assert engine.uncertified_cells == []
+
+
+def test_deficient_block_above_the_limit_is_uncertified_once(planted_cell, monkeypatch):
+    monkeypatch.setattr(engine_module, "CERTIFICATION_LIMIT", 0)
+    engine = planted_cell({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1})
+    assert engine.rank(0, 1, 2) == 1
+    assert engine.rank(0, 1, 2) == 1
+    assert engine.uncertified_cells == [(0, 1, 2)]
+
+
+def test_unusable_prime_moves_only_its_block(planted_cell):
+    engine = planted_cell({(0, 0): Fraction(1, PRIMES[0]), (1, 1): 1})
+    assert engine.rank(0, 1, 2) == 2
+    cell = engine._cells[(0, 1)]
+    assert [block.cols for block in cell.blocks] == [(0,), (1,)]
+    assert cell.profiles[(0, PRIMES[0])] is None
+    assert cell.profiles[(0, PRIMES[1])].rank == 1
+    assert cell.profiles[(1, PRIMES[0])].rank == 1
+    assert (1, PRIMES[1]) not in cell.profiles
+
+
+@pytest.mark.parametrize(
+    "ring, n_max",
+    [
+        (ring_surface(2), 8),
+        (ring_cp(3), 6),
+        (ring_product(ring_cp(1), ring_cp(2)), 5),
+        (ring_projective_bundle_cp2(), 4),
+    ],
+    ids=["sigma2", "cp3", "cp1xcp2", "pbundle_cp2"],
+)
+def test_block_prefix_ranks_match_the_whole_cell(ring, n_max):
+    engine = BettiEngine(ring)
+    top = vanishing_bound(ring, n_max) - 1
+    engine.compute_ranks(engine.required_ranks(1, n_max, top))
+    checked = 0
+    for (p, q), cell in list(engine._cells.items()):
+        if q == 0:
+            continue
+        whole = rank_profile_modular(engine.cell_matrix(p, q, cell.truncation), PRIMES[0])
+        profiles = [engine._block_profile(cell, index, 0) for index in range(len(cell.blocks))]
+        assert all(profile.prime == PRIMES[0] for profile in profiles)
+        combined = [
+            sum(
+                profile.prefix_ranks[bisect_left(block.cols, k)]
+                for block, profile in zip(cell.blocks, profiles)
+            )
+            for k in range(len(cell.lengths) + 1)
+        ]
+        assert combined == whole.prefix_ranks
+        checked += 1
+    assert checked > 0
+
+
+def test_exact_only_table_matches_hybrid_on_sigma3():
+    sigma3 = ring_surface(3)
+    exact = BettiEngine(sigma3, exact_only=True)
+    hybrid = BettiEngine(sigma3)
+    for engine in (exact, hybrid):
+        engine.compute_ranks(engine.required_ranks(1, 6, 12))
+    for n in range(1, 7):
+        for i in range(13):
+            assert exact.betti_number(i, n) == hybrid.betti_number(i, n)
+    assert hybrid.uncertified_cells == []
+
+
+def test_worker_pool_table_matches_serial_on_sigma2(sigma2, fresh_engines):
+    top = vanishing_bound(sigma2, 6) - 1
+    pooled = betti_table(sigma2, 1, 6, top, workers=2)
+    fresh_engines()
+    assert pooled.grid == betti_table(sigma2, 1, 6, top, workers=1).grid
