@@ -18,13 +18,10 @@ from .differential import (
 from .engine import (
     BettiEngine,
     BettiTable,
-    DiagonalRun,
     InternalConsistencyError,
-    StabilizationReport,
     betti_number,
     betti_odd_closed,
     betti_table,
-    detect_stabilization,
     e_infinity_dim,
     engine_for,
     stable_betti,
@@ -35,7 +32,6 @@ from .linalg import (
     RationalMatrix,
     UnusablePrimeError,
     rank,
-    rank_modular,
     rank_profile_modular,
 )
 from .oracles import (

@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .basis import enumerate_basis, monomial_length
 from .differential import assemble_matrix
@@ -315,24 +315,6 @@ class BettiTable:
         return [self.grid[(n, i)] for i in range(self.i_max + 1)]
 
 
-class DiagonalRun(NamedTuple):
-    """A constant trailing run along the line i = slope * n + offset."""
-
-    slope: int
-    offset: int
-    value: int
-    n_start: int
-    n_end: int
-
-
-@dataclass
-class StabilizationReport:
-    """Observed in-grid constancy; never extrapolated beyond the grid."""
-
-    onsets: dict[int, int]  # i -> smallest n with b_i constant through n_max
-    diagonals: tuple[DiagonalRun, ...]
-
-
 def _engine_key(ring: GradedRing, reduced: bool, exact_only: bool):
     return (ring, reduced, exact_only)
 
@@ -399,31 +381,6 @@ def betti_table(
 def stable_betti(ring: GradedRing, i: int) -> int:
     """The stable value, evaluated at the provable stabilization point n = i + 1."""
     return betti_number(ring, i, max(i + 1, 1))
-
-
-def detect_stabilization(table: BettiTable) -> StabilizationReport:
-    """Per-i onsets and constant diagonal runs (slopes 1..D-1) observed in the grid."""
-    runs: list[DiagonalRun] = []
-    span = range(table.n_min, table.n_max + 1)
-    for slope in range(1, table.ring.dimension):
-        offsets = range(-slope * table.n_max, table.i_max + 1)
-        for offset in offsets:
-            points = [
-                (n, table.grid[(n, slope * n + offset)])
-                for n in span
-                if 0 <= slope * n + offset <= table.i_max
-            ]
-            if len(points) < 3:
-                continue
-            value = points[-1][1]
-            start = len(points) - 1
-            while start > 0 and points[start - 1][1] == value:
-                start -= 1
-            if len(points) - start >= 3 and value > 0:
-                runs.append(DiagonalRun(slope, offset, value, points[start][0], points[-1][0]))
-    return StabilizationReport(
-        onsets=dict(table.stabilization_onsets), diagonals=tuple(runs)
-    )
 
 
 def betti_odd_closed(ring: GradedRing, n: int) -> list[int]:

@@ -2,9 +2,12 @@
 
 The exact path clears denominators per column and runs fraction-free
 (Bareiss-style) integer elimination with Markowitz pivoting and deferred row
-scaling. The modular path eliminates over a large prime field and records the
-rank of every column prefix in one pass, so one elimination serves every
-truncation of the same matrix.
+scaling. The modular path eliminates sparse rows over a large prime field and
+records the rank of every column prefix in one pass, so one elimination serves
+every truncation of the same matrix. It takes the columns strictly left to
+right, and pivots each on the live row holding it with the fewest entries,
+which keeps fill low (as in structured sparse elimination over finite fields,
+Dumas & Villard, CASC 2002).
 """
 from __future__ import annotations
 
@@ -13,16 +16,8 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-import numpy as np
-
 # Fixed large primes for the modular pre-pass; later entries are retry spares.
 PRIMES = (1000003, 999983, 999979, 999961, 999959)
-
-# Above this many dense cells the modular path switches to sparse elimination.
-_DENSE_CELL_LIMIT = 20_000_000
-
-# Keep float64 entries exactly integral: reduce once sums could approach 2^53.
-_FLOAT_EXACT_LIMIT = 4.0e15
 
 # Largest mod-p rank of a rank-deficient block that the hybrid path ranks
 # exactly; a deficient block above it is only cross-checked at a second prime.
@@ -228,79 +223,42 @@ def _residue_triples(m: RationalMatrix, prime: int, col_cap: int) -> list[tuple[
     return triples
 
 
-def _dense_profile(
-    rows: int, col_cap: int, triples: list[tuple[int, int, int]], prime: int
-) -> RankProfile:
-    matrix = np.zeros((rows, col_cap), dtype=np.float64)
+def _profile(col_cap: int, triples: list[tuple[int, int, int]], prime: int) -> RankProfile:
+    live: dict[int, dict[int, int]] = {}  # row -> its nonzero residues, by column
+    holders: dict[int, set[int]] = {}  # column -> the live rows with an entry there
     for r, c, v in triples:
-        matrix[r, c] = v
-    free = np.ones(rows, dtype=bool)
-    prefix = [0]  # prefix[-1] = pivots found so far
-    bound = float(prime - 1)
-    step_growth = float(prime - 1) ** 2
-    for j in range(col_cap):
-        if free.any():
-            matrix[free, j] %= prime
-        candidates = np.nonzero(free & (matrix[:, j] != 0))[0]
-        if candidates.size == 0:
-            prefix.append(prefix[-1])
-            continue
-        pivot_row = int(candidates[0])
-        free[pivot_row] = False
-        tail = matrix[pivot_row, j + 1 :]
-        tail %= prime
-        inverse = pow(int(matrix[pivot_row, j]), prime - 2, prime)
-        targets = candidates[1:]
-        if targets.size and tail.size:
-            factors = (matrix[targets, j] * inverse) % prime
-            matrix[np.ix_(targets, np.arange(j + 1, col_cap))] -= np.outer(factors, tail)
-            bound += step_growth
-            if bound > _FLOAT_EXACT_LIMIT:
-                matrix[:, j + 1 :] %= prime
-                bound = float(prime - 1)
-        prefix.append(prefix[-1] + 1)
-        if prefix[-1] == rows:
-            prefix.extend([rows] * (col_cap - j - 1))
-            break
-    return RankProfile(prime=prime, prefix_ranks=prefix)
-
-
-def _sparse_profile(
-    rows: int, col_cap: int, triples: list[tuple[int, int, int]], prime: int
-) -> RankProfile:
-    by_row: dict[int, dict[int, int]] = {}
-    for r, c, v in triples:
-        by_row.setdefault(r, {})[c] = v
-    live = dict(by_row)
+        live.setdefault(r, {})[c] = v
+        holders.setdefault(c, set()).add(r)
     prefix = [0]  # prefix[-1] = pivots found so far
     for j in range(col_cap):
-        pivot_row = None
-        for r in sorted(live):
-            if live[r].get(j, 0) % prime:
-                pivot_row = r
-                break
-        if pivot_row is None:
+        candidates = holders.pop(j, None)
+        if not candidates:
             prefix.append(prefix[-1])
             continue
-        pivot_entries = {c: v % prime for c, v in live.pop(pivot_row).items() if v % prime}
-        inverse = pow(pivot_entries[j], prime - 2, prime)
-        for r in list(live):
+        # the lightest holder makes the least fill; ties go to the lowest row
+        pivot_row = min(candidates, key=lambda r: (len(live[r]), r))
+        candidates.discard(pivot_row)
+        pivot_entries = live.pop(pivot_row)
+        inverse = pow(pivot_entries.pop(j), prime - 2, prime)
+        for c in pivot_entries:
+            holders[c].discard(pivot_row)
+        for r in candidates:
             row = live[r]
-            factor = row.get(j, 0) % prime
-            if not factor:
-                row.pop(j, None)
-                continue
-            factor = factor * inverse % prime
+            factor = row.pop(j) * inverse % prime
             for c, v in pivot_entries.items():
-                if c <= j:
-                    continue
-                row[c] = (row.get(c, 0) - factor * v) % prime
-            row.pop(j, None)
-            if not any(v % prime for v in row.values()):
+                value = (row.get(c, 0) - factor * v) % prime
+                if value:
+                    if c not in row:
+                        holders[c].add(r)
+                    row[c] = value
+                else:  # factor and v are nonzero, so row held c
+                    del row[c]
+                    holders[c].discard(r)
+            if not row:
                 del live[r]
         prefix.append(prefix[-1] + 1)
-        if prefix[-1] == rows:
-            prefix.extend([rows] * (col_cap - j - 1))
+        if not live:
+            prefix.extend([prefix[-1]] * (col_cap - j - 1))
             break
     return RankProfile(prime=prime, prefix_ranks=prefix)
 
@@ -310,14 +268,4 @@ def rank_profile_modular(
 ) -> RankProfile:
     """Prefix ranks of m modulo prime, eliminating columns strictly left to right."""
     cap = m.cols if col_cap is None else min(col_cap, m.cols)
-    triples = _residue_triples(m, prime, cap)
-    if m.rows * cap <= _DENSE_CELL_LIMIT:
-        return _dense_profile(m.rows, cap, triples, prime)
-    return _sparse_profile(m.rows, cap, triples, prime)
-
-
-def rank_modular(m: RationalMatrix, prime: int) -> int:
-    """Rank of m reduced mod prime; always a lower bound for the exact rank."""
-    if m.rows == 0 or m.cols == 0 or not m.entries:
-        return 0
-    return rank_profile_modular(m, prime).rank
+    return _profile(cap, _residue_triples(m, prime, cap), prime)

@@ -22,7 +22,7 @@ from conftest import load_golden
 from confbetti.basis import enumerate_basis
 from confbetti.differential import assemble_matrix
 from confbetti.engine import betti_table, engine_for, stable_betti
-from confbetti.linalg import PRIMES, rank, rank_modular
+from confbetti.linalg import PRIMES, rank, rank_profile_modular
 from confbetti.oracles import (
     check_d_squared,
     check_euler,
@@ -732,7 +732,8 @@ def test_criterion_10_property_suites(capsys):
                 matrix = assemble_matrix(ring, p, q, n_eff)
                 if max(matrix.rows, matrix.cols) > EXACT_COMPARE_DIM_CAP:
                     continue
-                assert rank_modular(matrix, PRIMES[0]) == rank(matrix), (name, p, q, n_eff)
+                modular = rank_profile_modular(matrix, PRIMES[0]).rank
+                assert modular == rank(matrix), (name, p, q, n_eff)
                 compared += 1
         assert compared >= 200, compared
 

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import confbetti
 from confbetti import (
     assemble_matrix,
     cell_images,
@@ -13,6 +18,27 @@ from confbetti import (
     serialize_ring,
 )
 from confbetti.cli import main
+from confbetti.spaces import REGISTRY
+
+SPACES_OUTPUT = """\
+cp1  dimension=2  basis=2
+cp1xcp1  dimension=4  basis=4
+cp1xcp1xcp1  dimension=6  basis=8
+cp1xcp2  dimension=6  basis=6
+cp2  dimension=4  basis=3
+cp3  dimension=6  basis=4
+cp4  dimension=8  basis=5
+cp5  dimension=10  basis=6
+cp6  dimension=12  basis=7
+pbundle_cp2  dimension=6  basis=6
+sigma1  dimension=2  basis=4
+sigma1xcp1  dimension=4  basis=8
+sigma2  dimension=2  basis=6
+sigma3  dimension=2  basis=8
+sigma4  dimension=2  basis=10
+dynamic families: cpK (complex projective), sigmaG (orientable surface), sK (sphere), \
+and x-joined products such as cp1xs4
+"""
 
 
 def run_cli(capsys, *argv):
@@ -24,9 +50,41 @@ def run_cli(capsys, *argv):
 def test_spaces_lists_builtins(capsys):
     code, out, _ = run_cli(capsys, "spaces")
     assert code == 0
-    names = [line.split()[0] for line in out.splitlines() if "dimension=" in line]
-    assert len(names) >= 13
-    assert "cp3" in names and "pbundle_cp2" in names
+    assert out == SPACES_OUTPUT
+
+
+def test_registry_builds_each_ring_once_on_lookup():
+    names = [line.split()[0] for line in SPACES_OUTPUT.splitlines() if "dimension=" in line]
+    assert sorted(REGISTRY) == names and len(REGISTRY) == 15
+    for name in names:
+        assert REGISTRY[name] is REGISTRY[name]
+        assert REGISTRY[name].name == name
+    assert "cp7" not in REGISTRY
+    with pytest.raises(KeyError):
+        REGISTRY["cp7"]
+
+
+def test_import_loads_no_numpy_and_builds_no_ring():
+    probe = """
+import sys
+built = []
+def watch(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "validate_ring":
+        built.append(frame.f_back.f_code.co_name)
+sys.setprofile(watch)
+import confbetti.cli
+before = len(built)
+confbetti.cli.REGISTRY["cp2"]
+sys.setprofile(None)
+print(before, len(built), "numpy" in sys.modules)
+"""
+    src = str(Path(confbetti.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path), check=True,
+    )
+    assert done.stdout.split() == ["0", "1", "False"]
 
 
 def test_compute_csv_shape_and_determinism(capsys):
@@ -200,6 +258,15 @@ def test_bad_counts_exit_2_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("space", ["cp99999999999", "sigma99", "cp3xcp8"])
+def test_oversized_dynamic_space_exits_2_before_building(capsys, space):
+    code, out, err = run_cli(capsys, "stable", "--space", space, "--i-max", "2")
+    assert code == 2
+    assert out == ""
+    assert "MAX_SPACE_CLASSES = 32" in err
     assert len(err.strip().splitlines()) == 1
 
 

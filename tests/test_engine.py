@@ -12,7 +12,6 @@ from confbetti import (
     betti_number,
     betti_odd_closed,
     betti_table,
-    detect_stabilization,
     e_infinity_dim,
     engine_for,
     rank_profile_modular,
@@ -78,21 +77,6 @@ def test_table_grid_and_onsets(sigma1):
     # b_2 settles to its stable value 3 from n = 3 onward
     assert table.stabilization_onsets[2] == 3
     assert table.vanishing_bounds[4] == 6
-
-
-def test_detect_stabilization_reports_diagonals(cp3, sigma1):
-    table = betti_table(sigma1, 1, 9, 9)
-    report = detect_stabilization(table)
-    assert report.onsets[3] == 4
-    # genus-1 rows oscillate along every moving diagonal: no constant runs
-    assert report.diagonals == ()
-
-    grid = betti_table(cp3, 1, 13, 28)
-    moving = detect_stabilization(grid)
-    found = {(run.slope, run.offset): run for run in moving.diagonals}
-    # persistent classes travel along i = 2n + j, constant once they appear
-    assert found[(2, 1)].value == 2 and found[(2, 1)].n_end == 13
-    assert found[(2, 2)].value == 1 and found[(2, 2)].n_end == 13
 
 
 def test_consistency_guard_quiet_on_valid_grid():

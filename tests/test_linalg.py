@@ -12,7 +12,6 @@ from confbetti import (
     RationalMatrix,
     UnusablePrimeError,
     rank,
-    rank_modular,
     rank_profile_modular,
 )
 from confbetti.linalg import PRIMES, split_blocks
@@ -25,13 +24,13 @@ def _matrix(rows, cols, entries):
 def test_rank_identity():
     m = _matrix(5, 5, {(i, i): 1 for i in range(5)})
     assert rank(m) == 5
-    assert rank_modular(m, 7) == 5
+    assert rank_profile_modular(m, 7).rank == 5
 
 
 def test_rank_zero_matrix():
     m = _matrix(4, 3, {})
     assert rank(m) == 0
-    assert rank_modular(m, PRIMES[0]) == 0
+    assert rank_profile_modular(m, PRIMES[0]).rank == 0
 
 
 def test_rank_with_fractions():
@@ -116,7 +115,7 @@ def test_modular_matches_exact_on_random_products():
         }
         entries = {k: v for k, v in entries.items() if v}
         m = RationalMatrix(rows, cols, entries)
-        assert rank_modular(m, PRIMES[0]) == rank(m)
+        assert rank_profile_modular(m, PRIMES[0]).rank == rank(m)
 
 
 def test_rank_profile_prefix_consistency():
@@ -141,7 +140,36 @@ def test_unusable_prime_raises():
     p = PRIMES[0]
     m = _matrix(1, 1, {(0, 0): Fraction(1, p)})
     with pytest.raises(UnusablePrimeError):
-        rank_modular(m, p)
+        rank_profile_modular(m, p).rank
+    wider = _matrix(2, 3, {(0, 0): 1, (1, 1): 2, (1, 2): Fraction(5, 3 * p)})
+    with pytest.raises(UnusablePrimeError):
+        rank_profile_modular(wider, p)
+    assert rank_profile_modular(wider, p, col_cap=2).prefix_ranks == [0, 1, 2]
+
+
+@st.composite
+def shuffled_sparse(draw):
+    """Sparse rows sharing columns, in shuffled order: elimination fills in, and the
+    lightest holder of a column is often not its lowest row."""
+    rows, cols = draw(st.integers(2, 9)), draw(st.integers(1, 9))
+    entries = {}
+    for r in range(rows):
+        for c in draw(st.sets(st.integers(0, cols - 1), min_size=1, max_size=4)):
+            value = draw(st.integers(-4, 4).filter(bool))
+            entries[(r, c)] = Fraction(value, draw(st.integers(1, 3)))
+    order = draw(st.permutations(range(rows)))
+    return RationalMatrix(rows, cols, {(order[r], c): v for (r, c), v in entries.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_sparse())
+def test_modular_profile_is_every_prefix_rank(m):
+    profile = rank_profile_modular(m, PRIMES[0])
+    assert len(profile.prefix_ranks) == m.cols + 1
+    for k in range(m.cols + 1):
+        assert profile.prefix_ranks[k] == rank(m.column_prefix(k))
+        capped = rank_profile_modular(m, PRIMES[0], col_cap=k)
+        assert capped.prefix_ranks == profile.prefix_ranks[: k + 1]
 
 
 def test_matmul_and_rank_of_composition():
