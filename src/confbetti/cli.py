@@ -5,10 +5,11 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from .basis import format_monomial
-from .differential import cell_images
+from .differential import cell_images, image_scale
 from .engine import betti_odd_closed, betti_table, engine_for, stable_betti
 from .oracles import run_all
 from .rings import GradedRing, RingError, euler_characteristic, parse_ring
@@ -103,7 +104,7 @@ def _grid_rows(config: RunConfig, rows: dict[int, list[int]]) -> str:
 
 def _dump_matrices(config: RunConfig) -> None:
     engine = engine_for(config.ring, config.reduced, config.exact_only)
-    config.dump_dir.mkdir(parents=True, exist_ok=True)
+    scale = image_scale(config.ring)  # the engine's matrices hold scale * d
     truncations: dict[tuple[int, int], list[int]] = {}
     for p, q, n_eff in engine.required_ranks(config.n_min, config.n_max, config.i_max):
         truncations.setdefault((p, q), []).append(n_eff)
@@ -116,7 +117,9 @@ def _dump_matrices(config: RunConfig) -> None:
             )
             listing.append(f"{format_monomial(config.ring, monomial)} -> {terms or '0'}")
         for n_eff in ns:
-            lines = [engine.truncated_matrix(p, q, n_eff).dump_triplets(), ""]
+            matrix = engine.truncated_matrix(p, q, n_eff)
+            matrix.entries = {key: Fraction(v, scale) for key, v in matrix.entries.items()}
+            lines = [matrix.dump_triplets(), ""]
             lines += listing[: engine.dim(p, q, n_eff)]
             path = config.dump_dir / f"d_p{p}_q{q}_n{n_eff}.txt"
             path.write_text("\n".join(lines) + "\n")
@@ -156,6 +159,11 @@ def cmd_compute(args) -> int:
             "which evaluates the closed formula"
         )
     config = _make_config(args, ring, space, args.i_max)
+    if config.dump_dir is not None:
+        try:
+            config.dump_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise UsageError(f"cannot create --dump-matrices directory: {err}") from None
     table = betti_table(
         ring,
         config.n_min,

@@ -2,24 +2,35 @@
 
 The differential maps bigrade (p, q) to (p + D, q - 1): it consumes one length-2
 generator and emits a length-(at most 2) product of length-1 generators, so it
-preserves the length filtration and every Koszul sign is a plain transposition
-count in the free graded-commutative algebra.
+never raises the length and every Koszul sign is a plain transposition count in
+the free graded-commutative algebra.
 
-Matrix assembly expands each basis monomial with `_expand`, which trusts its
-input and returns an unordered coefficient map. `d_monomial` validates the
-monomial first and orders the result; `cell_images` (the debug dump) uses it.
+Matrices are assembled from packed monomials: one Python int per monomial, with
+one fixed-width field per exponent (all r positions, then all s positions),
+wide enough for every exponent at the truncation. Each generator image term is
+stored once per ring as a code delta, a mask of its odd factors, a sign mask
+and an int coefficient scaled by L, the lcm of the images' denominators. So
+expanding a monomial is int additions, mask tests and popcounts, and a matrix
+holds L * d with int entries (L is 1 on every built-in ring). `d_monomial` and
+`cell_images` validate a monomial, expand it the same way and decode the result
+into graded-lex `Monomial`s with rational coefficients.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from math import lcm
+from typing import Iterable, Mapping, NamedTuple
 
 from .basis import (
     Monomial,
+    _odd_flat,
     enumerate_basis,
     monomial_bigrade,
+    monomial_length,
     multiply_monomials,
 )
 from .linalg import RationalMatrix
@@ -79,70 +90,167 @@ def d_generator(ring: GradedRing, j: int) -> AlgebraElement:
     return algebra_element(out)
 
 
-def _expand(ring: GradedRing, mon: Monomial, reduced: bool) -> dict[Monomial, Fraction]:
-    """Odd-derivation (Leibniz) expansion of the differential on one valid monomial.
+@lru_cache(maxsize=None)
+def image_scale(ring: GradedRing) -> int:
+    """L: the lcm of the denominators of every generator image coefficient."""
+    return lcm(
+        *(c.denominator for j in range(ring.size) for _, c in d_generator(ring, j).terms)
+    )
 
-    Each length-2 generator slot j with exponent s_j contributes s_j times the
-    generator image inserted in place, signed by the total-degree parity of the
-    factors preceding slot j in canonical order; in reduced mode, output terms
-    with orientation-class exponents r >= 2 or s >= 1 are projected away.
-    Returns the unordered coefficient map with zeros dropped.
-    """
-    top = ring.orientation_index
-    sigma = sum(e for pos, e in enumerate(mon.r) if ring.is_odd(pos + 1)) % 2
-    out: dict[Monomial, Fraction] = {}
-    for j, s_j in enumerate(mon.s):
-        if not s_j:
-            continue
-        # generator images have no length-2 factor, so every term of slot j
-        # keeps the length-2 part of `mon` with s_j lowered by one; those
-        # trailing factors sit above every slot of the product, so merging
-        # them needs no further sign or collision.
-        s_after = mon.s[:j] + (s_j - 1,) + mon.s[j + 1 :]
-        if not (reduced and s_after[top] >= 1):
-            prefix = Monomial(mon.r, mon.s[:j] + (0,) * (len(mon.s) - j))
-            scale = s_j if sigma == 0 else -s_j
-            for image_mon, c in d_generator(ring, j).terms:
-                koszul, product = multiply_monomials(ring, prefix, image_mon)
-                if not koszul or (reduced and product.r[top - 1] >= 2):
-                    continue
-                merged = Monomial(product.r, s_after)
-                term = c * (scale * koszul)
-                out[merged] = out[merged] + term if merged in out else term
-        if not ring.is_odd(j):  # length-2 generator is odd iff its class is even
-            sigma ^= s_j % 2
-    return {merged: c for merged, c in out.items() if c}
+
+# -- packed monomials ----------------------------------------------------------
+
+
+class PackedBasis(NamedTuple):
+    """Monomials packed into ints, one field of array type `typecode` per exponent."""
+
+    typecode: str
+    codes: list[int]
+
+
+def _field_type(n: int) -> str:
+    """The narrowest unsigned array type holding every exponent at truncation n."""
+    return next(tc for tc in "BHLQ" if n < 256 ** array(tc).itemsize)
+
+
+def _pack(exponents: tuple[int, ...], typecode: str) -> int:
+    fields = bytes(exponents) if typecode == "B" else array(typecode, exponents)
+    return int.from_bytes(fields, sys.byteorder)
+
+
+def _unpack(code: int, typecode: str, m: int) -> Monomial:
+    fields = array(typecode, code.to_bytes((2 * m + 1) * array(typecode).itemsize, sys.byteorder))
+    return Monomial(tuple(fields[:m]), tuple(fields[m:]))
+
+
+def pack_basis(monomials: Iterable[Monomial], n: int) -> PackedBasis:
+    """Pack monomials of length at most n, keeping their order."""
+    typecode = _field_type(n)
+    return PackedBasis(typecode, [_pack(mon.r + mon.s, typecode) for mon in monomials])
+
+
+class _Kernel:
+    """The differential on packed monomials of one ring, `reduced` flag and field type."""
+
+    def __init__(self, ring: GradedRing, reduced: bool, typecode: str):
+        m = ring.top_generator_count
+        size = 2 * m + 1  # flat positions: r over classes 1..m, then s over classes 0..m
+        self.reduced = reduced
+        scale = image_scale(ring)
+        self.field = (1 << 8 * array(typecode).itemsize) - 1
+        unit = [_pack(tuple(int(i == pos) for i in range(size)), typecode) for pos in range(size)]
+        shift = [u.bit_length() - 1 for u in unit]
+        odd = _odd_flat(ring)
+
+        def odd_bits(lo: int, hi: int) -> int:
+            """The low bits of the odd fields at flat positions lo <= pos < hi."""
+            return sum(unit[pos] for pos in range(lo, hi) if odd[pos])
+
+        top = ring.orientation_index
+        self.r_top_shift, self.s_top_shift = shift[top - 1], shift[m + top]
+        self.slots = []
+        for j in range(m + 1):
+            slot = m + j
+            # factors before the slot give the derivation sign; moving an image
+            # factor at r position a left past the factors in a < pos < slot
+            # gives its Koszul sign. Both are parities of odd factors present,
+            # so one mask per term yields them with one popcount.
+            preceding = odd_bits(0, slot)
+            by_top: tuple[list, list, list] = ([], [], [])
+            for image, c in d_generator(ring, j).terms:
+                factors = [pos for pos in range(m) if image.r[pos] and odd[pos]]
+                sign_mask = preceding
+                for pos in factors:
+                    sign_mask ^= odd_bits(pos + 1, slot)
+                term = (
+                    _pack(image.r + image.s, typecode) - unit[slot],
+                    sum(unit[pos] for pos in factors),
+                    sign_mask,
+                    int(c * scale),
+                )
+                # by_top[t]: the terms kept when the monomial's top-class
+                # exponent is t; reduced mode drops products with exponent >= 2
+                for t in range(3):
+                    if not reduced or t + image.r[top - 1] < 2:
+                        by_top[t].append(term)
+            self.slots.append((shift[slot], j == top, by_top))
+
+    def expand(self, code: int) -> list[tuple[int, int]]:
+        """d of one packed monomial as (packed image, L * coefficient) pairs.
+
+        No two pairs share an image: terms of one slot differ in their r part,
+        and two slots leave different s parts. In reduced mode, images with an
+        s exponent of the top class, or its r exponent at least 2, are dropped.
+        """
+        field = self.field
+        r_top = s_top = 0
+        if self.reduced:
+            r_top = min(2, (code >> self.r_top_shift) & field)
+            s_top = (code >> self.s_top_shift) & field
+        out = []
+        for shift, is_top, by_top in self.slots:
+            s_j = (code >> shift) & field
+            if not s_j or s_top - is_top >= 1:
+                continue
+            for delta, odd_factors, sign_mask, coef in by_top[r_top]:
+                if code & odd_factors:
+                    continue  # an odd factor squared
+                value = s_j * coef
+                out.append((code + delta, -value if (code & sign_mask).bit_count() & 1 else value))
+        return out
+
+
+@lru_cache(maxsize=None)
+def _kernel(ring: GradedRing, reduced: bool, typecode: str) -> _Kernel:
+    return _Kernel(ring, reduced, typecode)
 
 
 def d_monomial(ring: GradedRing, mon: Monomial, reduced: bool = True) -> AlgebraElement:
     """The differential on one monomial, validated and in graded-lex order."""
     monomial_bigrade(mon, ring)  # validates shape and exterior constraints
-    return algebra_element(_expand(ring, mon, reduced))
+    typecode = _field_type(monomial_length(mon))
+    image = _kernel(ring, reduced, typecode).expand(_pack(mon.r + mon.s, typecode))
+    m, scale = ring.top_generator_count, image_scale(ring)
+    return algebra_element({_unpack(c, typecode, m): Fraction(v, scale) for c, v in image})
 
 
 def assemble_matrix(
-    ring: GradedRing, p: int, q: int, n: int, reduced: bool = True
+    ring: GradedRing,
+    p: int,
+    q: int,
+    n: int,
+    reduced: bool = True,
+    bases: tuple[PackedBasis, PackedBasis] | None = None,
 ) -> RationalMatrix:
-    """Matrix of the differential on cell (p, q) at truncation n.
+    """L times the matrix of the differential on cell (p, q) at truncation n.
 
     Columns follow the domain basis order, rows the codomain basis order at
-    (p + D, q - 1); a q = 0 cell maps to the zero space.
+    (p + D, q - 1); a q = 0 cell maps to the zero space. Entries are ints.
+    `bases` are the domain and codomain at truncation n as `pack_basis` gives
+    them; without it both are enumerated here.
     """
-    domain = enumerate_basis(ring, p, q, n, reduced)
-    codomain: tuple[Monomial, ...] = ()
-    if q >= 1:
+    if bases is None:
         codomain = enumerate_basis(ring, p + ring.dimension, q - 1, n, reduced)
-    index = {mon: row for row, mon in enumerate(codomain)}
-    entries: dict[tuple[int, int], Fraction] = {}
-    for col, mon in enumerate(domain):
-        for image_mon, c in _expand(ring, mon, reduced).items():
-            row = index.get(image_mon)
+        bases = (
+            pack_basis(enumerate_basis(ring, p, q, n, reduced), n),
+            pack_basis(codomain, n),
+        )
+    domain, codomain = bases
+    if codomain.typecode != domain.typecode:  # packed at a larger truncation
+        m = ring.top_generator_count
+        codomain = pack_basis((_unpack(c, codomain.typecode, m) for c in codomain.codes), n)
+    kernel = _kernel(ring, reduced, domain.typecode)
+    index = {code: row for row, code in enumerate(codomain.codes)}
+    entries: dict[tuple[int, int], int] = {}
+    for col, code in enumerate(domain.codes):
+        for image, c in kernel.expand(code):
+            row = index.get(image)
             if row is None:
                 raise RuntimeError(
                     f"differential image escaped cell ({p + ring.dimension}, {q - 1}) at n={n}"
                 )
             entries[(row, col)] = c
-    return RationalMatrix(rows=len(codomain), cols=len(domain), entries=entries)
+    return RationalMatrix(rows=len(codomain.codes), cols=len(domain.codes), entries=entries)
 
 
 def cell_images(

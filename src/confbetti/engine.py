@@ -1,9 +1,10 @@
 """Betti-number engine: orchestrates enumeration, differentials, and ranks.
 
 Each bigrade cell (p, q) is one record, built once at a truncation t: the
-lengths of its basis, and the blocks of the differential leaving it (the
-connected components of the matrix's row-column graph) with their prefix-rank
-profiles per prime. The matrix is assembled once, split, and dropped. Before
+lengths of its basis, its packed basis until the assemblies that read it are
+done, and the blocks of the differential leaving it (the connected components
+of the matrix's row-column graph) with their prefix-rank profiles per prime.
+The matrix is assembled once from the packed bases, split, and dropped. Before
 ranking, a table plans the largest truncation it reads each cell at, and the
 cell is built there; a cell no plan names is built at saturation (length
 p + 2q, beyond which it stops growing). The basis order is graded by length
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .basis import enumerate_basis, monomial_length
-from .differential import assemble_matrix
+from .differential import PackedBasis, assemble_matrix, pack_basis
 from .linalg import (
     CERTIFICATION_LIMIT,
     PRIMES,
@@ -53,6 +54,7 @@ class _Cell:
 
     truncation: int
     lengths: tuple[int, ...]  # nondecreasing; lengths[k] = length of basis monomial k
+    codes: PackedBasis | None  # the packed basis, until no assembly is left to read it
     blocks: list[Block] | None = None  # of the differential at `truncation`, split on demand
     # (block index, prime) -> that block's profile; None: the prime divides a denominator
     profiles: dict[tuple[int, int], RankProfile | None] = field(default_factory=dict)
@@ -89,21 +91,39 @@ class BettiEngine:
             planned = self._planned.get((p, q), saturation)
             truncation = min(saturation, planned) if n <= planned else saturation
             monomials = enumerate_basis(self.ring, p, q, truncation, self.reduced)
-            cell = _Cell(truncation, tuple(monomial_length(m) for m in monomials))
+            cell = _Cell(
+                truncation,
+                tuple(monomial_length(m) for m in monomials),
+                pack_basis(monomials, truncation),
+            )
             self._cells[(p, q)] = cell
         return cell
 
     def _split(self, p: int, q: int, n: int) -> _Cell:
-        """The record of cell (p, q), covering n, with the blocks of its matrix."""
+        """The record of cell (p, q), covering n, with the blocks of its matrix.
+
+        The matrix is assembled from the packed bases of this cell and of its
+        codomain's record, when that record covers the truncation; otherwise
+        the assembly enumerates both again. The cell's own assembly is the last
+        to read its codes, and a q = 0 codomain is read by one cell only.
+        """
         cell = self._cell(p, q, n)
         if cell.blocks is None:
-            cell.blocks = split_blocks(
-                assemble_matrix(self.ring, p, q, cell.truncation, self.reduced)
-            )
+            t = cell.truncation
+            target = self._cells.get((p + self.ring.dimension, q - 1))
+            bases = None
+            if target is not None and target.truncation >= t and target.codes is not None:
+                rows = bisect_right(target.lengths, t)
+                bases = (cell.codes, target.codes._replace(codes=target.codes.codes[:rows]))
+                if q == 1 or target.blocks is not None:
+                    target.codes = None
+            matrix = assemble_matrix(self.ring, p, q, t, self.reduced, bases=bases)
+            cell.blocks = split_blocks(matrix)
+            cell.codes = None
         return cell
 
     def cell_matrix(self, p: int, q: int, n: int) -> RationalMatrix:
-        """Differential on cell (p, q) at the cell's truncation, rebuilt from its blocks."""
+        """L times the differential on cell (p, q) at its truncation, rebuilt from its blocks."""
         cell = self._split(p, q, n)
         entries = {
             (block.rows[i], block.cols[j]): v
@@ -120,7 +140,7 @@ class BettiEngine:
         return bisect_right(self._cell(p, q, n).lengths, n)
 
     def truncated_matrix(self, p: int, q: int, n: int) -> RationalMatrix:
-        """Differential on cell (p, q) at truncation n: leading columns and rows of its matrix.
+        """L times the differential on (p, q) at truncation n: leading columns and rows of it.
 
         Both bases are graded by length and the differential preserves length,
         so the first dim(p, q, n) columns have no entry in a row of length > n.
@@ -291,9 +311,11 @@ class BettiEngine:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_pool_init, initargs=init_args
         ) as pool:
-            for p, q, pairs in pool.map(_pool_ranks, jobs, chunksize=1):
-                for n_eff, value in pairs:
+            for p, q, results in pool.map(_pool_ranks, jobs, chunksize=1):
+                for n_eff, value, uncertified in results:
                     self._ranks[(p, q, n_eff)] = value
+                    if uncertified:
+                        self.uncertified_cells.append((p, q, n_eff))
 
 
 @dataclass
@@ -426,4 +448,6 @@ def _pool_ranks(job: tuple[int, int, tuple[int, ...]]):
     p, q, truncations = job
     engine = _POOL_ENGINE
     engine._plan((p, q, n_eff) for n_eff in truncations)
-    return p, q, [(n_eff, engine.rank(p, q, n_eff)) for n_eff in truncations]
+    ranks = [(n_eff, engine.rank(p, q, n_eff)) for n_eff in truncations]
+    unproven = set(engine.uncertified_cells)
+    return p, q, [(n_eff, value, (p, q, n_eff) in unproven) for n_eff, value in ranks]

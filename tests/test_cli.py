@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,9 @@ import confbetti
 from confbetti import (
     assemble_matrix,
     cell_images,
+    enumerate_basis,
     format_monomial,
+    parse_ring,
     ring_cp,
     ring_surface,
     serialize_ring,
@@ -65,18 +68,21 @@ def test_registry_builds_each_ring_once_on_lookup():
 
 
 def test_import_loads_no_numpy_and_builds_no_ring():
+    # counts ring validations, differential kernels built and generator images
     probe = """
 import sys
-built = []
+calls = {"validate_ring": 0, "_kernel": 0, "d_generator": 0}
 def watch(frame, event, arg):
-    if event == "call" and frame.f_code.co_name == "validate_ring":
-        built.append(frame.f_back.f_code.co_name)
+    if event == "call" and frame.f_code.co_name in calls:
+        calls[frame.f_code.co_name] += 1
 sys.setprofile(watch)
 import confbetti.cli
-before = len(built)
-confbetti.cli.REGISTRY["cp2"]
+imported = list(calls.values())
+ring = confbetti.cli.REGISTRY["cp2"]
+looked_up = list(calls.values())
+confbetti.differential.assemble_matrix(ring, 0, 1, 2)
 sys.setprofile(None)
-print(before, len(built), "numpy" in sys.modules)
+print(imported, looked_up, min(calls.values()) > 0, "numpy" in sys.modules)
 """
     src = str(Path(confbetti.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -84,7 +90,7 @@ print(before, len(built), "numpy" in sys.modules)
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=path), check=True,
     )
-    assert done.stdout.split() == ["0", "1", "False"]
+    assert done.stdout.strip() == "[0, 0, 0] [1, 0, 0] True False"
 
 
 def test_compute_csv_shape_and_determinism(capsys):
@@ -237,6 +243,60 @@ def test_dump_matrices_writes_listings(tmp_path, capsys):
         listing = [_listing_line(ring, mon, image) for mon, image in cell_images(ring, p, q, n)]
         expected = [assemble_matrix(ring, p, q, n).dump_triplets(), "", *listing]
         assert (dump / name).read_text() == "\n".join(expected) + "\n"
+
+
+SCALED_CP2 = Path(__file__).parent / "rings" / "cp2_scaled.json"  # x*x = 2*x2
+
+
+def test_scaled_ring_prints_cp2_and_dumps_rational_d(tmp_path, capsys):
+    args = ("--n", "1..6", "--i-max", "12")
+    code, scaled, _ = run_cli(capsys, "compute", "--ring-file", str(SCALED_CP2), *args)
+    assert code == 0
+    assert scaled == run_cli(capsys, "compute", "--space", "cp2", *args)[1]
+    dump = tmp_path / "dump"
+    code, _, _ = run_cli(
+        capsys, "compute", "--ring-file", str(SCALED_CP2), "--n", "1..5", "--i-max", "12",
+        "--dump-matrices", str(dump),
+    )
+    assert code == 0
+    ring = parse_ring(SCALED_CP2.read_text())
+    halves = 0
+    for path in dump.iterdir():
+        p, q, n = (int(part[1:]) for part in path.name[len("d_"):-len(".txt")].split("_"))
+        images = cell_images(ring, p, q, n)
+        row_of = {
+            mon: row
+            for row, mon in enumerate(enumerate_basis(ring, p + ring.dimension, q - 1, n))
+        }
+        expected = {
+            (row_of[image], col): c
+            for col, (_, element) in enumerate(images)
+            for image, c in element.terms
+        }
+        header, *triplets = path.read_text().split("\n\n")[0].splitlines()
+        assert header == f"{len(row_of)} {len(images)}"
+        dumped = {}
+        for line in triplets:
+            row, col, value = line.split()
+            dumped[(int(row), int(col))] = Fraction(value)
+            halves += value == "1/2"
+        assert dumped == expected
+    assert halves > 0
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["existing-file", "under-a-file"])
+def test_dump_matrices_into_a_file_exits_2(tmp_path, capsys, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    target = blocker / "dump" if under else blocker
+    code, out, err = run_cli(
+        capsys, "compute", "--space", "cp1", "--n", "1..2", "--i-max", "2",
+        "--dump-matrices", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "--dump-matrices" in err
 
 
 def test_n_range_single_value(capsys):

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from confbetti import (
+    BettiEngine,
     Monomial,
     algebra_element,
     assemble_matrix,
@@ -13,10 +16,128 @@ from confbetti import (
     d_monomial,
     enumerate_basis,
     format_monomial,
+    multiply_monomials,
+    parse_ring,
     rank,
     ring_cp,
     ring_surface,
 )
+from confbetti.differential import image_scale, pack_basis
+from confbetti.spaces import resolve_space
+
+ROOT = Path(__file__).parents[1]
+SCALED_CP2 = ROOT / "tests" / "rings" / "cp2_scaled.json"  # x*x = 2*x2, so L = 2
+
+
+def _seeded_ring(space: str, seed: int):
+    """A ring from the benchmark's generator: the space's classes permuted and re-signed."""
+    spec = importlib.util.spec_from_file_location("ringgen", ROOT / "perfbench" / "ringgen.py")
+    ringgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ringgen)
+    return parse_ring(ringgen.ring_document(space, seed))
+
+
+def _generator(ring, pos: int) -> Monomial:
+    """The single generator at flat position pos (r positions, then s positions)."""
+    m = ring.top_generator_count
+    flat = [0] * (2 * m + 1)
+    flat[pos] = 1
+    return Monomial(tuple(flat[:m]), tuple(flat[m:]))
+
+
+def _leibniz(ring, mon: Monomial, reduced: bool) -> dict[Monomial, Fraction]:
+    """The differential by the Leibniz rule, factor by factor: the reference for the kernel.
+
+    The monomial is its generators in canonical order; d kills length-1
+    generators, replaces a length-2 one by its image with the sign of the
+    factors before it, and each product is multiplied out left to right.
+    """
+    m, top = ring.top_generator_count, ring.orientation_index
+    factors = [pos for pos, e in enumerate(mon.r + mon.s) for _ in range(e)]
+    odd = [ring.is_odd(i) for i in range(1, m + 1)] + [not ring.is_odd(j) for j in range(m + 1)]
+    out: dict[Monomial, Fraction] = {}
+    for k, pos in enumerate(factors):
+        if pos < m:
+            continue
+        sign = -1 if sum(odd[f] for f in factors[:k]) % 2 else 1
+        for image, c in d_generator(ring, pos - m).terms:
+            pieces = [_generator(ring, f) for f in factors[:k]] + [image]
+            pieces += [_generator(ring, f) for f in factors[k + 1 :]]
+            coeff, product = sign * c, Monomial((0,) * m, (0,) * (m + 1))
+            for piece in pieces:
+                koszul, product = multiply_monomials(ring, product, piece)
+                if not koszul:
+                    break
+                coeff *= koszul
+            else:
+                if reduced and (product.r[top - 1] >= 2 or product.s[top] >= 1):
+                    continue
+                out[product] = out.get(product, Fraction(0)) + coeff
+    return {mon: c for mon, c in out.items() if c}
+
+
+def _check_cell_against_leibniz(ring, p: int, q: int, n: int, reduced: bool) -> int:
+    """d_monomial and the assembled matrix on one cell equal the Leibniz reference."""
+    domain = enumerate_basis(ring, p, q, n, reduced)
+    row_of = {
+        mon: row
+        for row, mon in enumerate(enumerate_basis(ring, p + ring.dimension, q - 1, n, reduced))
+    }
+    scale = image_scale(ring)
+    expected = {}
+    for col, mon in enumerate(domain):
+        reference = _leibniz(ring, mon, reduced)
+        assert dict(d_monomial(ring, mon, reduced).terms) == reference, (p, q, mon)
+        expected.update({(row_of[image], col): c * scale for image, c in reference.items()})
+    matrix = assemble_matrix(ring, p, q, n, reduced)
+    assert (matrix.rows, matrix.cols) == (len(row_of), len(domain))
+    assert matrix.entries == expected
+    assert all(type(v) is int for v in matrix.entries.values())
+    return len(domain)
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+@pytest.mark.parametrize(
+    "space", ["cp2", "cp3", "sigma1", "sigma2", "cp1xcp1", "pbundle_cp2", "scaled", "seeded"]
+)
+def test_kernel_matches_leibniz_rule_on_small_cells(space, reduced):
+    if space == "scaled":
+        ring = parse_ring(SCALED_CP2.read_text())
+    elif space == "seeded":
+        ring = _seeded_ring("sigma1xcp1", 3)
+    else:
+        ring = resolve_space(space)
+    n = 5  # every monomial of length <= 5 lies in some cell at n = 5
+    checked = sum(
+        _check_cell_against_leibniz(ring, p, q, n, reduced)
+        for q in range(n // 2 + 1)
+        for p in range(n * ring.dimension + 1)
+    )
+    assert checked > 20
+
+
+def test_kernel_fields_do_not_carry_past_eight_bits(cp1):
+    # unreduced cp1 keeps x^a for any a; at truncation 302 the exponents reach
+    # 301, past an 8-bit field, so a carry into the next field would show
+    assert pack_basis(enumerate_basis(cp1, 600, 1, 302, False), 302).typecode != "B"
+    assert _check_cell_against_leibniz(cp1, 600, 1, 302, False) == 2
+    assert _check_cell_against_leibniz(cp1, 598, 2, 302, False) > 0
+    # the codomain packed at a wider truncation than the domain reads the same
+    small = pack_basis(enumerate_basis(cp1, 8, 1, 6, False), 6)
+    wide = pack_basis(enumerate_basis(cp1, 10, 0, 6, False), 300)
+    assert small.typecode != wide.typecode
+    assert assemble_matrix(cp1, 8, 1, 6, False, bases=(small, wide)) == assemble_matrix(
+        cp1, 8, 1, 6, False
+    )
+    # the engine ranks cells past 8-bit fields: b_520 of 301 points on S^2 is 0
+    assert BettiEngine(cp1, reduced=False).betti_raw(520, 301) == 0
+
+
+def test_scaled_ring_matrices_hold_l_times_d():
+    ring = parse_ring(SCALED_CP2.read_text())
+    assert image_scale(ring) == 2
+    assert image_scale(ring_cp(2)) == 1
+    assert {str(c) for j in range(3) for _, c in d_generator(ring, j).terms} == {"2", "1/2", "1"}
 
 
 def _terms_by_text(ring, elem):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import multiprocessing
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -166,6 +167,22 @@ def test_worker_pool_table_matches_serial(cp1xcp1, fresh_engines):
     assert pooled.grid == betti_table(cp1xcp1, 1, 6, 10, workers=1).grid
 
 
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="only a forked worker inherits the patched limit",
+)
+def test_worker_pool_keeps_proof_status(cp1xcp1, fresh_engines, monkeypatch):
+    # with no exact ranking of deficient blocks, two tasks stay unproven
+    monkeypatch.setattr(engine_module, "CERTIFICATION_LIMIT", 0)
+    serial = betti_table(cp1xcp1, 1, 8, 14, workers=1)
+    unproven = sorted(engine_for(cp1xcp1).uncertified_cells)
+    assert unproven == [(8, 2, 7), (8, 2, 8)]
+    fresh_engines()
+    pooled = betti_table(cp1xcp1, 1, 8, 14, workers=2)
+    assert pooled.grid == serial.grid
+    assert sorted(engine_for(cp1xcp1).uncertified_cells) == unproven
+
+
 def test_query_past_a_table_builds_each_cell_once(sigma2, fresh_engines, monkeypatch):
     betti_table(sigma2, 1, 4, 8)
     builds: dict[tuple[int, int], int] = {}
@@ -193,7 +210,7 @@ def planted_cell(cp1, monkeypatch):
             (monomial,) = original(ring, p, q, n, reduced)
             return (monomial, monomial)
 
-        def planted(ring, p, q, n, reduced=True):
+        def planted(ring, p, q, n, reduced=True, bases=None):
             assert (p, q) == (0, 1)
             values = {key: Fraction(v) for key, v in entries.items()}
             return RationalMatrix(2, 2, values)
