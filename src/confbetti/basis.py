@@ -10,16 +10,22 @@ derived from a ring basis {y_0 = 1, y_1, ..., y_m}:
 
 Truncating to total length <= n models n unlabeled points.
 
-A cell (p, q) is enumerated as pairs of exponent vectors: every s-vector with
-q entries and weight at most p, completed by every r-vector of the remaining
-weight and length at most n - 2q. The r-vectors depend only on that remaining
-weight, so each weight is enumerated once per cell. Both searches cut a branch
-as soon as the positions left cannot reach the target, and one final sort puts
-the cell in graded-lex order.
+A cell (p, q) at truncation n pairs exponent-vector parts: an s-part has
+exactly q entries, an r-part at most n - 2q. Parts are listed once per ring
+and reduction flag, in tables keyed on exact weight and exact entry count and
+shared by every cell; a cell joins each s-part of weight w <= p with the
+r-parts of weight p - w, so it lists no s-part heavier than p, and one sort
+puts it in graded-lex order. The search that fills a table returns at once
+from a state whose weight left exceeds its count left times the largest
+degree left, falls below it times the smallest, or is not a multiple of the
+gcd of the degrees left: with all of cp6's degrees even, its odd-p cells
+cost a few table lookups.
 """
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
+from math import gcd
 from typing import NamedTuple
 
 from .rings import GradedRing
@@ -95,33 +101,50 @@ def format_monomial(ring: GradedRing, mon: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _vectors(
-    degrees: tuple[int, ...],
-    caps: tuple[int, ...],
-    weight: int,
-    count: int,
-    *,
-    exact_weight: bool,
-    exact_count: bool,
-) -> list[tuple[int, ...]]:
-    """Exponent vectors with weighted degree sum and entry count bounded (or hit exactly).
+class _PartTable:
+    """Exponent vectors over one generator family, listed once per (weight, count).
 
-    A branch stops as soon as it cannot finish: the positions from `pos` on
-    hold at most cap_left[pos] entries, each of degree at most deg_left[pos].
+    `parts(weight, count)` is every vector with entries at most `caps`, entry
+    sum `count` and degree-weighted sum `weight`, in lexicographic order. It
+    is a tuple of tuples, listed on first request and shared by every cell.
     """
+
+    def __init__(self, degrees: tuple[int, ...], caps: tuple[int, ...]):
+        self.degrees = degrees
+        self.caps = caps
+        # what the positions from pos on can hold: at most cap_left[pos]
+        # entries, each of degree in [low_left[pos], deg_left[pos]], making
+        # weights that are multiples of gcd_left[pos] (0 when no positive degree is left)
+        ends = range(len(degrees) + 1)
+        self.cap_left = [sum(caps[pos:]) for pos in ends]
+        self.deg_left = [max(degrees[pos:], default=0) for pos in ends]
+        self.low_left = [min(degrees[pos:], default=0) for pos in ends]
+        self.gcd_left = [gcd(*degrees[pos:]) for pos in ends]
+        self._parts: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+
+    def parts(self, weight: int, count: int) -> tuple[tuple[int, ...], ...]:
+        found = self._parts.get((weight, count))
+        if found is None:
+            found = self._parts[(weight, count)] = _list_parts(self, weight, count)
+        return found
+
+
+def _list_parts(table: _PartTable, weight: int, count: int) -> tuple[tuple[int, ...], ...]:
+    """Search the positions left to right; a state that cannot finish returns at once."""
+    degrees, caps = table.degrees, table.caps
+    cap_left, deg_left, low_left, gcd_left = (
+        table.cap_left, table.deg_left, table.low_left, table.gcd_left
+    )
     size = len(degrees)
-    cap_left = [0] * (size + 1)
-    deg_left = [0] * (size + 1)
-    for pos in range(size - 1, -1, -1):
-        cap_left[pos] = cap_left[pos + 1] + caps[pos]
-        deg_left[pos] = max(deg_left[pos + 1], degrees[pos])
     found: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
     def descend(pos: int, weight_left: int, count_left: int) -> None:
-        if exact_count and count_left > cap_left[pos]:
-            return
-        if exact_weight and weight_left > min(count_left, cap_left[pos]) * deg_left[pos]:
+        if (
+            count_left > cap_left[pos]
+            or not count_left * low_left[pos] <= weight_left <= count_left * deg_left[pos]
+            or gcd_left[pos] and weight_left % gcd_left[pos]
+        ):
             return
         if pos == size:  # the checks above leave only exact hits here
             found.append(tuple(prefix))
@@ -130,53 +153,41 @@ def _vectors(
         top = min(caps[pos], count_left)
         if deg > 0:
             top = min(top, weight_left // deg)
-        for e in range(top + 1):
+        for e in range(max(0, count_left - cap_left[pos + 1]), top + 1):
             prefix.append(e)
             descend(pos + 1, weight_left - e * deg, count_left - e)
             prefix.pop()
 
-    if weight >= 0 and count >= 0:
-        descend(0, weight, count)
-    return found
+    descend(0, weight, count)
+    return tuple(found)
 
 
-def _cell_monomials(
-    ring: GradedRing, p: int, q: int, n: int, reduced: bool
-) -> tuple[Monomial, ...]:
+@lru_cache(maxsize=None)
+def _part_tables(ring: GradedRing, reduced: bool) -> tuple[_PartTable, _PartTable]:
+    """The r-part and s-part tables of a ring, built on first use.
+
+    Only the unit has degree 0, so every entry at a positive degree is bounded
+    by the weight, and the unit's length-2 generator is odd: an even generator
+    needs no cap of its own.
+    """
     m = ring.top_generator_count
     top = ring.orientation_index
-    big = p + 1  # effectively unbounded exponent for even generators
-    r_degs = tuple(ring.degree(i) for i in range(1, m + 1))
+    unbounded = sys.maxsize
     r_caps = []
     for i in range(1, m + 1):
-        cap = 1 if ring.is_odd(i) else big
+        cap = 1 if ring.is_odd(i) else unbounded
         if reduced and i == top:
-            cap = min(cap, 1)
+            cap = 1
         r_caps.append(cap)
-    s_degs = tuple(ring.degree(j) for j in range(m + 1))
     s_caps = []
     for j in range(m + 1):
-        cap = 1 if not ring.is_odd(j) else big
+        cap = 1 if not ring.is_odd(j) else unbounded
         if reduced and j == top:
             cap = 0
         s_caps.append(cap)
-
-    max_r = n - 2 * q
-    if max_r < 0:
-        return ()
-    found = []
-    r_by_weight: dict[int, list[tuple[int, ...]]] = {}  # s-weight -> r-vectors completing it
-    for s_vec in _vectors(s_degs, tuple(s_caps), p, q, exact_weight=False, exact_count=True):
-        s_weight = sum(e * d for e, d in zip(s_vec, s_degs))
-        r_vecs = r_by_weight.get(s_weight)
-        if r_vecs is None:
-            r_vecs = _vectors(
-                r_degs, tuple(r_caps), p - s_weight, max_r, exact_weight=True, exact_count=False
-            )
-            r_by_weight[s_weight] = r_vecs
-        found.extend(Monomial(r_vec, s_vec) for r_vec in r_vecs)
-    found.sort(key=lambda mon: (sum(mon.r) + sum(mon.s), mon.r + mon.s))
-    return tuple(found)
+    r_degs = tuple(ring.degree(i) for i in range(1, m + 1))
+    s_degs = tuple(ring.degree(j) for j in range(m + 1))
+    return _PartTable(r_degs, tuple(r_caps)), _PartTable(s_degs, tuple(s_caps))
 
 
 def enumerate_basis(
@@ -187,6 +198,18 @@ def enumerate_basis(
         raise ValueError("the bigraded model requires an even-dimensional ring")
     if n < 1:
         raise ValueError("n must be at least 1")
-    if p < 0 or q < 0:
+    max_r = n - 2 * q
+    if p < 0 or q < 0 or max_r < 0:
         return ()
-    return _cell_monomials(ring, p, q, n, reduced)
+    r_table, s_table = _part_tables(ring, reduced)
+    rows = []  # (r entry count, r, s): graded-lex order, as the length-2 count is q throughout
+    for s_weight in range(p + 1):
+        s_parts = s_table.parts(s_weight, q)
+        if not s_parts:
+            continue
+        r_weight = p - s_weight
+        for count in range(min(max_r, r_weight) + 1):  # r degrees are positive
+            for r_part in r_table.parts(r_weight, count):
+                rows.extend((count, r_part, s_part) for s_part in s_parts)
+    rows.sort()
+    return tuple(Monomial(r_part, s_part) for _, r_part, s_part in rows)

@@ -19,7 +19,6 @@ cell once.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -307,6 +306,8 @@ class BettiEngine:
             ((p, q, tuple(sorted(set(ns)))) for (p, q), ns in by_cell.items()),
             key=lambda job: -(self.dim(job[0], job[1], job[2][-1]) ** 2),
         )
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
+
         init_args = (serialize_ring(self.ring), self.reduced, self.exact_only)
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_pool_init, initargs=init_args

@@ -213,11 +213,14 @@ def _residue_triples(m: RationalMatrix, prime: int, col_cap: int) -> list[tuple[
     for (r, c), v in m.entries.items():
         if c >= col_cap:
             continue
-        if v.denominator % prime == 0:
-            raise UnusablePrimeError(f"prime {prime} divides a denominator")
-        residue = v.numerator % prime
-        if v.denominator != 1:
-            residue = residue * pow(v.denominator % prime, prime - 2, prime) % prime
+        if type(v) is int:  # what the engine assembles
+            residue = v % prime
+        else:
+            if v.denominator % prime == 0:
+                raise UnusablePrimeError(f"prime {prime} divides a denominator")
+            residue = v.numerator % prime
+            if v.denominator != 1:
+                residue = residue * pow(v.denominator % prime, prime - 2, prime) % prime
         if residue:
             triples.append((r, c, residue))
     return triples

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 from confbetti import (
+    parse_ring,
     ring_cp,
     ring_product,
     ring_projective_bundle_cp2,
@@ -13,6 +15,15 @@ from confbetti import (
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+RINGGEN = Path(__file__).parents[1] / "perfbench" / "ringgen.py"
+
+
+def seeded_ring(space: str, seed: int):
+    """A ring from the benchmark's generator: the space's classes permuted and re-signed."""
+    spec = importlib.util.spec_from_file_location("ringgen", RINGGEN)
+    ringgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ringgen)
+    return parse_ring(ringgen.ring_document(space, seed))
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,9 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from conftest import seeded_ring
 
+import confbetti.basis as basis_module
 from confbetti import (
     Monomial,
     enumerate_basis,
@@ -12,6 +14,7 @@ from confbetti import (
     monomial_length,
     multiply_monomials,
     ring_cp,
+    ring_product,
     ring_sphere,
     ring_surface,
 )
@@ -66,6 +69,106 @@ def test_enumeration_matches_brute_force(request, name, reduced):
                 assert enumerate_basis(ring, p, q, n, reduced) == expected, (p, q, n)
                 checked += len(expected)
     assert checked > 0
+
+
+def _capped_vectors(degrees, caps, weight, count, exact_weight, exact_count):
+    """Exponent vectors with degree-weighted sum and entry count bounded, or hit exactly.
+
+    A plain depth-first search: a branch stops once its positions cannot
+    reach an exact target.
+    """
+    size = len(degrees)
+    cap_left = [sum(caps[pos:]) for pos in range(size + 1)]
+    deg_left = [max(degrees[pos:], default=0) for pos in range(size + 1)]
+    found = []
+    prefix = []
+
+    def descend(pos, weight_left, count_left):
+        if exact_count and count_left > cap_left[pos]:
+            return
+        if exact_weight and weight_left > min(count_left, cap_left[pos]) * deg_left[pos]:
+            return
+        if pos == size:
+            found.append(tuple(prefix))
+            return
+        top = min(caps[pos], count_left)
+        if degrees[pos] > 0:
+            top = min(top, weight_left // degrees[pos])
+        for e in range(top + 1):
+            prefix.append(e)
+            descend(pos + 1, weight_left - e * degrees[pos], count_left - e)
+            prefix.pop()
+
+    if weight >= 0 and count >= 0:
+        descend(0, weight, count)
+    return found
+
+
+def _reference_basis(ring, p, q, n, reduced):
+    """A cell by a capped search per cell, then the graded-lex sort.
+
+    Every s-vector of q entries and weight at most p, completed by every
+    r-vector of the remaining weight and at most n - 2q entries; each
+    exponent is capped at p + 1 unless its generator is odd.
+    """
+    m, top = ring.top_generator_count, ring.orientation_index
+    big = p + 1
+    r_degs = [ring.degree(i) for i in range(1, m + 1)]
+    r_caps = [1 if ring.is_odd(i) or (reduced and i == top) else big for i in range(1, m + 1)]
+    s_degs = [ring.degree(j) for j in range(m + 1)]
+    s_caps = [0 if reduced and j == top else 1 if not ring.is_odd(j) else big for j in range(m + 1)]
+    if n - 2 * q < 0:
+        return ()
+    found = []
+    for s_vec in _capped_vectors(s_degs, s_caps, p, q, False, True):
+        s_weight = sum(e * d for e, d in zip(s_vec, s_degs))
+        for r_vec in _capped_vectors(r_degs, r_caps, p - s_weight, n - 2 * q, True, False):
+            found.append(Monomial(r_vec, s_vec))
+    found.sort(key=lambda mon: (sum(mon.r) + sum(mon.s), mon.r + mon.s))
+    return tuple(found)
+
+
+REFERENCE_SPACES = [
+    "cp2", "cp3", "cp6", "sigma1", "sigma2", "cp1xcp1", "cp1xcp2", "pbundle_cp2", "sigma1xcp1"
+]
+
+
+@pytest.mark.parametrize("space, seed", [(name, 0) for name in REFERENCE_SPACES] + [("cp1xcp2", 2)])
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+def test_enumeration_matches_capped_search(space, seed, reduced):
+    ring = seeded_ring(space, seed)  # seed 0 is the registry ring
+    checked = 0
+    for n in range(1, 7):
+        for q in range(n // 2 + 1):
+            for p in range(n * ring.dimension + 1):  # n classes of the top degree at most
+                expected = _reference_basis(ring, p, q, n, reduced)
+                got = enumerate_basis(ring, p, q, n, reduced)
+                assert got == expected, (p, q, n)
+                if space == "cp6" and p % 2:
+                    assert got == ()
+                checked += len(expected)
+    assert checked > 0
+
+
+def test_cell_lists_no_s_part_heavier_than_its_p(monkeypatch):
+    ring = ring_product(ring_surface(1), ring_cp(1))  # odd classes in degrees 1 and 3
+    basis_module._part_tables.cache_clear()
+    _, s_table = basis_module._part_tables(ring, True)
+    listed = []
+
+    def counting(table, weight, count):
+        parts = real(table, weight, count)
+        if table is s_table:
+            listed.extend(sum(e * d for e, d in zip(part, table.degrees)) for part in parts)
+        return parts
+
+    real = basis_module._list_parts
+    monkeypatch.setattr(basis_module, "_list_parts", counting)
+    p, q, n = 3, 4, 8
+    cell = enumerate_basis(ring, p, q, n)
+    assert cell == _reference_basis(ring, p, q, n, True)
+    # four length-2 generators of the degree-1 classes reach weight 4 > p
+    assert listed and max(listed) == p
 
 
 def test_cell_counts_from_worked_examples(cp2, cp3, sigma1):

@@ -68,7 +68,8 @@ def test_registry_builds_each_ring_once_on_lookup():
 
 
 def test_import_loads_no_numpy_and_builds_no_ring():
-    # counts ring validations, differential kernels built and generator images
+    # counts ring validations, differential kernels built and generator images,
+    # and lists the process-pool modules the import loaded
     probe = """
 import sys
 calls = {"validate_ring": 0, "_kernel": 0, "d_generator": 0}
@@ -78,11 +79,14 @@ def watch(frame, event, arg):
 sys.setprofile(watch)
 import confbetti.cli
 imported = list(calls.values())
+pool_modules = set(sys.modules)
 ring = confbetti.cli.REGISTRY["cp2"]
 looked_up = list(calls.values())
 confbetti.differential.assemble_matrix(ring, 0, 1, 2)
 sys.setprofile(None)
-print(imported, looked_up, min(calls.values()) > 0, "numpy" in sys.modules)
+pools = [name for name in ("multiprocessing", "concurrent.futures", "concurrent.futures.process")
+         if name in pool_modules]
+print(imported, looked_up, min(calls.values()) > 0, "numpy" in sys.modules, pools)
 """
     src = str(Path(confbetti.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -90,7 +94,7 @@ print(imported, looked_up, min(calls.values()) > 0, "numpy" in sys.modules)
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=path), check=True,
     )
-    assert done.stdout.strip() == "[0, 0, 0] [1, 0, 0] True False"
+    assert done.stdout.strip() == "[0, 0, 0] [1, 0, 0] True False []"
 
 
 def test_compute_csv_shape_and_determinism(capsys):

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
-import importlib.util
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import seeded_ring
 
 from confbetti import (
     BettiEngine,
@@ -27,14 +27,6 @@ from confbetti.spaces import resolve_space
 
 ROOT = Path(__file__).parents[1]
 SCALED_CP2 = ROOT / "tests" / "rings" / "cp2_scaled.json"  # x*x = 2*x2, so L = 2
-
-
-def _seeded_ring(space: str, seed: int):
-    """A ring from the benchmark's generator: the space's classes permuted and re-signed."""
-    spec = importlib.util.spec_from_file_location("ringgen", ROOT / "perfbench" / "ringgen.py")
-    ringgen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ringgen)
-    return parse_ring(ringgen.ring_document(space, seed))
 
 
 def _generator(ring, pos: int) -> Monomial:
@@ -104,7 +96,7 @@ def test_kernel_matches_leibniz_rule_on_small_cells(space, reduced):
     if space == "scaled":
         ring = parse_ring(SCALED_CP2.read_text())
     elif space == "seeded":
-        ring = _seeded_ring("sigma1xcp1", 3)
+        ring = seeded_ring("sigma1xcp1", 3)
     else:
         ring = resolve_space(space)
     n = 5  # every monomial of length <= 5 lies in some cell at n = 5

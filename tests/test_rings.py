@@ -255,6 +255,22 @@ def test_validation_catches_broken_associativity():
         parse_ring(json.dumps(doc))
 
 
+def test_validation_catches_associativity_with_additive_degrees():
+    import json
+
+    cube = ring_product(ring_product(ring_cp(1), ring_cp(1)), ring_cp(1))
+    doc = json.loads(serialize_ring(cube))
+    index = {cls["label"]: i for i, cls in enumerate(doc["basis"])}
+    a, bc, abc = index["x|1|1"], index["1|x|x"], index["x|x|x"]
+    # a*(bc) = 2*abc while (ab)*c = abc: degrees stay additive, and the
+    # triple (a, b, c) has degree sum 6, the dimension
+    for row in doc["products"]:
+        if sorted(row[:2]) == sorted([a, bc]):
+            row[2] = {str(abc): 2}
+    with pytest.raises(RingValidationError, match="associativity"):
+        parse_ring(json.dumps(doc))
+
+
 def test_validation_catches_odd_square():
     import json
 
