@@ -32,6 +32,7 @@ from .linalg import (
     RationalMatrix,
     UnusablePrimeError,
     rank,
+    rank_profile_exact,
     rank_profile_modular,
 )
 from .oracles import (
@@ -67,5 +68,23 @@ from .rings import (
 )
 from .spaces import REGISTRY, resolve_space, space_names
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = (  # the imported names; the submodules are not part of the API
+    "Monomial", "enumerate_basis", "format_monomial", "monomial_bigrade", "monomial_length",
+    "multiply_monomials",
+    "AlgebraElement", "algebra_element", "assemble_matrix", "cell_images", "d_generator",
+    "d_monomial",
+    "BettiEngine", "BettiTable", "InternalConsistencyError", "betti_number",
+    "betti_odd_closed", "betti_table", "e_infinity_dim", "engine_for", "stable_betti",
+    "vanishing_bound",
+    "RankProfile", "RationalMatrix", "UnusablePrimeError", "rank", "rank_profile_exact",
+    "rank_profile_modular",
+    "CheckResult", "OracleReport", "check_d_squared", "check_euler",
+    "check_reduction_equivalence", "check_theorems", "run_all",
+    "BasisClass", "GradedRing", "RingElement", "RingError", "RingFormatError",
+    "RingValidationError", "basis_element", "dual_basis", "element", "euler_characteristic",
+    "multiply", "parse_ring", "ring_cp", "ring_even_sphere", "ring_product",
+    "ring_projective_bundle_cp2", "ring_sphere", "ring_surface", "serialize_ring",
+    "validate_ring",
+    "REGISTRY", "resolve_space", "space_names",
+)
 __version__ = "0.1.0"

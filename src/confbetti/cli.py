@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .basis import format_monomial
 from .differential import cell_images, image_scale
-from .engine import betti_odd_closed, betti_table, engine_for, stable_betti
+from .engine import BettiTable, betti_odd_closed, betti_table, engine_for, stable_betti
 from .oracles import run_all
 from .rings import GradedRing, RingError, euler_characteristic, parse_ring
 from .spaces import REGISTRY, resolve_space
@@ -31,13 +31,15 @@ class RunConfig:
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        n_min, n_max = int(lo), int(hi)
-    else:
-        n_min = n_max = int(text)
+    lo, dots, hi = text.partition("..")
+    try:
+        n_min, n_max = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad point-count range {text!r}: need A..B or a single N"
+        ) from None
     if not 1 <= n_min <= n_max:
-        raise ValueError(f"bad point-count range {text!r}: need 1 <= A <= B")
+        raise argparse.ArgumentTypeError(f"bad point-count range {text!r}: need 1 <= A <= B")
     return n_min, n_max
 
 
@@ -65,31 +67,25 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
-def _grid_rows(config: RunConfig, rows: dict[int, list[int]]) -> str:
+def _grid_rows(config: RunConfig, table: BettiTable) -> str:
     header = ["n"] + [f"b_{i}" for i in range(config.i_max + 1)]
+    ns = range(config.n_min, config.n_max + 1)
     if config.fmt == "csv":
         lines = [",".join(header)]
-        for n in range(config.n_min, config.n_max + 1):
-            lines.append(",".join([str(n)] + [str(v) for v in rows[n]]))
+        for n in ns:
+            lines.append(",".join([str(n)] + [str(v) for v in table.row(n)]))
         return "\n".join(lines) + "\n"
     if config.fmt == "md":
         lines = ["| " + " | ".join(header) + " |"]
         lines.append("|" + "---|" * len(header))
-        for n in range(config.n_min, config.n_max + 1):
-            lines.append("| " + " | ".join([str(n)] + [str(v) for v in rows[n]]) + " |")
+        for n in ns:
+            lines.append("| " + " | ".join([str(n)] + [str(v) for v in table.row(n)]) + " |")
         return "\n".join(lines) + "\n"
     # json
     cells = [
-        {"n": n, "i": i, "betti": rows[n][i]}
-        for n in range(config.n_min, config.n_max + 1)
-        for i in range(config.i_max + 1)
+        {"n": n, "i": i, "betti": table.betti(n, i)} for n in ns for i in range(config.i_max + 1)
     ]
-    onsets: dict[str, int] = {}
-    for i in range(config.i_max + 1):
-        onset = config.n_max
-        while onset > config.n_min and rows[onset - 1][i] == rows[config.n_max][i]:
-            onset -= 1
-        onsets[str(i)] = onset
+    onsets = {str(i): onset for i, onset in table.stabilization_onsets.items()}
     payload = {
         "metadata": {
             "space": config.space,
@@ -175,8 +171,7 @@ def cmd_compute(args) -> int:
     )
     if config.dump_dir is not None:
         _dump_matrices(config)
-    rows = {n: table.row(n) for n in range(config.n_min, config.n_max + 1)}
-    sys.stdout.write(_grid_rows(config, rows))
+    sys.stdout.write(_grid_rows(config, table))
     return 0
 
 
@@ -189,12 +184,13 @@ def cmd_betti_odd(args) -> int:
         )
     i_max = args.i_max if args.i_max is not None else args.n_range[1] * ring.dimension
     config = _make_config(args, ring, space, i_max)
-    rows = {}
+    grid = {}
     for n in range(config.n_min, config.n_max + 1):
         values = betti_odd_closed(ring, n)
-        padded = values[: i_max + 1] + [0] * (i_max + 1 - len(values))
-        rows[n] = padded
-    sys.stdout.write(_grid_rows(config, rows))
+        for i in range(i_max + 1):
+            grid[(n, i)] = values[i] if i < len(values) else 0
+    table = BettiTable(ring, config.n_min, config.n_max, i_max, grid)
+    sys.stdout.write(_grid_rows(config, table))
     return 0
 
 

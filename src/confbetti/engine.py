@@ -11,8 +11,9 @@ p + 2q, beyond which it stops growing). The basis order is graded by length
 and the differential preserves length, so the matrix at any n <= t is a
 leading part of the cell's matrix: each block cut to its leading columns and
 rows. The rank at n is the sum of those cut blocks' ranks, and one
-left-to-right modular elimination per block yields them at every truncation.
-Each block is proven on its own (see `_block_rank_sum`). A request beyond the
+left-to-right elimination per block and field (each prime, and Q) yields them
+at every truncation; the record caches each of these profiles. Each block is
+proven on its own (see `_block_rank_sum`). A request beyond the
 plan rebuilds the record at saturation, so a query past a table rebuilds each
 cell once.
 """
@@ -31,7 +32,7 @@ from .linalg import (
     RankProfile,
     RationalMatrix,
     UnusablePrimeError,
-    rank as exact_rank,
+    rank_profile_exact as exact_rank,
     rank_profile_modular,
     split_blocks,
 )
@@ -55,7 +56,8 @@ class _Cell:
     lengths: tuple[int, ...]  # nondecreasing; lengths[k] = length of basis monomial k
     codes: PackedBasis | None  # the packed basis, until no assembly is left to read it
     blocks: list[Block] | None = None  # of the differential at `truncation`, split on demand
-    # (block index, prime) -> that block's profile; None: the prime divides a denominator
+    # (block index, prime) -> that block's profile; None: the prime divides a denominator.
+    # Prime 0 holds the block's exact profile over Q.
     profiles: dict[tuple[int, int], RankProfile | None] = field(default_factory=dict)
 
 
@@ -169,6 +171,25 @@ class BettiEngine:
             usable += 1
         raise UnusablePrimeError("all configured primes divide some denominator")
 
+    def _exact_prefix_rank(self, cell: _Cell, index: int, k: int) -> int:
+        """Rank over Q of the block's first k columns, from one profile cached per block.
+
+        With exact_only the profile covers the whole block. Otherwise it stops
+        at the last column where the first prime's prefix rank is at most
+        CERTIFICATION_LIMIT: prefix ranks never decrease, so that column bounds
+        every cut ranked exactly because its modular rank is within the limit.
+        Only two primes that disagree above the limit ask past it, and then the
+        block is profiled again up to the cut.
+        """
+        profile = cell.profiles.get((index, 0))
+        if profile is None or k >= len(profile.prefix_ranks):
+            cap = None
+            if not self.exact_only:
+                limited = self._block_profile(cell, index, 0).prefix_ranks
+                cap = max(k, bisect_right(limited, CERTIFICATION_LIMIT) - 1)
+            profile = cell.profiles[index, 0] = exact_rank(cell.blocks[index].matrix, cap)
+        return profile.prefix_ranks[k]
+
     def rank(self, p: int, q: int, n: int) -> int:
         """Rank of the differential leaving cell (p, q) at truncation n."""
         if q <= 0 or p < 0 or n < 2 * q:
@@ -188,7 +209,8 @@ class BettiEngine:
         whose mod-p rank meets one is proven. A deficient block of rank at most
         CERTIFICATION_LIMIT is ranked exactly; a larger one is checked at a
         second prime, and the task is left uncertified when the primes agree.
-        With exact_only, every block is ranked exactly.
+        With exact_only, every block is ranked exactly. Exact ranks, like
+        modular ones, are read from the block's cached prefix-rank profile.
         """
         cols = self.dim(p, q, n_eff)
         if cols == 0:
@@ -200,10 +222,9 @@ class BettiEngine:
             k = bisect_left(block.cols, cols)
             if k == 0:
                 break  # blocks are ordered by first column
-            r = bisect_left(block.rows, rows)
             if not self.exact_only:
                 candidate = self._block_profile(cell, index, 0).prefix_ranks[k]
-                if candidate == min(k, r):
+                if candidate == min(k, bisect_left(block.rows, rows)):
                     total += candidate
                     continue
                 if (
@@ -213,7 +234,7 @@ class BettiEngine:
                     total += candidate
                     uncertified = True
                     continue
-            total += exact_rank(block.matrix.column_prefix(k, rows=r))
+            total += self._exact_prefix_rank(cell, index, k)
         if uncertified:
             self.uncertified_cells.append((p, q, n_eff))
         return total
@@ -328,8 +349,17 @@ class BettiTable:
     n_max: int
     i_max: int
     grid: dict[tuple[int, int], int]  # (n, i) -> Betti number
-    stabilization_onsets: dict[int, int] = field(default_factory=dict)
     vanishing_bounds: dict[int, int] = field(default_factory=dict)
+    # i -> the least n in the range from which b_i keeps its value at n_max
+    stabilization_onsets: dict[int, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.stabilization_onsets = {}
+        for i in range(self.i_max + 1):
+            onset = self.n_max
+            while onset > self.n_min and self.grid[(onset - 1, i)] == self.grid[(self.n_max, i)]:
+                onset -= 1
+            self.stabilization_onsets[i] = onset
 
     def betti(self, n: int, i: int) -> int:
         return self.grid[(n, i)]
@@ -383,21 +413,9 @@ def betti_table(
     for n in range(n_min, n_max + 1):
         for i in range(i_max + 1):
             grid[(n, i)] = engine.betti_number(i, n)
-    onsets: dict[int, int] = {}
-    for i in range(i_max + 1):
-        onset = n_max
-        while onset > n_min and grid[(onset - 1, i)] == grid[(n_max, i)]:
-            onset -= 1
-        onsets[i] = onset
     bounds = {n: vanishing_bound(ring, n) for n in range(n_min, n_max + 1)}
     return BettiTable(
-        ring=ring,
-        n_min=n_min,
-        n_max=n_max,
-        i_max=i_max,
-        grid=grid,
-        stabilization_onsets=onsets,
-        vanishing_bounds=bounds,
+        ring=ring, n_min=n_min, n_max=n_max, i_max=i_max, grid=grid, vanishing_bounds=bounds
     )
 
 

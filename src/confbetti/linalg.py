@@ -1,19 +1,22 @@
 """Exact and modular rank computation for sparse rational matrices.
 
-The exact path clears denominators per column and runs fraction-free
-(Bareiss-style) integer elimination with Markowitz pivoting and deferred row
-scaling. The modular path eliminates sparse rows over a large prime field and
-records the rank of every column prefix in one pass, so one elimination serves
-every truncation of the same matrix. It takes the columns strictly left to
-right, and pivots each on the live row holding it with the fewest entries,
+One sparse elimination serves both fields. It takes the columns strictly left
+to right and pivots each on the live row holding it with the fewest entries,
 which keeps fill low (as in structured sparse elimination over finite fields,
-Dumas & Villard, CASC 2002).
+Dumas & Villard, CASC 2002). So one pass records the rank of every column
+prefix, and one elimination serves every truncation of the same matrix.
+
+Modulo a large prime, a row update subtracts a multiple of the pivot row. Over
+Q the rows hold integers (a column with Fraction entries is first scaled by the
+lcm of their denominators) and updates are fraction-free: with pivot a, the
+row's entry b and g = gcd(a, b), the row becomes row*(a/g) - pivot_row*(b/g),
+and is then divided by the gcd of its entries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 # Fixed large primes for the modular pre-pass; later entries are retry spares.
@@ -110,97 +113,11 @@ def split_blocks(m: RationalMatrix) -> list[Block]:
     return sorted(blocks, key=lambda block: block.cols[0])
 
 
-def _integer_rows(m: RationalMatrix) -> dict[int, dict[int, int]]:
-    """Clear denominators per column (a rank-preserving column scaling)."""
-    col_scale: dict[int, int] = {}
-    for (_, c), v in m.entries.items():
-        col_scale[c] = lcm(col_scale.get(c, 1), v.denominator)
-    rows: dict[int, dict[int, int]] = {}
-    for (r, c), v in m.entries.items():
-        value = int(v * col_scale[c])
-        if value:
-            rows.setdefault(r, {})[c] = value
-    return rows
-
-
-def rank(m: RationalMatrix) -> int:
-    """Exact rank over Q by fraction-free elimination with Markowitz pivoting.
-
-    Rows untouched for several steps carry a stamp and are rescaled lazily by
-    the exact ratio of pivot minors, keeping the elimination single-pass over
-    the sparse structure.
-    """
-    rows = _integer_rows(m)
-    col_count: dict[int, int] = {}
-    for row in rows.values():
-        for c in row:
-            col_count[c] = col_count.get(c, 0) + 1
-    stamp = {r: 0 for r in rows}
-    minors = [1]  # minors[t] = Bareiss pivot after step t
-    steps = 0
-    while rows:
-        best: tuple[tuple[int, int, int], int, int] | None = None
-        for r, row in rows.items():
-            row_weight = len(row) - 1
-            for c in row:
-                key = (row_weight * (col_count[c] - 1), r, c)
-                if best is None or key < best[0]:
-                    best = (key, r, c)
-        assert best is not None
-        _, pr, pc = best
-
-        def materialize(r: int) -> dict[int, int]:
-            row = rows[r]
-            if stamp[r] != steps:
-                num, den = minors[steps], minors[stamp[r]]
-                row = {c: v * num // den for c, v in row.items()}
-                rows[r] = row
-                stamp[r] = steps
-            return row
-
-        pivot_row = materialize(pr)
-        pivot = pivot_row[pc]
-        previous = minors[steps]
-        steps += 1
-        minors.append(pivot)
-        for c in pivot_row:
-            col_count[c] -= 1
-        del rows[pr]
-        for r in list(rows):
-            if pc not in rows[r]:
-                continue
-            row = materialize(r)
-            multiplier = row.pop(pc)
-            col_count[pc] -= 1
-            updated: dict[int, int] = {}
-            for c, v in row.items():
-                if c == pc:
-                    continue
-                value = (v * pivot - multiplier * pivot_row.get(c, 0)) // previous
-                if value:
-                    updated[c] = value
-                else:
-                    col_count[c] -= 1
-            for c in pivot_row:
-                if c != pc and c not in row:
-                    value = -multiplier * pivot_row[c] // previous
-                    if value:
-                        updated[c] = value
-                        col_count[c] = col_count.get(c, 0) + 1
-            if updated:
-                rows[r] = updated
-                stamp[r] = steps
-            else:
-                del rows[r]
-                del stamp[r]
-    return steps
-
-
-@dataclass
+@dataclass(slots=True)
 class RankProfile:
-    """Ranks of every column prefix of one matrix modulo one prime."""
+    """Ranks of every column prefix of one matrix over one field."""
 
-    prime: int
+    prime: int  # the field's characteristic: a prime, or 0 for Q
     prefix_ranks: list[int]  # prefix_ranks[k] = rank of the first k columns
 
     @property
@@ -208,26 +125,36 @@ class RankProfile:
         return self.prefix_ranks[-1]
 
 
-def _residue_triples(m: RationalMatrix, prime: int, col_cap: int) -> list[tuple[int, int, int]]:
+
+
+def _triples(m: RationalMatrix, col_cap: int, prime: int) -> list[tuple[int, int, int]]:
+    """The nonzero entries of m's first col_cap columns as (row, col, int) triples.
+
+    Int entries, which the engine assembles, pass through. A column holding a
+    Fraction is scaled by the lcm of its denominators, which keeps every prefix
+    rank, unless the prime divides it. A nonzero prime reduces the values.
+    """
+    scale: dict[int, int] = {}
+    for (_, c), v in m.entries.items():
+        if type(v) is not int and c < col_cap:
+            scale[c] = lcm(scale.get(c, 1), v.denominator)
+    if prime and any(s % prime == 0 for s in scale.values()):
+        raise UnusablePrimeError(f"prime {prime} divides a denominator")
     triples = []
     for (r, c), v in m.entries.items():
-        if c >= col_cap:
-            continue
-        if type(v) is int:  # what the engine assembles
-            residue = v % prime
-        else:
-            if v.denominator % prime == 0:
-                raise UnusablePrimeError(f"prime {prime} divides a denominator")
-            residue = v.numerator % prime
-            if v.denominator != 1:
-                residue = residue * pow(v.denominator % prime, prime - 2, prime) % prime
-        if residue:
-            triples.append((r, c, residue))
+        if c < col_cap:
+            if c in scale:
+                v = int(v * scale[c])
+            if prime:
+                v %= prime
+            if v:
+                triples.append((r, c, v))
     return triples
 
 
 def _profile(col_cap: int, triples: list[tuple[int, int, int]], prime: int) -> RankProfile:
-    live: dict[int, dict[int, int]] = {}  # row -> its nonzero residues, by column
+    """Prefix ranks of the integer triples modulo prime, or over Q when prime is 0."""
+    live: dict[int, dict[int, int]] = {}  # row -> its nonzero entries, by column
     holders: dict[int, set[int]] = {}  # column -> the live rows with an entry there
     for r, c, v in triples:
         live.setdefault(r, {})[c] = v
@@ -242,14 +169,26 @@ def _profile(col_cap: int, triples: list[tuple[int, int, int]], prime: int) -> R
         pivot_row = min(candidates, key=lambda r: (len(live[r]), r))
         candidates.discard(pivot_row)
         pivot_entries = live.pop(pivot_row)
-        inverse = pow(pivot_entries.pop(j), prime - 2, prime)
+        pivot = pivot_entries.pop(j)
+        if prime:
+            inverse = pow(pivot, prime - 2, prime)
         for c in pivot_entries:
             holders[c].discard(pivot_row)
         for r in candidates:
             row = live[r]
-            factor = row.pop(j) * inverse % prime
+            if prime:
+                factor = row.pop(j) * inverse % prime
+            else:  # row * (pivot / g) - pivot_row * (entry / g) keeps integers
+                entry = row.pop(j)
+                g = gcd(pivot, entry)
+                factor, scale = entry // g, pivot // g
+                if scale != 1:
+                    for c in row:
+                        row[c] *= scale
             for c, v in pivot_entries.items():
-                value = (row.get(c, 0) - factor * v) % prime
+                value = row.get(c, 0) - factor * v
+                if prime:
+                    value %= prime
                 if value:
                     if c not in row:
                         holders[c].add(r)
@@ -259,6 +198,11 @@ def _profile(col_cap: int, triples: list[tuple[int, int, int]], prime: int) -> R
                     holders[c].discard(r)
             if not row:
                 del live[r]
+            elif not prime:
+                content = gcd(*row.values())
+                if content != 1:
+                    for c in row:
+                        row[c] //= content
         prefix.append(prefix[-1] + 1)
         if not live:
             prefix.extend([prefix[-1]] * (col_cap - j - 1))
@@ -271,4 +215,18 @@ def rank_profile_modular(
 ) -> RankProfile:
     """Prefix ranks of m modulo prime, eliminating columns strictly left to right."""
     cap = m.cols if col_cap is None else min(col_cap, m.cols)
-    return _profile(cap, _residue_triples(m, prime, cap), prime)
+    return _profile(cap, _triples(m, cap, prime), prime)
+
+
+def rank_profile_exact(m: RationalMatrix, col_cap: int | None = None) -> RankProfile:
+    """Prefix ranks of m over Q, by the same elimination on integer rows.
+
+    The profile has min(col_cap, m.cols) + 1 entries: reading past the cap raises.
+    """
+    cap = m.cols if col_cap is None else min(col_cap, m.cols)
+    return _profile(cap, _triples(m, cap, 0), 0)
+
+
+def rank(m: RationalMatrix) -> int:
+    """Exact rank of m over Q."""
+    return rank_profile_exact(m).rank

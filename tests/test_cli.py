@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -95,6 +96,14 @@ print(imported, looked_up, min(calls.values()) > 0, "numpy" in sys.modules, pool
         env=dict(os.environ, PYTHONPATH=path), check=True,
     )
     assert done.stdout.strip() == "[0, 0, 0] [1, 0, 0] True False []"
+
+
+def test_package_exports_no_submodule():
+    assert isinstance(confbetti.__all__, tuple)
+    submodules = {name for name, value in vars(confbetti).items() if isinstance(value, types.ModuleType)}
+    assert {"basis", "engine", "linalg", "spaces"} <= submodules
+    assert not submodules & set(confbetti.__all__)
+    assert all(hasattr(confbetti, name) for name in confbetti.__all__)
 
 
 def test_compute_csv_shape_and_determinism(capsys):
@@ -332,6 +341,19 @@ def test_oversized_dynamic_space_exits_2_before_building(capsys, space):
     assert out == ""
     assert "MAX_SPACE_CLASSES = 32" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [("0..3", "need 1 <= A <= B"), ("5..2", "need 1 <= A <= B"), ("1..x", "need A..B or a single N")],
+)
+def test_bad_n_range_exits_2_with_its_reason(capsys, text, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--space", "cp1", "--n", text, "--i-max", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --n: bad point-count range {text!r}: {reason}" in err
+    assert "invalid" not in err
 
 
 def test_missing_arguments_exit_2(capsys):

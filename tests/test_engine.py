@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import multiprocessing
-from bisect import bisect_left
+import re
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from confbetti import (
     betti_table,
     e_infinity_dim,
     engine_for,
+    rank,
     rank_profile_modular,
     ring_cp,
     ring_product,
@@ -24,7 +27,9 @@ from confbetti import (
     stable_betti,
     vanishing_bound,
 )
-from confbetti.linalg import PRIMES
+from confbetti.linalg import CERTIFICATION_LIMIT, PRIMES
+
+README = Path(__file__).parents[1] / "README.md"
 
 
 def test_e_infinity_worked_examples(cp3, sigma1):
@@ -238,6 +243,16 @@ def test_deficient_block_above_the_limit_is_uncertified_once(planted_cell, monke
     assert engine.uncertified_cells == [(0, 1, 2)]
 
 
+def test_primes_disagreeing_above_the_limit_rank_past_the_cap(planted_cell, monkeypatch):
+    monkeypatch.setattr(engine_module, "CERTIFICATION_LIMIT", 0)
+    p1 = PRIMES[0]
+    engine = planted_cell({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1 + p1})
+    # rank 1 at the first prime and 2 at the second, so the full cut is ranked exactly
+    assert engine.rank(0, 1, 2) == 2
+    assert engine._cells[(0, 1)].profiles[(0, 0)].prefix_ranks == [0, 1, 2]
+    assert engine.uncertified_cells == []
+
+
 def test_unusable_prime_moves_only_its_block(planted_cell):
     engine = planted_cell({(0, 0): Fraction(1, PRIMES[0]), (1, 1): 1})
     assert engine.rank(0, 1, 2) == 2
@@ -299,3 +314,59 @@ def test_worker_pool_table_matches_serial_on_sigma2(sigma2, fresh_engines):
     pooled = betti_table(sigma2, 1, 6, top, workers=2)
     fresh_engines()
     assert pooled.grid == betti_table(sigma2, 1, 6, top, workers=1).grid
+
+
+@pytest.mark.parametrize("exact_only", [True, False], ids=["exact-only", "hybrid"])
+def test_exact_profile_runs_once_per_block(sigma2, exact_only, monkeypatch):
+    calls: dict[int, int] = {}  # id of the block matrix -> exact profiles of it
+    original = engine_module.exact_rank
+
+    def counting(matrix, col_cap=None):
+        calls[id(matrix)] = calls.get(id(matrix), 0) + 1
+        return original(matrix, col_cap)
+
+    monkeypatch.setattr(engine_module, "exact_rank", counting)
+    engine = BettiEngine(sigma2, exact_only=exact_only)
+    tasks = engine.required_ranks(1, 8, vanishing_bound(sigma2, 8) - 1)
+    engine.compute_ranks(tasks)
+    blocks = {id(block.matrix) for cell in engine._cells.values() for block in cell.blocks or ()}
+    assert calls and set(calls) <= blocks
+    assert max(calls.values()) == 1
+    monkeypatch.undo()
+    fresh = BettiEngine(sigma2, exact_only=exact_only)
+    for p, q, n_eff in tasks:
+        assert engine.rank(p, q, n_eff) == fresh.rank(p, q, n_eff)
+        if exact_only:
+            assert engine.rank(p, q, n_eff) == rank(engine.truncated_matrix(p, q, n_eff))
+
+
+@pytest.mark.parametrize("limit", [CERTIFICATION_LIMIT, 10])
+def test_hybrid_exact_profile_stops_at_the_modular_limit(sigma2, limit, monkeypatch):
+    monkeypatch.setattr(engine_module, "CERTIFICATION_LIMIT", limit)
+    engine = BettiEngine(sigma2)
+    tasks = engine.required_ranks(1, 8, vanishing_bound(sigma2, 8) - 1)
+    engine.compute_ranks(tasks)
+    profiles = capped = 0
+    for cell in engine._cells.values():
+        for (index, prime), profile in cell.profiles.items():
+            if prime != 0:
+                continue
+            modular = engine._block_profile(cell, index, 0).prefix_ranks
+            limit_column = bisect_right(modular, limit) - 1
+            assert len(profile.prefix_ranks) - 1 == limit_column
+            profiles += 1
+            capped += limit_column < len(modular) - 1
+    assert profiles > 0
+    assert capped > 0 or limit == CERTIFICATION_LIMIT  # no sigma2 block ranks above 64
+    exact = BettiEngine(sigma2, exact_only=True)
+    assert [engine.rank(*task) for task in tasks] == [exact.rank(*task) for task in tasks]
+
+
+def test_readme_library_snippet_runs():
+    (snippet,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    names: dict = {}
+    exec(snippet, names)
+    table = names["table"]
+    assert names["grid"] == table.grid and table.grid[(7, 13)] == names["b"]
+    assert names["onsets"] == table.stabilization_onsets
+    assert len(names["row"]) == 21

@@ -12,6 +12,7 @@ from confbetti import (
     RationalMatrix,
     UnusablePrimeError,
     rank,
+    rank_profile_exact,
     rank_profile_modular,
 )
 from confbetti.linalg import PRIMES, split_blocks
@@ -275,3 +276,56 @@ def test_sympy_rank_agreement():
         for (r, c), v in entries.items():
             dense[r, c] = sympy.Rational(v.numerator, v.denominator)
         assert rank(m) == dense.rank()
+
+
+@st.composite
+def int_or_fraction_sparse(draw):
+    """Sparse matrices of plain ints or of Fractions, some with entries past 2**64."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    fractions = draw(st.booleans())
+    values = st.integers(-4, 4) | st.sampled_from([2**70 + 1, -(3**45)])
+    entries = {}
+    for r in range(rows):
+        for c in draw(st.sets(st.integers(0, cols - 1), max_size=4)):
+            value = draw(values.filter(bool))
+            if fractions:
+                value = Fraction(value, draw(st.integers(1, 4)))
+            entries[(r, c)] = value
+    return RationalMatrix(rows, cols, entries)
+
+
+def _sympy_prefix_ranks(sympy, m):
+    dense = sympy.zeros(m.rows, m.cols)
+    for (r, c), v in m.entries.items():
+        v = Fraction(v)
+        dense[r, c] = sympy.Rational(v.numerator, v.denominator)
+    return [dense[:, :k].rank() for k in range(m.cols + 1)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(int_or_fraction_sparse(), shuffled_sparse()))
+def test_exact_profile_is_every_prefix_rank_over_q(m):
+    sympy = pytest.importorskip("sympy")
+    expected = _sympy_prefix_ranks(sympy, m)
+    profile = rank_profile_exact(m)
+    assert profile.prime == 0
+    assert profile.prefix_ranks == expected
+    assert rank(m) == expected[-1]
+    for cap in range(m.cols + 1):
+        capped = rank_profile_exact(m, col_cap=cap)
+        assert capped.prefix_ranks == expected[: cap + 1]
+        if cap < m.cols:
+            with pytest.raises(IndexError):
+                capped.prefix_ranks[cap + 1]
+
+
+def test_exact_profile_finds_the_rank_both_primes_miss():
+    sympy = pytest.importorskip("sympy")
+    p1, p2 = PRIMES[:2]
+    planted = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1 + p1 * p2}  # determinant p1 * p2
+    for scale in (1, Fraction(1, 7)):
+        m = RationalMatrix(2, 2, {key: v * scale for key, v in planted.items()})
+        assert rank_profile_modular(m, p1).prefix_ranks == [0, 1, 1]
+        assert rank_profile_modular(m, p2).prefix_ranks == [0, 1, 1]
+        assert rank_profile_exact(m).prefix_ranks == [0, 1, 2] == _sympy_prefix_ranks(sympy, m)
+        assert rank_profile_exact(m, col_cap=1).prefix_ranks == [0, 1]
