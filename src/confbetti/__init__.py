@@ -27,14 +27,7 @@ from .engine import (
     stable_betti,
     vanishing_bound,
 )
-from .linalg import (
-    RankProfile,
-    RationalMatrix,
-    UnusablePrimeError,
-    rank,
-    rank_profile_exact,
-    rank_profile_modular,
-)
+from .linalg import RankProfile, RationalMatrix, rank, rank_profile_exact
 from .oracles import (
     CheckResult,
     OracleReport,
@@ -76,8 +69,7 @@ __all__ = (  # the imported names; the submodules are not part of the API
     "BettiEngine", "BettiTable", "InternalConsistencyError", "betti_number",
     "betti_odd_closed", "betti_table", "e_infinity_dim", "engine_for", "stable_betti",
     "vanishing_bound",
-    "RankProfile", "RationalMatrix", "UnusablePrimeError", "rank", "rank_profile_exact",
-    "rank_profile_modular",
+    "RankProfile", "RationalMatrix", "rank", "rank_profile_exact",
     "CheckResult", "OracleReport", "check_d_squared", "check_euler",
     "check_reduction_equivalence", "check_theorems", "run_all",
     "BasisClass", "GradedRing", "RingElement", "RingError", "RingFormatError",

@@ -26,7 +26,6 @@ class RunConfig:
     reduced: bool
     fmt: str
     workers: int
-    exact_only: bool
     dump_dir: Path | None
 
 
@@ -99,7 +98,7 @@ def _grid_rows(config: RunConfig, table: BettiTable) -> str:
 
 
 def _dump_matrices(config: RunConfig) -> None:
-    engine = engine_for(config.ring, config.reduced, config.exact_only)
+    engine = engine_for(config.ring, config.reduced)
     scale = image_scale(config.ring)  # the engine's matrices hold scale * d
     truncations: dict[tuple[int, int], list[int]] = {}
     for p, q, n_eff in engine.required_ranks(config.n_min, config.n_max, config.i_max):
@@ -142,7 +141,6 @@ def _make_config(args, ring: GradedRing, space: str, i_max: int) -> RunConfig:
         reduced=not args.no_reduction,
         fmt=args.format,
         workers=1 if args.dump_matrices else args.workers,
-        exact_only=args.exact_only,
         dump_dir=Path(args.dump_matrices) if args.dump_matrices else None,
     )
 
@@ -166,7 +164,6 @@ def cmd_compute(args) -> int:
         config.n_max,
         config.i_max,
         reduced=config.reduced,
-        exact_only=config.exact_only,
         workers=config.workers,
     )
     if config.dump_dir is not None:
@@ -242,7 +239,11 @@ def _add_common_options(sub, *, n_default=None, i_required=False, i_default=None
     )
     sub.add_argument("--format", choices=("csv", "md", "json"), default="csv")
     sub.add_argument("--no-reduction", action="store_true", help="keep top-class monomials")
-    sub.add_argument("--exact-only", action="store_true", help="skip modular arithmetic")
+    sub.add_argument(
+        "--exact-only",
+        action="store_true",
+        help="accepted for compatibility; every rank is exact",
+    )
     sub.add_argument("--workers", type=int, default=1, help="parallel rank processes")
     sub.add_argument(
         "--dump-matrices",

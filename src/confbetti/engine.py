@@ -3,39 +3,30 @@
 Each bigrade cell (p, q) is one record, built once at a truncation t: the
 lengths of its basis, its packed basis until the assemblies that read it are
 done, and the blocks of the differential leaving it (the connected components
-of the matrix's row-column graph) with their prefix-rank profiles per prime.
+of the matrix's row-column graph) with their prefix-rank profiles over Q.
 The matrix is assembled once from the packed bases, split, and dropped. Before
 ranking, a table plans the largest truncation it reads each cell at, and the
 cell is built there; a cell no plan names is built at saturation (length
 p + 2q, beyond which it stops growing). The basis order is graded by length
 and the differential preserves length, so the matrix at any n <= t is a
 leading part of the cell's matrix: each block cut to its leading columns and
-rows. The rank at n is the sum of those cut blocks' ranks, and one
-left-to-right elimination per block and field (each prime, and Q) yields them
-at every truncation; the record caches each of these profiles. Each block is
-proven on its own (see `_block_rank_sum`). A request beyond the
-plan rebuilds the record at saturation, so a query past a table rebuilds each
-cell once.
+rows. The rank at n is the sum of those cut blocks' ranks, and one exact
+left-to-right elimination per block yields them at every truncation, so every
+rank is proven; the record caches each block's profile on first use. A request
+beyond the plan rebuilds the record at saturation, so a query past a table
+rebuilds each cell once.
 """
 from __future__ import annotations
 
+import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .basis import enumerate_basis, monomial_length
 from .differential import PackedBasis, assemble_matrix, pack_basis
-from .linalg import (
-    CERTIFICATION_LIMIT,
-    PRIMES,
-    Block,
-    RankProfile,
-    RationalMatrix,
-    UnusablePrimeError,
-    rank_profile_exact as exact_rank,
-    rank_profile_modular,
-    split_blocks,
-)
+from .linalg import Block, RankProfile, RationalMatrix, split_blocks
+from .linalg import rank_profile_exact as exact_rank
 from .rings import GradedRing, parse_ring, serialize_ring
 
 
@@ -56,31 +47,21 @@ class _Cell:
     lengths: tuple[int, ...]  # nondecreasing; lengths[k] = length of basis monomial k
     codes: PackedBasis | None  # the packed basis, until no assembly is left to read it
     blocks: list[Block] | None = None  # of the differential at `truncation`, split on demand
-    # (block index, prime) -> that block's profile; None: the prime divides a denominator.
-    # Prime 0 holds the block's exact profile over Q.
-    profiles: dict[tuple[int, int], RankProfile | None] = field(default_factory=dict)
+    profiles: list[RankProfile | None] | None = None  # each block's profile over Q, on first use
 
 
 class BettiEngine:
     """Per-ring computation state: one record per bigrade cell, and a rank cache."""
 
-    def __init__(
-        self,
-        ring: GradedRing,
-        reduced: bool = True,
-        exact_only: bool = False,
-        primes: tuple[int, ...] = PRIMES,
-    ):
+    def __init__(self, ring: GradedRing, reduced: bool = True):
         if ring.dimension % 2:
             raise ValueError("the spectral-sequence engine requires even dimension")
         self.ring = ring
         self.reduced = reduced
-        self.exact_only = exact_only
-        self.primes = primes
         self._cells: dict[tuple[int, int], _Cell] = {}
         self._planned: dict[tuple[int, int], int] = {}  # largest truncation a plan reads
         self._ranks: dict[tuple[int, int, int], int] = {}
-        self.uncertified_cells: list[tuple[int, int, int]] = []
+        self.uncertified_cells: list[tuple[int, int, int]] = []  # always empty; perfbench reads it
 
     # -- cell records -----------------------------------------------------------
 
@@ -120,6 +101,7 @@ class BettiEngine:
                     target.codes = None
             matrix = assemble_matrix(self.ring, p, q, t, self.reduced, bases=bases)
             cell.blocks = split_blocks(matrix)
+            cell.profiles = [None] * len(cell.blocks)
             cell.codes = None
         return cell
 
@@ -153,43 +135,6 @@ class BettiEngine:
 
     # -- ranks ----------------------------------------------------------------
 
-    def _block_profile(self, cell: _Cell, index: int, slot: int) -> RankProfile:
-        """Prefix-rank profile of one block of the cell for its slot-th usable prime."""
-        usable = 0
-        for prime in self.primes:
-            if (index, prime) not in cell.profiles:
-                try:
-                    profile = rank_profile_modular(cell.blocks[index].matrix, prime)
-                except UnusablePrimeError:
-                    profile = None
-                cell.profiles[index, prime] = profile
-            profile = cell.profiles[index, prime]
-            if profile is None:
-                continue
-            if usable == slot:
-                return profile
-            usable += 1
-        raise UnusablePrimeError("all configured primes divide some denominator")
-
-    def _exact_prefix_rank(self, cell: _Cell, index: int, k: int) -> int:
-        """Rank over Q of the block's first k columns, from one profile cached per block.
-
-        With exact_only the profile covers the whole block. Otherwise it stops
-        at the last column where the first prime's prefix rank is at most
-        CERTIFICATION_LIMIT: prefix ranks never decrease, so that column bounds
-        every cut ranked exactly because its modular rank is within the limit.
-        Only two primes that disagree above the limit ask past it, and then the
-        block is profiled again up to the cut.
-        """
-        profile = cell.profiles.get((index, 0))
-        if profile is None or k >= len(profile.prefix_ranks):
-            cap = None
-            if not self.exact_only:
-                limited = self._block_profile(cell, index, 0).prefix_ranks
-                cap = max(k, bisect_right(limited, CERTIFICATION_LIMIT) - 1)
-            profile = cell.profiles[index, 0] = exact_rank(cell.blocks[index].matrix, cap)
-        return profile.prefix_ranks[k]
-
     def rank(self, p: int, q: int, n: int) -> int:
         """Rank of the differential leaving cell (p, q) at truncation n."""
         if q <= 0 or p < 0 or n < 2 * q:
@@ -202,41 +147,21 @@ class BettiEngine:
         return value
 
     def _block_rank_sum(self, p: int, q: int, n_eff: int) -> int:
-        """Sum over the blocks of their ranks cut to truncation n_eff.
-
-        A block's mod-p rank is a lower bound on its rational rank, and its
-        counts of columns and of codomain rows are upper bounds, so a block
-        whose mod-p rank meets one is proven. A deficient block of rank at most
-        CERTIFICATION_LIMIT is ranked exactly; a larger one is checked at a
-        second prime, and the task is left uncertified when the primes agree.
-        With exact_only, every block is ranked exactly. Exact ranks, like
-        modular ones, are read from the block's cached prefix-rank profile.
-        """
+        """Sum over the blocks of their exact ranks cut to truncation n_eff."""
         cols = self.dim(p, q, n_eff)
         if cols == 0:
             return 0
-        rows = self.dim(p + self.ring.dimension, q - 1, n_eff)
+        self.dim(p + self.ring.dimension, q - 1, n_eff)  # the codomain's record, for assembly
         cell = self._split(p, q, n_eff)
-        total, uncertified = 0, False
+        total = 0
         for index, block in enumerate(cell.blocks):
             k = bisect_left(block.cols, cols)
             if k == 0:
                 break  # blocks are ordered by first column
-            if not self.exact_only:
-                candidate = self._block_profile(cell, index, 0).prefix_ranks[k]
-                if candidate == min(k, bisect_left(block.rows, rows)):
-                    total += candidate
-                    continue
-                if (
-                    candidate > CERTIFICATION_LIMIT
-                    and self._block_profile(cell, index, 1).prefix_ranks[k] == candidate
-                ):
-                    total += candidate
-                    uncertified = True
-                    continue
-            total += self._exact_prefix_rank(cell, index, k)
-        if uncertified:
-            self.uncertified_cells.append((p, q, n_eff))
+            profile = cell.profiles[index]
+            if profile is None:
+                profile = cell.profiles[index] = exact_rank(block.matrix)
+            total += profile.prefix_ranks[k]
         return total
 
     # -- dimensions of the limit page and Betti numbers ------------------------
@@ -329,15 +254,15 @@ class BettiEngine:
         )
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
 
-        init_args = (serialize_ring(self.ring), self.reduced, self.exact_only)
+        # a forking pool starts every worker at once, so ask for no more than can run
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=init_args
+            max_workers=min(workers, len(jobs), os.cpu_count() or 1),
+            initializer=_pool_init,
+            initargs=(serialize_ring(self.ring), self.reduced),
         ) as pool:
             for p, q, results in pool.map(_pool_ranks, jobs, chunksize=1):
-                for n_eff, value, uncertified in results:
+                for n_eff, value in results:
                     self._ranks[(p, q, n_eff)] = value
-                    if uncertified:
-                        self.uncertified_cells.append((p, q, n_eff))
 
 
 @dataclass
@@ -368,20 +293,19 @@ class BettiTable:
         return [self.grid[(n, i)] for i in range(self.i_max + 1)]
 
 
-def _engine_key(ring: GradedRing, reduced: bool, exact_only: bool):
-    return (ring, reduced, exact_only)
-
-
 _ENGINES: dict[tuple, BettiEngine] = {}
 
 
-def engine_for(ring: GradedRing, reduced: bool = True, exact_only: bool = False) -> BettiEngine:
+def engine_for(
+    ring: GradedRing,
+    reduced: bool = True,
+    exact_only: bool = False,  # ignored: every rank is exact; perfbench still passes it
+) -> BettiEngine:
     """Shared per-ring engine so rank caches persist across queries."""
-    key = _engine_key(ring, reduced, exact_only)
+    key = (ring, reduced)
     engine = _ENGINES.get(key)
     if engine is None:
-        engine = BettiEngine(ring, reduced=reduced, exact_only=exact_only)
-        _ENGINES[key] = engine
+        engine = _ENGINES[key] = BettiEngine(ring, reduced=reduced)
     return engine
 
 
@@ -400,14 +324,13 @@ def betti_table(
     i_max: int,
     *,
     reduced: bool = True,
-    exact_only: bool = False,
     workers: int = 1,
 ) -> BettiTable:
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
     if i_max < 0:
         raise ValueError("i_max must be nonnegative")
-    engine = engine_for(ring, reduced, exact_only)
+    engine = engine_for(ring, reduced)
     engine.compute_ranks(engine.required_ranks(n_min, n_max, i_max), workers=workers)
     grid: dict[tuple[int, int], int] = {}
     for n in range(n_min, n_max + 1):
@@ -458,15 +381,13 @@ def betti_odd_closed(ring: GradedRing, n: int) -> list[int]:
     return table[n]
 
 
-def _pool_init(ring_json: str, reduced: bool, exact_only: bool) -> None:
+def _pool_init(ring_json: str, reduced: bool) -> None:
     global _POOL_ENGINE
-    _POOL_ENGINE = BettiEngine(parse_ring(ring_json), reduced=reduced, exact_only=exact_only)
+    _POOL_ENGINE = BettiEngine(parse_ring(ring_json), reduced=reduced)
 
 
 def _pool_ranks(job: tuple[int, int, tuple[int, ...]]):
     p, q, truncations = job
     engine = _POOL_ENGINE
     engine._plan((p, q, n_eff) for n_eff in truncations)
-    ranks = [(n_eff, engine.rank(p, q, n_eff)) for n_eff in truncations]
-    unproven = set(engine.uncertified_cells)
-    return p, q, [(n_eff, value, (p, q, n_eff) in unproven) for n_eff, value in ranks]
+    return p, q, [(n_eff, engine.rank(p, q, n_eff)) for n_eff in truncations]

@@ -1,13 +1,12 @@
-"""Exact and modular rank computation for sparse rational matrices.
+"""Exact rank computation for sparse rational matrices.
 
-One sparse elimination serves both fields. It takes the columns strictly left
-to right and pivots each on the live row holding it with the fewest entries,
-which keeps fill low (as in structured sparse elimination over finite fields,
-Dumas & Villard, CASC 2002). So one pass records the rank of every column
-prefix, and one elimination serves every truncation of the same matrix.
+One sparse elimination over Q takes the columns strictly left to right and
+pivots each on the live row holding it with the fewest entries, which keeps
+fill low (as in structured sparse elimination over finite fields, Dumas &
+Villard, CASC 2002). So one pass records the rank of every column prefix, and
+one elimination serves every truncation of the same matrix.
 
-Modulo a large prime, a row update subtracts a multiple of the pivot row. Over
-Q the rows hold integers (a column with Fraction entries is first scaled by the
+The rows hold integers (a column with Fraction entries is first scaled by the
 lcm of their denominators) and updates are fraction-free: with pivot a, the
 row's entry b and g = gcd(a, b), the row becomes row*(a/g) - pivot_row*(b/g),
 and is then divided by the gcd of its entries.
@@ -18,17 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
-
-# Fixed large primes for the modular pre-pass; later entries are retry spares.
-PRIMES = (1000003, 999983, 999979, 999961, 999959)
-
-# Largest mod-p rank of a rank-deficient block that the hybrid path ranks
-# exactly; a deficient block above it is only cross-checked at a second prime.
-CERTIFICATION_LIMIT = 64
-
-
-class UnusablePrimeError(ValueError):
-    """The prime divides the denominator of some entry."""
 
 
 @dataclass
@@ -115,9 +103,8 @@ def split_blocks(m: RationalMatrix) -> list[Block]:
 
 @dataclass(slots=True)
 class RankProfile:
-    """Ranks of every column prefix of one matrix over one field."""
+    """Ranks over Q of every column prefix of one matrix."""
 
-    prime: int  # the field's characteristic: a prime, or 0 for Q
     prefix_ranks: list[int]  # prefix_ranks[k] = rank of the first k columns
 
     @property
@@ -125,42 +112,35 @@ class RankProfile:
         return self.prefix_ranks[-1]
 
 
-
-
-def _triples(m: RationalMatrix, col_cap: int, prime: int) -> list[tuple[int, int, int]]:
-    """The nonzero entries of m's first col_cap columns as (row, col, int) triples.
+def _triples(m: RationalMatrix) -> list[tuple[int, int, int]]:
+    """The nonzero entries of m as (row, col, int) triples.
 
     Int entries, which the engine assembles, pass through. A column holding a
     Fraction is scaled by the lcm of its denominators, which keeps every prefix
-    rank, unless the prime divides it. A nonzero prime reduces the values.
+    rank.
     """
     scale: dict[int, int] = {}
     for (_, c), v in m.entries.items():
-        if type(v) is not int and c < col_cap:
+        if type(v) is not int:
             scale[c] = lcm(scale.get(c, 1), v.denominator)
-    if prime and any(s % prime == 0 for s in scale.values()):
-        raise UnusablePrimeError(f"prime {prime} divides a denominator")
     triples = []
     for (r, c), v in m.entries.items():
-        if c < col_cap:
-            if c in scale:
-                v = int(v * scale[c])
-            if prime:
-                v %= prime
-            if v:
-                triples.append((r, c, v))
+        if c in scale:
+            v = int(v * scale[c])
+        if v:
+            triples.append((r, c, v))
     return triples
 
 
-def _profile(col_cap: int, triples: list[tuple[int, int, int]], prime: int) -> RankProfile:
-    """Prefix ranks of the integer triples modulo prime, or over Q when prime is 0."""
+def _profile(cols: int, triples: list[tuple[int, int, int]]) -> RankProfile:
+    """Prefix ranks over Q of the integer triples, in a matrix of the given width."""
     live: dict[int, dict[int, int]] = {}  # row -> its nonzero entries, by column
     holders: dict[int, set[int]] = {}  # column -> the live rows with an entry there
     for r, c, v in triples:
         live.setdefault(r, {})[c] = v
         holders.setdefault(c, set()).add(r)
     prefix = [0]  # prefix[-1] = pivots found so far
-    for j in range(col_cap):
+    for j in range(cols):
         candidates = holders.pop(j, None)
         if not candidates:
             prefix.append(prefix[-1])
@@ -170,25 +150,19 @@ def _profile(col_cap: int, triples: list[tuple[int, int, int]], prime: int) -> R
         candidates.discard(pivot_row)
         pivot_entries = live.pop(pivot_row)
         pivot = pivot_entries.pop(j)
-        if prime:
-            inverse = pow(pivot, prime - 2, prime)
         for c in pivot_entries:
             holders[c].discard(pivot_row)
         for r in candidates:
             row = live[r]
-            if prime:
-                factor = row.pop(j) * inverse % prime
-            else:  # row * (pivot / g) - pivot_row * (entry / g) keeps integers
-                entry = row.pop(j)
-                g = gcd(pivot, entry)
-                factor, scale = entry // g, pivot // g
-                if scale != 1:
-                    for c in row:
-                        row[c] *= scale
+            # row * (pivot / g) - pivot_row * (entry / g) keeps integers
+            entry = row.pop(j)
+            g = gcd(pivot, entry)
+            factor, scale = entry // g, pivot // g
+            if scale != 1:
+                for c in row:
+                    row[c] *= scale
             for c, v in pivot_entries.items():
                 value = row.get(c, 0) - factor * v
-                if prime:
-                    value %= prime
                 if value:
                     if c not in row:
                         holders[c].add(r)
@@ -198,33 +172,21 @@ def _profile(col_cap: int, triples: list[tuple[int, int, int]], prime: int) -> R
                     holders[c].discard(r)
             if not row:
                 del live[r]
-            elif not prime:
+            else:
                 content = gcd(*row.values())
                 if content != 1:
                     for c in row:
                         row[c] //= content
         prefix.append(prefix[-1] + 1)
         if not live:
-            prefix.extend([prefix[-1]] * (col_cap - j - 1))
+            prefix.extend([prefix[-1]] * (cols - j - 1))
             break
-    return RankProfile(prime=prime, prefix_ranks=prefix)
+    return RankProfile(prefix)
 
 
-def rank_profile_modular(
-    m: RationalMatrix, prime: int, col_cap: int | None = None
-) -> RankProfile:
-    """Prefix ranks of m modulo prime, eliminating columns strictly left to right."""
-    cap = m.cols if col_cap is None else min(col_cap, m.cols)
-    return _profile(cap, _triples(m, cap, prime), prime)
-
-
-def rank_profile_exact(m: RationalMatrix, col_cap: int | None = None) -> RankProfile:
-    """Prefix ranks of m over Q, by the same elimination on integer rows.
-
-    The profile has min(col_cap, m.cols) + 1 entries: reading past the cap raises.
-    """
-    cap = m.cols if col_cap is None else min(col_cap, m.cols)
-    return _profile(cap, _triples(m, cap, 0), 0)
+def rank_profile_exact(m: RationalMatrix) -> RankProfile:
+    """Prefix ranks of m over Q: m.cols + 1 entries, from one left-to-right elimination."""
+    return _profile(m.cols, _triples(m))
 
 
 def rank(m: RationalMatrix) -> int:

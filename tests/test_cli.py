@@ -118,6 +118,14 @@ def test_compute_csv_shape_and_determinism(capsys):
     assert out2 == out  # byte-identical rerun
 
 
+def test_exact_only_flag_is_accepted_and_changes_nothing(capsys):
+    args = ("compute", "--space", "sigma2", "--n", "1..6", "--i-max", "10")
+    code, out, _ = run_cli(capsys, *args)
+    exact_code, exact_out, _ = run_cli(capsys, *args, "--exact-only")
+    assert (code, exact_code) == (0, 0)
+    assert exact_out == out
+
+
 def test_compute_md_format(capsys):
     code, out, _ = run_cli(
         capsys, "compute", "--space", "cp1", "--n", "1..2", "--i-max", "3", "--format", "md"

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
-import multiprocessing
+import concurrent.futures
+import os
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import confbetti.engine as engine_module
+from conftest import load_golden
 from confbetti import (
     BettiEngine,
+    RankProfile,
     RationalMatrix,
     betti_number,
     betti_odd_closed,
@@ -18,7 +21,7 @@ from confbetti import (
     e_infinity_dim,
     engine_for,
     rank,
-    rank_profile_modular,
+    rank_profile_exact,
     ring_cp,
     ring_product,
     ring_projective_bundle_cp2,
@@ -27,7 +30,6 @@ from confbetti import (
     stable_betti,
     vanishing_bound,
 )
-from confbetti.linalg import CERTIFICATION_LIMIT, PRIMES
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -93,12 +95,32 @@ def test_consistency_guard_quiet_on_valid_grid():
     assert engine.uncertified_cells == []
 
 
-def test_exact_only_engine_matches_hybrid(sigma2):
-    exact = BettiEngine(sigma2, exact_only=True)
-    hybrid = BettiEngine(sigma2)
+def _whole_matrix_betti(engine: BettiEngine, i: int, n: int) -> int:
+    """b_i from the rank of each whole truncated matrix, with no block or cached profile."""
+    if i >= vanishing_bound(engine.ring, n):
+        return 0
+
+    def whole_rank(p, q):
+        if q <= 0 or p < 0 or n < 2 * q:
+            return 0
+        return rank(engine.truncated_matrix(p, q, n))
+
+    return sum(
+        engine.dim(p, q, n) - whole_rank(p, q) - whole_rank(p - engine.ring.dimension, q + 1)
+        for p, q in engine._line_cells(i, n)
+        if engine.dim(p, q, n)
+    )
+
+
+def test_exact_only_engine_matches_hybrid(sigma2, fresh_engines):
+    # perfbench still asks for the exact-only engine: it is the one engine, and proven
+    exact = engine_for(sigma2, True, True)
+    assert exact is engine_for(sigma2)
+    whole = BettiEngine(sigma2)
     for n in (2, 5, 8):
         for i in range(0, 10):
-            assert exact.betti_number(i, n) == hybrid.betti_number(i, n)
+            assert exact.betti_number(i, n) == _whole_matrix_betti(whole, i, n)
+    assert exact.uncertified_cells == []
 
 
 def test_required_ranks_covers_incoming(cp2):
@@ -172,20 +194,36 @@ def test_worker_pool_table_matches_serial(cp1xcp1, fresh_engines):
     assert pooled.grid == betti_table(cp1xcp1, 1, 6, 10, workers=1).grid
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="only a forked worker inherits the patched limit",
-)
-def test_worker_pool_keeps_proof_status(cp1xcp1, fresh_engines, monkeypatch):
-    # with no exact ranking of deficient blocks, two tasks stay unproven
-    monkeypatch.setattr(engine_module, "CERTIFICATION_LIMIT", 0)
-    serial = betti_table(cp1xcp1, 1, 8, 14, workers=1)
-    unproven = sorted(engine_for(cp1xcp1).uncertified_cells)
-    assert unproven == [(8, 2, 7), (8, 2, 8)]
+@pytest.mark.parametrize("cpus, expected", [(3, 3), (None, 1)])
+def test_worker_pool_asks_for_no_more_workers_than_cpus(
+    cp1xcp1, cpus, expected, fresh_engines, monkeypatch
+):
+    requested = []
+
+    class InlineExecutor:
+        """Records the pool size asked for and runs every job in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            requested.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(engine_module, "_POOL_ENGINE", None, raising=False)
+    pooled = betti_table(cp1xcp1, 1, 6, 10, workers=10**6)
+    assert requested == [expected]
+    assert engine_for(cp1xcp1).uncertified_cells == []
     fresh_engines()
-    pooled = betti_table(cp1xcp1, 1, 8, 14, workers=2)
-    assert pooled.grid == serial.grid
-    assert sorted(engine_for(cp1xcp1).uncertified_cells) == unproven
+    assert pooled.grid == betti_table(cp1xcp1, 1, 6, 10, workers=1).grid
 
 
 def test_query_past_a_table_builds_each_cell_once(sigma2, fresh_engines, monkeypatch):
@@ -228,40 +266,12 @@ def planted_cell(cp1, monkeypatch):
 
 
 def test_rank_above_both_modular_ranks_is_found(planted_cell):
-    p1, p2 = PRIMES[:2]
+    p1, p2 = 1000003, 999983
     engine = planted_cell({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1 + p1 * p2})
     # the determinant p1 * p2 vanishes at both primes, so both mod-p ranks are 1
     assert engine.rank(0, 1, 2) == 2
+    assert engine._cells[(0, 1)].profiles == [RankProfile([0, 1, 2])]
     assert engine.uncertified_cells == []
-
-
-def test_deficient_block_above_the_limit_is_uncertified_once(planted_cell, monkeypatch):
-    monkeypatch.setattr(engine_module, "CERTIFICATION_LIMIT", 0)
-    engine = planted_cell({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1})
-    assert engine.rank(0, 1, 2) == 1
-    assert engine.rank(0, 1, 2) == 1
-    assert engine.uncertified_cells == [(0, 1, 2)]
-
-
-def test_primes_disagreeing_above_the_limit_rank_past_the_cap(planted_cell, monkeypatch):
-    monkeypatch.setattr(engine_module, "CERTIFICATION_LIMIT", 0)
-    p1 = PRIMES[0]
-    engine = planted_cell({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1 + p1})
-    # rank 1 at the first prime and 2 at the second, so the full cut is ranked exactly
-    assert engine.rank(0, 1, 2) == 2
-    assert engine._cells[(0, 1)].profiles[(0, 0)].prefix_ranks == [0, 1, 2]
-    assert engine.uncertified_cells == []
-
-
-def test_unusable_prime_moves_only_its_block(planted_cell):
-    engine = planted_cell({(0, 0): Fraction(1, PRIMES[0]), (1, 1): 1})
-    assert engine.rank(0, 1, 2) == 2
-    cell = engine._cells[(0, 1)]
-    assert [block.cols for block in cell.blocks] == [(0,), (1,)]
-    assert cell.profiles[(0, PRIMES[0])] is None
-    assert cell.profiles[(0, PRIMES[1])].rank == 1
-    assert cell.profiles[(1, PRIMES[0])].rank == 1
-    assert (1, PRIMES[1]) not in cell.profiles
 
 
 @pytest.mark.parametrize(
@@ -282,9 +292,9 @@ def test_block_prefix_ranks_match_the_whole_cell(ring, n_max):
     for (p, q), cell in list(engine._cells.items()):
         if q == 0:
             continue
-        whole = rank_profile_modular(engine.cell_matrix(p, q, cell.truncation), PRIMES[0])
-        profiles = [engine._block_profile(cell, index, 0) for index in range(len(cell.blocks))]
-        assert all(profile.prime == PRIMES[0] for profile in profiles)
+        whole = rank_profile_exact(engine.cell_matrix(p, q, cell.truncation))
+        profiles = [rank_profile_exact(block.matrix) for block in cell.blocks]
+        assert all(cached in (None, profile) for cached, profile in zip(cell.profiles, profiles))
         combined = [
             sum(
                 profile.prefix_ranks[bisect_left(block.cols, k)]
@@ -297,16 +307,26 @@ def test_block_prefix_ranks_match_the_whole_cell(ring, n_max):
     assert checked > 0
 
 
-def test_exact_only_table_matches_hybrid_on_sigma3():
+def test_exact_only_table_matches_hybrid_on_sigma3(fresh_engines):
+    # the exact-only engine perfbench reads is the default one, and proven
     sigma3 = ring_surface(3)
-    exact = BettiEngine(sigma3, exact_only=True)
-    hybrid = BettiEngine(sigma3)
-    for engine in (exact, hybrid):
-        engine.compute_ranks(engine.required_ranks(1, 6, 12))
+    exact = engine_for(sigma3, True, True)
+    assert exact is engine_for(sigma3)
+    exact.compute_ranks(exact.required_ranks(1, 6, 12))
+    whole = BettiEngine(sigma3)
     for n in range(1, 7):
         for i in range(13):
-            assert exact.betti_number(i, n) == hybrid.betti_number(i, n)
-    assert hybrid.uncertified_cells == []
+            assert exact.betti_number(i, n) == _whole_matrix_betti(whole, i, n)
+    assert exact.uncertified_cells == []
+
+
+def test_cp6_table_is_proven_and_matches_the_golden_table(fresh_engines):
+    cp6 = ring_cp(6)
+    table = betti_table(cp6, 1, 9, 115)
+    golden = {(n, i): v for (n, i), v in load_golden("cp6").items() if n <= 9 and i <= 115}
+    assert len(golden) > 900
+    assert {key: table.grid[key] for key in golden} == golden
+    assert engine_for(cp6).uncertified_cells == []
 
 
 def test_worker_pool_table_matches_serial_on_sigma2(sigma2, fresh_engines):
@@ -316,50 +336,26 @@ def test_worker_pool_table_matches_serial_on_sigma2(sigma2, fresh_engines):
     assert pooled.grid == betti_table(sigma2, 1, 6, top, workers=1).grid
 
 
-@pytest.mark.parametrize("exact_only", [True, False], ids=["exact-only", "hybrid"])
-def test_exact_profile_runs_once_per_block(sigma2, exact_only, monkeypatch):
+def test_exact_profile_runs_once_per_block(sigma2, monkeypatch):
     calls: dict[int, int] = {}  # id of the block matrix -> exact profiles of it
     original = engine_module.exact_rank
 
-    def counting(matrix, col_cap=None):
+    def counting(matrix):
         calls[id(matrix)] = calls.get(id(matrix), 0) + 1
-        return original(matrix, col_cap)
+        return original(matrix)
 
     monkeypatch.setattr(engine_module, "exact_rank", counting)
-    engine = BettiEngine(sigma2, exact_only=exact_only)
+    engine = BettiEngine(sigma2)
     tasks = engine.required_ranks(1, 8, vanishing_bound(sigma2, 8) - 1)
     engine.compute_ranks(tasks)
     blocks = {id(block.matrix) for cell in engine._cells.values() for block in cell.blocks or ()}
     assert calls and set(calls) <= blocks
     assert max(calls.values()) == 1
     monkeypatch.undo()
-    fresh = BettiEngine(sigma2, exact_only=exact_only)
+    fresh = BettiEngine(sigma2)
     for p, q, n_eff in tasks:
         assert engine.rank(p, q, n_eff) == fresh.rank(p, q, n_eff)
-        if exact_only:
-            assert engine.rank(p, q, n_eff) == rank(engine.truncated_matrix(p, q, n_eff))
-
-
-@pytest.mark.parametrize("limit", [CERTIFICATION_LIMIT, 10])
-def test_hybrid_exact_profile_stops_at_the_modular_limit(sigma2, limit, monkeypatch):
-    monkeypatch.setattr(engine_module, "CERTIFICATION_LIMIT", limit)
-    engine = BettiEngine(sigma2)
-    tasks = engine.required_ranks(1, 8, vanishing_bound(sigma2, 8) - 1)
-    engine.compute_ranks(tasks)
-    profiles = capped = 0
-    for cell in engine._cells.values():
-        for (index, prime), profile in cell.profiles.items():
-            if prime != 0:
-                continue
-            modular = engine._block_profile(cell, index, 0).prefix_ranks
-            limit_column = bisect_right(modular, limit) - 1
-            assert len(profile.prefix_ranks) - 1 == limit_column
-            profiles += 1
-            capped += limit_column < len(modular) - 1
-    assert profiles > 0
-    assert capped > 0 or limit == CERTIFICATION_LIMIT  # no sigma2 block ranks above 64
-    exact = BettiEngine(sigma2, exact_only=True)
-    assert [engine.rank(*task) for task in tasks] == [exact.rank(*task) for task in tasks]
+        assert engine.rank(p, q, n_eff) == rank(engine.truncated_matrix(p, q, n_eff))
 
 
 def test_readme_library_snippet_runs():

@@ -8,14 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confbetti import (
-    RationalMatrix,
-    UnusablePrimeError,
-    rank,
-    rank_profile_exact,
-    rank_profile_modular,
-)
-from confbetti.linalg import PRIMES, split_blocks
+from confbetti import RationalMatrix, rank, rank_profile_exact
+from confbetti.linalg import split_blocks
 
 
 def _matrix(rows, cols, entries):
@@ -25,13 +19,13 @@ def _matrix(rows, cols, entries):
 def test_rank_identity():
     m = _matrix(5, 5, {(i, i): 1 for i in range(5)})
     assert rank(m) == 5
-    assert rank_profile_modular(m, 7).rank == 5
+    assert rank_profile_exact(m).prefix_ranks == [0, 1, 2, 3, 4, 5]
 
 
 def test_rank_zero_matrix():
     m = _matrix(4, 3, {})
     assert rank(m) == 0
-    assert rank_profile_modular(m, PRIMES[0]).rank == 0
+    assert rank_profile_exact(m).prefix_ranks == [0, 0, 0, 0]
 
 
 def test_rank_with_fractions():
@@ -104,21 +98,6 @@ def test_permutation_invariance():
     assert rank(m) == rank(permuted)
 
 
-def test_modular_matches_exact_on_random_products():
-    rng = random.Random(23)
-    for _ in range(8):
-        rows, cols = rng.randint(2, 9), rng.randint(2, 9)
-        entries = {
-            (r, c): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            for r in range(rows)
-            for c in range(cols)
-            if rng.random() < 0.6
-        }
-        entries = {k: v for k, v in entries.items() if v}
-        m = RationalMatrix(rows, cols, entries)
-        assert rank_profile_modular(m, PRIMES[0]).rank == rank(m)
-
-
 def test_rank_profile_prefix_consistency():
     rng = random.Random(31)
     entries = {
@@ -129,23 +108,12 @@ def test_rank_profile_prefix_consistency():
     }
     entries = {k: v for k, v in entries.items() if v}
     m = RationalMatrix(8, 10, entries)
-    profile = rank_profile_modular(m, PRIMES[0], 10)
+    profile = rank_profile_exact(m)
     assert profile.prefix_ranks[0] == 0
     assert profile.prefix_ranks[-1] == profile.rank
     for k in range(1, 11):
         assert profile.prefix_ranks[k] == rank(m.column_prefix(k))
         assert 0 <= profile.prefix_ranks[k] - profile.prefix_ranks[k - 1] <= 1
-
-
-def test_unusable_prime_raises():
-    p = PRIMES[0]
-    m = _matrix(1, 1, {(0, 0): Fraction(1, p)})
-    with pytest.raises(UnusablePrimeError):
-        rank_profile_modular(m, p).rank
-    wider = _matrix(2, 3, {(0, 0): 1, (1, 1): 2, (1, 2): Fraction(5, 3 * p)})
-    with pytest.raises(UnusablePrimeError):
-        rank_profile_modular(wider, p)
-    assert rank_profile_modular(wider, p, col_cap=2).prefix_ranks == [0, 1, 2]
 
 
 @st.composite
@@ -160,17 +128,6 @@ def shuffled_sparse(draw):
             entries[(r, c)] = Fraction(value, draw(st.integers(1, 3)))
     order = draw(st.permutations(range(rows)))
     return RationalMatrix(rows, cols, {(order[r], c): v for (r, c), v in entries.items()})
-
-
-@settings(max_examples=150, deadline=None)
-@given(shuffled_sparse())
-def test_modular_profile_is_every_prefix_rank(m):
-    profile = rank_profile_modular(m, PRIMES[0])
-    assert len(profile.prefix_ranks) == m.cols + 1
-    for k in range(m.cols + 1):
-        assert profile.prefix_ranks[k] == rank(m.column_prefix(k))
-        capped = rank_profile_modular(m, PRIMES[0], col_cap=k)
-        assert capped.prefix_ranks == profile.prefix_ranks[: k + 1]
 
 
 def test_matmul_and_rank_of_composition():
@@ -251,8 +208,8 @@ def test_split_blocks_partition_and_sum_the_ranks(m):
     firsts = [block.cols[0] for block in blocks]
     assert firsts == sorted(firsts)
     assert sum(rank(block.matrix) for block in blocks) == rank(m)
-    whole = rank_profile_modular(m, PRIMES[0]).prefix_ranks
-    parts = [rank_profile_modular(block.matrix, PRIMES[0]).prefix_ranks for block in blocks]
+    whole = rank_profile_exact(m).prefix_ranks
+    parts = [rank_profile_exact(block.matrix).prefix_ranks for block in blocks]
     for k in range(m.cols + 1):
         assert sum(
             prefix[bisect_left(block.cols, k)] for block, prefix in zip(blocks, parts)
@@ -307,25 +264,18 @@ def _sympy_prefix_ranks(sympy, m):
 def test_exact_profile_is_every_prefix_rank_over_q(m):
     sympy = pytest.importorskip("sympy")
     expected = _sympy_prefix_ranks(sympy, m)
-    profile = rank_profile_exact(m)
-    assert profile.prime == 0
-    assert profile.prefix_ranks == expected
+    assert rank_profile_exact(m).prefix_ranks == expected
     assert rank(m) == expected[-1]
-    for cap in range(m.cols + 1):
-        capped = rank_profile_exact(m, col_cap=cap)
-        assert capped.prefix_ranks == expected[: cap + 1]
-        if cap < m.cols:
-            with pytest.raises(IndexError):
-                capped.prefix_ranks[cap + 1]
 
 
 def test_exact_profile_finds_the_rank_both_primes_miss():
     sympy = pytest.importorskip("sympy")
-    p1, p2 = PRIMES[:2]
+    from sympy.polys.matrices import DomainMatrix
+
+    p1, p2 = 1000003, 999983
     planted = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1 + p1 * p2}  # determinant p1 * p2
+    dense = DomainMatrix.from_Matrix(sympy.Matrix([[1, 1], [1, 1 + p1 * p2]]))
+    assert [dense.convert_to(sympy.GF(p)).rank() for p in (p1, p2)] == [1, 1]
     for scale in (1, Fraction(1, 7)):
         m = RationalMatrix(2, 2, {key: v * scale for key, v in planted.items()})
-        assert rank_profile_modular(m, p1).prefix_ranks == [0, 1, 1]
-        assert rank_profile_modular(m, p2).prefix_ranks == [0, 1, 1]
         assert rank_profile_exact(m).prefix_ranks == [0, 1, 2] == _sympy_prefix_ranks(sympy, m)
-        assert rank_profile_exact(m, col_cap=1).prefix_ranks == [0, 1]
