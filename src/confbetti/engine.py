@@ -12,9 +12,11 @@ and the differential preserves length, so the matrix at any n <= t is a
 leading part of the cell's matrix: each block cut to its leading columns and
 rows. The rank at n is the sum of those cut blocks' ranks, and one exact
 left-to-right elimination per block yields them at every truncation, so every
-rank is proven; the record caches each block's profile on first use. A request
-beyond the plan rebuilds the record at saturation, so a query past a table
-rebuilds each cell once.
+rank is proven; the record caches each block's profile on first use. The first
+block of each cell, which every truncation of it reads, is also eliminated
+modulo one prime as a spot check: its exact profile may not fall below that
+one anywhere. A request beyond the plan rebuilds the record at saturation, so
+a query past a table rebuilds each cell once.
 """
 from __future__ import annotations
 
@@ -25,13 +27,18 @@ from typing import Iterable
 
 from .basis import enumerate_basis, monomial_length
 from .differential import PackedBasis, assemble_matrix, pack_basis
-from .linalg import Block, RankProfile, RationalMatrix, split_blocks
+from .linalg import Block, RankProfile, RationalMatrix, rank_profile_modular, split_blocks
 from .linalg import rank_profile_exact as exact_rank
 from .rings import GradedRing, parse_ring, serialize_ring
 
 
 class InternalConsistencyError(RuntimeError):
-    """A provably nonnegative quantity came out negative: abort loudly."""
+    """A provable inequality came out false: abort loudly."""
+
+
+# The spot check's modulus (see the module docstring). perfbench's traced smoke
+# run also expects this call: it looks for a `linalg.modular` span with a prime.
+_CHECK_PRIME = 1000003
 
 
 def vanishing_bound(ring: GradedRing, n: int) -> int:
@@ -161,8 +168,20 @@ class BettiEngine:
             profile = cell.profiles[index]
             if profile is None:
                 profile = cell.profiles[index] = exact_rank(block.matrix)
+                if index == 0 and profile.prefix_ranks[k] < k:  # else no prime ranks higher
+                    self._spot_check(block, profile, k, (p, q))
             total += profile.prefix_ranks[k]
         return total
+
+    @staticmethod
+    def _spot_check(block: Block, profile: RankProfile, k: int, cell: tuple[int, int]) -> None:
+        """Reduction modulo a prime never raises a rank, so the exact profile dominates."""
+        modular = rank_profile_modular(block.matrix, _CHECK_PRIME, k)
+        if any(m > e for m, e in zip(modular.prefix_ranks, profile.prefix_ranks)):
+            raise InternalConsistencyError(
+                f"exact prefix ranks {profile.prefix_ranks} fall below the ranks "
+                f"{modular.prefix_ranks} modulo {_CHECK_PRIME} in cell {cell}"
+            )
 
     # -- dimensions of the limit page and Betti numbers ------------------------
 

@@ -9,7 +9,9 @@ one elimination serves every truncation of the same matrix.
 The rows hold integers (a column with Fraction entries is first scaled by the
 lcm of their denominators) and updates are fraction-free: with pivot a, the
 row's entry b and g = gcd(a, b), the row becomes row*(a/g) - pivot_row*(b/g),
-and is then divided by the gcd of its entries.
+and is then divided by the gcd of its entries. Modulo a prime the same update
+runs on residues, which are reduced instead of divided; the engine uses it only
+as a spot check, since reduction can lower a rank but never raise it.
 """
 from __future__ import annotations
 
@@ -132,8 +134,12 @@ def _triples(m: RationalMatrix) -> list[tuple[int, int, int]]:
     return triples
 
 
-def _profile(cols: int, triples: list[tuple[int, int, int]]) -> RankProfile:
-    """Prefix ranks over Q of the integer triples, in a matrix of the given width."""
+def _profile(cols: int, triples: list[tuple[int, int, int]], prime: int = 0) -> RankProfile:
+    """Prefix ranks of the integer triples, in a matrix of the given width.
+
+    The ranks are over Q, or modulo prime when one is given and the triples
+    are residues.
+    """
     live: dict[int, dict[int, int]] = {}  # row -> its nonzero entries, by column
     holders: dict[int, set[int]] = {}  # column -> the live rows with an entry there
     for r, c, v in triples:
@@ -163,6 +169,8 @@ def _profile(cols: int, triples: list[tuple[int, int, int]]) -> RankProfile:
                     row[c] *= scale
             for c, v in pivot_entries.items():
                 value = row.get(c, 0) - factor * v
+                if prime:
+                    value %= prime
                 if value:
                     if c not in row:
                         holders[c].add(r)
@@ -172,6 +180,9 @@ def _profile(cols: int, triples: list[tuple[int, int, int]]) -> RankProfile:
                     holders[c].discard(r)
             if not row:
                 del live[r]
+            elif prime:  # a/g is a nonzero residue, so the update was a row operation
+                for c in row:
+                    row[c] %= prime
             else:
                 content = gcd(*row.values())
                 if content != 1:
@@ -187,6 +198,19 @@ def _profile(cols: int, triples: list[tuple[int, int, int]]) -> RankProfile:
 def rank_profile_exact(m: RationalMatrix) -> RankProfile:
     """Prefix ranks of m over Q: m.cols + 1 entries, from one left-to-right elimination."""
     return _profile(m.cols, _triples(m))
+
+
+def rank_profile_modular(
+    m: RationalMatrix, prime: int, col_cap: int | None = None
+) -> RankProfile:
+    """Prefix ranks modulo prime of m with its columns scaled to integers.
+
+    Each is at most the rank over Q of the same prefix. The profile stops after
+    col_cap columns when one is given; perfbench's tracer passes it by position.
+    """
+    cols = m.cols if col_cap is None else min(col_cap, m.cols)
+    triples = [(r, c, v % prime) for r, c, v in _triples(m) if c < cols and v % prime]
+    return _profile(cols, triples, prime)
 
 
 def rank(m: RationalMatrix) -> int:

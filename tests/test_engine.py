@@ -13,6 +13,7 @@ import confbetti.engine as engine_module
 from conftest import load_golden
 from confbetti import (
     BettiEngine,
+    InternalConsistencyError,
     RankProfile,
     RationalMatrix,
     betti_number,
@@ -336,7 +337,9 @@ def test_worker_pool_table_matches_serial_on_sigma2(sigma2, fresh_engines):
     assert pooled.grid == betti_table(sigma2, 1, 6, top, workers=1).grid
 
 
-def test_exact_profile_runs_once_per_block(sigma2, monkeypatch):
+@pytest.mark.parametrize("exact_only", [True, False], ids=["exact-only", "hybrid"])
+def test_exact_profile_runs_once_per_block(sigma2, exact_only, fresh_engines, monkeypatch):
+    # perfbench asks engine_for for both; the flag is ignored, so both rank exactly
     calls: dict[int, int] = {}  # id of the block matrix -> exact profiles of it
     original = engine_module.exact_rank
 
@@ -345,7 +348,7 @@ def test_exact_profile_runs_once_per_block(sigma2, monkeypatch):
         return original(matrix)
 
     monkeypatch.setattr(engine_module, "exact_rank", counting)
-    engine = BettiEngine(sigma2)
+    engine = engine_for(sigma2, True, exact_only)
     tasks = engine.required_ranks(1, 8, vanishing_bound(sigma2, 8) - 1)
     engine.compute_ranks(tasks)
     blocks = {id(block.matrix) for cell in engine._cells.values() for block in cell.blocks or ()}
@@ -356,6 +359,27 @@ def test_exact_profile_runs_once_per_block(sigma2, monkeypatch):
     for p, q, n_eff in tasks:
         assert engine.rank(p, q, n_eff) == fresh.rank(p, q, n_eff)
         assert engine.rank(p, q, n_eff) == rank(engine.truncated_matrix(p, q, n_eff))
+
+
+def test_spot_check_catches_an_exact_profile_below_the_modular_one(sigma2, monkeypatch):
+    checked = []
+    original = engine_module.rank_profile_modular
+
+    def recording(matrix, prime, col_cap=None):
+        checked.append(matrix)
+        return original(matrix, prime, col_cap)
+
+    monkeypatch.setattr(engine_module, "rank_profile_modular", recording)
+    engine = BettiEngine(sigma2)
+    tasks = engine.required_ranks(1, 6, 10)
+    engine.compute_ranks(tasks)
+    firsts = {id(cell.blocks[0].matrix) for cell in engine._cells.values() if cell.blocks}
+    assert checked and {id(matrix) for matrix in checked} <= firsts
+    monkeypatch.setattr(
+        engine_module, "exact_rank", lambda matrix: RankProfile([0] * (matrix.cols + 1))
+    )
+    with pytest.raises(InternalConsistencyError, match="modulo 1000003"):
+        BettiEngine(sigma2).compute_ranks(tasks)
 
 
 def test_readme_library_snippet_runs():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confbetti import RationalMatrix, rank, rank_profile_exact
-from confbetti.linalg import split_blocks
+from confbetti.linalg import rank_profile_modular, split_blocks
 
 
 def _matrix(rows, cols, entries):
@@ -98,6 +98,31 @@ def test_permutation_invariance():
     assert rank(m) == rank(permuted)
 
 
+def test_modular_matches_exact_on_random_products():
+    rng = random.Random(23)
+    for _ in range(8):
+        rows, cols = rng.randint(2, 9), rng.randint(2, 9)
+        entries = {
+            (r, c): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            for r in range(rows)
+            for c in range(cols)
+            if rng.random() < 0.6
+        }
+        entries = {k: v for k, v in entries.items() if v}
+        m = RationalMatrix(rows, cols, entries)
+        assert rank_profile_modular(m, 1000003).rank == rank(m)
+
+
+def test_modular_profile_vanishes_where_an_update_is_a_multiple_of_the_prime():
+    # det = 2*5 - 3*1 = 7: the update of row 1 leaves 7 in column 1, zero modulo 7
+    m = _matrix(2, 2, {(0, 0): 2, (0, 1): 3, (1, 0): 1, (1, 1): 5})
+    assert rank_profile_modular(m, 7).prefix_ranks == [0, 1, 1]
+    assert rank_profile_modular(m, 11).prefix_ranks == [0, 1, 2]
+    assert rank_profile_exact(m).prefix_ranks == [0, 1, 2]
+    scaled = _matrix(2, 2, {(0, 0): Fraction(2, 3), (0, 1): 3, (1, 0): Fraction(1, 3), (1, 1): 5})
+    assert rank_profile_modular(scaled, 7).prefix_ranks == [0, 1, 1]
+
+
 def test_rank_profile_prefix_consistency():
     rng = random.Random(31)
     entries = {
@@ -128,6 +153,17 @@ def shuffled_sparse(draw):
             entries[(r, c)] = Fraction(value, draw(st.integers(1, 3)))
     order = draw(st.permutations(range(rows)))
     return RationalMatrix(rows, cols, {(order[r], c): v for (r, c), v in entries.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_sparse())
+def test_modular_profile_is_every_prefix_rank(m):
+    profile = rank_profile_modular(m, 1000003)
+    assert len(profile.prefix_ranks) == m.cols + 1
+    for k in range(m.cols + 1):
+        assert profile.prefix_ranks[k] == rank(m.column_prefix(k))
+        capped = rank_profile_modular(m, 1000003, col_cap=k)
+        assert capped.prefix_ranks == profile.prefix_ranks[: k + 1]
 
 
 def test_matmul_and_rank_of_composition():
@@ -279,3 +315,5 @@ def test_exact_profile_finds_the_rank_both_primes_miss():
     for scale in (1, Fraction(1, 7)):
         m = RationalMatrix(2, 2, {key: v * scale for key, v in planted.items()})
         assert rank_profile_exact(m).prefix_ranks == [0, 1, 2] == _sympy_prefix_ranks(sympy, m)
+        for p in (p1, p2):
+            assert rank_profile_modular(m, p).prefix_ranks == [0, 1, 1]
