@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .basis import format_monomial
-from .differential import cell_images, image_scale
+from .differential import assemble_matrix, cell_images, image_scale
 from .engine import BettiTable, betti_odd_closed, betti_table, engine_for, stable_betti
 from .oracles import run_all
 from .rings import GradedRing, RingError, euler_characteristic, parse_ring
@@ -99,23 +99,26 @@ def _grid_rows(config: RunConfig, table: BettiTable) -> str:
 
 def _dump_matrices(config: RunConfig) -> None:
     engine = engine_for(config.ring, config.reduced)
-    scale = image_scale(config.ring)  # the engine's matrices hold scale * d
+    scale = image_scale(config.ring)  # assembled matrices hold scale * d
     truncations: dict[tuple[int, int], list[int]] = {}
     for p, q, n_eff in engine.required_ranks(config.n_min, config.n_max, config.i_max):
         truncations.setdefault((p, q), []).append(n_eff)
     for (p, q), ns in truncations.items():
-        # the basis is graded by length, so each truncation lists a prefix of the largest
+        # the bases are graded by length, so each truncation is a leading part of the largest
+        top = max(ns)
+        whole = assemble_matrix(config.ring, p, q, top, config.reduced)
+        whole.entries = {key: Fraction(v, scale) for key, v in whole.entries.items()}
         listing = []
-        for monomial, image in cell_images(config.ring, p, q, max(ns), config.reduced):
+        for monomial, image in cell_images(config.ring, p, q, top, config.reduced):
             terms = " + ".join(
                 f"({coeff})*{format_monomial(config.ring, m)}" for m, coeff in image.terms
             )
             listing.append(f"{format_monomial(config.ring, monomial)} -> {terms or '0'}")
         for n_eff in ns:
-            matrix = engine.truncated_matrix(p, q, n_eff)
-            matrix.entries = {key: Fraction(v, scale) for key, v in matrix.entries.items()}
-            lines = [matrix.dump_triplets(), ""]
-            lines += listing[: engine.dim(p, q, n_eff)]
+            cols = engine.dim(p, q, n_eff)
+            rows = engine.dim(p + config.ring.dimension, q - 1, n_eff)
+            matrix = whole.column_prefix(cols, rows=rows)
+            lines = [matrix.dump_triplets(), "", *listing[:cols]]
             path = config.dump_dir / f"d_p{p}_q{q}_n{n_eff}.txt"
             path.write_text("\n".join(lines) + "\n")
 
@@ -140,7 +143,7 @@ def _make_config(args, ring: GradedRing, space: str, i_max: int) -> RunConfig:
         i_max=i_max,
         reduced=not args.no_reduction,
         fmt=args.format,
-        workers=1 if args.dump_matrices else args.workers,
+        workers=args.workers,
         dump_dir=Path(args.dump_matrices) if args.dump_matrices else None,
     )
 
@@ -248,7 +251,7 @@ def _add_common_options(sub, *, n_default=None, i_required=False, i_default=None
     sub.add_argument(
         "--dump-matrices",
         metavar="DIR",
-        help="write every differential matrix and generator image to DIR (serial mode)",
+        help="write every differential matrix and generator image to DIR",
     )
 
 

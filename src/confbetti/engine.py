@@ -2,32 +2,30 @@
 
 Each bigrade cell (p, q) is one record, built once at a truncation t: the
 lengths of its basis, its packed basis until the assemblies that read it are
-done, and the blocks of the differential leaving it (the connected components
-of the matrix's row-column graph) with their prefix-rank profiles over Q.
-The matrix is assembled once from the packed bases, split, and dropped. Before
+done, and the prefix ranks over Q of the differential leaving it. Before
 ranking, a table plans the largest truncation it reads each cell at, and the
 cell is built there; a cell no plan names is built at saturation (length
 p + 2q, beyond which it stops growing). The basis order is graded by length
-and the differential preserves length, so the matrix at any n <= t is a
-leading part of the cell's matrix: each block cut to its leading columns and
-rows. The rank at n is the sum of those cut blocks' ranks, and one exact
-left-to-right elimination per block yields them at every truncation, so every
-rank is proven; the record caches each block's profile on first use. The first
-block of each cell, which every truncation of it reads, is also eliminated
-modulo one prime as a spot check: its exact profile may not fall below that
-one anywhere. A request beyond the plan rebuilds the record at saturation, so
-a query past a table rebuilds each cell once.
+and the differential preserves length, so the matrix at any n <= t is the
+leading dim(p, q, n) columns of the cell's matrix, and its rank is one entry of
+the record's prefix ranks. The matrix is assembled once from the packed bases,
+ranked by one exact left-to-right elimination, and dropped, so every rank is
+proven. When the columns of the cell's shortest monomials are rank-deficient,
+they are also eliminated modulo one prime as a spot check: the exact ranks may
+not fall below those anywhere. An empty cell is never assembled. A request
+beyond the plan rebuilds the record at saturation, so a query past a table
+rebuilds each cell once.
 """
 from __future__ import annotations
 
 import os
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .basis import enumerate_basis, monomial_length
 from .differential import PackedBasis, assemble_matrix, pack_basis
-from .linalg import Block, RankProfile, RationalMatrix, rank_profile_modular, split_blocks
+from .linalg import RankProfile, RationalMatrix, rank_profile_modular
 from .linalg import rank_profile_exact as exact_rank
 from .rings import GradedRing, parse_ring, serialize_ring
 
@@ -53,12 +51,11 @@ class _Cell:
     truncation: int
     lengths: tuple[int, ...]  # nondecreasing; lengths[k] = length of basis monomial k
     codes: PackedBasis | None  # the packed basis, until no assembly is left to read it
-    blocks: list[Block] | None = None  # of the differential at `truncation`, split on demand
-    profiles: list[RankProfile | None] | None = None  # each block's profile over Q, on first use
+    ranks: list[int] | None  # ranks[k] = rank of d on the first k columns, once ranked
 
 
 class BettiEngine:
-    """Per-ring computation state: one record per bigrade cell, and a rank cache."""
+    """Per-ring computation state: one record per bigrade cell."""
 
     def __init__(self, ring: GradedRing, reduced: bool = True):
         if ring.dimension % 2:
@@ -67,7 +64,6 @@ class BettiEngine:
         self.reduced = reduced
         self._cells: dict[tuple[int, int], _Cell] = {}
         self._planned: dict[tuple[int, int], int] = {}  # largest truncation a plan reads
-        self._ranks: dict[tuple[int, int, int], int] = {}
         self.uncertified_cells: list[tuple[int, int, int]] = []  # always empty; perfbench reads it
 
     # -- cell records -----------------------------------------------------------
@@ -84,44 +80,38 @@ class BettiEngine:
                 truncation,
                 tuple(monomial_length(m) for m in monomials),
                 pack_basis(monomials, truncation),
+                None if monomials else [0],  # an empty cell is never assembled
             )
             self._cells[(p, q)] = cell
         return cell
 
-    def _split(self, p: int, q: int, n: int) -> _Cell:
-        """The record of cell (p, q), covering n, with the blocks of its matrix.
+    def _ranked(self, p: int, q: int, n: int) -> _Cell:
+        """The record of cell (p, q), covering n, with the prefix ranks of its differential.
 
         The matrix is assembled from the packed bases of this cell and of its
-        codomain's record, when that record covers the truncation; otherwise
-        the assembly enumerates both again. The cell's own assembly is the last
-        to read its codes, and a q = 0 codomain is read by one cell only.
+        codomain's record, ranked over Q in one pass, and dropped. The cell's
+        own assembly is the last to read its codes, and a q = 0 codomain is
+        read by one cell only; a codomain whose codes are gone is enumerated
+        again inside the assembly.
         """
         cell = self._cell(p, q, n)
-        if cell.blocks is None:
+        if cell.ranks is None:
             t = cell.truncation
-            target = self._cells.get((p + self.ring.dimension, q - 1))
+            target = self._cell(p + self.ring.dimension, q - 1, t)
             bases = None
-            if target is not None and target.truncation >= t and target.codes is not None:
+            if target.codes is not None:
                 rows = bisect_right(target.lengths, t)
                 bases = (cell.codes, target.codes._replace(codes=target.codes.codes[:rows]))
-                if q == 1 or target.blocks is not None:
+                if q == 1:
                     target.codes = None
             matrix = assemble_matrix(self.ring, p, q, t, self.reduced, bases=bases)
-            cell.blocks = split_blocks(matrix)
-            cell.profiles = [None] * len(cell.blocks)
+            profile = exact_rank(matrix)
+            shortest = bisect_right(cell.lengths, cell.lengths[0])
+            if profile.prefix_ranks[shortest] < shortest:  # else no prime ranks higher
+                self._spot_check(matrix, profile, shortest, (p, q))
+            cell.ranks = profile.prefix_ranks
             cell.codes = None
         return cell
-
-    def cell_matrix(self, p: int, q: int, n: int) -> RationalMatrix:
-        """L times the differential on cell (p, q) at its truncation, rebuilt from its blocks."""
-        cell = self._split(p, q, n)
-        entries = {
-            (block.rows[i], block.cols[j]): v
-            for block in cell.blocks
-            for (i, j), v in block.matrix.entries.items()
-        }
-        rows = self.dim(p + self.ring.dimension, q - 1, cell.truncation)
-        return RationalMatrix(rows, len(cell.lengths), entries)
 
     def dim(self, p: int, q: int, n: int) -> int:
         """dim of cell (p, q) at truncation n: a prefix of the cell's basis."""
@@ -129,57 +119,28 @@ class BettiEngine:
             return 0
         return bisect_right(self._cell(p, q, n).lengths, n)
 
-    def truncated_matrix(self, p: int, q: int, n: int) -> RationalMatrix:
-        """L times the differential on (p, q) at truncation n: leading columns and rows of it.
-
-        Both bases are graded by length and the differential preserves length,
-        so the first dim(p, q, n) columns have no entry in a row of length > n.
-        """
-        matrix = self.cell_matrix(p, q, n)
-        return matrix.column_prefix(
-            self.dim(p, q, n), rows=self.dim(p + self.ring.dimension, q - 1, n)
-        )
-
     # -- ranks ----------------------------------------------------------------
 
     def rank(self, p: int, q: int, n: int) -> int:
-        """Rank of the differential leaving cell (p, q) at truncation n."""
+        """Rank of the differential leaving cell (p, q) at truncation n.
+
+        Both bases are graded by length and the differential preserves it, so
+        the matrix at n is the leading dim(p, q, n) columns of the cell's.
+        """
         if q <= 0 or p < 0 or n < 2 * q:
             return 0
-        n_eff = min(n, p + 2 * q)
-        key = (p, q, n_eff)
-        value = self._ranks.get(key)
-        if value is None:
-            value = self._ranks[key] = self._block_rank_sum(p, q, n_eff)
-        return value
-
-    def _block_rank_sum(self, p: int, q: int, n_eff: int) -> int:
-        """Sum over the blocks of their exact ranks cut to truncation n_eff."""
-        cols = self.dim(p, q, n_eff)
-        if cols == 0:
-            return 0
-        self.dim(p + self.ring.dimension, q - 1, n_eff)  # the codomain's record, for assembly
-        cell = self._split(p, q, n_eff)
-        total = 0
-        for index, block in enumerate(cell.blocks):
-            k = bisect_left(block.cols, cols)
-            if k == 0:
-                break  # blocks are ordered by first column
-            profile = cell.profiles[index]
-            if profile is None:
-                profile = cell.profiles[index] = exact_rank(block.matrix)
-                if index == 0 and profile.prefix_ranks[k] < k:  # else no prime ranks higher
-                    self._spot_check(block, profile, k, (p, q))
-            total += profile.prefix_ranks[k]
-        return total
+        cols = self.dim(p, q, n)
+        return self._ranked(p, q, n).ranks[cols] if cols else 0
 
     @staticmethod
-    def _spot_check(block: Block, profile: RankProfile, k: int, cell: tuple[int, int]) -> None:
+    def _spot_check(
+        matrix: RationalMatrix, profile: RankProfile, k: int, cell: tuple[int, int]
+    ) -> None:
         """Reduction modulo a prime never raises a rank, so the exact profile dominates."""
-        modular = rank_profile_modular(block.matrix, _CHECK_PRIME, k)
+        modular = rank_profile_modular(matrix, _CHECK_PRIME, k)
         if any(m > e for m, e in zip(modular.prefix_ranks, profile.prefix_ranks)):
             raise InternalConsistencyError(
-                f"exact prefix ranks {profile.prefix_ranks} fall below the ranks "
+                f"exact prefix ranks {profile.prefix_ranks[: k + 1]} fall below the ranks "
                 f"{modular.prefix_ranks} modulo {_CHECK_PRIME} in cell {cell}"
             )
 
@@ -257,31 +218,31 @@ class BettiEngine:
                     self._planned[cell] = n
 
     def compute_ranks(self, tasks: list[tuple[int, int, int]], workers: int = 1) -> None:
-        """Fill the rank cache for the given tasks, optionally with a process pool."""
-        pending = [t for t in tasks if (t[0], t[1], min(t[2], t[0] + 2 * t[1])) not in self._ranks]
-        self._plan(pending)
-        if workers <= 1 or len(pending) <= 1:
-            for p, q, n_eff in pending:
-                self.rank(p, q, n_eff)
-            return
-        by_cell: dict[tuple[int, int], list[int]] = {}
-        for p, q, n_eff in pending:
-            by_cell.setdefault((p, q), []).append(n_eff)
-        jobs = sorted(
-            ((p, q, tuple(sorted(set(ns)))) for (p, q), ns in by_cell.items()),
-            key=lambda job: -(self.dim(job[0], job[1], job[2][-1]) ** 2),
-        )
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
+        """Rank the cells the given tasks read, optionally in a process pool.
 
-        # a forking pool starts every worker at once, so ask for no more than can run
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(jobs), os.cpu_count() or 1),
-            initializer=_pool_init,
-            initargs=(serialize_ring(self.ring), self.reduced),
-        ) as pool:
-            for p, q, results in pool.map(_pool_ranks, jobs, chunksize=1):
-                for n_eff, value in results:
-                    self._ranks[(p, q, n_eff)] = value
+        A pool job is one cell at the truncation of this engine's record; the
+        worker returns the record's prefix ranks, and this engine keeps them.
+        """
+        self._plan(tasks)
+        cells = {(p, q): self._cell(p, q, n) for p, q, n in tasks} if workers > 1 else {}
+        jobs = sorted(
+            ((p, q, cell.truncation) for (p, q), cell in cells.items() if cell.ranks is None),
+            key=lambda job: -len(cells[job[:2]].lengths),
+        )
+        if len(jobs) > 1:
+            from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
+
+            # a forking pool starts every worker at once, so ask for no more than can run
+            with ProcessPoolExecutor(
+                max_workers=min(workers, len(jobs), os.cpu_count() or 1),
+                initializer=_pool_init,
+                initargs=(serialize_ring(self.ring), self.reduced),
+            ) as pool:
+                for (p, q, _), ranks in zip(jobs, pool.map(_pool_ranks, jobs, chunksize=1)):
+                    cell = cells[(p, q)]
+                    cell.ranks, cell.codes = ranks[: len(cell.lengths) + 1], None
+        for p, q, n in tasks:
+            self.rank(p, q, n)
 
 
 @dataclass
@@ -405,8 +366,8 @@ def _pool_init(ring_json: str, reduced: bool) -> None:
     _POOL_ENGINE = BettiEngine(parse_ring(ring_json), reduced=reduced)
 
 
-def _pool_ranks(job: tuple[int, int, tuple[int, ...]]):
-    p, q, truncations = job
-    engine = _POOL_ENGINE
-    engine._plan((p, q, n_eff) for n_eff in truncations)
-    return p, q, [(n_eff, engine.rank(p, q, n_eff)) for n_eff in truncations]
+def _pool_ranks(job: tuple[int, int, int]) -> list[int]:
+    """Prefix ranks of cell (p, q) at truncation t or beyond: those at t lead the list."""
+    p, q, t = job
+    _POOL_ENGINE._plan([job])
+    return _POOL_ENGINE._ranked(p, q, t).ranks

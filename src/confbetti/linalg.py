@@ -4,7 +4,10 @@ One sparse elimination over Q takes the columns strictly left to right and
 pivots each on the live row holding it with the fewest entries, which keeps
 fill low (as in structured sparse elimination over finite fields, Dumas &
 Villard, CASC 2002). So one pass records the rank of every column prefix, and
-one elimination serves every truncation of the same matrix.
+one elimination serves every truncation of the same matrix. A column's pivot
+and updates touch only rows holding that column, so the pass never mixes the
+independent blocks of a matrix (the connected components of its row-column
+graph), and ranking the blocks one by one would repeat the same row operations.
 
 The rows hold integers (a column with Fraction entries is first scaled by the
 lcm of their denominators) and updates are fraction-free: with pivot a, the
@@ -18,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple
 
 
 @dataclass
@@ -60,47 +62,6 @@ class RationalMatrix:
         for (r, c), v in sorted(self.entries.items()):
             lines.append(f"{r} {c} {v}")
         return "\n".join(lines) + "\n"
-
-
-class Block(NamedTuple):
-    """One connected component of a matrix's row-column graph."""
-
-    rows: tuple[int, ...]  # increasing global row indices
-    cols: tuple[int, ...]  # increasing global column indices
-    matrix: RationalMatrix  # local entry (i, j) is global entry (rows[i], cols[j])
-
-
-def split_blocks(m: RationalMatrix) -> list[Block]:
-    """The connected components of m's row-column graph, ordered by first column.
-
-    No entry links two blocks, so the rank of m and of every column prefix is
-    the sum over the blocks. Rows and columns without entries are in no block;
-    the local matrices share the Fraction objects of m.
-    """
-    parent = list(range(m.rows + m.cols))  # row r is node r, column c is node rows + c
-
-    def find(node: int) -> int:
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    for r, c in m.entries:
-        a, b = find(r), find(m.rows + c)
-        if a != b:
-            parent[a] = b
-    groups: dict[int, list[tuple[int, int, Fraction]]] = {}
-    for (r, c), v in m.entries.items():
-        groups.setdefault(find(r), []).append((r, c, v))
-    blocks = []
-    for group in groups.values():
-        rows = sorted({r for r, _, _ in group})
-        cols = sorted({c for _, c, _ in group})
-        row_at = {r: i for i, r in enumerate(rows)}
-        col_at = {c: j for j, c in enumerate(cols)}
-        local = {(row_at[r], col_at[c]): v for r, c, v in group}
-        blocks.append(Block(tuple(rows), tuple(cols), RationalMatrix(len(rows), len(cols), local)))
-    return sorted(blocks, key=lambda block: block.cols[0])
 
 
 @dataclass(slots=True)
@@ -209,7 +170,7 @@ def rank_profile_modular(
     col_cap columns when one is given; perfbench's tracer passes it by position.
     """
     cols = m.cols if col_cap is None else min(col_cap, m.cols)
-    triples = [(r, c, v % prime) for r, c, v in _triples(m) if c < cols and v % prime]
+    triples = [(r, c, v % prime) for r, c, v in _triples(m.column_prefix(cols)) if v % prime]
     return _profile(cols, triples, prime)
 
 

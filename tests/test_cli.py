@@ -266,6 +266,21 @@ def test_dump_matrices_writes_listings(tmp_path, capsys):
         assert (dump / name).read_text() == "\n".join(expected) + "\n"
 
 
+def test_dump_matrices_are_the_same_with_a_worker_pool(tmp_path, capsys, monkeypatch):
+    dumped = {}
+    for workers in ("2", "1"):
+        monkeypatch.setattr(confbetti.engine, "_ENGINES", {})  # rank every cell again
+        dump = tmp_path / f"workers{workers}"
+        code, out, _ = run_cli(
+            capsys, "compute", "--space", "sigma2", "--n", "1..5", "--i-max", "8",
+            "--workers", workers, "--dump-matrices", str(dump),
+        )
+        assert code == 0
+        dumped[workers] = out, {path.name: path.read_text() for path in dump.iterdir()}
+    assert len(dumped["1"][1]) > 10
+    assert dumped["2"] == dumped["1"]
+
+
 SCALED_CP2 = Path(__file__).parent / "rings" / "cp2_scaled.json"  # x*x = 2*x2
 
 

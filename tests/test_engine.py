@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import concurrent.futures
+import gc
 import os
 import re
-from bisect import bisect_left
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from confbetti import (
     InternalConsistencyError,
     RankProfile,
     RationalMatrix,
+    assemble_matrix,
     betti_number,
     betti_odd_closed,
     betti_table,
@@ -97,14 +99,14 @@ def test_consistency_guard_quiet_on_valid_grid():
 
 
 def _whole_matrix_betti(engine: BettiEngine, i: int, n: int) -> int:
-    """b_i from the rank of each whole truncated matrix, with no block or cached profile."""
+    """b_i from the rank of each matrix assembled at n, with no cell record's ranks."""
     if i >= vanishing_bound(engine.ring, n):
         return 0
 
     def whole_rank(p, q):
         if q <= 0 or p < 0 or n < 2 * q:
             return 0
-        return rank(engine.truncated_matrix(p, q, n))
+        return rank(assemble_matrix(engine.ring, p, q, n, engine.reduced))
 
     return sum(
         engine.dim(p, q, n) - whole_rank(p, q) - whole_rank(p - engine.ring.dimension, q + 1)
@@ -271,7 +273,7 @@ def test_rank_above_both_modular_ranks_is_found(planted_cell):
     engine = planted_cell({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1 + p1 * p2})
     # the determinant p1 * p2 vanishes at both primes, so both mod-p ranks are 1
     assert engine.rank(0, 1, 2) == 2
-    assert engine._cells[(0, 1)].profiles == [RankProfile([0, 1, 2])]
+    assert engine._cells[(0, 1)].ranks == [0, 1, 2]
     assert engine.uncertified_cells == []
 
 
@@ -290,20 +292,12 @@ def test_block_prefix_ranks_match_the_whole_cell(ring, n_max):
     top = vanishing_bound(ring, n_max) - 1
     engine.compute_ranks(engine.required_ranks(1, n_max, top))
     checked = 0
-    for (p, q), cell in list(engine._cells.items()):
-        if q == 0:
+    for (p, q), cell in engine._cells.items():
+        if q == 0 or cell.ranks is None:
             continue
-        whole = rank_profile_exact(engine.cell_matrix(p, q, cell.truncation))
-        profiles = [rank_profile_exact(block.matrix) for block in cell.blocks]
-        assert all(cached in (None, profile) for cached, profile in zip(cell.profiles, profiles))
-        combined = [
-            sum(
-                profile.prefix_ranks[bisect_left(block.cols, k)]
-                for block, profile in zip(cell.blocks, profiles)
-            )
-            for k in range(len(cell.lengths) + 1)
-        ]
-        assert combined == whole.prefix_ranks
+        # the engine ranks the whole cell in one pass; the profile here is independent of it
+        whole = rank_profile_exact(assemble_matrix(ring, p, q, cell.truncation))
+        assert cell.ranks == whole.prefix_ranks
         checked += 1
     assert checked > 0
 
@@ -337,10 +331,25 @@ def test_worker_pool_table_matches_serial_on_sigma2(sigma2, fresh_engines):
     assert pooled.grid == betti_table(sigma2, 1, 6, top, workers=1).grid
 
 
+def _record_assemblies(monkeypatch) -> list:
+    """Keep every matrix the engine assembles alive, with its cell and truncation."""
+    assembled = []
+    original = engine_module.assemble_matrix
+
+    def recording(ring, p, q, n, reduced=True, bases=None):
+        matrix = original(ring, p, q, n, reduced, bases)
+        assembled.append(((p, q, n), matrix))
+        return matrix
+
+    monkeypatch.setattr(engine_module, "assemble_matrix", recording)
+    return assembled
+
+
 @pytest.mark.parametrize("exact_only", [True, False], ids=["exact-only", "hybrid"])
 def test_exact_profile_runs_once_per_block(sigma2, exact_only, fresh_engines, monkeypatch):
     # perfbench asks engine_for for both; the flag is ignored, so both rank exactly
-    calls: dict[int, int] = {}  # id of the block matrix -> exact profiles of it
+    assembled = _record_assemblies(monkeypatch)
+    calls: dict[int, int] = {}  # id of an assembled matrix -> exact profiles of it
     original = engine_module.exact_rank
 
     def counting(matrix):
@@ -351,14 +360,14 @@ def test_exact_profile_runs_once_per_block(sigma2, exact_only, fresh_engines, mo
     engine = engine_for(sigma2, True, exact_only)
     tasks = engine.required_ranks(1, 8, vanishing_bound(sigma2, 8) - 1)
     engine.compute_ranks(tasks)
-    blocks = {id(block.matrix) for cell in engine._cells.values() for block in cell.blocks or ()}
-    assert calls and set(calls) <= blocks
-    assert max(calls.values()) == 1
+    assert assembled and set(calls) == {id(matrix) for _, matrix in assembled}
+    assert set(calls.values()) == {1}
+    assert len({cell[:2] for cell, _ in assembled}) == len(assembled)  # each cell once
     monkeypatch.undo()
     fresh = BettiEngine(sigma2)
     for p, q, n_eff in tasks:
         assert engine.rank(p, q, n_eff) == fresh.rank(p, q, n_eff)
-        assert engine.rank(p, q, n_eff) == rank(engine.truncated_matrix(p, q, n_eff))
+        assert engine.rank(p, q, n_eff) == rank(assemble_matrix(sigma2, p, q, n_eff))
 
 
 def test_spot_check_catches_an_exact_profile_below_the_modular_one(sigma2, monkeypatch):
@@ -370,16 +379,44 @@ def test_spot_check_catches_an_exact_profile_below_the_modular_one(sigma2, monke
         return original(matrix, prime, col_cap)
 
     monkeypatch.setattr(engine_module, "rank_profile_modular", recording)
+    assembled = _record_assemblies(monkeypatch)
     engine = BettiEngine(sigma2)
     tasks = engine.required_ranks(1, 6, 10)
     engine.compute_ranks(tasks)
-    firsts = {id(cell.blocks[0].matrix) for cell in engine._cells.values() if cell.blocks}
-    assert checked and {id(matrix) for matrix in checked} <= firsts
+    assert checked and {id(matrix) for matrix in checked} <= {id(m) for _, m in assembled}
     monkeypatch.setattr(
         engine_module, "exact_rank", lambda matrix: RankProfile([0] * (matrix.cols + 1))
     )
     with pytest.raises(InternalConsistencyError, match="modulo 1000003"):
         BettiEngine(sigma2).compute_ranks(tasks)
+
+
+def test_no_matrix_outlives_its_ranking(sigma2):
+    engine = BettiEngine(sigma2)
+    engine.compute_ranks(engine.required_ranks(1, 6, vanishing_bound(sigma2, 6) - 1))
+    assert any(cell.ranks != [0] for cell in engine._cells.values() if cell.ranks)
+    seen, stack = set(), [engine]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, RationalMatrix)
+        stack.extend(gc.get_referents(obj))
+
+
+def test_worker_pool_leaves_the_serial_ranks_in_each_record(sigma2, fresh_engines, monkeypatch):
+    top = vanishing_bound(sigma2, 6) - 1
+    assembled = _record_assemblies(monkeypatch)  # a worker's calls stay in the worker
+    betti_table(sigma2, 1, 6, top, workers=2)
+    assert assembled == []
+    pooled = engine_for(sigma2)
+    serial = BettiEngine(sigma2)
+    serial.compute_ranks(serial.required_ranks(1, 6, top))
+    ranked = {key: cell.ranks for key, cell in pooled._cells.items() if cell.ranks}
+    assert len(ranked) > 10
+    assert ranked == {key: serial._cells[key].ranks for key in ranked}
+    assert all(pooled._cells[key].codes is None for key in ranked if ranked[key] != [0])
 
 
 def test_readme_library_snippet_runs():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confbetti import RationalMatrix, rank, rank_profile_exact
-from confbetti.linalg import rank_profile_modular, split_blocks
+from confbetti.linalg import rank_profile_modular
 
 
 def _matrix(rows, cols, entries):
@@ -203,53 +202,6 @@ def test_rank_bounds_hypothesis(rows, cols, data):
     value = rank(m)
     assert 0 <= value <= min(rows, cols)
     assert value == rank(m.transpose())
-
-
-@st.composite
-def planted_blocks(draw):
-    """A matrix of random sparse diagonal blocks and empty lines, rows and columns shuffled."""
-    entries, rows, cols = {}, 0, 0
-    for _ in range(draw(st.integers(0, 5))):
-        height, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-        for r in range(height):
-            for c in range(width):
-                value = draw(st.integers(-3, 3))
-                if value:
-                    entries[(rows + r, cols + c)] = Fraction(value, draw(st.integers(1, 2)))
-        rows, cols = rows + height, cols + width
-    rows, cols = rows + draw(st.integers(0, 2)), cols + draw(st.integers(0, 2))
-    row_perm = draw(st.permutations(range(rows)))
-    col_perm = draw(st.permutations(range(cols)))
-    shuffled = {(row_perm[r], col_perm[c]): v for (r, c), v in entries.items()}
-    return RationalMatrix(rows, cols, shuffled)
-
-
-@settings(max_examples=80, deadline=None)
-@given(planted_blocks())
-def test_split_blocks_partition_and_sum_the_ranks(m):
-    blocks = split_blocks(m)
-    covered = {}
-    for block in blocks:
-        assert list(block.rows) == sorted(set(block.rows))
-        assert list(block.cols) == sorted(set(block.cols))
-        assert (block.matrix.rows, block.matrix.cols) == (len(block.rows), len(block.cols))
-        assert len(split_blocks(block.matrix)) == 1  # connected
-        for (i, j), v in block.matrix.entries.items():
-            key = (block.rows[i], block.cols[j])
-            assert key not in covered and m.entries[key] is v
-            covered[key] = v
-    assert covered == m.entries
-    assert len({r for b in blocks for r in b.rows}) == sum(len(b.rows) for b in blocks)
-    assert len({c for b in blocks for c in b.cols}) == sum(len(b.cols) for b in blocks)
-    firsts = [block.cols[0] for block in blocks]
-    assert firsts == sorted(firsts)
-    assert sum(rank(block.matrix) for block in blocks) == rank(m)
-    whole = rank_profile_exact(m).prefix_ranks
-    parts = [rank_profile_exact(block.matrix).prefix_ranks for block in blocks]
-    for k in range(m.cols + 1):
-        assert sum(
-            prefix[bisect_left(block.cols, k)] for block, prefix in zip(blocks, parts)
-        ) == whole[k]
 
 
 def test_sympy_rank_agreement():
