@@ -4,7 +4,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,19 +13,6 @@ from .engine import BettiTable, betti_odd_closed, betti_table, engine_for, stabl
 from .oracles import run_all
 from .rings import GradedRing, RingError, euler_characteristic, parse_ring
 from .spaces import REGISTRY, resolve_space
-
-
-@dataclass
-class RunConfig:
-    ring: GradedRing
-    space: str
-    n_min: int
-    n_max: int
-    i_max: int
-    reduced: bool
-    fmt: str
-    workers: int
-    dump_dir: Path | None
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
@@ -66,15 +52,15 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
-def _grid_rows(config: RunConfig, table: BettiTable) -> str:
-    header = ["n"] + [f"b_{i}" for i in range(config.i_max + 1)]
-    ns = range(config.n_min, config.n_max + 1)
-    if config.fmt == "csv":
+def _grid_rows(table: BettiTable, space: str, fmt: str) -> str:
+    header = ["n"] + [f"b_{i}" for i in range(table.i_max + 1)]
+    ns = range(table.n_min, table.n_max + 1)
+    if fmt == "csv":
         lines = [",".join(header)]
         for n in ns:
             lines.append(",".join([str(n)] + [str(v) for v in table.row(n)]))
         return "\n".join(lines) + "\n"
-    if config.fmt == "md":
+    if fmt == "md":
         lines = ["| " + " | ".join(header) + " |"]
         lines.append("|" + "---|" * len(header))
         for n in ns:
@@ -82,14 +68,14 @@ def _grid_rows(config: RunConfig, table: BettiTable) -> str:
         return "\n".join(lines) + "\n"
     # json
     cells = [
-        {"n": n, "i": i, "betti": table.betti(n, i)} for n in ns for i in range(config.i_max + 1)
+        {"n": n, "i": i, "betti": table.betti(n, i)} for n in ns for i in range(table.i_max + 1)
     ]
     onsets = {str(i): onset for i, onset in table.stabilization_onsets.items()}
     payload = {
         "metadata": {
-            "space": config.space,
-            "dimension": config.ring.dimension,
-            "euler": euler_characteristic(config.ring),
+            "space": space,
+            "dimension": table.ring.dimension,
+            "euler": euler_characteristic(table.ring),
             "stable_onsets": onsets,
         },
         "cells": cells,
@@ -97,29 +83,28 @@ def _grid_rows(config: RunConfig, table: BettiTable) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _dump_matrices(config: RunConfig) -> None:
-    engine = engine_for(config.ring, config.reduced)
-    scale = image_scale(config.ring)  # assembled matrices hold scale * d
+def _dump_matrices(table: BettiTable, reduced: bool, directory: Path) -> None:
+    ring = table.ring
+    engine = engine_for(ring, reduced)
+    scale = image_scale(ring)  # assembled matrices hold scale * d
     truncations: dict[tuple[int, int], list[int]] = {}
-    for p, q, n_eff in engine.required_ranks(config.n_min, config.n_max, config.i_max):
+    for p, q, n_eff in engine.required_ranks(table.n_min, table.n_max, table.i_max):
         truncations.setdefault((p, q), []).append(n_eff)
     for (p, q), ns in truncations.items():
         # the bases are graded by length, so each truncation is a leading part of the largest
         top = max(ns)
-        whole = assemble_matrix(config.ring, p, q, top, config.reduced)
+        whole = assemble_matrix(ring, p, q, top, reduced)
         whole.entries = {key: Fraction(v, scale) for key, v in whole.entries.items()}
         listing = []
-        for monomial, image in cell_images(config.ring, p, q, top, config.reduced):
-            terms = " + ".join(
-                f"({coeff})*{format_monomial(config.ring, m)}" for m, coeff in image.terms
-            )
-            listing.append(f"{format_monomial(config.ring, monomial)} -> {terms or '0'}")
+        for monomial, image in cell_images(ring, p, q, top, reduced):
+            terms = " + ".join(f"({coeff})*{format_monomial(ring, m)}" for m, coeff in image.terms)
+            listing.append(f"{format_monomial(ring, monomial)} -> {terms or '0'}")
         for n_eff in ns:
             cols = engine.dim(p, q, n_eff)
-            rows = engine.dim(p + config.ring.dimension, q - 1, n_eff)
+            rows = engine.dim(p + ring.dimension, q - 1, n_eff)
             matrix = whole.column_prefix(cols, rows=rows)
             lines = [matrix.dump_triplets(), "", *listing[:cols]]
-            path = config.dump_dir / f"d_p{p}_q{q}_n{n_eff}.txt"
+            path = directory / f"d_p{p}_q{q}_n{n_eff}.txt"
             path.write_text("\n".join(lines) + "\n")
 
 
@@ -134,20 +119,6 @@ def cmd_spaces(args) -> int:
     return 0
 
 
-def _make_config(args, ring: GradedRing, space: str, i_max: int) -> RunConfig:
-    return RunConfig(
-        ring=ring,
-        space=space,
-        n_min=args.n_range[0],
-        n_max=args.n_range[1],
-        i_max=i_max,
-        reduced=not args.no_reduction,
-        fmt=args.format,
-        workers=args.workers,
-        dump_dir=Path(args.dump_matrices) if args.dump_matrices else None,
-    )
-
-
 def cmd_compute(args) -> int:
     ring, space = _load_ring(args)
     if ring.dimension % 2:
@@ -155,23 +126,18 @@ def cmd_compute(args) -> int:
             f"space {space!r} is odd-dimensional; use the betti-odd command, "
             "which evaluates the closed formula"
         )
-    config = _make_config(args, ring, space, args.i_max)
-    if config.dump_dir is not None:
+    reduced = not args.no_reduction
+    dump_dir = Path(args.dump_matrices) if args.dump_matrices else None
+    if dump_dir is not None:
         try:
-            config.dump_dir.mkdir(parents=True, exist_ok=True)
+            dump_dir.mkdir(parents=True, exist_ok=True)
         except OSError as err:
             raise UsageError(f"cannot create --dump-matrices directory: {err}") from None
-    table = betti_table(
-        ring,
-        config.n_min,
-        config.n_max,
-        config.i_max,
-        reduced=config.reduced,
-        workers=config.workers,
-    )
-    if config.dump_dir is not None:
-        _dump_matrices(config)
-    sys.stdout.write(_grid_rows(config, table))
+    n_min, n_max = args.n_range
+    table = betti_table(ring, n_min, n_max, args.i_max, reduced=reduced, workers=args.workers)
+    if dump_dir is not None:
+        _dump_matrices(table, reduced, dump_dir)
+    sys.stdout.write(_grid_rows(table, space, args.format))
     return 0
 
 
@@ -182,15 +148,15 @@ def cmd_betti_odd(args) -> int:
             f"space {space!r} is even-dimensional; use the compute command, "
             "which runs the spectral sequence"
         )
-    i_max = args.i_max if args.i_max is not None else args.n_range[1] * ring.dimension
-    config = _make_config(args, ring, space, i_max)
+    n_min, n_max = args.n_range
+    i_max = args.i_max if args.i_max is not None else n_max * ring.dimension
     grid = {}
-    for n in range(config.n_min, config.n_max + 1):
+    for n in range(n_min, n_max + 1):
         values = betti_odd_closed(ring, n)
         for i in range(i_max + 1):
             grid[(n, i)] = values[i] if i < len(values) else 0
-    table = BettiTable(ring, config.n_min, config.n_max, i_max, grid)
-    sys.stdout.write(_grid_rows(config, table))
+    table = BettiTable(ring, n_min, n_max, i_max, grid)
+    sys.stdout.write(_grid_rows(table, space, args.format))
     return 0
 
 
@@ -223,7 +189,8 @@ def _add_ring_options(sub) -> None:
     group.add_argument("--ring-file", help="path to a JSON ring description")
 
 
-def _add_common_options(sub, *, n_default=None, i_required=False, i_default=None) -> None:
+def _add_grid_options(sub, *, n_default=None, i_required=False, i_default=None) -> None:
+    """The ring, the point-count range and the largest cohomological degree."""
     _add_ring_options(sub)
     sub.add_argument(
         "--n",
@@ -239,19 +206,6 @@ def _add_common_options(sub, *, n_default=None, i_required=False, i_default=None
         required=i_required,
         default=i_default,
         help="largest cohomological degree to report",
-    )
-    sub.add_argument("--format", choices=("csv", "md", "json"), default="csv")
-    sub.add_argument("--no-reduction", action="store_true", help="keep top-class monomials")
-    sub.add_argument(
-        "--exact-only",
-        action="store_true",
-        help="accepted for compatibility; every rank is exact",
-    )
-    sub.add_argument("--workers", type=int, default=1, help="parallel rank processes")
-    sub.add_argument(
-        "--dump-matrices",
-        metavar="DIR",
-        help="write every differential matrix and generator image to DIR",
     )
 
 
@@ -269,11 +223,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_spaces)
 
     sub = subs.add_parser("compute", help="Betti-number table over an n range")
-    _add_common_options(sub, i_required=True)
+    _add_grid_options(sub, i_required=True)
+    sub.add_argument("--format", choices=("csv", "md", "json"), default="csv")
+    sub.add_argument("--no-reduction", action="store_true", help="keep top-class monomials")
+    sub.add_argument(
+        "--exact-only",
+        action="store_true",
+        help="accepted for compatibility; every rank is exact",
+    )
+    sub.add_argument("--workers", type=int, default=1, help="parallel rank processes")
+    sub.add_argument(
+        "--dump-matrices",
+        metavar="DIR",
+        help="write every differential matrix and generator image to DIR",
+    )
     sub.set_defaults(func=cmd_compute)
 
     sub = subs.add_parser("verify", help="run the oracle suite; one line per check")
-    _add_common_options(sub, n_default=(1, 6), i_default=14)
+    _add_grid_options(sub, n_default=(1, 6), i_default=14)
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("stable", help="stable Betti numbers b_0..b_imax")
@@ -284,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser(
         "betti-odd", help="closed-formula table for odd-dimensional manifolds"
     )
-    _add_common_options(sub)
+    _add_grid_options(sub)
+    sub.add_argument("--format", choices=("csv", "md", "json"), default="csv")
     sub.set_defaults(func=cmd_betti_odd)
 
     return parser

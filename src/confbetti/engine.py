@@ -1,27 +1,29 @@
 """Betti-number engine: orchestrates enumeration, differentials, and ranks.
 
-Each bigrade cell (p, q) is one record, built once at a truncation t: the
-lengths of its basis, its packed basis until the assemblies that read it are
-done, and the prefix ranks over Q of the differential leaving it. Before
-ranking, a table plans the largest truncation it reads each cell at, and the
-cell is built there; a cell no plan names is built at saturation (length
-p + 2q, beyond which it stops growing). The basis order is graded by length
-and the differential preserves length, so the matrix at any n <= t is the
-leading dim(p, q, n) columns of the cell's matrix, and its rank is one entry of
-the record's prefix ranks. The matrix is assembled once from the packed bases,
-ranked by one exact left-to-right elimination, and dropped, so every rank is
-proven. When the columns of the cell's shortest monomials are rank-deficient,
-they are also eliminated modulo one prime as a spot check: the exact ranks may
-not fall below those anywhere. An empty cell is never assembled. A request
-beyond the plan rebuilds the record at saturation, so a query past a table
-rebuilds each cell once.
+Each bigrade cell (p, q) is one record, built once at a truncation t and
+indexed by length L <= t: the dimension and the rank over Q of the
+differential leaving the cell at truncation L, and its packed basis until the
+assemblies that read it are done. Before ranking, a table raises the engine's
+reach to its largest n; a cell read within the reach is built at
+min(saturation, reach), and any other at saturation (length p + 2q, beyond
+which the cell stops growing). A table reading a cell at some n reads it at
+every larger n up to its last, so this is the largest truncation the table
+reads the cell at. The basis order is graded by length and the differential
+preserves length, so the matrix at any n <= t is the leading dim(p, q, n)
+columns of the cell's matrix, and its rank is one prefix rank of that matrix.
+The matrix is assembled once from the packed bases, ranked by one exact
+left-to-right elimination, and dropped, so every rank is proven. When the
+columns of the cell's shortest monomials are rank-deficient, they are also
+eliminated modulo one prime as a spot check: the exact ranks may not fall below
+those anywhere. An empty cell is never assembled. A request beyond the reach
+rebuilds the record at saturation, so a query past a table rebuilds each cell
+once.
 """
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import accumulate
 
 from .basis import enumerate_basis, monomial_length
 from .differential import PackedBasis, assemble_matrix, pack_basis
@@ -49,9 +51,9 @@ class _Cell:
     """One bigrade cell, built at truncation t; it serves every n with min(n, p + 2q) <= t."""
 
     truncation: int
-    lengths: tuple[int, ...]  # nondecreasing; lengths[k] = length of basis monomial k
+    dims: list[int]  # dims[L] = basis monomials of length <= L, for L <= truncation
     codes: PackedBasis | None  # the packed basis, until no assembly is left to read it
-    ranks: list[int] | None  # ranks[k] = rank of d on the first k columns, once ranked
+    ranks: list[int] | None  # ranks[L] = rank of d on the first dims[L] columns, once ranked
 
 
 class BettiEngine:
@@ -63,7 +65,7 @@ class BettiEngine:
         self.ring = ring
         self.reduced = reduced
         self._cells: dict[tuple[int, int], _Cell] = {}
-        self._planned: dict[tuple[int, int], int] = {}  # largest truncation a plan reads
+        self._reach = 0  # largest truncation a table reads
         self.uncertified_cells: list[tuple[int, int, int]] = []  # always empty; perfbench reads it
 
     # -- cell records -----------------------------------------------------------
@@ -73,20 +75,19 @@ class BettiEngine:
         saturation = max(1, p + 2 * q)  # the cell stops growing beyond this length
         cell = self._cells.get((p, q))
         if cell is None or cell.truncation < min(n, saturation):
-            planned = self._planned.get((p, q), saturation)
-            truncation = min(saturation, planned) if n <= planned else saturation
+            truncation = min(saturation, self._reach) if n <= self._reach else saturation
             monomials = enumerate_basis(self.ring, p, q, truncation, self.reduced)
-            cell = _Cell(
-                truncation,
-                tuple(monomial_length(m) for m in monomials),
-                pack_basis(monomials, truncation),
-                None if monomials else [0],  # an empty cell is never assembled
-            )
+            counts = [0] * (truncation + 1)
+            for monomial in monomials:
+                counts[monomial_length(monomial)] += 1
+            dims = list(accumulate(counts))
+            ranks = None if dims[-1] else dims  # an empty cell is never assembled
+            cell = _Cell(truncation, dims, pack_basis(monomials, truncation), ranks)
             self._cells[(p, q)] = cell
         return cell
 
     def _ranked(self, p: int, q: int, n: int) -> _Cell:
-        """The record of cell (p, q), covering n, with the prefix ranks of its differential.
+        """The record of cell (p, q), covering n, with the ranks of its differential.
 
         The matrix is assembled from the packed bases of this cell and of its
         codomain's record, ranked over Q in one pass, and dropped. The cell's
@@ -100,16 +101,16 @@ class BettiEngine:
             target = self._cell(p + self.ring.dimension, q - 1, t)
             bases = None
             if target.codes is not None:
-                rows = bisect_right(target.lengths, t)
+                rows = target.dims[min(t, target.truncation)]
                 bases = (cell.codes, target.codes._replace(codes=target.codes.codes[:rows]))
                 if q == 1:
                     target.codes = None
             matrix = assemble_matrix(self.ring, p, q, t, self.reduced, bases=bases)
             profile = exact_rank(matrix)
-            shortest = bisect_right(cell.lengths, cell.lengths[0])
+            shortest = next(d for d in cell.dims if d)
             if profile.prefix_ranks[shortest] < shortest:  # else no prime ranks higher
                 self._spot_check(matrix, profile, shortest, (p, q))
-            cell.ranks = profile.prefix_ranks
+            cell.ranks = [profile.prefix_ranks[d] for d in cell.dims]
             cell.codes = None
         return cell
 
@@ -117,7 +118,8 @@ class BettiEngine:
         """dim of cell (p, q) at truncation n: a prefix of the cell's basis."""
         if p < 0 or q < 0 or n < max(1, 2 * q):  # every monomial has length >= 2q
             return 0
-        return bisect_right(self._cell(p, q, n).lengths, n)
+        cell = self._cell(p, q, n)
+        return cell.dims[min(n, cell.truncation)]
 
     # -- ranks ----------------------------------------------------------------
 
@@ -127,10 +129,10 @@ class BettiEngine:
         Both bases are graded by length and the differential preserves it, so
         the matrix at n is the leading dim(p, q, n) columns of the cell's.
         """
-        if q <= 0 or p < 0 or n < 2 * q:
+        if q <= 0 or p < 0 or n < 2 * q or not self.dim(p, q, n):
             return 0
-        cols = self.dim(p, q, n)
-        return self._ranked(p, q, n).ranks[cols] if cols else 0
+        cell = self._ranked(p, q, n)
+        return cell.ranks[min(n, cell.truncation)]
 
     @staticmethod
     def _spot_check(
@@ -203,31 +205,23 @@ class BettiEngine:
                         needed.add((cp, cq, min(n, cp + 2 * cq)))
         return sorted(needed)
 
-    def _plan(self, tasks: Iterable[tuple[int, int, int]]) -> None:
-        """Record the largest truncation a batch of rank tasks reads each cell at.
-
-        A codomain is planned at the batch's largest truncation: a task that
-        saturates its cell stands for every larger n, and the limit page reads
-        the codomain at each of them.
-        """
-        tasks = list(tasks)
-        reach = max((n_eff for _, _, n_eff in tasks), default=0)
-        for p, q, n_eff in tasks:
-            for cell, n in (((p, q), n_eff), ((p + self.ring.dimension, q - 1), reach)):
-                if n > self._planned.get(cell, 0):
-                    self._planned[cell] = n
-
-    def compute_ranks(self, tasks: list[tuple[int, int, int]], workers: int = 1) -> None:
+    def compute_ranks(
+        self, tasks: list[tuple[int, int, int]], workers: int = 1, reach: int = 0
+    ) -> None:
         """Rank the cells the given tasks read, optionally in a process pool.
 
-        A pool job is one cell at the truncation of this engine's record; the
-        worker returns the record's prefix ranks, and this engine keeps them.
+        The engine's reach rises to the tasks' largest truncation, or to
+        `reach`: a table's limit page also reads cell dimensions at its
+        largest n, which no task reaches when every ranked cell saturates
+        below it. A pool job is one cell at the truncation of this engine's
+        record; the worker returns the record's ranks, and this engine keeps
+        them.
         """
-        self._plan(tasks)
+        self._reach = max([self._reach, reach, *(n_eff for _, _, n_eff in tasks)])
         cells = {(p, q): self._cell(p, q, n) for p, q, n in tasks} if workers > 1 else {}
         jobs = sorted(
             ((p, q, cell.truncation) for (p, q), cell in cells.items() if cell.ranks is None),
-            key=lambda job: -len(cells[job[:2]].lengths),
+            key=lambda job: -cells[job[:2]].dims[-1],
         )
         if len(jobs) > 1:
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
@@ -240,7 +234,7 @@ class BettiEngine:
             ) as pool:
                 for (p, q, _), ranks in zip(jobs, pool.map(_pool_ranks, jobs, chunksize=1)):
                     cell = cells[(p, q)]
-                    cell.ranks, cell.codes = ranks[: len(cell.lengths) + 1], None
+                    cell.ranks, cell.codes = ranks, None
         for p, q, n in tasks:
             self.rank(p, q, n)
 
@@ -311,7 +305,7 @@ def betti_table(
     if i_max < 0:
         raise ValueError("i_max must be nonnegative")
     engine = engine_for(ring, reduced)
-    engine.compute_ranks(engine.required_ranks(n_min, n_max, i_max), workers=workers)
+    engine.compute_ranks(engine.required_ranks(n_min, n_max, i_max), workers, reach=n_max)
     grid: dict[tuple[int, int], int] = {}
     for n in range(n_min, n_max + 1):
         for i in range(i_max + 1):
@@ -367,7 +361,7 @@ def _pool_init(ring_json: str, reduced: bool) -> None:
 
 
 def _pool_ranks(job: tuple[int, int, int]) -> list[int]:
-    """Prefix ranks of cell (p, q) at truncation t or beyond: those at t lead the list."""
+    """The ranks of cell (p, q), built at exactly truncation t."""
     p, q, t = job
-    _POOL_ENGINE._plan([job])
+    _POOL_ENGINE._reach = t
     return _POOL_ENGINE._ranked(p, q, t).ranks

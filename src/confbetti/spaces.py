@@ -9,7 +9,6 @@ from math import prod
 from .rings import (
     GradedRing,
     ring_cp,
-    ring_even_sphere,
     ring_product,
     ring_projective_bundle_cp2,
     ring_sphere,
@@ -58,15 +57,11 @@ REGISTRY: Mapping[str, GradedRing] = _Registry(
 )
 
 
-def _sphere(d: int) -> GradedRing:
-    return ring_even_sphere(d // 2) if d % 2 == 0 else ring_sphere(d)
-
-
 # name pattern, basis classes for the number in the name, builder
 _FAMILIES = (
     (re.compile(r"^cp([1-9]\d*)$"), lambda k: k + 1, ring_cp),
     (re.compile(r"^sigma(\d+)$"), lambda g: 2 * g + 2, ring_surface),
-    (re.compile(r"^s([1-9]\d*)$"), lambda d: 2, _sphere),
+    (re.compile(r"^s([1-9]\d*)$"), lambda d: 2, ring_sphere),
 )
 
 

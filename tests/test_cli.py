@@ -18,11 +18,14 @@ from confbetti import (
     format_monomial,
     parse_ring,
     ring_cp,
+    ring_even_sphere,
+    ring_product,
+    ring_sphere,
     ring_surface,
     serialize_ring,
 )
 from confbetti.cli import main
-from confbetti.spaces import REGISTRY
+from confbetti.spaces import REGISTRY, resolve_space
 
 SPACES_OUTPUT = """\
 cp1  dimension=2  basis=2
@@ -367,6 +370,19 @@ def test_oversized_dynamic_space_exits_2_before_building(capsys, space):
 
 
 @pytest.mark.parametrize(
+    "name, build",
+    [
+        ("s2", lambda: ring_even_sphere(1)),
+        ("s3", lambda: ring_sphere(3)),
+        ("s4", lambda: ring_even_sphere(2)),
+        ("cp1xs4", lambda: ring_product(ring_cp(1), ring_even_sphere(2))),
+    ],
+)
+def test_sphere_names_resolve_to_the_rings_module_spheres(name, build):
+    assert serialize_ring(resolve_space(name)) == serialize_ring(build())
+
+
+@pytest.mark.parametrize(
     "text, reason",
     [("0..3", "need 1 <= A <= B"), ("5..2", "need 1 <= A <= B"), ("1..x", "need A..B or a single N")],
 )
@@ -383,3 +399,25 @@ def test_missing_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--space", "cp1", "--n", "1..2"])
     assert exc.value.code == 2
+
+
+_UNREAD = {
+    "--format": ["md"],
+    "--no-reduction": [],
+    "--exact-only": [],
+    "--workers": ["2"],
+    "--dump-matrices": ["out"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("verify", option) for option in _UNREAD]
+    + [("betti-odd", option) for option in _UNREAD if option != "--format"],
+)
+def test_an_option_the_command_does_not_read_exits_2(capsys, command, option):
+    space = "s3" if command == "betti-odd" else "cp1"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--space", space, "--n", "1..2", option, *_UNREAD[option]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err

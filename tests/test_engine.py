@@ -23,6 +23,7 @@ from confbetti import (
     betti_table,
     e_infinity_dim,
     engine_for,
+    enumerate_basis,
     rank,
     rank_profile_exact,
     ring_cp,
@@ -33,6 +34,7 @@ from confbetti import (
     stable_betti,
     vanishing_bound,
 )
+from confbetti.spaces import resolve_space
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -245,6 +247,32 @@ def test_query_past_a_table_builds_each_cell_once(sigma2, fresh_engines, monkeyp
     assert values == [fresh.betti_number(i, i + 1) for i in range(12)]
 
 
+@pytest.mark.parametrize(
+    "space, n_min, n_max, i_max",
+    [("sigma3", 1, 15, 4), ("cp6", 1, 12, 20), ("pbundle_cp2", 2, 8, 40), ("cp1xcp2", 1, 10, 74)],
+)
+def test_a_table_builds_each_cell_once_and_indexes_it_by_length(
+    space, n_min, n_max, i_max, fresh_engines, monkeypatch
+):
+    ring = resolve_space(space)
+    builds: dict[tuple[int, int], int] = {}
+    original = engine_module.enumerate_basis
+
+    def counting(ring, p, q, n, reduced=True):
+        builds[(p, q)] = builds.get((p, q), 0) + 1
+        return original(ring, p, q, n, reduced)
+
+    monkeypatch.setattr(engine_module, "enumerate_basis", counting)
+    betti_table(ring, n_min, n_max, i_max)
+    assert builds and max(builds.values()) == 1
+    monkeypatch.undo()
+    for (p, q), cell in engine_for(ring)._cells.items():
+        lengths = range(1, cell.truncation + 1)  # every read is at a length n >= 1
+        assert cell.dims[1:] == [len(enumerate_basis(ring, p, q, n)) for n in lengths]
+        if cell.ranks is not None:
+            assert cell.ranks[1:] == [rank(assemble_matrix(ring, p, q, n)) for n in lengths]
+
+
 @pytest.fixture
 def planted_cell(cp1, monkeypatch):
     """Make cell (0, 1) of cp1 the given 2 x 2 matrix, between two length-2 bases."""
@@ -273,7 +301,7 @@ def test_rank_above_both_modular_ranks_is_found(planted_cell):
     engine = planted_cell({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1 + p1 * p2})
     # the determinant p1 * p2 vanishes at both primes, so both mod-p ranks are 1
     assert engine.rank(0, 1, 2) == 2
-    assert engine._cells[(0, 1)].ranks == [0, 1, 2]
+    assert engine._cells[(0, 1)].ranks == [0, 0, 2]  # both planted columns have length 2
     assert engine.uncertified_cells == []
 
 
@@ -297,7 +325,7 @@ def test_block_prefix_ranks_match_the_whole_cell(ring, n_max):
             continue
         # the engine ranks the whole cell in one pass; the profile here is independent of it
         whole = rank_profile_exact(assemble_matrix(ring, p, q, cell.truncation))
-        assert cell.ranks == whole.prefix_ranks
+        assert cell.ranks == [whole.prefix_ranks[d] for d in cell.dims]
         checked += 1
     assert checked > 0
 
@@ -394,7 +422,7 @@ def test_spot_check_catches_an_exact_profile_below_the_modular_one(sigma2, monke
 def test_no_matrix_outlives_its_ranking(sigma2):
     engine = BettiEngine(sigma2)
     engine.compute_ranks(engine.required_ranks(1, 6, vanishing_bound(sigma2, 6) - 1))
-    assert any(cell.ranks != [0] for cell in engine._cells.values() if cell.ranks)
+    assert any(any(cell.ranks) for cell in engine._cells.values() if cell.ranks)
     seen, stack = set(), [engine]
     while stack:
         obj = stack.pop()
@@ -416,7 +444,7 @@ def test_worker_pool_leaves_the_serial_ranks_in_each_record(sigma2, fresh_engine
     ranked = {key: cell.ranks for key, cell in pooled._cells.items() if cell.ranks}
     assert len(ranked) > 10
     assert ranked == {key: serial._cells[key].ranks for key in ranked}
-    assert all(pooled._cells[key].codes is None for key in ranked if ranked[key] != [0])
+    assert all(pooled._cells[key].codes is None for key in ranked if any(ranked[key]))
 
 
 def test_readme_library_snippet_runs():
