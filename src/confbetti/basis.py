@@ -15,11 +15,12 @@ exactly q entries, an r-part at most n - 2q. Parts are listed once per ring
 and reduction flag, in tables keyed on exact weight and exact entry count and
 shared by every cell; a cell joins each s-part of weight w <= p with the
 r-parts of weight p - w, so it lists no s-part heavier than p, and one sort
-puts it in graded-lex order. The search that fills a table returns at once
-from a state whose weight left exceeds its count left times the largest
-degree left, falls below it times the smallest, or is not a multiple of the
-gcd of the degrees left: with all of cp6's degrees even, its odd-p cells
-cost a few table lookups.
+puts it in graded-lex order. `differential.packed_basis` joins the same parts
+as packed ints, and the engine builds its cell records that way. The search
+that fills a table returns at once from a state whose weight left exceeds its
+count left times the largest degree left, falls below it times the smallest,
+or is not a multiple of the gcd of the degrees left: with all of cp6's degrees
+even, its odd-p cells cost a few table lookups.
 """
 from __future__ import annotations
 
@@ -190,14 +191,18 @@ def _part_tables(ring: GradedRing, reduced: bool) -> tuple[_PartTable, _PartTabl
     return _PartTable(r_degs, tuple(r_caps)), _PartTable(s_degs, tuple(s_caps))
 
 
-def enumerate_basis(
-    ring: GradedRing, p: int, q: int, n: int, reduced: bool = True
-) -> tuple[Monomial, ...]:
-    """All basis monomials of bigrade (p, q) and length <= n, in graded-lex order."""
+def _check_cell_arguments(ring: GradedRing, n: int) -> None:
     if ring.dimension % 2:
         raise ValueError("the bigraded model requires an even-dimensional ring")
     if n < 1:
         raise ValueError("n must be at least 1")
+
+
+def enumerate_basis(
+    ring: GradedRing, p: int, q: int, n: int, reduced: bool = True
+) -> tuple[Monomial, ...]:
+    """All basis monomials of bigrade (p, q) and length <= n, in graded-lex order."""
+    _check_cell_arguments(ring, n)
     max_r = n - 2 * q
     if p < 0 or q < 0 or max_r < 0:
         return ()

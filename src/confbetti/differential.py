@@ -6,10 +6,13 @@ never raises the length and every Koszul sign is a plain transposition count in
 the free graded-commutative algebra.
 
 Matrices are assembled from packed monomials: one Python int per monomial, with
-one fixed-width field per exponent (all r positions, then all s positions),
-wide enough for every exponent at the truncation. Each generator image term is
-stored once per ring as a code delta, a mask of its odd factors, a sign mask
-and an int coefficient scaled by L, the lcm of the images' denominators. So
+one fixed-width field per exponent (all r positions, then all s positions, the
+first in the highest field), wide enough for every exponent at the truncation,
+so int order is lexicographic order. `packed_basis` builds a cell's packed
+basis straight from `basis`'s part tables, each part list packed once per field
+type, with one bucket per length. Each generator image term is stored once per
+ring as a code delta, a mask of its odd factors, a sign mask and an int
+coefficient scaled by L, the lcm of the images' denominators. So
 expanding a monomial is int additions, mask tests and popcounts, and a matrix
 holds L * d with int entries (L is 1 on every built-in ring). `d_monomial` and
 `cell_images` validate a monomial, expand it the same way and decode the result
@@ -23,11 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .basis import (
     Monomial,
+    _check_cell_arguments,
+    _list_parts,
     _odd_flat,
+    _part_tables,
     enumerate_basis,
     monomial_bigrade,
     monomial_length,
@@ -114,12 +120,19 @@ def _field_type(n: int) -> str:
 
 
 def _pack(exponents: tuple[int, ...], typecode: str) -> int:
-    fields = bytes(exponents) if typecode == "B" else array(typecode, exponents)
-    return int.from_bytes(fields, sys.byteorder)
+    """Big-endian fields, the first exponent highest: int order is lexicographic order."""
+    if typecode == "B":
+        return int.from_bytes(bytes(exponents), "big")
+    fields = array(typecode, exponents)
+    if sys.byteorder == "little":
+        fields.byteswap()
+    return int.from_bytes(fields, "big")
 
 
 def _unpack(code: int, typecode: str, m: int) -> Monomial:
-    fields = array(typecode, code.to_bytes((2 * m + 1) * array(typecode).itemsize, sys.byteorder))
+    fields = array(typecode, code.to_bytes((2 * m + 1) * array(typecode).itemsize, "big"))
+    if sys.byteorder == "little":
+        fields.byteswap()
     return Monomial(tuple(fields[:m]), tuple(fields[m:]))
 
 
@@ -127,6 +140,66 @@ def pack_basis(monomials: Iterable[Monomial], n: int) -> PackedBasis:
     """Pack monomials of length at most n, keeping their order."""
     typecode = _field_type(n)
     return PackedBasis(typecode, [_pack(mon.r + mon.s, typecode) for mon in monomials])
+
+
+@lru_cache(maxsize=None)
+def _part_codes(ring: GradedRing, reduced: bool, typecode: str) -> tuple[Callable, Callable]:
+    """The r-part and s-part lists of `basis`'s part tables as packed codes, by (weight, count).
+
+    An r-part packs with zero s exponents and an s-part with zero r
+    exponents, so a monomial's code is the sum of its two parts' codes. Each
+    list is searched and packed on first request, and only its codes are kept.
+    """
+    m = ring.top_generator_count
+
+    def lister(table, before: tuple[int, ...], after: tuple[int, ...]) -> Callable:
+        listed: dict[tuple[int, int], list[int]] = {}
+
+        def codes(weight: int, count: int) -> list[int]:
+            found = listed.get((weight, count))
+            if found is None:
+                parts = _list_parts(table, weight, count)
+                found = [_pack(before + part + after, typecode) for part in parts]
+                listed[(weight, count)] = found
+            return found
+
+        return codes
+
+    r_table, s_table = _part_tables(ring, reduced)
+    return lister(r_table, (), (0,) * (m + 1)), lister(s_table, (0,) * m, ())
+
+
+def packed_basis(
+    ring: GradedRing, p: int, q: int, n: int, reduced: bool = True
+) -> tuple[PackedBasis, list[int]]:
+    """The basis of `enumerate_basis`, packed, and its monomial count per length 0..n.
+
+    A monomial of the cell has length 2q plus its r entry count, so codes are
+    gathered in one bucket per r entry count. Inside a bucket, int order is
+    graded-lex order, so sorting each bucket as ints and joining them gives
+    `enumerate_basis`'s order without building a `Monomial`.
+    """
+    _check_cell_arguments(ring, n)
+    typecode = _field_type(n)
+    max_r = n - 2 * q
+    if p < 0 or q < 0 or max_r < 0:
+        return PackedBasis(typecode, []), [0] * (n + 1)
+    r_codes, s_codes = _part_codes(ring, reduced, typecode)
+    buckets: list[list[int]] = [[] for _ in range(max_r + 1)]
+    for s_weight in range(p + 1):
+        s_list = s_codes(s_weight, q)
+        if not s_list:
+            continue
+        r_weight = p - s_weight
+        for count in range(min(max_r, r_weight) + 1):  # r degrees are positive
+            bucket = buckets[count]
+            for r_code in r_codes(r_weight, count):
+                bucket.extend(map(r_code.__add__, s_list))
+    codes = []
+    for bucket in buckets:
+        bucket.sort()
+        codes += bucket
+    return PackedBasis(typecode, codes), [0] * (2 * q) + [len(bucket) for bucket in buckets]
 
 
 class _Kernel:
@@ -220,25 +293,21 @@ def assemble_matrix(
     q: int,
     n: int,
     reduced: bool = True,
-    bases: tuple[PackedBasis, PackedBasis] | None = None,
+    bases: tuple[PackedBasis, PackedBasis | None] | None = None,
 ) -> RationalMatrix:
     """L times the matrix of the differential on cell (p, q) at truncation n.
 
     Columns follow the domain basis order, rows the codomain basis order at
     (p + D, q - 1); a q = 0 cell maps to the zero space. Entries are ints.
-    `bases` are the domain and codomain at truncation n as `pack_basis` gives
-    them; without it both are enumerated here.
+    `bases` are the domain and codomain at truncation n as `packed_basis` gives
+    them. A codomain that is None, or packed at a larger truncation's wider
+    fields, is enumerated here at n; without `bases` both are.
     """
     if bases is None:
-        codomain = enumerate_basis(ring, p + ring.dimension, q - 1, n, reduced)
-        bases = (
-            pack_basis(enumerate_basis(ring, p, q, n, reduced), n),
-            pack_basis(codomain, n),
-        )
+        bases = (packed_basis(ring, p, q, n, reduced)[0], None)
     domain, codomain = bases
-    if codomain.typecode != domain.typecode:  # packed at a larger truncation
-        m = ring.top_generator_count
-        codomain = pack_basis((_unpack(c, codomain.typecode, m) for c in codomain.codes), n)
+    if codomain is None or codomain.typecode != domain.typecode:
+        codomain = packed_basis(ring, p + ring.dimension, q - 1, n, reduced)[0]
     kernel = _kernel(ring, reduced, domain.typecode)
     index = {code: row for row, code in enumerate(codomain.codes)}
     entries: dict[tuple[int, int], int] = {}

@@ -8,9 +8,11 @@ reach to its largest n; a cell read within the reach is built at
 min(saturation, reach), and any other at saturation (length p + 2q, beyond
 which the cell stops growing). A table reading a cell at some n reads it at
 every larger n up to its last, so this is the largest truncation the table
-reads the cell at. The basis order is graded by length and the differential
-preserves length, so the matrix at any n <= t is the leading dim(p, q, n)
-columns of the cell's matrix, and its rank is one prefix rank of that matrix.
+reads the cell at. The record is built by `packed_basis`, one bucket of packed
+monomials per length, with no `Monomial` made. The basis order is graded by
+length and the differential preserves length, so the matrix at any n <= t is
+the leading dim(p, q, n) columns of the cell's matrix, and its rank is one
+prefix rank of that matrix.
 The matrix is assembled once from the packed bases, ranked by one exact
 left-to-right elimination, and dropped, so every rank is proven. When the
 columns of the cell's shortest monomials are rank-deficient, they are also
@@ -25,8 +27,7 @@ import os
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .basis import enumerate_basis, monomial_length
-from .differential import PackedBasis, assemble_matrix, pack_basis
+from .differential import PackedBasis, assemble_matrix, packed_basis
 from .linalg import RankProfile, RationalMatrix, rank_profile_modular
 from .linalg import rank_profile_exact as exact_rank
 from .rings import GradedRing, parse_ring, serialize_ring
@@ -76,13 +77,10 @@ class BettiEngine:
         cell = self._cells.get((p, q))
         if cell is None or cell.truncation < min(n, saturation):
             truncation = min(saturation, self._reach) if n <= self._reach else saturation
-            monomials = enumerate_basis(self.ring, p, q, truncation, self.reduced)
-            counts = [0] * (truncation + 1)
-            for monomial in monomials:
-                counts[monomial_length(monomial)] += 1
+            codes, counts = packed_basis(self.ring, p, q, truncation, self.reduced)
             dims = list(accumulate(counts))
             ranks = None if dims[-1] else dims  # an empty cell is never assembled
-            cell = _Cell(truncation, dims, pack_basis(monomials, truncation), ranks)
+            cell = _Cell(truncation, dims, codes, ranks)
             self._cells[(p, q)] = cell
         return cell
 
@@ -99,12 +97,13 @@ class BettiEngine:
         if cell.ranks is None:
             t = cell.truncation
             target = self._cell(p + self.ring.dimension, q - 1, t)
-            bases = None
+            codomain = None
             if target.codes is not None:
                 rows = target.dims[min(t, target.truncation)]
-                bases = (cell.codes, target.codes._replace(codes=target.codes.codes[:rows]))
+                codomain = target.codes._replace(codes=target.codes.codes[:rows])
                 if q == 1:
                     target.codes = None
+            bases = (cell.codes, codomain)
             matrix = assemble_matrix(self.ring, p, q, t, self.reduced, bases=bases)
             profile = exact_rank(matrix)
             shortest = next(d for d in cell.dims if d)
@@ -275,7 +274,7 @@ def engine_for(
     reduced: bool = True,
     exact_only: bool = False,  # ignored: every rank is exact; perfbench still passes it
 ) -> BettiEngine:
-    """Shared per-ring engine so rank caches persist across queries."""
+    """Shared per-ring engine so cell records persist across queries."""
     key = (ring, reduced)
     engine = _ENGINES.get(key)
     if engine is None:

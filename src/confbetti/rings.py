@@ -248,10 +248,13 @@ def validate_ring(ring: GradedRing) -> None:
                         f"product y_{i}*y_{j} has a term in degree {ring.degree(k)}, expected {total}"
                     )
 
-    # unit law
+    # unit laws, on both sides
+    unit = ring.unit_index
     for i in range(size):
-        if ring.products[ring.unit_index][i] != ((i, Fraction(1)),):
-            raise RingValidationError(f"unit law fails: y_0*y_{i} != y_{i}")
+        if ring.products[unit][i] != ((i, Fraction(1)),):
+            raise RingValidationError(f"unit law fails: y_{unit}*y_{i} != y_{i}")
+        if ring.products[i][unit] != ((i, Fraction(1)),):
+            raise RingValidationError(f"unit law fails: y_{i}*y_{unit} != y_{i}")
 
     # odd squares vanish (graded commutativity on the diagonal)
     for i in range(size):
@@ -259,12 +262,14 @@ def validate_ring(ring: GradedRing) -> None:
             raise RingValidationError(f"odd-degree class y_{i} has nonzero square")
 
     # associativity on the basis triples that can be nonzero: by additivity,
-    # both sides of a triple of degree sum above the dimension are empty
-    for i in range(size):
+    # both sides of a triple of degree sum above the dimension are empty, and
+    # by the unit laws both sides of a triple holding the unit agree
+    others = [i for i in range(size) if i != unit]
+    for i in others:
         ei = basis_element(ring, i)
-        for j in range(size):
+        for j in others:
             left_ij = multiply(ring, ei, basis_element(ring, j))
-            for k in range(size):
+            for k in others:
                 if ring.degree(i) + ring.degree(j) + ring.degree(k) > ring.dimension:
                     continue
                 ek = basis_element(ring, k)

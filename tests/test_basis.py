@@ -6,6 +6,8 @@ import pytest
 from conftest import seeded_ring
 
 import confbetti.basis as basis_module
+from confbetti.differential import pack_basis, packed_basis
+from confbetti.spaces import resolve_space
 from confbetti import (
     Monomial,
     enumerate_basis,
@@ -133,21 +135,43 @@ REFERENCE_SPACES = [
 ]
 
 
+def _assert_packed_like(ring, p, q, n, reduced, monomials):
+    """`packed_basis` gives the monomials packed in order, and their count per length."""
+    counts = [0] * (n + 1)
+    for mon in monomials:
+        counts[monomial_length(mon)] += 1
+    assert packed_basis(ring, p, q, n, reduced) == (pack_basis(monomials, n), counts), (p, q, n)
+
+
 @pytest.mark.parametrize("space, seed", [(name, 0) for name in REFERENCE_SPACES] + [("cp1xcp2", 2)])
 @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
 def test_enumeration_matches_capped_search(space, seed, reduced):
     ring = seeded_ring(space, seed)  # seed 0 is the registry ring
     checked = 0
     for n in range(1, 7):
-        for q in range(n // 2 + 1):
-            for p in range(n * ring.dimension + 1):  # n classes of the top degree at most
-                expected = _reference_basis(ring, p, q, n, reduced)
+        for q in range(n // 2 + 2):  # q = n // 2 + 1 is a cell no monomial reaches
+            for p in range(-1, n * ring.dimension + 1):  # n classes of the top degree at most
+                expected = _reference_basis(ring, p, q, n, reduced) if p >= 0 else ()
                 got = enumerate_basis(ring, p, q, n, reduced)
                 assert got == expected, (p, q, n)
                 if space == "cp6" and p % 2:
                     assert got == ()
+                _assert_packed_like(ring, p, q, n, reduced, got)
                 checked += len(expected)
     assert checked > 0
+
+
+@pytest.mark.parametrize(
+    "space, p, q, n",
+    [("cp1", 600, 1, 302), ("cp1", 598, 2, 302), ("cp1xcp1", 600, 0, 300)],
+)
+def test_packed_basis_with_wide_fields(space, p, q, n):
+    # exponents reach 300, past an 8-bit field; cp1xcp1's (600, 0) cell holds
+    # up to 301 monomials of one length, which the int sort must put in order
+    ring = resolve_space(space)
+    monomials = enumerate_basis(ring, p, q, n, False)
+    assert monomials and pack_basis(monomials, n).typecode != "B"
+    _assert_packed_like(ring, p, q, n, False, monomials)
 
 
 def test_cell_lists_no_s_part_heavier_than_its_p(monkeypatch):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import confbetti.differential as differential_module
 import confbetti.engine as engine_module
 from conftest import load_golden
 from confbetti import (
@@ -234,13 +235,13 @@ def test_worker_pool_asks_for_no_more_workers_than_cpus(
 def test_query_past_a_table_builds_each_cell_once(sigma2, fresh_engines, monkeypatch):
     betti_table(sigma2, 1, 4, 8)
     builds: dict[tuple[int, int], int] = {}
-    original = engine_module.enumerate_basis
+    original = engine_module.packed_basis
 
     def counting(ring, p, q, n, reduced=True):
         builds[(p, q)] = builds.get((p, q), 0) + 1
         return original(ring, p, q, n, reduced)
 
-    monkeypatch.setattr(engine_module, "enumerate_basis", counting)
+    monkeypatch.setattr(engine_module, "packed_basis", counting)
     values = [stable_betti(sigma2, i) for i in range(12)]
     assert builds and max(builds.values()) == 1
     fresh = BettiEngine(sigma2)
@@ -256,13 +257,13 @@ def test_a_table_builds_each_cell_once_and_indexes_it_by_length(
 ):
     ring = resolve_space(space)
     builds: dict[tuple[int, int], int] = {}
-    original = engine_module.enumerate_basis
+    original = engine_module.packed_basis
 
     def counting(ring, p, q, n, reduced=True):
         builds[(p, q)] = builds.get((p, q), 0) + 1
         return original(ring, p, q, n, reduced)
 
-    monkeypatch.setattr(engine_module, "enumerate_basis", counting)
+    monkeypatch.setattr(engine_module, "packed_basis", counting)
     betti_table(ring, n_min, n_max, i_max)
     assert builds and max(builds.values()) == 1
     monkeypatch.undo()
@@ -278,18 +279,19 @@ def planted_cell(cp1, monkeypatch):
     """Make cell (0, 1) of cp1 the given 2 x 2 matrix, between two length-2 bases."""
 
     def plant(entries):
-        original = engine_module.enumerate_basis
+        original = engine_module.packed_basis
 
         def two_copies(ring, p, q, n, reduced=True):
-            (monomial,) = original(ring, p, q, n, reduced)
-            return (monomial, monomial)
+            basis, counts = original(ring, p, q, n, reduced)
+            (code,) = basis.codes
+            return basis._replace(codes=[code, code]), [2 * c for c in counts]
 
         def planted(ring, p, q, n, reduced=True, bases=None):
             assert (p, q) == (0, 1)
             values = {key: Fraction(v) for key, v in entries.items()}
             return RationalMatrix(2, 2, values)
 
-        monkeypatch.setattr(engine_module, "enumerate_basis", two_copies)
+        monkeypatch.setattr(engine_module, "packed_basis", two_copies)
         monkeypatch.setattr(engine_module, "assemble_matrix", planted)
         return BettiEngine(cp1)
 
@@ -350,6 +352,22 @@ def test_cp6_table_is_proven_and_matches_the_golden_table(fresh_engines):
     assert len(golden) > 900
     assert {key: table.grid[key] for key in golden} == golden
     assert engine_for(cp6).uncertified_cells == []
+
+
+@pytest.mark.parametrize("space, n_max, i_max", [("sigma3", 9, 16), ("cp6", 7, 115)])
+def test_a_table_builds_no_monomial(space, n_max, i_max, fresh_engines, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table path built a Monomial basis")
+
+    for module in (engine_module, differential_module):
+        for name in ("enumerate_basis", "pack_basis"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    table = betti_table(resolve_space(space), 1, n_max, i_max)
+    golden = {
+        (n, i): v for (n, i), v in load_golden(space).items() if n <= n_max and i <= i_max
+    }
+    assert len(golden) > 100
+    assert {key: table.grid[key] for key in golden} == golden
 
 
 def test_worker_pool_table_matches_serial_on_sigma2(sigma2, fresh_engines):

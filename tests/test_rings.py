@@ -271,6 +271,22 @@ def test_validation_catches_associativity_with_additive_degrees():
         parse_ring(json.dumps(doc))
 
 
+def test_validation_catches_a_broken_right_unit():
+    cp2 = ring_cp(2)
+    products = [list(row) for row in cp2.products]
+    products[1][0] = ((1, Fraction(2)),)  # x*1 = 2x, while 1*x = x
+    broken = GradedRing(
+        name="cp2-broken-unit",
+        dimension=cp2.dimension,
+        basis=cp2.basis,
+        products=tuple(tuple(row) for row in products),
+        unit_index=cp2.unit_index,
+        orientation_index=cp2.orientation_index,
+    )
+    with pytest.raises(RingValidationError, match="unit law fails: y_1\\*y_0"):
+        validate_ring(broken)
+
+
 def test_validation_catches_odd_square():
     import json
 
