@@ -10,13 +10,16 @@ one fixed-width field per exponent (all r positions, then all s positions, the
 first in the highest field), wide enough for every exponent at the truncation,
 so int order is lexicographic order. `packed_basis` builds a cell's packed
 basis straight from `basis`'s part tables, each part list packed once per field
-type, with one bucket per length. Each generator image term is stored once per
-ring as a code delta, a mask of its odd factors, a sign mask and an int
-coefficient scaled by L, the lcm of the images' denominators. So
-expanding a monomial is int additions, mask tests and popcounts, and a matrix
-holds L * d with int entries (L is 1 on every built-in ring). `d_monomial` and
-`cell_images` validate a monomial, expand it the same way and decode the result
-into graded-lex `Monomial`s with rational coefficients.
+type, with one bucket per length. The terms of d on a monomial depend on its
+r-part only through mask tests and a popcount, so one table per ring, `reduced`
+flag and field type keeps them by s-part (see `_Kernel`), built once per s-part
+and shared by every cell. Assembly is one loop over the domain codes: look up
+the code's s-part, skip a term whose odd factor the code already holds, and
+write the signed coefficient at the row of `code + delta`. Coefficients are
+ints scaled by L, the lcm of the images' denominators, so a matrix holds L * d
+(L is 1 on every built-in ring). `d_monomial` and `cell_images` validate a
+monomial, expand it from the same table and decode the result into graded-lex
+`Monomial`s with rational coefficients.
 """
 from __future__ import annotations
 
@@ -203,7 +206,18 @@ def packed_basis(
 
 
 class _Kernel:
-    """The differential on packed monomials of one ring, `reduced` flag and field type."""
+    """The differential on packed monomials of one ring, `reduced` flag and field type.
+
+    `table` maps an s-part (a code's s fields, `code & s_mask`) to the terms
+    of d on every monomial with that s-part, one tuple of terms for each
+    top-class r exponent 0, 1 and at least 2. A term (delta, odd, sign, value)
+    sends `code` to `code + delta` with coefficient `value`, negated when
+    `code & sign` has odd popcount, unless `code & odd` holds an odd factor
+    squared. The s exponent of the consumed generator and the part of the sign
+    its s-part decides are folded into `value`, so `sign` covers r fields
+    only. `fill` builds an s-part's entry on its first lookup; the entry is
+    kept as long as the kernel, so every cell of every table shares it.
+    """
 
     def __init__(self, ring: GradedRing, reduced: bool, typecode: str):
         m = ring.top_generator_count
@@ -214,6 +228,7 @@ class _Kernel:
         unit = [_pack(tuple(int(i == pos) for i in range(size)), typecode) for pos in range(size)]
         shift = [u.bit_length() - 1 for u in unit]
         odd = _odd_flat(ring)
+        self.s_mask = unit[m] * (self.field + 1) - 1  # the s fields are the lowest m + 1
 
         def odd_bits(lo: int, hi: int) -> int:
             """The low bits of the odd fields at flat positions lo <= pos < hi."""
@@ -229,24 +244,50 @@ class _Kernel:
             # gives its Koszul sign. Both are parities of odd factors present,
             # so one mask per term yields them with one popcount.
             preceding = odd_bits(0, slot)
-            by_top: tuple[list, list, list] = ([], [], [])
+            terms = []
             for image, c in d_generator(ring, j).terms:
                 factors = [pos for pos in range(m) if image.r[pos] and odd[pos]]
                 sign_mask = preceding
                 for pos in factors:
                     sign_mask ^= odd_bits(pos + 1, slot)
-                term = (
-                    _pack(image.r + image.s, typecode) - unit[slot],
-                    sum(unit[pos] for pos in factors),
-                    sign_mask,
-                    int(c * scale),
-                )
-                # by_top[t]: the terms kept when the monomial's top-class
-                # exponent is t; reduced mode drops products with exponent >= 2
-                for t in range(3):
-                    if not reduced or t + image.r[top - 1] < 2:
-                        by_top[t].append(term)
-            self.slots.append((shift[slot], j == top, by_top))
+                # the term is kept for the top exponents t < kept: reduced mode
+                # drops products whose top-class r exponent reaches 2
+                kept = 2 - image.r[top - 1] if reduced else 1
+                if kept > 0:
+                    s_sign = sign_mask & self.s_mask
+                    terms.append((
+                        _pack(image.r + image.s, typecode) - unit[slot],
+                        sum(unit[pos] for pos in factors),
+                        sign_mask ^ s_sign,
+                        s_sign,
+                        int(c * scale),
+                        kept,
+                    ))
+            self.slots.append((shift[slot], j == top, terms))
+        self.table: dict[int, tuple[tuple, ...]] = {}
+        # one copy of each distinct term, shared by every entry holding it
+        self.distinct: dict[tuple, tuple] = {}
+
+    def fill(self, s_part: int) -> tuple[tuple, ...]:
+        """Build and keep the table entry of one s-part."""
+        field, distinct = self.field, self.distinct
+        s_top = (s_part >> self.s_top_shift) & field if self.reduced else 0
+        by_top: tuple[list, ...] = ([], [], [])
+        for shift, is_top, terms in self.slots:
+            s_j = (s_part >> shift) & field
+            if not s_j or s_top - is_top >= 1:
+                continue  # reduced mode drops images with a top-class s exponent
+            for delta, odd_factors, sign, s_sign, coef, kept in terms:
+                value = -s_j * coef if (s_part & s_sign).bit_count() & 1 else s_j * coef
+                term = (delta, odd_factors, sign, value)
+                term = distinct.setdefault(term, term)
+                for listed in by_top[:kept]:
+                    listed.append(term)
+        entry = tuple(map(tuple, by_top))
+        if not self.reduced:  # no term is dropped: one tuple serves every top exponent
+            entry = (entry[0],) * 3
+        self.table[s_part] = entry
+        return entry
 
     def expand(self, code: int) -> list[tuple[int, int]]:
         """d of one packed monomial as (packed image, L * coefficient) pairs.
@@ -255,22 +296,13 @@ class _Kernel:
         and two slots leave different s parts. In reduced mode, images with an
         s exponent of the top class, or its r exponent at least 2, are dropped.
         """
-        field = self.field
-        r_top = s_top = 0
-        if self.reduced:
-            r_top = min(2, (code >> self.r_top_shift) & field)
-            s_top = (code >> self.s_top_shift) & field
-        out = []
-        for shift, is_top, by_top in self.slots:
-            s_j = (code >> shift) & field
-            if not s_j or s_top - is_top >= 1:
-                continue
-            for delta, odd_factors, sign_mask, coef in by_top[r_top]:
-                if code & odd_factors:
-                    continue  # an odd factor squared
-                value = s_j * coef
-                out.append((code + delta, -value if (code & sign_mask).bit_count() & 1 else value))
-        return out
+        by_top = self.table.get(code & self.s_mask) or self.fill(code & self.s_mask)
+        terms = by_top[min(2, (code >> self.r_top_shift) & self.field)]
+        return [
+            (code + delta, -value if (code & sign).bit_count() & 1 else value)
+            for delta, odd_factors, sign, value in terms
+            if not code & odd_factors  # else an odd factor squared
+        ]
 
 
 @lru_cache(maxsize=None)
@@ -309,16 +341,21 @@ def assemble_matrix(
     if codomain is None or codomain.typecode != domain.typecode:
         codomain = packed_basis(ring, p + ring.dimension, q - 1, n, reduced)[0]
     kernel = _kernel(ring, reduced, domain.typecode)
+    table, s_mask = kernel.table, kernel.s_mask
+    top_shift, field = kernel.r_top_shift, kernel.field
     index = {code: row for row, code in enumerate(codomain.codes)}
     entries: dict[tuple[int, int], int] = {}
-    for col, code in enumerate(domain.codes):
-        for image, c in kernel.expand(code):
-            row = index.get(image)
-            if row is None:
-                raise RuntimeError(
-                    f"differential image escaped cell ({p + ring.dimension}, {q - 1}) at n={n}"
-                )
-            entries[(row, col)] = c
+    try:
+        for col, code in enumerate(domain.codes):
+            by_top = table.get(code & s_mask) or kernel.fill(code & s_mask)
+            for delta, odd_factors, sign, value in by_top[min(2, (code >> top_shift) & field)]:
+                if not code & odd_factors:
+                    row = index[code + delta]
+                    entries[row, col] = -value if (code & sign).bit_count() & 1 else value
+    except KeyError:
+        raise RuntimeError(
+            f"differential image escaped cell ({p + ring.dimension}, {q - 1}) at n={n}"
+        ) from None
     return RationalMatrix(rows=len(codomain.codes), cols=len(domain.codes), entries=entries)
 
 

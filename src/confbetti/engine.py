@@ -17,9 +17,10 @@ The matrix is assembled once from the packed bases, ranked by one exact
 left-to-right elimination, and dropped, so every rank is proven. When the
 columns of the cell's shortest monomials are rank-deficient, they are also
 eliminated modulo one prime as a spot check: the exact ranks may not fall below
-those anywhere. An empty cell is never assembled. A request beyond the reach
-rebuilds the record at saturation, so a query past a table rebuilds each cell
-once.
+those anywhere. An empty cell is never assembled, nor one whose codomain is
+empty at its truncation: every rank of its differential is 0. A request beyond
+the reach rebuilds the record at saturation, so a query past a table rebuilds
+each cell once.
 """
 from __future__ import annotations
 
@@ -88,28 +89,32 @@ class BettiEngine:
         """The record of cell (p, q), covering n, with the ranks of its differential.
 
         The matrix is assembled from the packed bases of this cell and of its
-        codomain's record, ranked over Q in one pass, and dropped. The cell's
-        own assembly is the last to read its codes, and a q = 0 codomain is
-        read by one cell only; a codomain whose codes are gone is enumerated
-        again inside the assembly.
+        codomain's record, ranked over Q in one pass, and dropped; into an
+        empty codomain every rank is 0 and nothing is assembled. The cell's own
+        assembly is the last to read its codes, and a q = 0 codomain is read by
+        one cell only; a codomain whose codes are gone is enumerated again
+        inside the assembly.
         """
         cell = self._cell(p, q, n)
         if cell.ranks is None:
             t = cell.truncation
             target = self._cell(p + self.ring.dimension, q - 1, t)
+            rows = target.dims[min(t, target.truncation)]
             codomain = None
             if target.codes is not None:
-                rows = target.dims[min(t, target.truncation)]
                 codomain = target.codes._replace(codes=target.codes.codes[:rows])
                 if q == 1:
                     target.codes = None
-            bases = (cell.codes, codomain)
-            matrix = assemble_matrix(self.ring, p, q, t, self.reduced, bases=bases)
-            profile = exact_rank(matrix)
-            shortest = next(d for d in cell.dims if d)
-            if profile.prefix_ranks[shortest] < shortest:  # else no prime ranks higher
-                self._spot_check(matrix, profile, shortest, (p, q))
-            cell.ranks = [profile.prefix_ranks[d] for d in cell.dims]
+            if rows:
+                bases = (cell.codes, codomain)
+                matrix = assemble_matrix(self.ring, p, q, t, self.reduced, bases=bases)
+                profile = exact_rank(matrix)
+                shortest = next(d for d in cell.dims if d)
+                if profile.prefix_ranks[shortest] < shortest:  # else no prime ranks higher
+                    self._spot_check(matrix, profile, shortest, (p, q))
+                cell.ranks = [profile.prefix_ranks[d] for d in cell.dims]
+            else:
+                cell.ranks = [0] * len(cell.dims)
             cell.codes = None
         return cell
 

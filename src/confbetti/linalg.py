@@ -75,24 +75,20 @@ class RankProfile:
         return self.prefix_ranks[-1]
 
 
-def _triples(m: RationalMatrix) -> list[tuple[int, int, int]]:
-    """The nonzero entries of m as (row, col, int) triples.
+def _triples(m: RationalMatrix, cols: int) -> list[tuple[int, int, int]]:
+    """The nonzero entries of the first cols columns of m as (row, col, int) triples.
 
     Int entries, which the engine assembles, pass through. A column holding a
     Fraction is scaled by the lcm of its denominators, which keeps every prefix
     rank.
     """
+    entries = m.entries
+    if set(map(type, entries.values())) <= {int}:
+        return [(r, c, v) for (r, c), v in entries.items() if c < cols and v]
     scale: dict[int, int] = {}
-    for (_, c), v in m.entries.items():
-        if type(v) is not int:
-            scale[c] = lcm(scale.get(c, 1), v.denominator)
-    triples = []
-    for (r, c), v in m.entries.items():
-        if c in scale:
-            v = int(v * scale[c])
-        if v:
-            triples.append((r, c, v))
-    return triples
+    for (_, c), v in entries.items():
+        scale[c] = lcm(scale.get(c, 1), v.denominator)
+    return [(r, c, int(v * scale[c])) for (r, c), v in entries.items() if c < cols and v]
 
 
 def _profile(cols: int, triples: list[tuple[int, int, int]], prime: int = 0) -> RankProfile:
@@ -158,7 +154,7 @@ def _profile(cols: int, triples: list[tuple[int, int, int]], prime: int = 0) -> 
 
 def rank_profile_exact(m: RationalMatrix) -> RankProfile:
     """Prefix ranks of m over Q: m.cols + 1 entries, from one left-to-right elimination."""
-    return _profile(m.cols, _triples(m))
+    return _profile(m.cols, _triples(m, m.cols))
 
 
 def rank_profile_modular(
@@ -170,8 +166,8 @@ def rank_profile_modular(
     col_cap columns when one is given; perfbench's tracer passes it by position.
     """
     cols = m.cols if col_cap is None else min(col_cap, m.cols)
-    triples = [(r, c, v % prime) for r, c, v in _triples(m.column_prefix(cols)) if v % prime]
-    return _profile(cols, triples, prime)
+    residues = [(r, c, v % prime) for r, c, v in _triples(m, cols) if v % prime]
+    return _profile(cols, residues, prime)
 
 
 def rank(m: RationalMatrix) -> int:

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 from conftest import seeded_ring
 
+import confbetti.differential as differential_module
+import confbetti.engine as engine_module
 from confbetti import (
     BettiEngine,
     Monomial,
@@ -21,8 +23,9 @@ from confbetti import (
     rank,
     ring_cp,
     ring_surface,
+    vanishing_bound,
 )
-from confbetti.differential import image_scale, pack_basis
+from confbetti.differential import _Kernel, image_scale, pack_basis
 from confbetti.spaces import resolve_space
 
 ROOT = Path(__file__).parents[1]
@@ -90,13 +93,16 @@ def _check_cell_against_leibniz(ring, p: int, q: int, n: int, reduced: bool) -> 
 
 @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
 @pytest.mark.parametrize(
-    "space", ["cp2", "cp3", "sigma1", "sigma2", "cp1xcp1", "pbundle_cp2", "scaled", "seeded"]
+    "space",
+    ["cp2", "cp3", "sigma1", "sigma2", "cp1xcp1", "pbundle_cp2", "scaled", "seeded", "seeded-sigma3"],
 )
 def test_kernel_matches_leibniz_rule_on_small_cells(space, reduced):
     if space == "scaled":
         ring = parse_ring(SCALED_CP2.read_text())
     elif space == "seeded":
         ring = seeded_ring("sigma1xcp1", 3)
+    elif space == "seeded-sigma3":  # the benchmark's surface ring
+        ring = seeded_ring("sigma3", 1)
     else:
         ring = resolve_space(space)
     n = 5  # every monomial of length <= 5 lies in some cell at n = 5
@@ -106,6 +112,49 @@ def test_kernel_matches_leibniz_rule_on_small_cells(space, reduced):
         for p in range(n * ring.dimension + 1)
     )
     assert checked > 20
+
+
+def test_a_table_expands_each_s_part_once(monkeypatch):
+    ring = seeded_ring("sigma3", 2)
+    differential_module._kernel.cache_clear()  # a cold kernel, as in a fresh process
+    filled, domains = [], []
+    fill, assemble = _Kernel.fill, engine_module.assemble_matrix
+
+    def counting(kernel, s_part):
+        filled.append((kernel, s_part))
+        return fill(kernel, s_part)
+
+    def recording(ring, p, q, n, reduced=True, bases=None):
+        domains.append(bases[0])
+        return assemble(ring, p, q, n, reduced, bases)
+
+    monkeypatch.setattr(_Kernel, "fill", counting)
+    monkeypatch.setattr(engine_module, "assemble_matrix", recording)
+    engine = BettiEngine(ring)
+    engine.compute_ranks(engine.required_ranks(1, 9, 16), reach=9)
+    (kernel,) = {kernel for kernel, _ in filled}
+    s_parts = [s_part for _, s_part in filled]
+    assert len(domains) > 20 and len(s_parts) == len(set(s_parts)) == len(kernel.table)
+    assert set(s_parts) == {code & kernel.s_mask for domain in domains for code in domain.codes}
+
+
+def test_cells_assembled_from_a_filled_table_match_the_leibniz_rule():
+    ring, n = seeded_ring("sigma3", 4), 5
+    differential_module._kernel.cache_clear()
+    engine = BettiEngine(ring)  # its assemblies fill the table first
+    engine.compute_ranks(engine.required_ranks(1, n, vanishing_bound(ring, n) - 1))
+    kernel = differential_module._kernel(ring, True, "B")
+    filled = dict(kernel.table)
+    assert len(filled) > 20
+    checked = sum(
+        _check_cell_against_leibniz(ring, p, q, n, True)
+        for q in range(1, n // 2 + 1)
+        for p in range(n * ring.dimension + 1)
+    )
+    assert checked > 100
+    # every checked cell read only entries the engine's assemblies had built
+    assert kernel.table.keys() == filled.keys()
+    assert all(kernel.table[s_part] is entry for s_part, entry in filled.items())
 
 
 def test_kernel_fields_do_not_carry_past_eight_bits(cp1):

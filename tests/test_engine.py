@@ -370,6 +370,19 @@ def test_a_table_builds_no_monomial(space, n_max, i_max, fresh_engines, monkeypa
     assert {key: table.grid[key] for key in golden} == golden
 
 
+@pytest.mark.parametrize("space, n_max, i_max", [("sigma3", 9, 16), ("cp6", 7, 115)])
+def test_a_table_assembles_no_matrix_into_an_empty_codomain(
+    space, n_max, i_max, fresh_engines, monkeypatch
+):
+    assembled = _record_assemblies(monkeypatch)
+    table = betti_table(resolve_space(space), 1, n_max, i_max)
+    assert assembled and all(matrix.rows for _, matrix in assembled)
+    golden = {
+        (n, i): v for (n, i), v in load_golden(space).items() if n <= n_max and i <= i_max
+    }
+    assert {key: table.grid[key] for key in golden} == golden
+
+
 def test_worker_pool_table_matches_serial_on_sigma2(sigma2, fresh_engines):
     top = vanishing_bound(sigma2, 6) - 1
     pooled = betti_table(sigma2, 1, 6, top, workers=2)
