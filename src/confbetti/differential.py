@@ -8,9 +8,12 @@ the free graded-commutative algebra.
 Matrices are assembled from packed monomials: one Python int per monomial, with
 one fixed-width field per exponent (all r positions, then all s positions, the
 first in the highest field), wide enough for every exponent at the truncation,
-so int order is lexicographic order. `packed_basis` builds a cell's packed
-basis straight from `basis`'s part tables, each part list packed once per field
-type, with one bucket per length. The terms of d on a monomial depend on its
+so int order is lexicographic order. `packed_pieces` builds a cell's packed
+orbit-representative pieces straight from `basis`'s part tables, each part
+list packed and grouped by label once per field type, with one bucket per
+piece and length; `packed_basis` is the whole cell, one piece. d keeps a
+monomial's label, so the matrix of a cell's pieces is block-diagonal over
+them. The terms of d on a monomial depend on its
 r-part only through mask tests and a popcount, so one table per ring, `reduced`
 flag and field type keeps them by s-part (see `_Kernel`), built once per s-part
 and shared by every cell. Assembly is one loop over the domain codes: look up
@@ -36,6 +39,7 @@ from .basis import (
     _check_cell_arguments,
     _list_parts,
     _odd_flat,
+    _orbits,
     _part_tables,
     enumerate_basis,
     monomial_bigrade,
@@ -146,63 +150,105 @@ def pack_basis(monomials: Iterable[Monomial], n: int) -> PackedBasis:
 
 
 @lru_cache(maxsize=None)
-def _part_codes(ring: GradedRing, reduced: bool, typecode: str) -> tuple[Callable, Callable]:
+def _part_codes(
+    ring: GradedRing, reduced: bool, typecode: str, labelled: bool
+) -> tuple[Callable, Callable]:
     """The r-part and s-part lists of `basis`'s part tables as packed codes, by (weight, count).
 
     An r-part packs with zero s exponents and an s-part with zero r
-    exponents, so a monomial's code is the sum of its two parts' codes. Each
-    list is searched and packed on first request, and only its codes are kept.
+    exponents, so a monomial's code is the sum of its two parts' codes, and
+    its label the sum of theirs. Each list is searched, packed and grouped by
+    label (by label 0 alone unless `labelled`) on first request, as (label,
+    codes) pairs, and only its codes are kept.
     """
     m = ring.top_generator_count
+    weights = _orbits(ring).weights
 
-    def lister(table, before: tuple[int, ...], after: tuple[int, ...]) -> Callable:
-        listed: dict[tuple[int, int], list[int]] = {}
+    def lister(table, before: tuple[int, ...], after: tuple[int, ...], weights) -> Callable:
+        listed: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
 
-        def codes(weight: int, count: int) -> list[int]:
+        def groups(weight: int, count: int) -> list[tuple[int, list[int]]]:
             found = listed.get((weight, count))
             if found is None:
-                parts = _list_parts(table, weight, count)
-                found = [_pack(before + part + after, typecode) for part in parts]
-                listed[(weight, count)] = found
+                by_label: dict[int, list[int]] = {}
+                for part in _list_parts(table, weight, count):
+                    label = sum(map(int.__mul__, part, weights)) if labelled else 0
+                    by_label.setdefault(label, []).append(_pack(before + part + after, typecode))
+                found = listed[(weight, count)] = list(by_label.items())
             return found
 
-        return codes
+        return groups
 
     r_table, s_table = _part_tables(ring, reduced)
-    return lister(r_table, (), (0,) * (m + 1)), lister(s_table, (0,) * m, ())
+    return (
+        lister(r_table, (), (0,) * (m + 1), weights[1:]),
+        lister(s_table, (0,) * m, (), weights),
+    )
 
 
-def packed_basis(
-    ring: GradedRing, p: int, q: int, n: int, reduced: bool = True
-) -> tuple[PackedBasis, list[int]]:
-    """The basis of `enumerate_basis`, packed, and its monomial count per length 0..n.
+class PackedPieces(NamedTuple):
+    """The pieces of a cell that represent their orbits, packed."""
 
-    A monomial of the cell has length 2q plus its r entry count, so codes are
-    gathered in one bucket per r entry count. Inside a bucket, int order is
-    graded-lex order, so sorting each bucket as ints and joining them gives
-    `enumerate_basis`'s order without building a `Monomial`.
+    basis: PackedBasis  # the pieces' codes, piece-major, graded by length inside each piece
+    pieces: list[tuple[int, list[int]]]  # per piece: its orbit size and its count per length
+
+
+def packed_pieces(
+    ring: GradedRing, p: int, q: int, n: int, reduced: bool = True, whole: bool = False
+) -> PackedPieces:
+    """The orbit-representative pieces of cell (p, q) at truncation n (see `basis._Orbits`).
+
+    A monomial of the cell has length 2q plus its r entry count and its label
+    is the sum of its parts' labels, so the codes of each (s-part, r-part)
+    label pair whose sum represents its orbit go into that label's bucket for
+    the r entry count. Inside a bucket int order is graded-lex order, so
+    sorting each bucket as ints and joining them gives each piece in
+    `enumerate_basis`'s order, and the pieces follow in label order. The count
+    list of a piece runs over lengths 0..n. With `whole`, every label goes
+    into one piece of orbit size 1: the whole cell.
     """
     _check_cell_arguments(ring, n)
     typecode = _field_type(n)
     max_r = n - 2 * q
     if p < 0 or q < 0 or max_r < 0:
-        return PackedBasis(typecode, []), [0] * (n + 1)
-    r_codes, s_codes = _part_codes(ring, reduced, typecode)
-    buckets: list[list[int]] = [[] for _ in range(max_r + 1)]
+        return PackedPieces(PackedBasis(typecode, []), [])
+    orbits = _orbits(ring)
+    r_codes, s_codes = _part_codes(ring, reduced, typecode, bool(orbits.actions) and not whole)
+    buckets: dict[int, list[list[int]] | None] = {}  # None for a label that is no representative
     for s_weight in range(p + 1):
-        s_list = s_codes(s_weight, q)
-        if not s_list:
+        s_groups = s_codes(s_weight, q)
+        if not s_groups:
             continue
         r_weight = p - s_weight
         for count in range(min(max_r, r_weight) + 1):  # r degrees are positive
-            bucket = buckets[count]
-            for r_code in r_codes(r_weight, count):
-                bucket.extend(map(r_code.__add__, s_list))
-    codes = []
-    for bucket in buckets:
-        bucket.sort()
-        codes += bucket
-    return PackedBasis(typecode, codes), [0] * (2 * q) + [len(bucket) for bucket in buckets]
+            for r_label, r_list in r_codes(r_weight, count):
+                for s_label, s_list in s_groups:
+                    label = r_label + s_label
+                    if label not in buckets:
+                        is_rep = orbits.orbit(label)[0] == label
+                        buckets[label] = [[] for _ in range(max_r + 1)] if is_rep else None
+                    piece = buckets[label]
+                    if piece is not None:
+                        bucket = piece[count]
+                        for r_code in r_list:
+                            bucket.extend(map(r_code.__add__, s_list))
+    codes: list[int] = []
+    pieces = []
+    for label in sorted(label for label, piece in buckets.items() if piece is not None):
+        for bucket in buckets[label]:
+            bucket.sort()
+            codes += bucket
+        counts = [0] * (2 * q) + [len(bucket) for bucket in buckets[label]]
+        pieces.append((orbits.orbit(label)[1], counts))
+    return PackedPieces(PackedBasis(typecode, codes), pieces)
+
+
+def packed_basis(
+    ring: GradedRing, p: int, q: int, n: int, reduced: bool = True
+) -> tuple[PackedBasis, list[int]]:
+    """The basis of `enumerate_basis`, packed, and its monomial count per length 0..n."""
+    basis, pieces = packed_pieces(ring, p, q, n, reduced, whole=True)
+    return basis, pieces[0][1] if pieces else [0] * (n + 1)
 
 
 class _Kernel:

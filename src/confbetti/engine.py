@@ -2,25 +2,30 @@
 
 Each bigrade cell (p, q) is one record, built once at a truncation t and
 indexed by length L <= t: the dimension and the rank over Q of the
-differential leaving the cell at truncation L, and its packed basis until the
-assemblies that read it are done. Before ranking, a table raises the engine's
-reach to its largest n; a cell read within the reach is built at
+differential leaving the cell at truncation L, and its packed pieces until the
+assemblies that read them are done. Before ranking, a table raises the
+engine's reach to its largest n; a cell read within the reach is built at
 min(saturation, reach), and any other at saturation (length p + 2q, beyond
 which the cell stops growing). A table reading a cell at some n reads it at
 every larger n up to its last, so this is the largest truncation the table
-reads the cell at. The record is built by `packed_basis`, one bucket of packed
-monomials per length, with no `Monomial` made. The basis order is graded by
-length and the differential preserves length, so the matrix at any n <= t is
-the leading dim(p, q, n) columns of the cell's matrix, and its rank is one
-prefix rank of that matrix.
-The matrix is assembled once from the packed bases, ranked by one exact
+reads the cell at. The record is built by `packed_pieces`, with no `Monomial`
+made: the ring's grading splits the cell into pieces, one per label, which d
+keeps, and the ring's automorphisms make whole orbits of pieces rank-equal,
+so only one piece per orbit is listed, with its orbit size (see
+`basis._Orbits`); without a grading or a symmetry that moves a label, a cell
+is one piece. The differential preserves length and label, so the matrix is
+block-diagonal over the pieces, and within a piece the matrix at any n <= t is
+its leading columns of length at most n. A dimension or rank at n is the sum,
+over the listed pieces, of orbit size times the piece's count or prefix rank.
+The matrix is assembled once from the packed pieces, ranked by one exact
 left-to-right elimination, and dropped, so every rank is proven. When the
-columns of the cell's shortest monomials are rank-deficient, they are also
-eliminated modulo one prime as a spot check: the exact ranks may not fall below
-those anywhere. An empty cell is never assembled, nor one whose codomain is
-empty at its truncation: every rank of its differential is 0. A request beyond
-the reach rebuilds the record at saturation, so a query past a table rebuilds
-each cell once.
+columns of the first piece's shortest monomials are rank-deficient, they are
+also eliminated modulo one prime as a spot check: the exact ranks may not fall
+below those anywhere. An empty cell is never assembled, nor one whose codomain
+is empty at its truncation: every rank of its differential is 0. A request
+beyond the reach rebuilds the record at saturation, so a query past a table
+rebuilds each cell once. `assemble_matrix` without bases, which dumps, oracles
+and the library call, still builds the whole cell.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ import os
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .differential import PackedBasis, assemble_matrix, packed_basis
+from .differential import PackedBasis, PackedPieces, assemble_matrix, packed_pieces
 from .linalg import RankProfile, RationalMatrix, rank_profile_modular
 from .linalg import rank_profile_exact as exact_rank
 from .rings import GradedRing, parse_ring, serialize_ring
@@ -54,8 +59,8 @@ class _Cell:
 
     truncation: int
     dims: list[int]  # dims[L] = basis monomials of length <= L, for L <= truncation
-    codes: PackedBasis | None  # the packed basis, until no assembly is left to read it
-    ranks: list[int] | None  # ranks[L] = rank of d on the first dims[L] columns, once ranked
+    codes: PackedPieces | None  # the packed pieces, until no assembly is left to read them
+    ranks: list[int] | None  # ranks[L] = rank of d on the monomials of length <= L, once ranked
 
 
 class BettiEngine:
@@ -78,8 +83,11 @@ class BettiEngine:
         cell = self._cells.get((p, q))
         if cell is None or cell.truncation < min(n, saturation):
             truncation = min(saturation, self._reach) if n <= self._reach else saturation
-            codes, counts = packed_basis(self.ring, p, q, truncation, self.reduced)
-            dims = list(accumulate(counts))
+            codes = packed_pieces(self.ring, p, q, truncation, self.reduced)
+            dims = [0] * (truncation + 1)
+            for orbit, counts in codes.pieces:
+                for length, total in enumerate(accumulate(counts)):
+                    dims[length] += orbit * total
             ranks = None if dims[-1] else dims  # an empty cell is never assembled
             cell = _Cell(truncation, dims, codes, ranks)
             self._cells[(p, q)] = cell
@@ -88,38 +96,51 @@ class BettiEngine:
     def _ranked(self, p: int, q: int, n: int) -> _Cell:
         """The record of cell (p, q), covering n, with the ranks of its differential.
 
-        The matrix is assembled from the packed bases of this cell and of its
-        codomain's record, ranked over Q in one pass, and dropped; into an
-        empty codomain every rank is 0 and nothing is assembled. The cell's own
-        assembly is the last to read its codes, and a q = 0 codomain is read by
-        one cell only; a codomain whose codes are gone is enumerated again
-        inside the assembly.
+        The matrix is assembled from the representative pieces of this cell
+        and of its codomain's record, each codomain piece cut at the cell's
+        truncation, ranked over Q in one pass, and dropped; into an empty
+        codomain every rank is 0 and nothing is assembled. d keeps labels, so
+        the matrix is block-diagonal over the pieces, and the rank of a piece
+        at length L is the difference of two prefix ranks: at the piece's start
+        and at its end at length L. Each piece stands for its whole orbit. The
+        cell's own assembly is the last to read its codes, and a q = 0
+        codomain is read by one cell only; a codomain whose codes are gone is
+        enumerated again, whole, inside the assembly.
         """
         cell = self._cell(p, q, n)
         if cell.ranks is None:
             t = cell.truncation
             target = self._cell(p + self.ring.dimension, q - 1, t)
-            rows = target.dims[min(t, target.truncation)]
             codomain = None
             if target.codes is not None:
-                codomain = target.codes._replace(codes=target.codes.codes[:rows])
+                codomain = target.codes.basis
+                if target.truncation > t:
+                    codomain = _cut(target.codes, t)
                 if q == 1:
                     target.codes = None
-            if rows:
-                bases = (cell.codes, codomain)
+            if target.dims[min(t, target.truncation)]:
+                bases = (cell.codes.basis, codomain)
                 matrix = assemble_matrix(self.ring, p, q, t, self.reduced, bases=bases)
                 profile = exact_rank(matrix)
-                shortest = next(d for d in cell.dims if d)
-                if profile.prefix_ranks[shortest] < shortest:  # else no prime ranks higher
+                prefix = profile.prefix_ranks
+                shortest = next(c for c in accumulate(cell.codes.pieces[0][1]) if c)
+                if prefix[shortest] < shortest:  # else no prime ranks higher
                     self._spot_check(matrix, profile, shortest, (p, q))
-                cell.ranks = [profile.prefix_ranks[d] for d in cell.dims]
+                cell.ranks = [0] * (t + 1)
+                start = 0
+                for orbit, counts in cell.codes.pieces:
+                    end = start
+                    for length, count in enumerate(counts):
+                        end += count
+                        cell.ranks[length] += orbit * (prefix[end] - prefix[start])
+                    start = end
             else:
                 cell.ranks = [0] * len(cell.dims)
             cell.codes = None
         return cell
 
     def dim(self, p: int, q: int, n: int) -> int:
-        """dim of cell (p, q) at truncation n: a prefix of the cell's basis."""
+        """dim of cell (p, q) at truncation n: its monomials of length at most n."""
         if p < 0 or q < 0 or n < max(1, 2 * q):  # every monomial has length >= 2q
             return 0
         cell = self._cell(p, q, n)
@@ -131,7 +152,7 @@ class BettiEngine:
         """Rank of the differential leaving cell (p, q) at truncation n.
 
         Both bases are graded by length and the differential preserves it, so
-        the matrix at n is the leading dim(p, q, n) columns of the cell's.
+        the matrix at n is the cell's columns of length at most n.
         """
         if q <= 0 or p < 0 or n < 2 * q or not self.dim(p, q, n):
             return 0
@@ -219,13 +240,14 @@ class BettiEngine:
         largest n, which no task reaches when every ranked cell saturates
         below it. A pool job is one cell at the truncation of this engine's
         record; the worker returns the record's ranks, and this engine keeps
-        them.
+        them. The largest jobs go first, by the columns a worker assembles:
+        the cell's listed pieces.
         """
         self._reach = max([self._reach, reach, *(n_eff for _, _, n_eff in tasks)])
         cells = {(p, q): self._cell(p, q, n) for p, q, n in tasks} if workers > 1 else {}
         jobs = sorted(
             ((p, q, cell.truncation) for (p, q), cell in cells.items() if cell.ranks is None),
-            key=lambda job: -cells[job[:2]].dims[-1],
+            key=lambda job: -len(cells[job[:2]].codes.basis.codes),
         )
         if len(jobs) > 1:
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
@@ -357,6 +379,16 @@ def betti_odd_closed(ring: GradedRing, n: int) -> list[int]:
                 for d in range(degree, top_degree + 1):
                     row[d] += prev[d - degree]
     return table[n]
+
+
+def _cut(codes: PackedPieces, t: int) -> PackedBasis:
+    """The codes of every piece, each cut at length t."""
+    kept: list[int] = []
+    start = 0
+    for _, counts in codes.pieces:
+        kept += codes.basis.codes[start : start + sum(counts[: t + 1])]
+        start += sum(counts)
+    return codes.basis._replace(codes=kept)
 
 
 def _pool_init(ring_json: str, reduced: bool) -> None:

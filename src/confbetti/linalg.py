@@ -75,43 +75,45 @@ class RankProfile:
         return self.prefix_ranks[-1]
 
 
-def _triples(m: RationalMatrix, cols: int) -> list[tuple[int, int, int]]:
-    """The nonzero entries of the first cols columns of m as (row, col, int) triples.
+def _profile(m: RationalMatrix, cols: int, prime: int = 0) -> RankProfile:
+    """Prefix ranks of the first cols columns of m, each column scaled to integers.
 
-    Int entries, which the engine assembles, pass through. A column holding a
-    Fraction is scaled by the lcm of its denominators, which keeps every prefix
-    rank.
+    The ranks are over Q, or modulo prime when one is given. Int entries,
+    which the engine assembles, are read as they are; a column holding a
+    Fraction is scaled by the lcm of its denominators, which keeps every
+    prefix rank.
     """
     entries = m.entries
-    if set(map(type, entries.values())) <= {int}:
-        return [(r, c, v) for (r, c), v in entries.items() if c < cols and v]
-    scale: dict[int, int] = {}
-    for (_, c), v in entries.items():
-        scale[c] = lcm(scale.get(c, 1), v.denominator)
-    return [(r, c, int(v * scale[c])) for (r, c), v in entries.items() if c < cols and v]
-
-
-def _profile(cols: int, triples: list[tuple[int, int, int]], prime: int = 0) -> RankProfile:
-    """Prefix ranks of the integer triples, in a matrix of the given width.
-
-    The ranks are over Q, or modulo prime when one is given and the triples
-    are residues.
-    """
-    live: dict[int, dict[int, int]] = {}  # row -> its nonzero entries, by column
-    holders: dict[int, set[int]] = {}  # column -> the live rows with an entry there
-    for r, c, v in triples:
-        live.setdefault(r, {})[c] = v
-        holders.setdefault(c, set()).add(r)
+    if not set(map(type, entries.values())) <= {int}:
+        scale: dict[int, int] = {}
+        for (_, c), v in entries.items():
+            scale[c] = lcm(scale.get(c, 1), v.denominator)
+        entries = {(r, c): int(v * scale[c]) for (r, c), v in entries.items()}
+    # row -> its entries, by column; column -> the live rows holding it. A pivot's
+    # row and column are dropped, as no other row or column refers to them again.
+    live: list = [{} for _ in range(m.rows)]
+    holders: list = [set() for _ in range(cols)]
+    for (r, c), v in entries.items():
+        if c < cols:
+            if prime:
+                v %= prime
+            if v:
+                live[r][c] = v
+                holders[c].add(r)
+    remaining = sum(map(bool, live))  # live rows
     prefix = [0]  # prefix[-1] = pivots found so far
     for j in range(cols):
-        candidates = holders.pop(j, None)
+        candidates, holders[j] = holders[j], None
         if not candidates:
             prefix.append(prefix[-1])
             continue
-        # the lightest holder makes the least fill; ties go to the lowest row
-        pivot_row = min(candidates, key=lambda r: (len(live[r]), r))
-        candidates.discard(pivot_row)
-        pivot_entries = live.pop(pivot_row)
+        if len(candidates) == 1:
+            pivot_row = candidates.pop()
+        else:  # the lightest holder makes the least fill; ties go to the lowest row
+            pivot_row = min(candidates, key=lambda r: (len(live[r]), r))
+            candidates.discard(pivot_row)
+        pivot_entries, live[pivot_row] = live[pivot_row], None
+        remaining -= 1
         pivot = pivot_entries.pop(j)
         for c in pivot_entries:
             holders[c].discard(pivot_row)
@@ -136,7 +138,7 @@ def _profile(cols: int, triples: list[tuple[int, int, int]], prime: int = 0) -> 
                     del row[c]
                     holders[c].discard(r)
             if not row:
-                del live[r]
+                remaining -= 1
             elif prime:  # a/g is a nonzero residue, so the update was a row operation
                 for c in row:
                     row[c] %= prime
@@ -146,7 +148,7 @@ def _profile(cols: int, triples: list[tuple[int, int, int]], prime: int = 0) -> 
                     for c in row:
                         row[c] //= content
         prefix.append(prefix[-1] + 1)
-        if not live:
+        if not remaining:
             prefix.extend([prefix[-1]] * (cols - j - 1))
             break
     return RankProfile(prefix)
@@ -154,7 +156,7 @@ def _profile(cols: int, triples: list[tuple[int, int, int]], prime: int = 0) -> 
 
 def rank_profile_exact(m: RationalMatrix) -> RankProfile:
     """Prefix ranks of m over Q: m.cols + 1 entries, from one left-to-right elimination."""
-    return _profile(m.cols, _triples(m, m.cols))
+    return _profile(m, m.cols)
 
 
 def rank_profile_modular(
@@ -165,9 +167,7 @@ def rank_profile_modular(
     Each is at most the rank over Q of the same prefix. The profile stops after
     col_cap columns when one is given; perfbench's tracer passes it by position.
     """
-    cols = m.cols if col_cap is None else min(col_cap, m.cols)
-    residues = [(r, c, v % prime) for r, c, v in _triples(m, cols) if v % prime]
-    return _profile(cols, residues, prime)
+    return _profile(m, m.cols if col_cap is None else min(col_cap, m.cols), prime)
 
 
 def rank(m: RationalMatrix) -> int:

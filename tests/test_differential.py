@@ -152,8 +152,9 @@ def test_cells_assembled_from_a_filled_table_match_the_leibniz_rule():
         for p in range(n * ring.dimension + 1)
     )
     assert checked > 100
-    # every checked cell read only entries the engine's assemblies had built
-    assert kernel.table.keys() == filled.keys()
+    # the checks read every entry the engine's assemblies had built, and rebuilt none;
+    # the engine assembles orbit representatives only, so the checks fill the rest
+    assert kernel.table.keys() >= filled.keys()
     assert all(kernel.table[s_part] is entry for s_part, entry in filled.items())
 
 

@@ -35,6 +35,7 @@ from confbetti import (
     stable_betti,
     vanishing_bound,
 )
+from confbetti.differential import PackedPieces
 from confbetti.spaces import resolve_space
 
 README = Path(__file__).parents[1] / "README.md"
@@ -235,13 +236,13 @@ def test_worker_pool_asks_for_no_more_workers_than_cpus(
 def test_query_past_a_table_builds_each_cell_once(sigma2, fresh_engines, monkeypatch):
     betti_table(sigma2, 1, 4, 8)
     builds: dict[tuple[int, int], int] = {}
-    original = engine_module.packed_basis
+    original = engine_module.packed_pieces
 
     def counting(ring, p, q, n, reduced=True):
         builds[(p, q)] = builds.get((p, q), 0) + 1
         return original(ring, p, q, n, reduced)
 
-    monkeypatch.setattr(engine_module, "packed_basis", counting)
+    monkeypatch.setattr(engine_module, "packed_pieces", counting)
     values = [stable_betti(sigma2, i) for i in range(12)]
     assert builds and max(builds.values()) == 1
     fresh = BettiEngine(sigma2)
@@ -257,13 +258,13 @@ def test_a_table_builds_each_cell_once_and_indexes_it_by_length(
 ):
     ring = resolve_space(space)
     builds: dict[tuple[int, int], int] = {}
-    original = engine_module.packed_basis
+    original = engine_module.packed_pieces
 
     def counting(ring, p, q, n, reduced=True):
         builds[(p, q)] = builds.get((p, q), 0) + 1
         return original(ring, p, q, n, reduced)
 
-    monkeypatch.setattr(engine_module, "packed_basis", counting)
+    monkeypatch.setattr(engine_module, "packed_pieces", counting)
     betti_table(ring, n_min, n_max, i_max)
     assert builds and max(builds.values()) == 1
     monkeypatch.undo()
@@ -279,19 +280,20 @@ def planted_cell(cp1, monkeypatch):
     """Make cell (0, 1) of cp1 the given 2 x 2 matrix, between two length-2 bases."""
 
     def plant(entries):
-        original = engine_module.packed_basis
+        original = engine_module.packed_pieces
 
         def two_copies(ring, p, q, n, reduced=True):
-            basis, counts = original(ring, p, q, n, reduced)
+            basis, ((orbit, counts),) = original(ring, p, q, n, reduced)
             (code,) = basis.codes
-            return basis._replace(codes=[code, code]), [2 * c for c in counts]
+            doubled = [(orbit, [2 * c for c in counts])]
+            return PackedPieces(basis._replace(codes=[code, code]), doubled)
 
         def planted(ring, p, q, n, reduced=True, bases=None):
             assert (p, q) == (0, 1)
             values = {key: Fraction(v) for key, v in entries.items()}
             return RationalMatrix(2, 2, values)
 
-        monkeypatch.setattr(engine_module, "packed_basis", two_copies)
+        monkeypatch.setattr(engine_module, "packed_pieces", two_copies)
         monkeypatch.setattr(engine_module, "assemble_matrix", planted)
         return BettiEngine(cp1)
 
