@@ -357,7 +357,7 @@ def _pack_label(coordinates) -> int:
 class _Orbits:
     """Monomial labels under the ring's grading, and their orbits under its automorphisms.
 
-    A monomial's label is the sum of the weights (`rings.grading`) of its
+    A monomial's label is the sum of the weights (`grading`) of its
     generators' classes, each counted with its exponent, packed into one int;
     d keeps it, so a cell splits into one piece per label. A ring automorphism
     σ induces a chain automorphism that keeps bigrade and length and maps the
@@ -365,12 +365,16 @@ class _Orbits:
     σ acts on labels by a matrix, held here as its packed columns over
     `scale`: column l is the weight of the image of a class weighing a
     multiple of axis l only. Without a grading, or when no automorphism moves
-    a label, every label is 0 and a cell is one piece, with no search for
-    automorphisms in the first case. Label 0 is fixed by every σ.
+    a label, every label is 0 and a cell is one piece; there is no search
+    without a grading, and no grading when no two classes share a degree.
+    Label 0 is fixed by every σ.
     """
 
     def __init__(self, ring: GradedRing):
-        weights = grading(ring)
+        # when no two classes share a degree, every automorphism only changes
+        # signs and moves no label: skip the grading
+        degrees = set(map(ring.degree, range(ring.size)))
+        weights = grading(ring) if len(degrees) < ring.size else ((),) * ring.size
         self.rank = len(weights[0])
         axes = [
             next((k, w[l]) for k, w in enumerate(weights) if w[l] and sum(map(bool, w)) == 1)

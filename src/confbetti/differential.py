@@ -170,11 +170,13 @@ def _part_codes(
         def groups(weight: int, count: int) -> list[tuple[int, list[int]]]:
             found = listed.get((weight, count))
             if found is None:
+                parts = _list_parts(table, weight, count)
+                codes = [_pack(before + part + after, typecode) for part in parts]
                 by_label: dict[int, list[int]] = {}
-                for part in _list_parts(table, weight, count):
-                    label = sum(map(int.__mul__, part, weights)) if labelled else 0
-                    by_label.setdefault(label, []).append(_pack(before + part + after, typecode))
-                found = listed[(weight, count)] = list(by_label.items())
+                for part, code in zip(parts, codes) if labelled else ():
+                    by_label.setdefault(sum(map(int.__mul__, part, weights)), []).append(code)
+                found = list(by_label.items()) if labelled else [(0, codes)] if codes else []
+                listed[(weight, count)] = found
             return found
 
         return groups
