@@ -86,8 +86,7 @@ class BettiEngine:
             codes = packed_pieces(self.ring, p, q, truncation, self.reduced)
             dims = [0] * (truncation + 1)
             for orbit, counts in codes.pieces:
-                for length, total in enumerate(accumulate(counts)):
-                    dims[length] += orbit * total
+                dims = [d + orbit * total for d, total in zip(dims, accumulate(counts))]
             ranks = None if dims[-1] else dims  # an empty cell is never assembled
             cell = _Cell(truncation, dims, codes, ranks)
             self._cells[(p, q)] = cell
@@ -126,14 +125,13 @@ class BettiEngine:
                 shortest = next(c for c in accumulate(cell.codes.pieces[0][1]) if c)
                 if prefix[shortest] < shortest:  # else no prime ranks higher
                     self._spot_check(matrix, profile, shortest, (p, q))
-                cell.ranks = [0] * (t + 1)
-                start = 0
+                ranks, start = [0] * (t + 1), 0
                 for orbit, counts in cell.codes.pieces:
-                    end = start
-                    for length, count in enumerate(counts):
-                        end += count
-                        cell.ranks[length] += orbit * (prefix[end] - prefix[start])
-                    start = end
+                    base = prefix[start]
+                    ends = [start + total for total in accumulate(counts)]
+                    ranks = [r + orbit * (prefix[end] - base) for r, end in zip(ranks, ends)]
+                    start = ends[-1]
+                cell.ranks = ranks
             else:
                 cell.ranks = [0] * len(cell.dims)
             cell.codes = None
