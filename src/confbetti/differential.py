@@ -157,9 +157,9 @@ def _part_codes(
 
     An r-part packs with zero s exponents and an s-part with zero r
     exponents, so a monomial's code is the sum of its two parts' codes, and
-    its label the sum of theirs. Each list is searched, packed and grouped by
-    label (by label 0 alone unless `labelled`) on first request, as (label,
-    codes) pairs, and only its codes are kept.
+    its label the sum of theirs. Each list is searched and packed on first
+    request, and only its codes are kept; if `labelled`, they are grouped by
+    label, as (label, codes) pairs.
     """
     m = ring.top_generator_count
     weights = _orbits(ring).weights
@@ -171,11 +171,12 @@ def _part_codes(
             found = listed.get((weight, count))
             if found is None:
                 parts = _list_parts(table, weight, count)
-                codes = [_pack(before + part + after, typecode) for part in parts]
-                by_label: dict[int, list[int]] = {}
-                for part, code in zip(parts, codes) if labelled else ():
-                    by_label.setdefault(sum(map(int.__mul__, part, weights)), []).append(code)
-                found = list(by_label.items()) if labelled else [(0, codes)] if codes else []
+                found = [_pack(before + part + after, typecode) for part in parts]
+                if labelled:
+                    by_label: dict[int, list[int]] = {}
+                    for part, code in zip(parts, found):
+                        by_label.setdefault(sum(map(int.__mul__, part, weights)), []).append(code)
+                    found = list(by_label.items())
                 listed[(weight, count)] = found
             return found
 
@@ -206,8 +207,9 @@ def packed_pieces(
     the r entry count. Inside a bucket int order is graded-lex order, so
     sorting each bucket as ints and joining them gives each piece in
     `enumerate_basis`'s order, and the pieces follow in label order. The count
-    list of a piece runs over lengths 0..n. With `whole`, every label goes
-    into one piece of orbit size 1: the whole cell.
+    list of a piece runs over lengths 0..n. Without labels in use (`whole`, or
+    a ring with no symmetry that moves a label), the whole cell is one piece
+    of orbit size 1, joined from the plain code lists.
     """
     _check_cell_arguments(ring, n)
     typecode = _field_type(n)
@@ -215,25 +217,40 @@ def packed_pieces(
     if p < 0 or q < 0 or max_r < 0:
         return PackedPieces(PackedBasis(typecode, []), [])
     orbits = _orbits(ring)
-    r_codes, s_codes = _part_codes(ring, reduced, typecode, bool(orbits.actions) and not whole)
+    labelled = bool(orbits.actions) and not whole
+    r_codes, s_codes = _part_codes(ring, reduced, typecode, labelled)
     buckets: dict[int, list[list[int]] | None] = {}  # None for a label that is no representative
-    for s_weight in range(p + 1):
-        s_groups = s_codes(s_weight, q)
-        if not s_groups:
-            continue
-        r_weight = p - s_weight
-        for count in range(min(max_r, r_weight) + 1):  # r degrees are positive
-            for r_label, r_list in r_codes(r_weight, count):
-                for s_label, s_list in s_groups:
-                    label = r_label + s_label
-                    if label not in buckets:
-                        is_rep = orbits.orbit(label)[0] == label
-                        buckets[label] = [[] for _ in range(max_r + 1)] if is_rep else None
-                    piece = buckets[label]
-                    if piece is not None:
-                        bucket = piece[count]
-                        for r_code in r_list:
-                            bucket.extend(map(r_code.__add__, s_list))
+    if not labelled:  # one piece, of label 0
+        piece = buckets[0] = [[] for _ in range(max_r + 1)]
+        for s_weight in range(p + 1):
+            s_list = s_codes(s_weight, q)
+            if not s_list:
+                continue
+            r_weight = p - s_weight
+            for count in range(min(max_r, r_weight) + 1):  # r degrees are positive
+                bucket = piece[count]
+                for r_code in r_codes(r_weight, count):
+                    bucket.extend(map(r_code.__add__, s_list))
+        if not any(piece):
+            buckets.clear()
+    else:
+        for s_weight in range(p + 1):
+            s_groups = s_codes(s_weight, q)
+            if not s_groups:
+                continue
+            r_weight = p - s_weight
+            for count in range(min(max_r, r_weight) + 1):
+                for r_label, r_list in r_codes(r_weight, count):
+                    for s_label, s_list in s_groups:
+                        label = r_label + s_label
+                        if label not in buckets:
+                            is_rep = orbits.orbit(label)[0] == label
+                            buckets[label] = [[] for _ in range(max_r + 1)] if is_rep else None
+                        piece = buckets[label]
+                        if piece is not None:
+                            bucket = piece[count]
+                            for r_code in r_list:
+                                bucket.extend(map(r_code.__add__, s_list))
     codes: list[int] = []
     pieces = []
     for label in sorted(label for label, piece in buckets.items() if piece is not None):

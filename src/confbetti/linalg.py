@@ -91,14 +91,17 @@ def _profile(m: RationalMatrix, cols: int, prime: int = 0) -> RankProfile:
         entries = {(r, c): int(v * scale[c]) for (r, c), v in entries.items()}
     # row -> its entries, by column; column -> the live rows holding it. A pivot's
     # row and column are dropped, as no other row or column refers to them again.
-    live: list = [{} for _ in range(m.rows)]
+    live: list = [None] * m.rows
     holders: list = [set() for _ in range(cols)]
     for (r, c), v in entries.items():
         if c < cols:
             if prime:
                 v %= prime
             if v:
-                live[r][c] = v
+                row = live[r]
+                if row is None:
+                    row = live[r] = {}
+                row[c] = v
                 holders[c].add(r)
     remaining = sum(map(bool, live))  # live rows
     prefix = [0]  # prefix[-1] = pivots found so far
