@@ -396,15 +396,17 @@ def assemble_matrix(
 
     Columns follow the domain basis order, rows the codomain basis order at
     (p + D, q - 1); a q = 0 cell maps to the zero space. Entries are ints.
-    `bases` are the domain and codomain at truncation n as `packed_basis` gives
-    them. A codomain that is None, or packed at a larger truncation's wider
-    fields, is enumerated here at n; without `bases` both are.
+    `bases` are the domain and codomain at truncation n as `packed_pieces`
+    gives them: representative pieces. A codomain that is None, or packed at a
+    larger truncation's wider fields, is listed here at n; without `bases`,
+    both are the whole cells.
     """
-    if bases is None:
+    whole = bases is None
+    if whole:
         bases = (packed_basis(ring, p, q, n, reduced)[0], None)
     domain, codomain = bases
     if codomain is None or codomain.typecode != domain.typecode:
-        codomain = packed_basis(ring, p + ring.dimension, q - 1, n, reduced)[0]
+        codomain = packed_pieces(ring, p + ring.dimension, q - 1, n, reduced, whole).basis
     kernel = _kernel(ring, reduced, domain.typecode)
     table, s_mask = kernel.table, kernel.s_mask
     top_shift, field = kernel.r_top_shift, kernel.field

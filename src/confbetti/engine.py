@@ -103,8 +103,9 @@ class BettiEngine:
         at length L is the difference of two prefix ranks: at the piece's start
         and at its end at length L. Each piece stands for its whole orbit. The
         cell's own assembly is the last to read its codes, and a q = 0
-        codomain is read by one cell only; a codomain whose codes are gone is
-        enumerated again, whole, inside the assembly.
+        codomain is read by one cell only; a codomain whose codes are gone, as
+        in a pool worker that ranked it first, is listed again inside the
+        assembly, its representative pieces only.
         """
         cell = self._cell(p, q, n)
         if cell.ranks is None:
@@ -112,9 +113,7 @@ class BettiEngine:
             target = self._cell(p + self.ring.dimension, q - 1, t)
             codomain = None
             if target.codes is not None:
-                codomain = target.codes.basis
-                if target.truncation > t:
-                    codomain = _cut(target.codes, t)
+                codomain = _cut(target.codes, t)
                 if q == 1:
                     target.codes = None
             if target.dims[min(t, target.truncation)]:
@@ -381,6 +380,8 @@ def betti_odd_closed(ring: GradedRing, n: int) -> list[int]:
 
 def _cut(codes: PackedPieces, t: int) -> PackedBasis:
     """The codes of every piece, each cut at length t."""
+    if not codes.pieces or len(codes.pieces[0][1]) <= t + 1:  # no piece is longer than t
+        return codes.basis
     kept: list[int] = []
     start = 0
     for _, counts in codes.pieces:

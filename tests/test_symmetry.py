@@ -1,6 +1,7 @@
 """Gradings, automorphisms and the orbit-reduced cell records built from them."""
 from __future__ import annotations
 
+import concurrent.futures
 import json
 from fractions import Fraction
 from itertools import accumulate
@@ -235,3 +236,39 @@ def test_a_search_past_its_budget_keeps_no_automorphism(monkeypatch):
     finally:
         automorphisms.cache_clear()
         _orbits.cache_clear()
+
+
+def test_a_pool_worker_lists_a_gone_codomain_by_its_representatives(monkeypatch):
+    class InlineExecutor:
+        """Runs every job in this process, as one worker that takes them in pool order."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    shapes: dict[str, dict] = {"serial": {}, "pool": {}}
+    relisted = []
+    original = engine_module.assemble_matrix
+
+    def recording(ring, p, q, n, reduced=True, bases=None):
+        matrix = original(ring, p, q, n, reduced, bases)
+        shapes[mode][(p, q)] = (matrix.rows, matrix.cols)
+        relisted.append(bases[1] is None)
+        return matrix
+
+    monkeypatch.setattr(engine_module, "assemble_matrix", recording)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(engine_module, "_POOL_ENGINE", None, raising=False)
+    ring = resolve_space("sigma3")
+    for mode, workers in (("serial", 1), ("pool", 2)):
+        engine = BettiEngine(ring)
+        engine.compute_ranks(engine.required_ranks(1, 9, 16), workers, reach=9)
+    assert any(relisted) and shapes["pool"] == shapes["serial"]
