@@ -30,6 +30,7 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .rings import GradedRing
@@ -366,15 +367,11 @@ class _Orbits:
     `scale`: column l is the weight of the image of a class weighing a
     multiple of axis l only. Without a grading, or when no automorphism moves
     a label, every label is 0 and a cell is one piece; there is no search
-    without a grading, and no grading when no two classes share a degree.
-    Label 0 is fixed by every σ.
+    without a grading. Label 0 is fixed by every σ.
     """
 
     def __init__(self, ring: GradedRing):
-        # when no two classes share a degree, every automorphism only changes
-        # signs and moves no label: skip the grading
-        degrees = set(map(ring.degree, range(ring.size)))
-        weights = grading(ring) if len(degrees) < ring.size else ((),) * ring.size
+        weights = grading(ring)
         self.rank = len(weights[0])
         axes = [
             next((k, w[l]) for k, w in enumerate(weights) if w[l] and sum(map(bool, w)) == 1)
@@ -405,7 +402,7 @@ class _Orbits:
                     coordinates.append(x)
                     rest = (rest - x) >> _LABEL_BITS
                 for action in self.actions:
-                    image = sum(map(int.__mul__, coordinates, action)) // self.scale
+                    image = sum(map(mul, coordinates, action)) // self.scale
                     if image not in orbit:
                         orbit.add(image)
                         frontier.append(image)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .basis import (
@@ -151,18 +152,17 @@ def pack_basis(monomials: Iterable[Monomial], n: int) -> PackedBasis:
 
 @lru_cache(maxsize=None)
 def _part_codes(
-    ring: GradedRing, reduced: bool, typecode: str, labelled: bool
+    ring: GradedRing, reduced: bool, typecode: str, weights: tuple[int, ...]
 ) -> tuple[Callable, Callable]:
     """The r-part and s-part lists of `basis`'s part tables as packed codes, by (weight, count).
 
     An r-part packs with zero s exponents and an s-part with zero r
     exponents, so a monomial's code is the sum of its two parts' codes, and
-    its label the sum of theirs. Each list is searched and packed on first
-    request, and only its codes are kept; if `labelled`, they are grouped by
-    label, as (label, codes) pairs.
+    its label, under the packed class `weights`, the sum of theirs. Each list
+    is searched and packed on first request, and only its codes are kept,
+    grouped by label as (label, codes) pairs: one group when every weight is 0.
     """
     m = ring.top_generator_count
-    weights = _orbits(ring).weights
 
     def lister(table, before: tuple[int, ...], after: tuple[int, ...], weights) -> Callable:
         listed: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
@@ -170,14 +170,12 @@ def _part_codes(
         def groups(weight: int, count: int) -> list[tuple[int, list[int]]]:
             found = listed.get((weight, count))
             if found is None:
-                parts = _list_parts(table, weight, count)
-                found = [_pack(before + part + after, typecode) for part in parts]
-                if labelled:
-                    by_label: dict[int, list[int]] = {}
-                    for part, code in zip(parts, found):
-                        by_label.setdefault(sum(map(int.__mul__, part, weights)), []).append(code)
-                    found = list(by_label.items())
-                listed[(weight, count)] = found
+                by_label: dict[int, list[int]] = {}
+                for part in _list_parts(table, weight, count):
+                    by_label.setdefault(sum(map(mul, part, weights)), []).append(
+                        _pack(before + part + after, typecode)
+                    )
+                found = listed[(weight, count)] = list(by_label.items())
             return found
 
         return groups
@@ -207,9 +205,9 @@ def packed_pieces(
     the r entry count. Inside a bucket int order is graded-lex order, so
     sorting each bucket as ints and joining them gives each piece in
     `enumerate_basis`'s order, and the pieces follow in label order. The count
-    list of a piece runs over lengths 0..n. Without labels in use (`whole`, or
-    a ring with no symmetry that moves a label), the whole cell is one piece
-    of orbit size 1, joined from the plain code lists.
+    list of a piece runs over lengths 0..n. With `whole`, or on a ring with no
+    symmetry that moves a label, every label is 0 and the whole cell is one
+    piece of orbit size 1.
     """
     _check_cell_arguments(ring, n)
     typecode = _field_type(n)
@@ -217,40 +215,26 @@ def packed_pieces(
     if p < 0 or q < 0 or max_r < 0:
         return PackedPieces(PackedBasis(typecode, []), [])
     orbits = _orbits(ring)
-    labelled = bool(orbits.actions) and not whole
-    r_codes, s_codes = _part_codes(ring, reduced, typecode, labelled)
+    weights = (0,) * ring.size if whole else orbits.weights
+    r_codes, s_codes = _part_codes(ring, reduced, typecode, weights)
     buckets: dict[int, list[list[int]] | None] = {}  # None for a label that is no representative
-    if not labelled:  # one piece, of label 0
-        piece = buckets[0] = [[] for _ in range(max_r + 1)]
-        for s_weight in range(p + 1):
-            s_list = s_codes(s_weight, q)
-            if not s_list:
-                continue
-            r_weight = p - s_weight
-            for count in range(min(max_r, r_weight) + 1):  # r degrees are positive
-                bucket = piece[count]
-                for r_code in r_codes(r_weight, count):
-                    bucket.extend(map(r_code.__add__, s_list))
-        if not any(piece):
-            buckets.clear()
-    else:
-        for s_weight in range(p + 1):
-            s_groups = s_codes(s_weight, q)
-            if not s_groups:
-                continue
-            r_weight = p - s_weight
-            for count in range(min(max_r, r_weight) + 1):
-                for r_label, r_list in r_codes(r_weight, count):
-                    for s_label, s_list in s_groups:
-                        label = r_label + s_label
-                        if label not in buckets:
-                            is_rep = orbits.orbit(label)[0] == label
-                            buckets[label] = [[] for _ in range(max_r + 1)] if is_rep else None
-                        piece = buckets[label]
-                        if piece is not None:
-                            bucket = piece[count]
-                            for r_code in r_list:
-                                bucket.extend(map(r_code.__add__, s_list))
+    for s_weight in range(p + 1):
+        s_groups = s_codes(s_weight, q)
+        if not s_groups:
+            continue
+        r_weight = p - s_weight
+        for count in range(min(max_r, r_weight) + 1):  # r degrees are positive
+            for r_label, r_list in r_codes(r_weight, count):
+                for s_label, s_list in s_groups:
+                    label = r_label + s_label
+                    if label not in buckets:
+                        is_rep = orbits.orbit(label)[0] == label
+                        buckets[label] = [[] for _ in range(max_r + 1)] if is_rep else None
+                    piece = buckets[label]
+                    if piece is not None:
+                        bucket = piece[count]
+                        for r_code in r_list:
+                            bucket.extend(map(r_code.__add__, s_list))
     codes: list[int] = []
     pieces = []
     for label in sorted(label for label, piece in buckets.items() if piece is not None):
@@ -396,17 +380,17 @@ def assemble_matrix(
 
     Columns follow the domain basis order, rows the codomain basis order at
     (p + D, q - 1); a q = 0 cell maps to the zero space. Entries are ints.
-    `bases` are the domain and codomain at truncation n as `packed_pieces`
-    gives them: representative pieces. A codomain that is None, or packed at a
-    larger truncation's wider fields, is listed here at n; without `bases`,
-    both are the whole cells.
+    `bases` are the domain and codomain at truncation n, packed: whole cells
+    as `packed_basis` gives them, or unions of pieces as `packed_pieces` does
+    (d keeps labels). A codomain that is None, or packed at a larger
+    truncation's wider fields, is enumerated here at n as the whole cell;
+    without `bases` both are.
     """
-    whole = bases is None
-    if whole:
+    if bases is None:
         bases = (packed_basis(ring, p, q, n, reduced)[0], None)
     domain, codomain = bases
     if codomain is None or codomain.typecode != domain.typecode:
-        codomain = packed_pieces(ring, p + ring.dimension, q - 1, n, reduced, whole).basis
+        codomain = packed_basis(ring, p + ring.dimension, q - 1, n, reduced)[0]
     kernel = _kernel(ring, reduced, domain.typecode)
     table, s_mask = kernel.table, kernel.s_mask
     top_shift, field = kernel.r_top_shift, kernel.field

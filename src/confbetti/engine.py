@@ -103,21 +103,21 @@ class BettiEngine:
         at length L is the difference of two prefix ranks: at the piece's start
         and at its end at length L. Each piece stands for its whole orbit. The
         cell's own assembly is the last to read its codes, and a q = 0
-        codomain is read by one cell only; a codomain whose codes are gone, as
-        in a pool worker that ranked it first, is listed again inside the
-        assembly, its representative pieces only.
+        codomain is read by one cell only; a codomain whose codes are gone (a
+        pool worker or a query past a table may rank it first) or packed in
+        wider fields is listed again here at t, its representative pieces only.
         """
         cell = self._cell(p, q, n)
         if cell.ranks is None:
             t = cell.truncation
             target = self._cell(p + self.ring.dimension, q - 1, t)
-            codomain = None
-            if target.codes is not None:
-                codomain = _cut(target.codes, t)
-                if q == 1:
-                    target.codes = None
             if target.dims[min(t, target.truncation)]:
-                bases = (cell.codes.basis, codomain)
+                codomain = target.codes
+                if codomain is None or codomain.basis.typecode != cell.codes.basis.typecode:
+                    codomain = packed_pieces(
+                        self.ring, p + self.ring.dimension, q - 1, t, self.reduced
+                    )
+                bases = (cell.codes.basis, _cut(codomain, t))
                 matrix = assemble_matrix(self.ring, p, q, t, self.reduced, bases=bases)
                 profile = exact_rank(matrix)
                 prefix = profile.prefix_ranks
@@ -134,6 +134,8 @@ class BettiEngine:
             else:
                 cell.ranks = [0] * len(cell.dims)
             cell.codes = None
+            if q == 1:
+                target.codes = None
         return cell
 
     def dim(self, p: int, q: int, n: int) -> int:

@@ -236,13 +236,18 @@ def test_worker_pool_asks_for_no_more_workers_than_cpus(
 def test_query_past_a_table_builds_each_cell_once(sigma2, fresh_engines, monkeypatch):
     betti_table(sigma2, 1, 4, 8)
     builds: dict[tuple[int, int], int] = {}
-    original = engine_module.packed_pieces
+    original = BettiEngine._cell
 
-    def counting(ring, p, q, n, reduced=True):
-        builds[(p, q)] = builds.get((p, q), 0) + 1
-        return original(ring, p, q, n, reduced)
+    def counting(engine, p, q, n):
+        kept = engine._cells.get((p, q))
+        cell = original(engine, p, q, n)
+        if cell is not kept:  # the record was built
+            builds[(p, q)] = builds.get((p, q), 0) + 1
+        return cell
 
-    monkeypatch.setattr(engine_module, "packed_pieces", counting)
+    # counts records, not calls of `packed_pieces`: the engine also lists a
+    # ranked codomain's pieces again for a cell that maps into it
+    monkeypatch.setattr(BettiEngine, "_cell", counting)
     values = [stable_betti(sigma2, i) for i in range(12)]
     assert builds and max(builds.values()) == 1
     fresh = BettiEngine(sigma2)

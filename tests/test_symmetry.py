@@ -261,7 +261,9 @@ def test_a_pool_worker_lists_a_gone_codomain_by_its_representatives(monkeypatch)
     def recording(ring, p, q, n, reduced=True, bases=None):
         matrix = original(ring, p, q, n, reduced, bases)
         shapes[mode][(p, q)] = (matrix.rows, matrix.cols)
-        relisted.append(bases[1] is None)
+        if mode == "pool":  # the worker's engine: was the codomain's record already ranked?
+            target = engine_module._POOL_ENGINE._cells[(p + ring.dimension, q - 1)]
+            relisted.append(target.codes is None)
         return matrix
 
     monkeypatch.setattr(engine_module, "assemble_matrix", recording)
@@ -272,3 +274,19 @@ def test_a_pool_worker_lists_a_gone_codomain_by_its_representatives(monkeypatch)
         engine = BettiEngine(ring)
         engine.compute_ranks(engine.required_ranks(1, 9, 16), workers, reach=9)
     assert any(relisted) and shapes["pool"] == shapes["serial"]
+
+
+def test_assemble_matrix_lists_a_missing_or_wide_codomain_as_the_whole_cell():
+    ring, n = resolve_space("sigma2"), 6
+    checked = 0
+    for p, q in _small_cells(ring, n):
+        if not q:
+            continue
+        domain = packed_basis(ring, p, q, n)[0]
+        wide = packed_basis(ring, p + ring.dimension, q - 1, 300)[0]  # 16-bit fields
+        whole = assemble_matrix(ring, p, q, n)
+        assert assemble_matrix(ring, p, q, n, bases=(domain, None)) == whole
+        assert assemble_matrix(ring, p, q, n, bases=(domain, wide)) == whole
+        codomain = packed_pieces(ring, p + ring.dimension, q - 1, n).basis
+        checked += len(codomain.codes) < whole.rows
+    assert checked > 5  # codomains whose representative pieces are not the whole cell
