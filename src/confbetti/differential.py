@@ -7,11 +7,12 @@ the free graded-commutative algebra.
 
 Matrices are assembled from packed monomials: one Python int per monomial, with
 one fixed-width field per exponent (all r positions, then all s positions, the
-first in the highest field), wide enough for every exponent at the truncation,
-so int order is lexicographic order. `packed_pieces` builds a cell's packed
-orbit-representative pieces straight from `basis`'s part tables, each part
-list packed and grouped by label once per field type, with one bucket per
-piece and length; `packed_basis` is the whole cell, one piece. d keeps a
+first in the highest field), so int order is lexicographic order. The width
+is the narrowest holding (p + D q) // 2, which bounds every exponent of cell
+(p, q) and of its codomain alike (see `_field_type`). `packed_pieces` builds a
+cell's packed orbit-representative pieces straight from `basis`'s part
+tables, each part list packed and grouped by label once per field type, with
+one bucket per piece and length; with `whole` the cell is one piece. d keeps a
 monomial's label, so the matrix of a cell's pieces is block-diagonal over
 them. The terms of d on a monomial depend on its
 r-part only through mask tests and a popcount, so one table per ring, `reduced`
@@ -33,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .basis import (
     Monomial,
@@ -44,7 +45,6 @@ from .basis import (
     _part_tables,
     enumerate_basis,
     monomial_bigrade,
-    monomial_length,
     multiply_monomials,
 )
 from .linalg import RationalMatrix
@@ -115,16 +115,16 @@ def image_scale(ring: GradedRing) -> int:
 # -- packed monomials ----------------------------------------------------------
 
 
-class PackedBasis(NamedTuple):
-    """Monomials packed into ints, one field of array type `typecode` per exponent."""
+def _field_type(ring: GradedRing, p: int, q: int) -> str:
+    """The narrowest unsigned array type holding every exponent on the d-chain of cell (p, q).
 
-    typecode: str
-    codes: list[int]
-
-
-def _field_type(n: int) -> str:
-    """The narrowest unsigned array type holding every exponent at truncation n."""
-    return next(tc for tc in "BHLQ" if n < 256 ** array(tc).itemsize)
+    A length-2 exponent is at most q, an even length-1 class has degree at
+    least 2, an odd generator's exponent is at most 1 and D >= 2, so no
+    exponent of the cell exceeds max(1, (p + D q) // 2). The codomain
+    (p + D, q - 1) has the same p + D q: a cell and its codomain share a type.
+    """
+    bound = (p + ring.dimension * q) // 2
+    return next(tc for tc in "BHLQ" if bound < 256 ** array(tc).itemsize)
 
 
 def _pack(exponents: tuple[int, ...], typecode: str) -> int:
@@ -142,12 +142,6 @@ def _unpack(code: int, typecode: str, m: int) -> Monomial:
     if sys.byteorder == "little":
         fields.byteswap()
     return Monomial(tuple(fields[:m]), tuple(fields[m:]))
-
-
-def pack_basis(monomials: Iterable[Monomial], n: int) -> PackedBasis:
-    """Pack monomials of length at most n, keeping their order."""
-    typecode = _field_type(n)
-    return PackedBasis(typecode, [_pack(mon.r + mon.s, typecode) for mon in monomials])
 
 
 @lru_cache(maxsize=None)
@@ -188,9 +182,9 @@ def _part_codes(
 
 
 class PackedPieces(NamedTuple):
-    """The pieces of a cell that represent their orbits, packed."""
+    """The pieces of a cell that represent their orbits, packed at the cell's field type."""
 
-    basis: PackedBasis  # the pieces' codes, piece-major, graded by length inside each piece
+    codes: list[int]  # piece-major, graded by length inside each piece
     pieces: list[tuple[int, list[int]]]  # per piece: its orbit size and its count per length
 
 
@@ -210,13 +204,12 @@ def packed_pieces(
     piece of orbit size 1.
     """
     _check_cell_arguments(ring, n)
-    typecode = _field_type(n)
     max_r = n - 2 * q
     if p < 0 or q < 0 or max_r < 0:
-        return PackedPieces(PackedBasis(typecode, []), [])
+        return PackedPieces([], [])
     orbits = _orbits(ring)
     weights = (0,) * ring.size if whole else orbits.weights
-    r_codes, s_codes = _part_codes(ring, reduced, typecode, weights)
+    r_codes, s_codes = _part_codes(ring, reduced, _field_type(ring, p, q), weights)
     buckets: dict[int, list[list[int]] | None] = {}  # None for a label that is no representative
     for s_weight in range(p + 1):
         s_groups = s_codes(s_weight, q)
@@ -243,15 +236,7 @@ def packed_pieces(
             codes += bucket
         counts = [0] * (2 * q) + [len(bucket) for bucket in buckets[label]]
         pieces.append((orbits.orbit(label)[1], counts))
-    return PackedPieces(PackedBasis(typecode, codes), pieces)
-
-
-def packed_basis(
-    ring: GradedRing, p: int, q: int, n: int, reduced: bool = True
-) -> tuple[PackedBasis, list[int]]:
-    """The basis of `enumerate_basis`, packed, and its monomial count per length 0..n."""
-    basis, pieces = packed_pieces(ring, p, q, n, reduced, whole=True)
-    return basis, pieces[0][1] if pieces else [0] * (n + 1)
+    return PackedPieces(codes, pieces)
 
 
 class _Kernel:
@@ -361,8 +346,8 @@ def _kernel(ring: GradedRing, reduced: bool, typecode: str) -> _Kernel:
 
 def d_monomial(ring: GradedRing, mon: Monomial, reduced: bool = True) -> AlgebraElement:
     """The differential on one monomial, validated and in graded-lex order."""
-    monomial_bigrade(mon, ring)  # validates shape and exterior constraints
-    typecode = _field_type(monomial_length(mon))
+    p, q = monomial_bigrade(mon, ring)  # validates shape and exterior constraints
+    typecode = _field_type(ring, p, q)
     image = _kernel(ring, reduced, typecode).expand(_pack(mon.r + mon.s, typecode))
     m, scale = ring.top_generator_count, image_scale(ring)
     return algebra_element({_unpack(c, typecode, m): Fraction(v, scale) for c, v in image})
@@ -374,30 +359,29 @@ def assemble_matrix(
     q: int,
     n: int,
     reduced: bool = True,
-    bases: tuple[PackedBasis, PackedBasis | None] | None = None,
+    bases: tuple[list[int], list[int]] | None = None,
 ) -> RationalMatrix:
     """L times the matrix of the differential on cell (p, q) at truncation n.
 
-    Columns follow the domain basis order, rows the codomain basis order at
-    (p + D, q - 1); a q = 0 cell maps to the zero space. Entries are ints.
-    `bases` are the domain and codomain at truncation n, packed: whole cells
-    as `packed_basis` gives them, or unions of pieces as `packed_pieces` does
-    (d keeps labels). A codomain that is None, or packed at a larger
-    truncation's wider fields, is enumerated here at n as the whole cell;
-    without `bases` both are.
+    Columns follow the domain codes, rows the codomain codes at (p + D, q - 1);
+    a q = 0 cell maps to the zero space. Entries are ints. `bases` are the
+    domain and codomain codes as `packed_pieces` lists them, whole cells or
+    unions of pieces (d keeps labels); without `bases` both are the whole
+    cells at n.
     """
     if bases is None:
-        bases = (packed_basis(ring, p, q, n, reduced)[0], None)
+        bases = tuple(
+            packed_pieces(ring, p + ring.dimension * k, q - k, n, reduced, whole=True).codes
+            for k in (0, 1)
+        )
     domain, codomain = bases
-    if codomain is None or codomain.typecode != domain.typecode:
-        codomain = packed_basis(ring, p + ring.dimension, q - 1, n, reduced)[0]
-    kernel = _kernel(ring, reduced, domain.typecode)
+    kernel = _kernel(ring, reduced, _field_type(ring, p, q))
     table, s_mask = kernel.table, kernel.s_mask
     top_shift, field = kernel.r_top_shift, kernel.field
-    index = {code: row for row, code in enumerate(codomain.codes)}
+    index = {code: row for row, code in enumerate(codomain)}
     entries: dict[tuple[int, int], int] = {}
     try:
-        for col, code in enumerate(domain.codes):
+        for col, code in enumerate(domain):
             by_top = table.get(code & s_mask) or kernel.fill(code & s_mask)
             for delta, odd_factors, sign, value in by_top[min(2, (code >> top_shift) & field)]:
                 if not code & odd_factors:
@@ -407,7 +391,7 @@ def assemble_matrix(
         raise RuntimeError(
             f"differential image escaped cell ({p + ring.dimension}, {q - 1}) at n={n}"
         ) from None
-    return RationalMatrix(rows=len(codomain.codes), cols=len(domain.codes), entries=entries)
+    return RationalMatrix(rows=len(codomain), cols=len(domain), entries=entries)
 
 
 def cell_images(

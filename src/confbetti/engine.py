@@ -33,7 +33,7 @@ import os
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .differential import PackedBasis, PackedPieces, assemble_matrix, packed_pieces
+from .differential import PackedPieces, assemble_matrix, packed_pieces
 from .linalg import RankProfile, RationalMatrix, rank_profile_modular
 from .linalg import rank_profile_exact as exact_rank
 from .rings import GradedRing, parse_ring, serialize_ring
@@ -95,29 +95,27 @@ class BettiEngine:
     def _ranked(self, p: int, q: int, n: int) -> _Cell:
         """The record of cell (p, q), covering n, with the ranks of its differential.
 
-        The matrix is assembled from the representative pieces of this cell
-        and of its codomain's record, each codomain piece cut at the cell's
-        truncation, ranked over Q in one pass, and dropped; into an empty
-        codomain every rank is 0 and nothing is assembled. d keeps labels, so
-        the matrix is block-diagonal over the pieces, and the rank of a piece
-        at length L is the difference of two prefix ranks: at the piece's start
-        and at its end at length L. Each piece stands for its whole orbit. The
-        cell's own assembly is the last to read its codes, and a q = 0
-        codomain is read by one cell only; a codomain whose codes are gone (a
-        pool worker or a query past a table may rank it first) or packed in
-        wider fields is listed again here at t, its representative pieces only.
+        The matrix is assembled from the codes of this cell's record and of
+        its codomain's, as both records list them (codomain rows longer than
+        this cell's truncation stay empty: d never raises length), ranked over
+        Q in one pass, and dropped; into an empty codomain every rank is 0 and
+        nothing is assembled. d keeps labels, so the matrix is block-diagonal
+        over the pieces, and the rank of a piece at length L is the difference
+        of two prefix ranks: at the piece's start and at its end at length L.
+        Each piece stands for its whole orbit. The cell's own assembly is the
+        last to read its codes, and a q = 0 codomain is read by one cell only;
+        a codomain whose codes are gone (a pool worker or a query past a table
+        may rank it first) is listed again at its record's truncation.
         """
         cell = self._cell(p, q, n)
         if cell.ranks is None:
             t = cell.truncation
             target = self._cell(p + self.ring.dimension, q - 1, t)
             if target.dims[min(t, target.truncation)]:
-                codomain = target.codes
-                if codomain is None or codomain.basis.typecode != cell.codes.basis.typecode:
-                    codomain = packed_pieces(
-                        self.ring, p + self.ring.dimension, q - 1, t, self.reduced
-                    )
-                bases = (cell.codes.basis, _cut(codomain, t))
+                codomain = target.codes or packed_pieces(
+                    self.ring, p + self.ring.dimension, q - 1, target.truncation, self.reduced
+                )
+                bases = (cell.codes.codes, codomain.codes)
                 matrix = assemble_matrix(self.ring, p, q, t, self.reduced, bases=bases)
                 profile = exact_rank(matrix)
                 prefix = profile.prefix_ranks
@@ -246,7 +244,7 @@ class BettiEngine:
         cells = {(p, q): self._cell(p, q, n) for p, q, n in tasks} if workers > 1 else {}
         jobs = sorted(
             ((p, q, cell.truncation) for (p, q), cell in cells.items() if cell.ranks is None),
-            key=lambda job: -len(cells[job[:2]].codes.basis.codes),
+            key=lambda job: -len(cells[job[:2]].codes.codes),
         )
         if len(jobs) > 1:
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
@@ -378,18 +376,6 @@ def betti_odd_closed(ring: GradedRing, n: int) -> list[int]:
                 for d in range(degree, top_degree + 1):
                     row[d] += prev[d - degree]
     return table[n]
-
-
-def _cut(codes: PackedPieces, t: int) -> PackedBasis:
-    """The codes of every piece, each cut at length t."""
-    if not codes.pieces or len(codes.pieces[0][1]) <= t + 1:  # no piece is longer than t
-        return codes.basis
-    kept: list[int] = []
-    start = 0
-    for _, counts in codes.pieces:
-        kept += codes.basis.codes[start : start + sum(counts[: t + 1])]
-        start += sum(counts)
-    return codes.basis._replace(codes=kept)
 
 
 def _pool_init(ring_json: str, reduced: bool) -> None:

@@ -6,7 +6,7 @@ import pytest
 from conftest import seeded_ring
 
 import confbetti.basis as basis_module
-from confbetti.differential import pack_basis, packed_basis
+from confbetti.differential import _field_type, _unpack, packed_pieces
 from confbetti.spaces import resolve_space
 from confbetti import (
     Monomial,
@@ -136,11 +136,14 @@ REFERENCE_SPACES = [
 
 
 def _assert_packed_like(ring, p, q, n, reduced, monomials):
-    """`packed_basis` gives the monomials packed in order, and their count per length."""
+    """The whole cell, packed, decodes to the monomials in order, with their count per length."""
+    codes, pieces = packed_pieces(ring, p, q, n, reduced, whole=True)
+    m = ring.top_generator_count
+    assert [_unpack(code, _field_type(ring, p, q), m) for code in codes] == list(monomials)
     counts = [0] * (n + 1)
     for mon in monomials:
         counts[monomial_length(mon)] += 1
-    assert packed_basis(ring, p, q, n, reduced) == (pack_basis(monomials, n), counts), (p, q, n)
+    assert pieces == ([(1, counts)] if monomials else []), (p, q, n)
 
 
 @pytest.mark.parametrize("space, seed", [(name, 0) for name in REFERENCE_SPACES] + [("cp1xcp2", 2)])
@@ -166,11 +169,13 @@ def test_enumeration_matches_capped_search(space, seed, reduced):
     [("cp1", 600, 1, 302), ("cp1", 598, 2, 302), ("cp1xcp1", 600, 0, 300)],
 )
 def test_packed_basis_with_wide_fields(space, p, q, n):
-    # exponents reach 300, past an 8-bit field; cp1xcp1's (600, 0) cell holds
-    # up to 301 monomials of one length, which the int sort must put in order
+    # exponents pass 255, and the chain bound (p + D q) // 2 (301 on cp1's
+    # (600, 1)) picks 16-bit fields; cp1xcp1's (600, 0) cell holds up to 301
+    # monomials of one length, which the int sort must put in order
     ring = resolve_space(space)
     monomials = enumerate_basis(ring, p, q, n, False)
-    assert monomials and pack_basis(monomials, n).typecode != "B"
+    assert max(max(mon.r + mon.s) for mon in monomials) > 255
+    assert _field_type(ring, p, q) == "H"
     _assert_packed_like(ring, p, q, n, False, monomials)
 
 

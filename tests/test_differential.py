@@ -25,7 +25,7 @@ from confbetti import (
     ring_surface,
     vanishing_bound,
 )
-from confbetti.differential import _Kernel, _unpack, image_scale, pack_basis, packed_pieces
+from confbetti.differential import _Kernel, _field_type, _unpack, image_scale, packed_pieces
 from confbetti.spaces import resolve_space
 
 ROOT = Path(__file__).parents[1]
@@ -82,10 +82,10 @@ def _check_cell_against_leibniz(
     bases = None
     if pieces:
         bases = tuple(
-            packed_pieces(ring, p + ring.dimension * k, q - k, n, reduced).basis for k in (0, 1)
+            packed_pieces(ring, p + ring.dimension * k, q - k, n, reduced).codes for k in (0, 1)
         )
-        m = ring.top_generator_count
-        domain, codomain = ([_unpack(c, b.typecode, m) for c in b.codes] for b in bases)
+        m, typecode = ring.top_generator_count, _field_type(ring, p, q)
+        domain, codomain = ([_unpack(c, typecode, m) for c in codes] for codes in bases)
     else:
         domain = enumerate_basis(ring, p, q, n, reduced)
         codomain = enumerate_basis(ring, p + ring.dimension, q - 1, n, reduced)
@@ -147,7 +147,7 @@ def test_a_table_expands_each_s_part_once(monkeypatch):
     (kernel,) = {kernel for kernel, _ in filled}
     s_parts = [s_part for _, s_part in filled]
     assert len(domains) > 20 and len(s_parts) == len(set(s_parts)) == len(kernel.table)
-    assert set(s_parts) == {code & kernel.s_mask for domain in domains for code in domain.codes}
+    assert set(s_parts) == {code & kernel.s_mask for domain in domains for code in domain}
 
 
 def test_cells_assembled_from_a_filled_table_match_the_leibniz_rule():
@@ -171,20 +171,41 @@ def test_cells_assembled_from_a_filled_table_match_the_leibniz_rule():
 
 
 def test_kernel_fields_do_not_carry_past_eight_bits(cp1):
-    # unreduced cp1 keeps x^a for any a; at truncation 302 the exponents reach
-    # 301, past an 8-bit field, so a carry into the next field would show
-    assert pack_basis(enumerate_basis(cp1, 600, 1, 302, False), 302).typecode != "B"
+    # unreduced cp1 keeps x^a for any a; on cell (600, 1) the chain bound
+    # (p + D q) // 2 is 301, past an 8-bit field, so a carry into the next field would show
+    assert _field_type(cp1, 600, 1) != "B"
     assert _check_cell_against_leibniz(cp1, 600, 1, 302, False) == 2
     assert _check_cell_against_leibniz(cp1, 598, 2, 302, False) > 0
-    # the codomain packed at a wider truncation than the domain reads the same
-    small = pack_basis(enumerate_basis(cp1, 8, 1, 6, False), 6)
-    wide = pack_basis(enumerate_basis(cp1, 10, 0, 6, False), 300)
-    assert small.typecode != wide.typecode
-    assert assemble_matrix(cp1, 8, 1, 6, False, bases=(small, wide)) == assemble_matrix(
-        cp1, 8, 1, 6, False
-    )
     # the engine ranks cells past 8-bit fields: b_520 of 301 points on S^2 is 0
     assert BettiEngine(cp1, reduced=False).betti_raw(520, 301) == 0
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+@pytest.mark.parametrize("space", ["sigma2", "cp3", "cp1xcp2", "pbundle_cp2"])
+def test_the_chain_bound_holds_every_exponent_of_a_cell_and_its_images(space, reduced):
+    # the field type rests on this bound; an odd generator's exponent 1 passes
+    # (p + D q) // 2 on cell (1, 0) only, and every type holds 1
+    ring = resolve_space(space)
+    n, checked = 6, 0
+    for q in range(n // 2 + 1):
+        for p in range(n * ring.dimension + 1):
+            bound = max(1, (p + ring.dimension * q) // 2)
+            assert _field_type(ring, p + ring.dimension, q - 1) == _field_type(ring, p, q)
+            for mon in enumerate_basis(ring, p, q, n, reduced):
+                images = [image for image, _ in d_monomial(ring, mon, reduced).terms]
+                assert all(max(image.r + image.s) <= bound for image in [mon, *images]), mon
+                checked += 1
+    assert checked > 100
+
+
+def test_fields_widen_where_the_chain_bound_passes_a_byte(cp1):
+    # unreduced cp1's (508, 1) maps onto x^255, the top of an 8-bit field, and
+    # (510, 1) onto x^256, which needs 16 bits
+    assert [_field_type(cp1, p, 1) for p in (508, 510)] == ["B", "H"]
+    for p, top in ((508, 255), (510, 256)):
+        codomain = enumerate_basis(cp1, p + cp1.dimension, 0, 258, False)
+        assert max(mon.r[0] for mon in codomain) == top
+        assert _check_cell_against_leibniz(cp1, p, 1, 258, False) == 2
 
 
 def test_scaled_ring_matrices_hold_l_times_d():

@@ -25,7 +25,7 @@ from confbetti import (
     vanishing_bound,
 )
 from confbetti.basis import _orbits, automorphisms, grading
-from confbetti.differential import pack_basis, packed_basis, packed_pieces
+from confbetti.differential import _field_type, _unpack, packed_pieces
 from confbetti.spaces import resolve_space
 
 SEEDED = {f"seeded-sigma3-{k}": ("sigma3", k) for k in (1, 2, 3)}
@@ -168,10 +168,12 @@ def _assert_records_match_whole_cells(ring, n_max) -> int:
     reduced = 0
     for (p, q), cell in engine._cells.items():
         t = cell.truncation
-        basis, counts = packed_basis(ring, p, q, t)
+        counts = [0] * (t + 1)
+        for mon in enumerate_basis(ring, p, q, t):
+            counts[monomial_length(mon)] += 1
         dims = list(accumulate(counts))
         assert cell.dims == dims, (p, q)
-        reduced += len(packed_pieces(ring, p, q, t).basis.codes) < dims[-1]
+        reduced += len(packed_pieces(ring, p, q, t).codes) < dims[-1]
         if cell.ranks is not None and q > 0:
             whole = rank_profile_exact(assemble_matrix(ring, p, q, t))
             assert cell.ranks == [whole.prefix_ranks[d] for d in dims], (p, q)
@@ -204,7 +206,8 @@ def test_one_piece_rings_list_the_whole_cell(space, n):
         for mon in monomials:
             counts[monomial_length(mon)] += 1
         listed = packed_pieces(ring, p, q, n)
-        assert listed.basis == pack_basis(monomials, n)
+        m, typecode = ring.top_generator_count, _field_type(ring, p, q)
+        assert [_unpack(code, typecode, m) for code in listed.codes] == list(monomials)
         assert listed.pieces == ([(1, counts)] if monomials else [])
 
 
@@ -276,17 +279,15 @@ def test_a_pool_worker_lists_a_gone_codomain_by_its_representatives(monkeypatch)
     assert any(relisted) and shapes["pool"] == shapes["serial"]
 
 
-def test_assemble_matrix_lists_a_missing_or_wide_codomain_as_the_whole_cell():
+def test_assemble_matrix_without_bases_lists_the_whole_cells():
     ring, n = resolve_space("sigma2"), 6
     checked = 0
     for p, q in _small_cells(ring, n):
         if not q:
             continue
-        domain = packed_basis(ring, p, q, n)[0]
-        wide = packed_basis(ring, p + ring.dimension, q - 1, 300)[0]  # 16-bit fields
         whole = assemble_matrix(ring, p, q, n)
-        assert assemble_matrix(ring, p, q, n, bases=(domain, None)) == whole
-        assert assemble_matrix(ring, p, q, n, bases=(domain, wide)) == whole
-        codomain = packed_pieces(ring, p + ring.dimension, q - 1, n).basis
-        checked += len(codomain.codes) < whole.rows
+        codomain = enumerate_basis(ring, p + ring.dimension, q - 1, n)
+        assert (whole.rows, whole.cols) == (len(codomain), len(enumerate_basis(ring, p, q, n)))
+        pieces = packed_pieces(ring, p + ring.dimension, q - 1, n).codes
+        checked += len(pieces) < whole.rows
     assert checked > 5  # codomains whose representative pieces are not the whole cell
