@@ -25,7 +25,7 @@ below those anywhere. An empty cell is never assembled, nor one whose codomain
 is empty at its truncation: every rank of its differential is 0. A request
 beyond the reach rebuilds the record at saturation, so a query past a table
 rebuilds each cell once. `assemble_matrix` without bases, which dumps, oracles
-and the library call, still builds the whole cell.
+and the library call, lists both whole cells.
 """
 from __future__ import annotations
 

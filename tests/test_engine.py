@@ -382,7 +382,7 @@ def test_a_table_assembles_no_matrix_into_an_empty_codomain(
     ring = resolve_space(space)
     table = betti_table(ring, 1, n_max, i_max)
     engine = engine_for(ring)
-    # the codomain codes reach past t when its record does, so the rows can not tell
+    # a codomain record built past t adds rows longer than t, so its dimension at t decides
     assert assembled and all(
         engine.dim(p + ring.dimension, q - 1, t) > 0 for (p, q, t), _ in assembled
     )
