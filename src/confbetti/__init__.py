@@ -1,7 +1,6 @@
 """Rational Betti numbers of unordered configuration spaces of manifolds."""
 from .basis import (
     Monomial,
-    enumerate_basis,
     format_monomial,
     monomial_bigrade,
     monomial_length,
@@ -14,6 +13,7 @@ from .differential import (
     cell_images,
     d_generator,
     d_monomial,
+    enumerate_basis,
 )
 from .engine import (
     BettiEngine,
@@ -62,10 +62,9 @@ from .rings import (
 from .spaces import REGISTRY, resolve_space, space_names
 
 __all__ = (  # the imported names; the submodules are not part of the API
-    "Monomial", "enumerate_basis", "format_monomial", "monomial_bigrade", "monomial_length",
-    "multiply_monomials",
+    "Monomial", "format_monomial", "monomial_bigrade", "monomial_length", "multiply_monomials",
     "AlgebraElement", "algebra_element", "assemble_matrix", "cell_images", "d_generator",
-    "d_monomial",
+    "d_monomial", "enumerate_basis",
     "BettiEngine", "BettiTable", "InternalConsistencyError", "betti_number",
     "betti_odd_closed", "betti_table", "e_infinity_dim", "engine_for", "stable_betti",
     "vanishing_bound",

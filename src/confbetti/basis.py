@@ -11,19 +11,16 @@ derived from a ring basis {y_0 = 1, y_1, ..., y_m}:
 Truncating to total length <= n models n unlabeled points.
 
 A cell (p, q) at truncation n pairs exponent-vector parts: an s-part has
-exactly q entries, an r-part at most n - 2q. Parts are listed once per ring
-and reduction flag, in tables keyed on exact weight and exact entry count and
-shared by every cell; a cell joins each s-part of weight w <= p with the
-r-parts of weight p - w, so it lists no s-part heavier than p, and one sort
-puts it in graded-lex order. `differential.packed_pieces` joins the same parts
-as packed ints, and the engine builds its cell records that way. It splits a
-cell into pieces by the ring's grading (`grading`) and keeps one piece per
-orbit of the ring's automorphisms (`automorphisms`, `_Orbits`); both are found
-from the product table on first use, once per ring. The search
-that fills a table returns at once from a state whose weight left exceeds its
-count left times the largest degree left, falls below it times the smallest,
-or is not a multiple of the gcd of the degrees left: with all of cp6's degrees
-even, its odd-p cells cost a few table lookups.
+exactly q entries, an r-part at most n - 2q. This module lists the parts of
+one exact weight and entry count (`_list_parts`), within bounds kept once per
+ring and reduction flag (`_part_tables`); `differential.packed_pieces` joins
+them into cells. A cell splits into pieces by the ring's grading (`grading`),
+and one piece per orbit of the ring's automorphisms (`automorphisms`,
+`_Orbits`) is kept; both are found from the product table on first use, once
+per ring. The part search returns at once from a state whose weight left
+exceeds its count left times the largest degree left, falls below it times
+the smallest, or is not a multiple of the gcd of the degrees left: with all
+of cp6's degrees even, its odd-p cells list no part.
 """
 from __future__ import annotations
 
@@ -107,11 +104,11 @@ def format_monomial(ring: GradedRing, mon: Monomial) -> str:
 
 
 class _PartTable:
-    """Exponent vectors over one generator family, listed once per (weight, count).
+    """The bounds of the exponent vectors over one generator family.
 
-    `parts(weight, count)` is every vector with entries at most `caps`, entry
-    sum `count` and degree-weighted sum `weight`, in lexicographic order. It
-    is a tuple of tuples, listed on first request and shared by every cell.
+    `_list_parts(table, weight, count)` lists every vector with entries at
+    most `caps`, entry sum `count` and degree-weighted sum `weight`, in
+    lexicographic order.
     """
 
     def __init__(self, degrees: tuple[int, ...], caps: tuple[int, ...]):
@@ -125,13 +122,6 @@ class _PartTable:
         self.deg_left = [max(degrees[pos:], default=0) for pos in ends]
         self.low_left = [min(degrees[pos:], default=0) for pos in ends]
         self.gcd_left = [gcd(*degrees[pos:]) for pos in ends]
-        self._parts: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-
-    def parts(self, weight: int, count: int) -> tuple[tuple[int, ...], ...]:
-        found = self._parts.get((weight, count))
-        if found is None:
-            found = self._parts[(weight, count)] = _list_parts(self, weight, count)
-        return found
 
 
 def _list_parts(table: _PartTable, weight: int, count: int) -> tuple[tuple[int, ...], ...]:
@@ -416,31 +406,3 @@ class _Orbits:
 def _orbits(ring: GradedRing) -> _Orbits:
     return _Orbits(ring)
 
-
-def _check_cell_arguments(ring: GradedRing, n: int) -> None:
-    if ring.dimension % 2:
-        raise ValueError("the bigraded model requires an even-dimensional ring")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-
-
-def enumerate_basis(
-    ring: GradedRing, p: int, q: int, n: int, reduced: bool = True
-) -> tuple[Monomial, ...]:
-    """All basis monomials of bigrade (p, q) and length <= n, in graded-lex order."""
-    _check_cell_arguments(ring, n)
-    max_r = n - 2 * q
-    if p < 0 or q < 0 or max_r < 0:
-        return ()
-    r_table, s_table = _part_tables(ring, reduced)
-    rows = []  # (r entry count, r, s): graded-lex order, as the length-2 count is q throughout
-    for s_weight in range(p + 1):
-        s_parts = s_table.parts(s_weight, q)
-        if not s_parts:
-            continue
-        r_weight = p - s_weight
-        for count in range(min(max_r, r_weight) + 1):  # r degrees are positive
-            for r_part in r_table.parts(r_weight, count):
-                rows.extend((count, r_part, s_part) for s_part in s_parts)
-    rows.sort()
-    return tuple(Monomial(r_part, s_part) for _, r_part, s_part in rows)

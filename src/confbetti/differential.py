@@ -9,10 +9,12 @@ Matrices are assembled from packed monomials: one Python int per monomial, with
 one fixed-width field per exponent (all r positions, then all s positions, the
 first in the highest field), so int order is lexicographic order. The width
 is the narrowest holding (p + D q) // 2, which bounds every exponent of cell
-(p, q) and of its codomain alike (see `_field_type`). `packed_pieces` builds a
-cell's packed orbit-representative pieces straight from `basis`'s part
-tables, each part list packed and grouped by label once per field type, with
-one bucket per piece and length; with `whole` the cell is one piece. d keeps a
+(p, q) and of its codomain alike (see `_field_type`). `packed_pieces` is the
+one place that joins s-parts with r-parts into cells: it builds a cell's
+packed orbit-representative pieces straight from `basis`'s part search, each
+part list packed and grouped by label once per field type, with one bucket
+per piece and length, and each piece in graded-lex order; with `whole` the
+cell is one piece, which `enumerate_basis` decodes into `Monomial`s. d keeps a
 monomial's label, so the matrix of a cell's pieces is block-diagonal over
 them. The terms of d on a monomial depend on its
 r-part only through mask tests and a popcount, so one table per ring, `reduced`
@@ -38,12 +40,10 @@ from typing import Callable, Mapping, NamedTuple
 
 from .basis import (
     Monomial,
-    _check_cell_arguments,
     _list_parts,
     _odd_flat,
     _orbits,
     _part_tables,
-    enumerate_basis,
     monomial_bigrade,
     multiply_monomials,
 )
@@ -198,12 +198,15 @@ def packed_pieces(
     label pair whose sum represents its orbit go into that label's bucket for
     the r entry count. Inside a bucket int order is graded-lex order, so
     sorting each bucket as ints and joining them gives each piece in
-    `enumerate_basis`'s order, and the pieces follow in label order. The count
+    graded-lex order, and the pieces follow in label order. The count
     list of a piece runs over lengths 0..n. With `whole`, or on a ring with no
     symmetry that moves a label, every label is 0 and the whole cell is one
-    piece of orbit size 1.
+    piece of orbit size 1; `enumerate_basis` decodes that piece.
     """
-    _check_cell_arguments(ring, n)
+    if ring.dimension % 2:
+        raise ValueError("the bigraded model requires an even-dimensional ring")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     max_r = n - 2 * q
     if p < 0 or q < 0 or max_r < 0:
         return PackedPieces([], [])
@@ -237,6 +240,15 @@ def packed_pieces(
         counts = [0] * (2 * q) + [len(bucket) for bucket in buckets[label]]
         pieces.append((orbits.orbit(label)[1], counts))
     return PackedPieces(codes, pieces)
+
+
+def enumerate_basis(
+    ring: GradedRing, p: int, q: int, n: int, reduced: bool = True
+) -> tuple[Monomial, ...]:
+    """All basis monomials of bigrade (p, q) and length <= n, in graded-lex order."""
+    codes = packed_pieces(ring, p, q, n, reduced, whole=True).codes
+    typecode, m = _field_type(ring, p, q), ring.top_generator_count
+    return tuple(_unpack(code, typecode, m) for code in codes)
 
 
 class _Kernel:

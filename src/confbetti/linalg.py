@@ -31,10 +31,6 @@ class RationalMatrix:
     cols: int
     entries: dict[tuple[int, int], Fraction] = field(default_factory=dict)
 
-    def transpose(self) -> RationalMatrix:
-        flipped = {(c, r): v for (r, c), v in self.entries.items()}
-        return RationalMatrix(rows=self.cols, cols=self.rows, entries=flipped)
-
     def matmul(self, other: RationalMatrix) -> RationalMatrix:
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from confbetti import (
+    Monomial,
     parse_ring,
     ring_cp,
     ring_product,
@@ -24,6 +25,65 @@ def seeded_ring(space: str, seed: int):
     ringgen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ringgen)
     return parse_ring(ringgen.ring_document(space, seed))
+
+
+def _capped_vectors(degrees, caps, weight, count, exact_weight, exact_count):
+    """Exponent vectors with degree-weighted sum and entry count bounded, or hit exactly.
+
+    A plain depth-first search: a branch stops once its positions cannot
+    reach an exact target.
+    """
+    size = len(degrees)
+    cap_left = [sum(caps[pos:]) for pos in range(size + 1)]
+    deg_left = [max(degrees[pos:], default=0) for pos in range(size + 1)]
+    found = []
+    prefix = []
+
+    def descend(pos, weight_left, count_left):
+        if exact_count and count_left > cap_left[pos]:
+            return
+        if exact_weight and weight_left > min(count_left, cap_left[pos]) * deg_left[pos]:
+            return
+        if pos == size:
+            found.append(tuple(prefix))
+            return
+        top = min(caps[pos], count_left)
+        if degrees[pos] > 0:
+            top = min(top, weight_left // degrees[pos])
+        for e in range(top + 1):
+            prefix.append(e)
+            descend(pos + 1, weight_left - e * degrees[pos], count_left - e)
+            prefix.pop()
+
+    if weight >= 0 and count >= 0:
+        descend(0, weight, count)
+    return found
+
+
+def _reference_basis(ring, p, q, n, reduced):
+    """A cell by a capped search per cell, then the graded-lex sort.
+
+    Every s-vector of q entries and weight at most p, completed by every
+    r-vector of the remaining weight and at most n - 2q entries; each
+    exponent is capped at p + 1 unless its generator is odd. It uses nothing
+    from confbetti but `Monomial` and the ring's accessors, so it checks the
+    one join of parts, `differential.packed_pieces`, from outside.
+    """
+    m, top = ring.top_generator_count, ring.orientation_index
+    big = p + 1
+    r_degs = [ring.degree(i) for i in range(1, m + 1)]
+    r_caps = [1 if ring.is_odd(i) or (reduced and i == top) else big for i in range(1, m + 1)]
+    s_degs = [ring.degree(j) for j in range(m + 1)]
+    s_caps = [0 if reduced and j == top else 1 if not ring.is_odd(j) else big for j in range(m + 1)]
+    if n - 2 * q < 0:
+        return ()
+    found = []
+    for s_vec in _capped_vectors(s_degs, s_caps, p, q, False, True):
+        s_weight = sum(e * d for e, d in zip(s_vec, s_degs))
+        for r_vec in _capped_vectors(r_degs, r_caps, p - s_weight, n - 2 * q, True, False):
+            found.append(Monomial(r_vec, s_vec))
+    found.sort(key=lambda mon: (sum(mon.r) + sum(mon.s), mon.r + mon.s))
+    return tuple(found)
 
 
 @pytest.fixture(scope="session")

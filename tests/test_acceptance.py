@@ -19,8 +19,7 @@ import pytest
 
 from conftest import load_golden
 
-from confbetti.basis import enumerate_basis
-from confbetti.differential import assemble_matrix
+from confbetti.differential import assemble_matrix, enumerate_basis
 from confbetti.engine import betti_table, engine_for, stable_betti
 from confbetti.linalg import rank
 from confbetti.oracles import (

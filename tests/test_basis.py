@@ -3,9 +3,10 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from conftest import seeded_ring
+from conftest import _reference_basis, seeded_ring
 
 import confbetti.basis as basis_module
+import confbetti.differential as differential_module
 from confbetti.differential import _field_type, _unpack, packed_pieces
 from confbetti.spaces import resolve_space
 from confbetti import (
@@ -73,70 +74,17 @@ def test_enumeration_matches_brute_force(request, name, reduced):
     assert checked > 0
 
 
-def _capped_vectors(degrees, caps, weight, count, exact_weight, exact_count):
-    """Exponent vectors with degree-weighted sum and entry count bounded, or hit exactly.
-
-    A plain depth-first search: a branch stops once its positions cannot
-    reach an exact target.
-    """
-    size = len(degrees)
-    cap_left = [sum(caps[pos:]) for pos in range(size + 1)]
-    deg_left = [max(degrees[pos:], default=0) for pos in range(size + 1)]
-    found = []
-    prefix = []
-
-    def descend(pos, weight_left, count_left):
-        if exact_count and count_left > cap_left[pos]:
-            return
-        if exact_weight and weight_left > min(count_left, cap_left[pos]) * deg_left[pos]:
-            return
-        if pos == size:
-            found.append(tuple(prefix))
-            return
-        top = min(caps[pos], count_left)
-        if degrees[pos] > 0:
-            top = min(top, weight_left // degrees[pos])
-        for e in range(top + 1):
-            prefix.append(e)
-            descend(pos + 1, weight_left - e * degrees[pos], count_left - e)
-            prefix.pop()
-
-    if weight >= 0 and count >= 0:
-        descend(0, weight, count)
-    return found
-
-
-def _reference_basis(ring, p, q, n, reduced):
-    """A cell by a capped search per cell, then the graded-lex sort.
-
-    Every s-vector of q entries and weight at most p, completed by every
-    r-vector of the remaining weight and at most n - 2q entries; each
-    exponent is capped at p + 1 unless its generator is odd.
-    """
-    m, top = ring.top_generator_count, ring.orientation_index
-    big = p + 1
-    r_degs = [ring.degree(i) for i in range(1, m + 1)]
-    r_caps = [1 if ring.is_odd(i) or (reduced and i == top) else big for i in range(1, m + 1)]
-    s_degs = [ring.degree(j) for j in range(m + 1)]
-    s_caps = [0 if reduced and j == top else 1 if not ring.is_odd(j) else big for j in range(m + 1)]
-    if n - 2 * q < 0:
-        return ()
-    found = []
-    for s_vec in _capped_vectors(s_degs, s_caps, p, q, False, True):
-        s_weight = sum(e * d for e, d in zip(s_vec, s_degs))
-        for r_vec in _capped_vectors(r_degs, r_caps, p - s_weight, n - 2 * q, True, False):
-            found.append(Monomial(r_vec, s_vec))
-    found.sort(key=lambda mon: (sum(mon.r) + sum(mon.s), mon.r + mon.s))
-    return tuple(found)
-
-
 REFERENCE_SPACES = [
     "cp2", "cp3", "cp6", "sigma1", "sigma2", "cp1xcp1", "cp1xcp2", "pbundle_cp2", "sigma1xcp1"
 ]
 
 
 def _assert_packed_like(ring, p, q, n, reduced, monomials):
-    """The whole cell, packed, decodes to the monomials in order, with their count per length."""
+    """The whole cell, packed, decodes to the monomials in order, with their count per length.
+
+    `monomials` must come from outside the packed path (`_reference_basis`):
+    `enumerate_basis` decodes this same list.
+    """
     codes, pieces = packed_pieces(ring, p, q, n, reduced, whole=True)
     m = ring.top_generator_count
     assert [_unpack(code, _field_type(ring, p, q), m) for code in codes] == list(monomials)
@@ -159,7 +107,7 @@ def test_enumeration_matches_capped_search(space, seed, reduced):
                 assert got == expected, (p, q, n)
                 if space == "cp6" and p % 2:
                     assert got == ()
-                _assert_packed_like(ring, p, q, n, reduced, got)
+                _assert_packed_like(ring, p, q, n, reduced, expected)
                 checked += len(expected)
     assert checked > 0
 
@@ -173,7 +121,7 @@ def test_packed_basis_with_wide_fields(space, p, q, n):
     # (600, 1)) picks 16-bit fields; cp1xcp1's (600, 0) cell holds up to 301
     # monomials of one length, which the int sort must put in order
     ring = resolve_space(space)
-    monomials = enumerate_basis(ring, p, q, n, False)
+    monomials = _reference_basis(ring, p, q, n, False)
     assert max(max(mon.r + mon.s) for mon in monomials) > 255
     assert _field_type(ring, p, q) == "H"
     _assert_packed_like(ring, p, q, n, False, monomials)
@@ -181,6 +129,8 @@ def test_packed_basis_with_wide_fields(space, p, q, n):
 
 def test_cell_lists_no_s_part_heavier_than_its_p(monkeypatch):
     ring = ring_product(ring_surface(1), ring_cp(1))  # odd classes in degrees 1 and 3
+    # the packed path keeps each part list it searches: start from empty caches
+    differential_module._part_codes.cache_clear()
     basis_module._part_tables.cache_clear()
     _, s_table = basis_module._part_tables(ring, True)
     listed = []
@@ -192,7 +142,7 @@ def test_cell_lists_no_s_part_heavier_than_its_p(monkeypatch):
         return parts
 
     real = basis_module._list_parts
-    monkeypatch.setattr(basis_module, "_list_parts", counting)
+    monkeypatch.setattr(differential_module, "_list_parts", counting)
     p, q, n = 3, 4, 8
     cell = enumerate_basis(ring, p, q, n)
     assert cell == _reference_basis(ring, p, q, n, True)
