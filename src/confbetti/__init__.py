@@ -10,7 +10,6 @@ from .differential import (
     AlgebraElement,
     algebra_element,
     assemble_matrix,
-    cell_images,
     d_generator,
     d_monomial,
     enumerate_basis,
@@ -63,8 +62,8 @@ from .spaces import REGISTRY, resolve_space, space_names
 
 __all__ = (  # the imported names; the submodules are not part of the API
     "Monomial", "format_monomial", "monomial_bigrade", "monomial_length", "multiply_monomials",
-    "AlgebraElement", "algebra_element", "assemble_matrix", "cell_images", "d_generator",
-    "d_monomial", "enumerate_basis",
+    "AlgebraElement", "algebra_element", "assemble_matrix", "d_generator", "d_monomial",
+    "enumerate_basis",
     "BettiEngine", "BettiTable", "InternalConsistencyError", "betti_number",
     "betti_odd_closed", "betti_table", "e_infinity_dim", "engine_for", "stable_betti",
     "vanishing_bound",

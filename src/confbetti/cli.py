@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .basis import format_monomial
-from .differential import assemble_matrix, cell_images, image_scale
+from .differential import assemble_matrix, enumerate_basis, image_scale
 from .engine import BettiTable, betti_odd_closed, betti_table, engine_for, stable_betti
 from .oracles import run_all
 from .rings import GradedRing, RingError, euler_characteristic, parse_ring
@@ -95,10 +95,16 @@ def _dump_matrices(table: BettiTable, reduced: bool, directory: Path) -> None:
         top = max(ns)
         whole = assemble_matrix(ring, p, q, top, reduced)
         whole.entries = {key: Fraction(v, scale) for key, v in whole.entries.items()}
-        listing = []
-        for monomial, image in cell_images(ring, p, q, top, reduced):
-            terms = " + ".join(f"({coeff})*{format_monomial(ring, m)}" for m, coeff in image.terms)
-            listing.append(f"{format_monomial(ring, monomial)} -> {terms or '0'}")
+        # column c is d of the c-th monomial, and its rows are in graded-lex order
+        codomain = enumerate_basis(ring, p + ring.dimension, q - 1, top, reduced)
+        row_names = [format_monomial(ring, m) for m in codomain]
+        images: list[list[str]] = [[] for _ in range(whole.cols)]
+        for (row, col), coeff in sorted(whole.entries.items()):
+            images[col].append(f"({coeff})*{row_names[row]}")
+        listing = [
+            f"{format_monomial(ring, monomial)} -> {' + '.join(terms) or '0'}"
+            for monomial, terms in zip(enumerate_basis(ring, p, q, top, reduced), images)
+        ]
         for n_eff in ns:
             cols = engine.dim(p, q, n_eff)
             rows = engine.dim(p + ring.dimension, q - 1, n_eff)

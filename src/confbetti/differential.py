@@ -23,9 +23,9 @@ and shared by every cell. Assembly is one loop over the domain codes: look up
 the code's s-part, skip a term whose odd factor the code already holds, and
 write the signed coefficient at the row of `code + delta`. Coefficients are
 ints scaled by L, the lcm of the images' denominators, so a matrix holds L * d
-(L is 1 on every built-in ring). `d_monomial` and `cell_images` validate a
-monomial, expand it from the same table and decode the result into graded-lex
-`Monomial`s with rational coefficients.
+(L is 1 on every built-in ring). `d_monomial` validates a monomial, expands
+it from the same table and decodes the result into graded-lex `Monomial`s with
+rational coefficients.
 """
 from __future__ import annotations
 
@@ -405,12 +405,3 @@ def assemble_matrix(
         ) from None
     return RationalMatrix(rows=len(codomain), cols=len(domain), entries=entries)
 
-
-def cell_images(
-    ring: GradedRing, p: int, q: int, n: int, reduced: bool = True
-) -> list[tuple[Monomial, AlgebraElement]]:
-    """(monomial, image) pairs for one cell, in basis order — debug-dump payload."""
-    return [
-        (mon, d_monomial(ring, mon, reduced))
-        for mon in enumerate_basis(ring, p, q, n, reduced)
-    ]

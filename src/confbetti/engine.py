@@ -36,7 +36,7 @@ from itertools import accumulate
 from .differential import PackedPieces, assemble_matrix, packed_pieces
 from .linalg import RankProfile, RationalMatrix, rank_profile_modular
 from .linalg import rank_profile_exact as exact_rank
-from .rings import GradedRing, parse_ring, serialize_ring
+from .rings import GradedRing
 
 
 class InternalConsistencyError(RuntimeError):
@@ -253,7 +253,7 @@ class BettiEngine:
             with ProcessPoolExecutor(
                 max_workers=min(workers, len(jobs), os.cpu_count() or 1),
                 initializer=_pool_init,
-                initargs=(serialize_ring(self.ring), self.reduced),
+                initargs=(self.ring, self.reduced),
             ) as pool:
                 for (p, q, _), ranks in zip(jobs, pool.map(_pool_ranks, jobs, chunksize=1)):
                     cell = cells[(p, q)]
@@ -362,25 +362,20 @@ def betti_odd_closed(ring: GradedRing, n: int) -> list[int]:
     table[0][0] = 1
     for index in range(ring.size):
         degree = ring.degree(index)
-        if degree % 2 == 0:
-            # symmetric factor: any number of points may share this class,
-            # so row j reads the already-updated row j - 1
-            for j in range(1, n + 1):
-                row, prev = table[j], table[j - 1]
-                for d in range(degree, top_degree + 1):
-                    row[d] += prev[d - degree]
-        else:
-            # exterior factor: at most one point, so rows update top-down
-            for j in range(n, 0, -1):
-                row, prev = table[j], table[j - 1]
-                for d in range(degree, top_degree + 1):
-                    row[d] += prev[d - degree]
+        # a symmetric (even) factor lets any number of points share this class,
+        # so row j reads the already-updated row j - 1; an exterior (odd)
+        # factor takes at most one point, so rows update top-down
+        for j in range(n, 0, -1) if degree % 2 else range(1, n + 1):
+            row, prev = table[j], table[j - 1]
+            for d in range(degree, top_degree + 1):
+                row[d] += prev[d - degree]
     return table[n]
 
 
-def _pool_init(ring_json: str, reduced: bool) -> None:
+def _pool_init(ring: GradedRing, reduced: bool) -> None:
+    """A worker's engine on the parent's ring, inherited or unpickled: it is not validated again."""
     global _POOL_ENGINE
-    _POOL_ENGINE = BettiEngine(parse_ring(ring_json), reduced=reduced)
+    _POOL_ENGINE = BettiEngine(ring, reduced=reduced)
 
 
 def _pool_ranks(job: tuple[int, int, int]) -> list[int]:

@@ -144,13 +144,6 @@ def _invert_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]] | None:
     return [row[size:] for row in aug]
 
 
-def _indices_by_degree(ring: GradedRing) -> dict[int, list[int]]:
-    by_degree: dict[int, list[int]] = {}
-    for i, cls in enumerate(ring.basis):
-        by_degree.setdefault(cls.degree, []).append(i)
-    return by_degree
-
-
 def _pairing_block(ring: GradedRing, rows: list[int], cols: list[int]) -> list[list[Fraction]]:
     """Entries: coefficient of the orientation class in y_a * y_b."""
     top = ring.orientation_index
@@ -161,13 +154,22 @@ def _pairing_block(ring: GradedRing, rows: list[int], cols: list[int]) -> list[l
 
 
 def dual_basis(ring: GradedRing) -> list[RingElement]:
-    """Elements y_i^v with the orientation coefficient of y_i * y_j^v equal to delta_ij."""
-    by_degree = _indices_by_degree(ring)
+    """Elements y_i^v with the orientation coefficient of y_i * y_j^v equal to delta_ij.
+
+    Raises RingValidationError on the lowest degree whose Poincaré pairing
+    block is not square or is singular.
+    """
+    by_degree: dict[int, list[int]] = {}
+    for i, cls in enumerate(ring.basis):
+        by_degree.setdefault(cls.degree, []).append(i)
     duals: dict[int, RingElement] = {}
-    for deg, rows in by_degree.items():
+    for deg, rows in sorted(by_degree.items()):
         cols = by_degree.get(ring.dimension - deg, [])
-        block = _pairing_block(ring, rows, cols)
-        inverse = _invert_matrix(block) if len(rows) == len(cols) else None
+        if len(rows) != len(cols):
+            raise RingValidationError(
+                f"pairing block degree {deg} is {len(rows)}x{len(cols)}, not square"
+            )
+        inverse = _invert_matrix(_pairing_block(ring, rows, cols))
         if inverse is None:
             raise RingValidationError(f"singular Poincaré pairing block in degree {deg}")
         for pos, i in enumerate(rows):
@@ -278,18 +280,7 @@ def validate_ring(ring: GradedRing) -> None:
                 if left != right:
                     raise RingValidationError(f"associativity fails on (y_{i}, y_{j}, y_{k})")
 
-    # Poincaré pairing blocks square and invertible
-    by_degree = _indices_by_degree(ring)
-    for deg, rows in by_degree.items():
-        if deg > ring.dimension - deg:
-            continue
-        cols = by_degree.get(ring.dimension - deg, [])
-        if len(rows) != len(cols):
-            raise RingValidationError(
-                f"pairing block degree {deg} is {len(rows)}x{len(cols)}, not square"
-            )
-        if _invert_matrix(_pairing_block(ring, rows, cols)) is None:
-            raise RingValidationError(f"singular Poincaré pairing block in degree {deg}")
+    dual_basis(ring)  # Poincaré pairing blocks square and invertible
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 import confbetti
 from confbetti import (
     assemble_matrix,
-    cell_images,
+    d_monomial,
     enumerate_basis,
     format_monomial,
     parse_ring,
@@ -241,6 +241,49 @@ def test_ring_file_round_trip(tmp_path, capsys):
     assert out.splitlines()[1] == "3,1,4,6,11"
 
 
+def _ring_file(tmp_path, dimension, basis, products):
+    """A ring document of the given (label, degree) classes; `products` adds to the unit's."""
+    unit_rows = [[0, i, {str(i): 1}] for i in range(len(basis))]
+    doc = {
+        "name": "bad-pairing",
+        "dimension": dimension,
+        "basis": [{"label": label, "degree": degree} for label, degree in basis],
+        "products": unit_rows + products,
+    }
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "dimension, basis, products, message",
+    [
+        # one class in degree 2, two in degree 4, a degree-4 class listed first
+        (6, [("1", 0), ("y", 4), ("x", 2), ("z", 4), ("t", 6)], [[1, 2, {"4": 1}]],
+         "pairing block degree 2 is 1x2, not square"),
+        # the genus-1 surface with a*b removed and the top class listed first
+        (2, [("1", 0), ("t", 2), ("a", 1), ("b", 1)], [],
+         "singular Poincaré pairing block in degree 1"),
+        # a class in degree 4 with nothing in degree 2 to pair with
+        (6, [("1", 0), ("y", 4), ("t", 6)], [], "pairing block degree 4 is 1x0, not square"),
+    ],
+    ids=["not-square", "singular", "unpaired-upper-degree"],
+)
+def test_bad_pairing_block_exits_2_naming_its_lowest_degree(
+    tmp_path, capsys, dimension, basis, products, message
+):
+    path = _ring_file(tmp_path, dimension, basis, products)
+    code, out, err = run_cli(
+        capsys, "compute", "--ring-file", str(path), "--n", "1..2", "--i-max", "2"
+    )
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+def _cell_images(ring, p, q, n):
+    """Each monomial of the cell with its own d: the reference the dumps are read against."""
+    return [(m, d_monomial(ring, m)) for m in enumerate_basis(ring, p, q, n)]
+
+
 def _listing_line(ring, mon, image):
     terms = " + ".join(f"({c})*{format_monomial(ring, m)}" for m, c in image.terms)
     return f"{format_monomial(ring, mon)} -> {terms or '0'}"
@@ -264,7 +307,7 @@ def test_dump_matrices_writes_listings(tmp_path, capsys):
     ring = ring_cp(1)
     for name in files:
         p, q, n = (int(part[1:]) for part in name[len("d_"):-len(".txt")].split("_"))
-        listing = [_listing_line(ring, mon, image) for mon, image in cell_images(ring, p, q, n)]
+        listing = [_listing_line(ring, mon, image) for mon, image in _cell_images(ring, p, q, n)]
         expected = [assemble_matrix(ring, p, q, n).dump_triplets(), "", *listing]
         assert (dump / name).read_text() == "\n".join(expected) + "\n"
 
@@ -302,7 +345,7 @@ def test_scaled_ring_prints_cp2_and_dumps_rational_d(tmp_path, capsys):
     halves = 0
     for path in dump.iterdir():
         p, q, n = (int(part[1:]) for part in path.name[len("d_"):-len(".txt")].split("_"))
-        images = cell_images(ring, p, q, n)
+        images = _cell_images(ring, p, q, n)
         row_of = {
             mon: row
             for row, mon in enumerate(enumerate_basis(ring, p + ring.dimension, q - 1, n))
@@ -312,8 +355,10 @@ def test_scaled_ring_prints_cp2_and_dumps_rational_d(tmp_path, capsys):
             for col, (_, element) in enumerate(images)
             for image, c in element.terms
         }
-        header, *triplets = path.read_text().split("\n\n")[0].splitlines()
+        matrix_text, _, listing = path.read_text().partition("\n\n")
+        header, *triplets = matrix_text.splitlines()
         assert header == f"{len(row_of)} {len(images)}"
+        assert listing.splitlines()[1:] == [_listing_line(ring, m, image) for m, image in images]
         dumped = {}
         for line in triplets:
             row, col, value = line.split()

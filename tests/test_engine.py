@@ -12,6 +12,7 @@ import pytest
 
 import confbetti.differential as differential_module
 import confbetti.engine as engine_module
+import confbetti.rings as rings_module
 from conftest import load_golden
 from confbetti import (
     BettiEngine,
@@ -199,6 +200,15 @@ def test_worker_pool_table_matches_serial(cp1xcp1, fresh_engines):
     pooled = betti_table(cp1xcp1, 1, 6, 10, workers=2)
     fresh_engines()
     assert pooled.grid == betti_table(cp1xcp1, 1, 6, 10, workers=1).grid
+
+
+def test_pool_workers_take_the_ring_without_validating_it(cp1xcp1, monkeypatch):
+    validations = []
+    monkeypatch.setattr(rings_module, "validate_ring", validations.append)
+    monkeypatch.setattr(engine_module, "_POOL_ENGINE", None, raising=False)
+    engine_module._pool_init(cp1xcp1, True)
+    assert validations == []
+    assert engine_module._POOL_ENGINE.ring is cp1xcp1
 
 
 @pytest.mark.parametrize("cpus, expected", [(3, 3), (None, 1)])
