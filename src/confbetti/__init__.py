@@ -58,7 +58,7 @@ from .rings import (
     serialize_ring,
     validate_ring,
 )
-from .spaces import REGISTRY, resolve_space, space_names
+from .spaces import REGISTRY, resolve_space
 
 __all__ = (  # the imported names; the submodules are not part of the API
     "Monomial", "format_monomial", "monomial_bigrade", "monomial_length", "multiply_monomials",
@@ -75,6 +75,6 @@ __all__ = (  # the imported names; the submodules are not part of the API
     "multiply", "parse_ring", "ring_cp", "ring_even_sphere", "ring_product",
     "ring_projective_bundle_cp2", "ring_sphere", "ring_surface", "serialize_ring",
     "validate_ring",
-    "REGISTRY", "resolve_space", "space_names",
+    "REGISTRY", "resolve_space",
 )
 __version__ = "0.1.0"

@@ -30,6 +30,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
+from .linalg import row_reduce
 from .rings import GradedRing
 
 
@@ -204,24 +205,7 @@ def grading(ring: GradedRing) -> tuple[tuple[int, ...], ...]:
                 row[j] += 1
                 row[c] -= 1
                 equations.add(tuple(row))
-    # fraction-free Gauss-Jordan: each pivot row ends up alone in its pivot column
-    rows = [list(row) for row in equations]
-    solved: list[tuple[int, list[int]]] = []  # (pivot column, row)
-    for col in range(size):
-        found = next((row for row in rows if row[col]), None)
-        if found is None:
-            continue
-
-        def eliminate(row: list[int]) -> list[int]:
-            if not row[col]:
-                return row
-            g = gcd(found[col], row[col])
-            row = [found[col] // g * x - row[col] // g * y for x, y in zip(row, found)]
-            content = gcd(*row)
-            return [x // content for x in row] if content > 1 else row
-
-        rows = [row for row in map(eliminate, rows) if any(row)]
-        solved = [(c, eliminate(row)) for c, row in solved] + [(col, found)]
+    solved = row_reduce(equations)
     pivot_cols = {c for c, _ in solved}
     basis = []
     for free in range(size):

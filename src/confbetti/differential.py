@@ -68,11 +68,6 @@ def algebra_element(terms: Mapping[Monomial, Fraction]) -> AlgebraElement:
     return AlgebraElement(tuple(kept))
 
 
-@lru_cache(maxsize=None)
-def _cached_duals(ring: GradedRing):
-    return tuple(dual_basis(ring))
-
-
 def _length_one_monomial(ring: GradedRing, a: int) -> Monomial:
     """The length-1 generator for class y_a; the unit (a = 0) gives the empty monomial."""
     m = ring.top_generator_count
@@ -90,7 +85,7 @@ def d_generator(ring: GradedRing, j: int) -> AlgebraElement:
     length-1 expansion of (y_j * y_i) times the length-1 expansion of the
     Poincaré dual of y_i, renormalized with graded-commutative signs.
     """
-    duals = _cached_duals(ring)
+    duals = dual_basis(ring)
     out: dict[Monomial, Fraction] = {}
     for i in range(ring.size):
         sign = -1 if ring.is_odd(i) else 1

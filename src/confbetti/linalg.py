@@ -1,4 +1,8 @@
-"""Exact rank computation for sparse rational matrices.
+"""Exact elimination: prefix ranks of sparse rational matrices, and dense row reduction.
+
+Every elimination in the package is one of two routines here. `_profile` ranks
+the large sparse matrices of the differential, and `row_reduce` solves the
+ring's own small dense systems: its Poincaré pairing blocks and its gradings.
 
 One sparse elimination over Q takes the columns strictly left to right and
 pivots each on the live row holding it with the fewest entries, which keeps
@@ -15,6 +19,7 @@ row's entry b and g = gcd(a, b), the row becomes row*(a/g) - pivot_row*(b/g),
 and is then divided by the gcd of its entries. Modulo a prime the same update
 runs on residues, which are reduced instead of divided; the engine uses it only
 as a spot check, since reduction can lower a rank but never raise it.
+`row_reduce` makes the same fraction-free update on dense integer rows.
 """
 from __future__ import annotations
 
@@ -172,3 +177,30 @@ def rank_profile_modular(
 def rank(m: RationalMatrix) -> int:
     """Exact rank of m over Q."""
     return rank_profile_exact(m).rank
+
+
+def row_reduce(rows) -> list[tuple[int, list[int]]]:
+    """Fraction-free Gauss-Jordan of dense integer rows of one width.
+
+    Returns (pivot column, row) for each pivot, by increasing column: each
+    pivot row ends up alone in its pivot column, and row / row[column] is the
+    matching row of the reduced row echelon form.
+    """
+    rows = [list(row) for row in rows]
+    solved: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    for col in range(len(rows[0]) if rows else 0):
+        found = next((row for row in rows if row[col]), None)
+        if found is None:
+            continue
+
+        def eliminate(row: list[int]) -> list[int]:
+            if not row[col]:
+                return row
+            g = gcd(found[col], row[col])
+            row = [found[col] // g * x - row[col] // g * y for x, y in zip(row, found)]
+            content = gcd(*row)
+            return [x // content for x in row] if content > 1 else row
+
+        rows = [row for row in map(eliminate, rows) if any(row)]
+        solved = [(c, eliminate(row)) for c, row in solved] + [(col, found)]
+    return solved

@@ -4,8 +4,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from math import lcm
 from typing import Iterable, Mapping, NamedTuple
+
+from .linalg import row_reduce
 
 # products[i][j] lists the nonzero structure constants of y_i * y_j.
 ProductRow = tuple[tuple[int, Fraction], ...]
@@ -123,59 +126,44 @@ def euler_characteristic(ring: GradedRing) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact linear solves for the pairing blocks
+# Poincaré duals: each pairing block is inverted by linalg.row_reduce
 
 
-def _invert_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]] | None:
-    """Exact Gauss-Jordan inverse; None when singular."""
-    size = len(rows)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(size)] for i, row in enumerate(rows)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col]), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
-
-
-def _pairing_block(ring: GradedRing, rows: list[int], cols: list[int]) -> list[list[Fraction]]:
-    """Entries: coefficient of the orientation class in y_a * y_b."""
-    top = ring.orientation_index
-    block = []
-    for a in rows:
-        block.append([dict(ring.products[a][b]).get(top, Fraction(0)) for b in cols])
-    return block
-
-
-def dual_basis(ring: GradedRing) -> list[RingElement]:
+@lru_cache(maxsize=None)
+def dual_basis(ring: GradedRing) -> tuple[RingElement, ...]:
     """Elements y_i^v with the orientation coefficient of y_i * y_j^v equal to delta_ij.
 
-    Raises RingValidationError on the lowest degree whose Poincaré pairing
-    block is not square or is singular.
+    Built once per ring. Raises RingValidationError on the lowest degree whose
+    Poincaré pairing block is not square or is singular.
     """
+    top = ring.orientation_index
     by_degree: dict[int, list[int]] = {}
     for i, cls in enumerate(ring.basis):
         by_degree.setdefault(cls.degree, []).append(i)
     duals: dict[int, RingElement] = {}
     for deg, rows in sorted(by_degree.items()):
         cols = by_degree.get(ring.dimension - deg, [])
-        if len(rows) != len(cols):
+        k = len(rows)
+        if k != len(cols):
             raise RingValidationError(
-                f"pairing block degree {deg} is {len(rows)}x{len(cols)}, not square"
+                f"pairing block degree {deg} is {k}x{len(cols)}, not square"
             )
-        inverse = _invert_matrix(_pairing_block(ring, rows, cols))
-        if inverse is None:
+        # [P | I], P[a][b] the orientation coefficient of y_a * y_b, each row scaled to integers
+        augmented = []
+        for pos, a in enumerate(rows):
+            row = [dict(ring.products[a][b]).get(top, Fraction(0)) for b in cols]
+            row += [int(pos == j) for j in range(k)]
+            scale = lcm(*(x.denominator for x in row))
+            augmented.append([int(x * scale) for x in row])
+        solved = row_reduce(augmented)
+        if [c for c, _ in solved] != list(range(k)):
             raise RingValidationError(f"singular Poincaré pairing block in degree {deg}")
         for pos, i in enumerate(rows):
             # column pos of the inverse solves P * c = e_pos
-            duals[i] = element(ring, {cols[r]: inverse[r][pos] for r in range(len(cols))})
-    return [duals[i] for i in range(ring.size)]
+            duals[i] = element(
+                ring, {cols[r]: Fraction(row[k + pos], row[r]) for r, row in solved}
+            )
+    return tuple(duals[i] for i in range(ring.size))
 
 
 # ---------------------------------------------------------------------------
@@ -432,18 +420,15 @@ def ring_even_sphere(k: int) -> GradedRing:
     """Q[x]/(x^2) with |x| = 2k: the 2k-sphere; k = 1 gives ring_cp(1)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if k == 1:
-        return ring_cp(1)
-    basis = [BasisClass("1", 0), BasisClass("x", 2 * k)]
-    return _make_ring(f"s{2 * k}", 2 * k, basis, _with_unit_rows(2, {}))
+    return ring_sphere(2 * k)
 
 
 def ring_sphere(d: int) -> GradedRing:
-    """The d-sphere for d >= 1; odd d gives an exterior class, even d defers to ring_even_sphere."""
+    """The d-sphere for d >= 1: Q[x]/(x^2) with |x| = d; d = 2 gives ring_cp(1)."""
     if d < 1:
         raise ValueError("d must be at least 1")
-    if d % 2 == 0:
-        return ring_even_sphere(d // 2)
+    if d == 2:
+        return ring_cp(1)
     basis = [BasisClass("1", 0), BasisClass("x", d)]
     return _make_ring(f"s{d}", d, basis, _with_unit_rows(2, {}))
 

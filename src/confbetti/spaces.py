@@ -105,7 +105,3 @@ def resolve_space(name: str) -> GradedRing:
     for _, build in factors[1:]:
         product = ring_product(product, build())
     return product
-
-
-def space_names() -> list[str]:
-    return sorted(REGISTRY)

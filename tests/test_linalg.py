@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confbetti import RationalMatrix, rank, rank_profile_exact
-from confbetti.linalg import rank_profile_modular
+from confbetti.linalg import rank_profile_modular, row_reduce
 
 
 def _matrix(rows, cols, entries):
@@ -273,3 +273,34 @@ def test_exact_profile_finds_the_rank_both_primes_miss():
         assert rank_profile_exact(m).prefix_ranks == [0, 1, 2] == _sympy_prefix_ranks(sympy, m)
         for p in (p1, p2):
             assert rank_profile_modular(m, p).prefix_ranks == [0, 1, 1]
+
+
+@st.composite
+def deficient_rows(draw):
+    """Small dense integer rows, with a zero row and a sum of two rows mixed in."""
+    width = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-4, 4), min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    rows.append([0] * width)
+    a, b = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+    rows.append([x + y for x, y in zip(rows[a], rows[b])])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(deficient_rows())
+def test_row_reduce_is_sympy_rref(rows):
+    sympy = pytest.importorskip("sympy")
+    rref, pivots = sympy.Matrix(rows).rref()
+    solved = row_reduce(rows)
+    assert tuple(c for c, _ in solved) == pivots
+    for k, (c, row) in enumerate(solved):
+        assert all(isinstance(x, int) for x in row)
+        assert [Fraction(x, row[c]) for x in row] == [
+            Fraction(int(v.p), int(v.q)) for v in rref.row(k)
+        ]
+
+
+def test_row_reduce_of_no_rows_and_zero_rows():
+    assert row_reduce([]) == []
+    assert row_reduce([[0, 0], [0, 0]]) == []

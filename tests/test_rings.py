@@ -150,6 +150,23 @@ def test_dual_basis_pbundle(pbundle):
         assert multiply(pbundle, basis_element(pbundle, k), duals[k]).coefficient(5) == 1
 
 
+PAIRING_THIRDS = Path(__file__).parent / "rings" / "pairing_thirds.json"  # a*a = 2/3 t, a*b = t
+
+
+def test_dual_basis_inverts_a_full_pairing_block_with_a_fraction():
+    ring = parse_ring(PAIRING_THIRDS.read_text())
+    top = ring.orientation_index
+    duals = dual_basis(ring)
+    assert isinstance(duals, tuple)
+    # the degree-2 block [[2/3, 1], [1, 0]] has inverse [[0, 1], [1, -2/3]]
+    assert duals[1].coeffs == ((2, Fraction(1)),)
+    assert duals[2].coeffs == ((1, Fraction(1)), (2, Fraction(-2, 3)))
+    for k in range(ring.size):
+        for j in range(ring.size):
+            product = multiply(ring, basis_element(ring, j), duals[k])
+            assert product.coefficient(top) == int(j == k)
+
+
 def test_element_arithmetic(cp2):
     v = element(cp2, {0: Fraction(2), 1: Fraction(-1, 3)})
     assert v.coefficient(0) == 2
@@ -222,6 +239,33 @@ def test_pickled_ring_hashes_afresh_in_another_interpreter(tmp_path):
     env = {**os.environ, "PYTHONHASHSEED": "12345"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", script, str(path)], check=True, env=env)
+
+
+def test_duals_are_built_once_per_ring():
+    # counts runs of dual_basis's body and of the generator images, in a fresh
+    # interpreter: parsing validates the ring, which fills the cache that
+    # the differential then reads
+    probe = """
+import sys
+from confbetti import betti_table, dual_basis, parse_ring, ring_surface, serialize_ring
+doc = serialize_ring(ring_surface(2))
+dual_basis.cache_clear()
+calls = {"dual_basis": 0, "d_generator": 0}
+def watch(frame, event, arg):
+    if event == "call" and frame.f_code.co_name in calls:
+        calls[frame.f_code.co_name] += 1
+sys.setprofile(watch)
+ring = parse_ring(doc)
+betti_table(ring, 1, 3, 4)
+sys.setprofile(None)
+print(calls["dual_basis"], calls["d_generator"] > 0)
+"""
+    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path), check=True,
+    )
+    assert done.stdout.strip() == "1 True"
 
 
 def test_parse_rejects_missing_unit_row():

@@ -101,6 +101,22 @@ def test_grading_rank_and_group_order(space, rank, order):
         assert all(_preserves_products(ring, sigma) for sigma in found.generators)
 
 
+@pytest.mark.parametrize(
+    "space, weights",
+    [
+        ("sigma2", ((0, 0), (-1, 0), (0, -1), (1, 0), (0, 1), (0, 0))),
+        ("cp1xcp2", ((0,), (-1,), (-2,), (2,), (1,), (0,))),
+        (
+            "sigma1xcp1",
+            ((0, 0), (0, -1), (-1, 0), (-1, -1), (1, 1), (1, 0), (0, 1), (0, 0)),
+        ),
+    ],
+)
+def test_grading_vectors_are_pinned(space, weights):
+    # the pieces a cell splits into are labelled by these vectors, in this order
+    assert grading(resolve_space(space)) == weights
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_seeded_rings_have_the_registry_group_and_orbits(k):
     registry, seeded = resolve_space("sigma3"), seeded_ring("sigma3", k)
