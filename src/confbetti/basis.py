@@ -11,16 +11,18 @@ derived from a ring basis {y_0 = 1, y_1, ..., y_m}:
 Truncating to total length <= n models n unlabeled points.
 
 A cell (p, q) at truncation n pairs exponent-vector parts: an s-part has
-exactly q entries, an r-part at most n - 2q. This module lists the parts of
-one exact weight and entry count (`_list_parts`), within bounds kept once per
-ring and reduction flag (`_part_tables`); `differential.packed_pieces` joins
-them into cells. A cell splits into pieces by the ring's grading (`grading`),
-and one piece per orbit of the ring's automorphisms (`automorphisms`,
-`_Orbits`) is kept; both are found from the product table on first use, once
-per ring. The part search returns at once from a state whose weight left
-exceeds its count left times the largest degree left, falls below it times
-the smallest, or is not a multiple of the gcd of the degrees left: with all
-of cp6's degrees even, its odd-p cells list no part.
+exactly q entries, an r-part at most n - 2q. This module keeps the bounds of
+the parts once per ring and reduction flag (`_part_tables`): which weights
+and entry counts can hold a part at all, and what the positions from each one
+on can add. `differential._PartCodes` searches the parts of one weight and
+entry count within them, and `differential.packed_pieces` joins them into
+cells. A state whose weight left exceeds its count left times the largest
+degree left, falls below it times the smallest, or is not a multiple of the
+gcd of the degrees left is never searched: with all of cp6's degrees even,
+its odd-p cells list no part. A cell splits into pieces by the ring's
+grading (`grading`), and one piece per orbit of the ring's automorphisms
+(`automorphisms`, `_Orbits`) is kept; both are found from the product table
+on first use, once per ring.
 """
 from __future__ import annotations
 
@@ -107,9 +109,9 @@ def format_monomial(ring: GradedRing, mon: Monomial) -> str:
 class _PartTable:
     """The bounds of the exponent vectors over one generator family.
 
-    `_list_parts(table, weight, count)` lists every vector with entries at
-    most `caps`, entry sum `count` and degree-weighted sum `weight`, in
-    lexicographic order.
+    A part is a vector with entries at most `caps`, an entry sum (its count)
+    and a degree-weighted sum (its weight); `differential._PartCodes` lists
+    the parts of one weight and count within these bounds.
     """
 
     def __init__(self, degrees: tuple[int, ...], caps: tuple[int, ...]):
@@ -124,38 +126,23 @@ class _PartTable:
         self.low_left = [min(degrees[pos:], default=0) for pos in ends]
         self.gcd_left = [gcd(*degrees[pos:]) for pos in ends]
 
+    def weights(self, count: int, most: int) -> range:
+        """The weights up to `most` that the bounds leave to vectors of `count` entries."""
+        if count > self.cap_left[0]:
+            return range(0)
+        step = self.gcd_left[0] or 1
+        least = -(-count * self.low_left[0] // step) * step
+        return range(least, min(most, count * self.deg_left[0]) + 1, step)
 
-def _list_parts(table: _PartTable, weight: int, count: int) -> tuple[tuple[int, ...], ...]:
-    """Search the positions left to right; a state that cannot finish returns at once."""
-    degrees, caps = table.degrees, table.caps
-    cap_left, deg_left, low_left, gcd_left = (
-        table.cap_left, table.deg_left, table.low_left, table.gcd_left
-    )
-    size = len(degrees)
-    found: list[tuple[int, ...]] = []
-    prefix: list[int] = []
+    def counts(self, weight: int, most: int) -> range:
+        """The entry counts up to `most` that the bounds leave to vectors of `weight`.
 
-    def descend(pos: int, weight_left: int, count_left: int) -> None:
-        if (
-            count_left > cap_left[pos]
-            or not count_left * low_left[pos] <= weight_left <= count_left * deg_left[pos]
-            or gcd_left[pos] and weight_left % gcd_left[pos]
-        ):
-            return
-        if pos == size:  # the checks above leave only exact hits here
-            found.append(tuple(prefix))
-            return
-        deg = degrees[pos]
-        top = min(caps[pos], count_left)
-        if deg > 0:
-            top = min(top, weight_left // deg)
-        for e in range(max(0, count_left - cap_left[pos + 1]), top + 1):
-            prefix.append(e)
-            descend(pos + 1, weight_left - e * deg, count_left - e)
-            prefix.pop()
-
-    descend(0, weight, count)
-    return tuple(found)
+        Every degree must be positive.
+        """
+        if weight % self.gcd_left[0]:
+            return range(0)
+        least = -(-weight // self.deg_left[0])
+        return range(least, min(most, self.cap_left[0], weight // self.low_left[0]) + 1)
 
 
 @lru_cache(maxsize=None)
@@ -329,7 +316,7 @@ def _pack_label(coordinates) -> int:
     return sum(x << _LABEL_BITS * l for l, x in enumerate(coordinates))
 
 
-class _Orbits:
+class _Orbits(dict):
     """Monomial labels under the ring's grading, and their orbits under its automorphisms.
 
     A monomial's label is the sum of the weights (`grading`) of its
@@ -341,7 +328,10 @@ class _Orbits:
     `scale`: column l is the weight of the image of a class weighing a
     multiple of axis l only. Without a grading, or when no automorphism moves
     a label, every label is 0 and a cell is one piece; there is no search
-    without a grading. Label 0 is fixed by every σ.
+    without a grading. Label 0 is fixed by every σ. As a dict, it maps each
+    label met so far to its orbit's size if the label is the orbit's least
+    member (the piece kept for the orbit), else to 0; a new label's whole
+    orbit is classified on its first lookup, so once per ring.
     """
 
     def __init__(self, ring: GradedRing):
@@ -361,29 +351,25 @@ class _Orbits:
             if action != identity and action not in self.actions:
                 self.actions.append(action)
         self.weights = tuple(map(_pack_label, weights)) if self.actions else (0,) * ring.size
-        self.orbits: dict[int, tuple[int, int]] = {}  # label -> its orbit's least label and size
 
-    def orbit(self, label: int) -> tuple[int, int]:
-        """The least label of the orbit of `label`, and the orbit's size."""
-        found = self.orbits.get(label)
-        if found is None:
-            half, mask = 1 << _LABEL_BITS - 1, (1 << _LABEL_BITS) - 1
-            orbit, frontier = {label}, [label]
-            while frontier:
-                rest, coordinates = frontier.pop(), []
-                for _ in range(self.rank):
-                    x = (rest + half & mask) - half
-                    coordinates.append(x)
-                    rest = (rest - x) >> _LABEL_BITS
-                for action in self.actions:
-                    image = sum(map(mul, coordinates, action)) // self.scale
-                    if image not in orbit:
-                        orbit.add(image)
-                        frontier.append(image)
-            found = (min(orbit), len(orbit))
-            for member in orbit:
-                self.orbits[member] = found
-        return found
+    def __missing__(self, label: int) -> int:
+        """Classify the orbit of a new label: its least member maps to its size, the rest to 0."""
+        half, mask = 1 << _LABEL_BITS - 1, (1 << _LABEL_BITS) - 1
+        orbit, frontier = {label}, [label]
+        for rest in frontier:  # grows as images are found
+            coordinates = []
+            for _ in range(self.rank):
+                x = (rest + half & mask) - half
+                coordinates.append(x)
+                rest = (rest - x) >> _LABEL_BITS
+            for action in self.actions:
+                image = sum(map(mul, coordinates, action)) // self.scale
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        self.update(dict.fromkeys(orbit, 0))
+        self[min(orbit)] = len(orbit)
+        return self[label]
 
 
 @lru_cache(maxsize=None)

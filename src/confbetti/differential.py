@@ -11,10 +11,11 @@ first in the highest field), so int order is lexicographic order. The width
 is the narrowest holding (p + D q) // 2, which bounds every exponent of cell
 (p, q) and of its codomain alike (see `_field_type`). `packed_pieces` is the
 one place that joins s-parts with r-parts into cells: it builds a cell's
-packed orbit-representative pieces straight from `basis`'s part search, each
-part list packed and grouped by label once per field type, with one bucket
-per piece and length, and each piece in graded-lex order; with `whole` the
-cell is one piece, which `enumerate_basis` decodes into `Monomial`s. d keeps a
+packed orbit-representative pieces from one memoized search per part table,
+field type and label weights (`_PartCodes`), which adds up each part's code
+and label as it descends and never builds the part, with one bucket per
+piece and length, and each piece in graded-lex order; with `whole` the cell
+is one piece, which `enumerate_basis` decodes into `Monomial`s. d keeps a
 monomial's label, so the matrix of a cell's pieces is block-diagonal over
 them. The terms of d on a monomial depend on its
 r-part only through mask tests and a popcount, so one table per ring, `reduced`
@@ -35,14 +36,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import mul
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .basis import (
     Monomial,
-    _list_parts,
     _odd_flat,
     _orbits,
+    _PartTable,
     _part_tables,
     monomial_bigrade,
     multiply_monomials,
@@ -139,40 +139,89 @@ def _unpack(code: int, typecode: str, m: int) -> Monomial:
     return Monomial(tuple(fields[:m]), tuple(fields[m:]))
 
 
+def _field_units(m: int, typecode: str) -> tuple[list[int], int]:
+    """Each flat position's field unit, as `_pack` lays fields out, and a field's largest value."""
+    width = 8 * array(typecode).itemsize
+    return [1 << width * (2 * m - pos) for pos in range(2 * m + 1)], (1 << width) - 1
+
+
+class _PartCodes:
+    """The parts of one of `basis`'s part tables, packed and grouped by label, by (weight, count).
+
+    A part packs as the sum over its positions of exponent times the field
+    unit there, and its label as the sum of exponent times the class weight.
+    The search is memoized on (position, weight left, count left): a state
+    holds its suffixes as {label: codes}, and one position up, exponent e adds
+    e times the unit to each code and e times the weight to each label. So the
+    (weight, count) lists, the states at position 0, share their suffixes,
+    and no part is built as a tuple. Codes are in int order within a label.
+    The search skips a state whose weight left exceeds its count left times
+    the largest degree left, falls below it times the smallest, or is not a
+    multiple of the gcd of the degrees left. States at position 1 are built
+    again for each list instead of kept: they hold about half the suffix
+    codes, and each serves only the lists that differ from it in the first
+    exponent. A part with an exponent past the field's largest value raises
+    `OverflowError`, as its code would carry into the next field.
+    """
+
+    def __init__(self, table: _PartTable, units: list[int], weights: tuple[int, ...], field: int):
+        self.table = table
+        self.units = units  # per position of the table
+        self.weights = weights  # per position of the table
+        self.field = field  # the largest exponent a field holds
+        self.states: dict[tuple[int, int, int], dict[int, list[int]]] = {}
+
+    def __call__(self, weight: int, count: int, pos: int = 0) -> dict[int, list[int]]:
+        """The parts over the positions from `pos` on with this weight and count, by label."""
+        table = self.table
+        if pos == len(table.degrees):  # the checks below leave only weight 0 and count 0 here
+            return {0: [0]}
+        key = (pos, weight, count)
+        found = self.states.get(key)
+        if found is not None:
+            return found
+        found = {}
+        deg, unit, label_step = table.degrees[pos], self.units[pos], self.weights[pos]
+        top = min(table.caps[pos], count)
+        if deg > 0:
+            top = min(top, weight // deg)
+        low, high, step = table.low_left[pos + 1], table.deg_left[pos + 1], table.gcd_left[pos + 1]
+        for e in range(max(0, count - table.cap_left[pos + 1]), top + 1):
+            count_left, weight_left = count - e, weight - e * deg
+            if (
+                not count_left * low <= weight_left <= count_left * high
+                or step and weight_left % step
+            ):
+                continue
+            suffixes = self(weight_left, count_left, pos + 1)
+            if suffixes and e > self.field:
+                raise OverflowError(f"exponent {e} exceeds the field's largest value {self.field}")
+            code_step = e * unit
+            for label, codes in suffixes.items():
+                listed = found.setdefault(label + e * label_step, [])
+                listed.extend(map(code_step.__add__, codes) if e else codes)
+        if pos != 1:
+            self.states[key] = found
+        return found
+
+
 @lru_cache(maxsize=None)
 def _part_codes(
     ring: GradedRing, reduced: bool, typecode: str, weights: tuple[int, ...]
-) -> tuple[Callable, Callable]:
-    """The r-part and s-part lists of `basis`'s part tables as packed codes, by (weight, count).
+) -> tuple[_PartCodes, _PartCodes]:
+    """`basis`'s r-part and s-part tables as packed codes grouped by label (see `_PartCodes`).
 
     An r-part packs with zero s exponents and an s-part with zero r
     exponents, so a monomial's code is the sum of its two parts' codes, and
-    its label, under the packed class `weights`, the sum of theirs. Each list
-    is searched and packed on first request, and only its codes are kept,
-    grouped by label as (label, codes) pairs: one group when every weight is 0.
+    its label, under the packed class `weights`, the sum of theirs: one label
+    when every weight is 0.
     """
-    m = ring.top_generator_count
-
-    def lister(table, before: tuple[int, ...], after: tuple[int, ...], weights) -> Callable:
-        listed: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
-
-        def groups(weight: int, count: int) -> list[tuple[int, list[int]]]:
-            found = listed.get((weight, count))
-            if found is None:
-                by_label: dict[int, list[int]] = {}
-                for part in _list_parts(table, weight, count):
-                    by_label.setdefault(sum(map(mul, part, weights)), []).append(
-                        _pack(before + part + after, typecode)
-                    )
-                found = listed[(weight, count)] = list(by_label.items())
-            return found
-
-        return groups
-
     r_table, s_table = _part_tables(ring, reduced)
+    m = ring.top_generator_count
+    units, field = _field_units(m, typecode)
     return (
-        lister(r_table, (), (0,) * (m + 1), weights[1:]),
-        lister(s_table, (0,) * m, (), weights),
+        _PartCodes(r_table, units[:m], weights[1:], field),
+        _PartCodes(s_table, units[m:], weights, field),
     )
 
 
@@ -191,7 +240,9 @@ def packed_pieces(
     A monomial of the cell has length 2q plus its r entry count and its label
     is the sum of its parts' labels, so the codes of each (s-part, r-part)
     label pair whose sum represents its orbit go into that label's bucket for
-    the r entry count. Inside a bucket int order is graded-lex order, so
+    the r entry count. Only the s-weights and r entry counts that the part
+    tables' bounds leave open are listed, and the ring's `_Orbits` classifies
+    each label once. Inside a bucket int order is graded-lex order, so
     sorting each bucket as ints and joining them gives each piece in
     graded-lex order, and the pieces follow in label order. The count
     list of a piece runs over lengths 0..n. With `whole`, or on a ring with no
@@ -208,32 +259,30 @@ def packed_pieces(
     orbits = _orbits(ring)
     weights = (0,) * ring.size if whole else orbits.weights
     r_codes, s_codes = _part_codes(ring, reduced, _field_type(ring, p, q), weights)
-    buckets: dict[int, list[list[int]] | None] = {}  # None for a label that is no representative
-    for s_weight in range(p + 1):
+    buckets: dict[int, list[list[int]]] = {}  # representative label -> one bucket per r count
+    for s_weight in s_codes.table.weights(q, p):
         s_groups = s_codes(s_weight, q)
         if not s_groups:
             continue
         r_weight = p - s_weight
-        for count in range(min(max_r, r_weight) + 1):  # r degrees are positive
-            for r_label, r_list in r_codes(r_weight, count):
-                for s_label, s_list in s_groups:
+        for count in r_codes.table.counts(r_weight, max_r):  # r degrees are positive
+            for r_label, r_list in r_codes(r_weight, count).items():
+                for s_label in s_groups:
                     label = r_label + s_label
-                    if label not in buckets:
-                        is_rep = orbits.orbit(label)[0] == label
-                        buckets[label] = [[] for _ in range(max_r + 1)] if is_rep else None
-                    piece = buckets[label]
-                    if piece is not None:
-                        bucket = piece[count]
-                        for r_code in r_list:
-                            bucket.extend(map(r_code.__add__, s_list))
+                    if orbits[label]:
+                        piece = buckets.get(label)
+                        if piece is None:
+                            piece = buckets[label] = [[] for _ in range(max_r + 1)]
+                        s_list = s_groups[s_label]
+                        piece[count] += [r_code + s_code for r_code in r_list for s_code in s_list]
     codes: list[int] = []
     pieces = []
-    for label in sorted(label for label, piece in buckets.items() if piece is not None):
+    for label in sorted(buckets):
         for bucket in buckets[label]:
             bucket.sort()
             codes += bucket
         counts = [0] * (2 * q) + [len(bucket) for bucket in buckets[label]]
-        pieces.append((orbits.orbit(label)[1], counts))
+        pieces.append((orbits[label], counts))
     return PackedPieces(codes, pieces)
 
 
@@ -262,11 +311,10 @@ class _Kernel:
 
     def __init__(self, ring: GradedRing, reduced: bool, typecode: str):
         m = ring.top_generator_count
-        size = 2 * m + 1  # flat positions: r over classes 1..m, then s over classes 0..m
         self.reduced = reduced
         scale = image_scale(ring)
-        self.field = (1 << 8 * array(typecode).itemsize) - 1
-        unit = [_pack(tuple(int(i == pos) for i in range(size)), typecode) for pos in range(size)]
+        # flat positions: r over classes 1..m, then s over classes 0..m
+        unit, self.field = _field_units(m, typecode)
         shift = [u.bit_length() - 1 for u in unit]
         odd = _odd_flat(ring)
         self.s_mask = unit[m] * (self.field + 1) - 1  # the s fields are the lowest m + 1

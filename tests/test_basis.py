@@ -1,13 +1,24 @@
 from __future__ import annotations
 
 import itertools
+import sys
+from operator import mul
 
 import pytest
 from conftest import _reference_basis, seeded_ring
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import confbetti.basis as basis_module
 import confbetti.differential as differential_module
-from confbetti.differential import _field_type, _unpack, packed_pieces
+from confbetti.differential import (
+    _field_type,
+    _pack,
+    _part_codes,
+    _PartCodes,
+    _unpack,
+    packed_pieces,
+)
 from confbetti.spaces import resolve_space
 from confbetti import (
     Monomial,
@@ -127,27 +138,68 @@ def test_packed_basis_with_wide_fields(space, p, q, n):
     _assert_packed_like(ring, p, q, n, False, monomials)
 
 
-def test_cell_lists_no_s_part_heavier_than_its_p(monkeypatch):
+def test_cell_lists_no_s_part_heavier_than_its_p():
     ring = ring_product(ring_surface(1), ring_cp(1))  # odd classes in degrees 1 and 3
     # the packed path keeps each part list it searches: start from empty caches
     differential_module._part_codes.cache_clear()
-    basis_module._part_tables.cache_clear()
-    _, s_table = basis_module._part_tables(ring, True)
-    listed = []
-
-    def counting(table, weight, count):
-        parts = real(table, weight, count)
-        if table is s_table:
-            listed.extend(sum(e * d for e, d in zip(part, table.degrees)) for part in parts)
-        return parts
-
-    real = basis_module._list_parts
-    monkeypatch.setattr(differential_module, "_list_parts", counting)
     p, q, n = 3, 4, 8
     cell = enumerate_basis(ring, p, q, n)
     assert cell == _reference_basis(ring, p, q, n, True)
+    # the s-part lists searched are the memo's nonempty states at position 0
+    zero = (0,) * ring.size
+    _, s_codes = differential_module._part_codes(ring, True, _field_type(ring, p, q), zero)
+    states = s_codes.states.items()
+    listed = [weight for (pos, weight, _), groups in states if pos == 0 and groups]
     # four length-2 generators of the degree-1 classes reach weight 4 > p
     assert listed and max(listed) == p
+
+
+@st.composite
+def _part_search(draw):
+    """A part table (unit's degree 0 first), label weights, its place in a flat code, and keys."""
+    size = draw(st.integers(1, 4))
+    degrees = (0, *draw(st.lists(st.integers(1, 3), min_size=size - 1, max_size=size - 1)))
+    caps = tuple(draw(st.lists(st.sampled_from([0, 1, sys.maxsize]), min_size=size, max_size=size)))
+    # all-zero weights put every part in one group, whose int order must hold too
+    weights = draw(st.one_of(st.just((0,) * size), st.tuples(*[st.integers(-2, 2)] * size)))
+    before, after = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    keys = st.tuples(st.integers(0, 10), st.integers(0, 4))
+    return degrees, caps, weights, before, after, draw(keys), draw(st.lists(keys, max_size=6))
+
+
+def _brute_force_groups(degrees, caps, weights, before, after, weight, count):
+    """Every exponent vector of the table with this weight and count, packed as `_pack` packs it."""
+    groups: dict[int, list[int]] = {}
+    for part in itertools.product(*(range(min(cap, count) + 1) for cap in caps)):
+        if sum(part) == count and sum(map(mul, part, degrees)) == weight:
+            code = _pack((0,) * before + part + (0,) * after, "B")
+            groups.setdefault(sum(map(mul, part, weights)), []).append(code)
+    return {label: sorted(codes) for label, codes in groups.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_part_search())
+def test_part_search_matches_brute_force(case):
+    degrees, caps, weights, before, after, (weight, count), others = case
+    flat = before + len(degrees) + after
+    units = [1 << 8 * (flat - 1 - pos) for pos in range(before, before + len(degrees))]
+    expected = _brute_force_groups(degrees, caps, weights, before, after, weight, count)
+    cold = _PartCodes(basis_module._PartTable(degrees, caps), units, weights, 255)
+    assert cold(weight, count) == expected
+    filled = _PartCodes(basis_module._PartTable(degrees, caps), units, weights, 255)
+    for other in others:  # fill the memo with other keys' states first
+        filled(*other)
+    assert filled(weight, count) == expected
+    assert cold(weight, count) == expected  # read back from the memo
+
+
+def test_part_codes_raise_past_the_field():
+    # cp1 unreduced: one r position of degree 2 with no cap, then two s fields;
+    # an exponent of 256 would carry into the s field of the unit
+    r_codes, _ = _part_codes(resolve_space("cp1"), False, "B", (0, 0))
+    assert dict(r_codes(510, 255)) == {0: [255 << 16]}
+    with pytest.raises((OverflowError, ValueError)):
+        r_codes(512, 256)
 
 
 def test_cell_counts_from_worked_examples(cp2, cp3, sigma1):
