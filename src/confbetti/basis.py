@@ -18,11 +18,13 @@ on can add. `differential._PartCodes` searches the parts of one weight and
 entry count within them, and `differential.packed_pieces` joins them into
 cells. A state whose weight left exceeds its count left times the largest
 degree left, falls below it times the smallest, or is not a multiple of the
-gcd of the degrees left is never searched: with all of cp6's degrees even,
-its odd-p cells list no part. A cell splits into pieces by the ring's
-grading (`grading`), and one piece per orbit of the ring's automorphisms
-(`automorphisms`, `_Orbits`) is kept; both are found from the product table
-on first use, once per ring.
+gcd of the degrees left is never searched, and a list is asked for only at
+the weights and counts that its cheapest and dearest parts bound. A cell
+whose p is not a multiple of the gcd of the ring's degrees asks for no list:
+with all of cp6's degrees even, its odd-p cells are empty. A cell splits
+into pieces by the ring's grading (`grading`), and one piece per orbit of
+the ring's automorphisms (`automorphisms`, `_Orbits`) is kept; both are
+found from the product table on first use, once per ring.
 """
 from __future__ import annotations
 
@@ -106,6 +108,17 @@ def format_monomial(ring: GradedRing, mon: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _fill(ladder, count: int) -> int:
+    """The weight of `count` entries taken along `ladder`'s (degree, cap) pairs, each to its cap."""
+    weight = 0
+    for degree, cap in ladder:
+        if count <= cap:
+            return weight + count * degree
+        weight += cap * degree
+        count -= cap
+    return weight
+
+
 class _PartTable:
     """The bounds of the exponent vectors over one generator family.
 
@@ -125,24 +138,41 @@ class _PartTable:
         self.deg_left = [max(degrees[pos:], default=0) for pos in ends]
         self.low_left = [min(degrees[pos:], default=0) for pos in ends]
         self.gcd_left = [gcd(*degrees[pos:]) for pos in ends]
+        self.ladder = sorted(zip(degrees, caps))  # (degree, cap), the cheapest entries first
 
     def weights(self, count: int, most: int) -> range:
-        """The weights up to `most` that the bounds leave to vectors of `count` entries."""
+        """The weights up to `most` that the bounds leave to vectors of `count` entries.
+
+        They run from the weight of the `count` cheapest entries the caps
+        allow to that of the `count` dearest, in steps of the gcd.
+        """
         if count > self.cap_left[0]:
             return range(0)
-        step = self.gcd_left[0] or 1
-        least = -(-count * self.low_left[0] // step) * step
-        return range(least, min(most, count * self.deg_left[0]) + 1, step)
+        least, greatest = _fill(self.ladder, count), _fill(reversed(self.ladder), count)
+        return range(least, min(most, greatest) + 1, self.gcd_left[0] or 1)
 
     def counts(self, weight: int, most: int) -> range:
         """The entry counts up to `most` that the bounds leave to vectors of `weight`.
 
-        Every degree must be positive.
+        They run from the fewest entries that reach `weight`, dearest first,
+        to the most whose cheapest fill stays within it. Every degree must be
+        positive.
         """
         if weight % self.gcd_left[0]:
             return range(0)
-        least = -(-weight // self.deg_left[0])
-        return range(least, min(most, self.cap_left[0], weight // self.low_left[0]) + 1)
+        fewest, left = 0, weight
+        for degree, cap in reversed(self.ladder):
+            if left <= 0:
+                break
+            take = min(cap, -(-left // degree))
+            fewest, left = fewest + take, left - take * degree
+        if left > 0:
+            return range(0)
+        largest, left = 0, weight
+        for degree, cap in self.ladder:
+            take = min(cap, left // degree)
+            largest, left = largest + take, left - take * degree
+        return range(fewest, min(most, largest) + 1)
 
 
 @lru_cache(maxsize=None)

@@ -33,18 +33,25 @@ class UsageError(Exception):
 
 
 def _load_ring(args) -> tuple[GradedRing, str]:
-    """The ring named by --space or read from --ring-file, and its display name."""
+    """The ring named by --space or read from --ring-file, and its display name.
+
+    A ring of dimension 0 (the unit alone) is refused: every command needs more.
+    """
     try:
         if args.ring_file:
             ring = parse_ring(Path(args.ring_file).read_text(encoding="utf-8"))
-            return ring, ring.name
-        return resolve_space(args.space), args.space
+            space = ring.name
+        else:
+            ring, space = resolve_space(args.space), args.space
     except KeyError as err:  # an unknown space name; str() would quote the message
         raise UsageError(err.args[0]) from None
     except UnicodeDecodeError as err:
         raise UsageError(f"ring file {args.ring_file} is not UTF-8 text: {err}") from None
     except (RingError, OSError) as err:
         raise UsageError(str(err)) from None
+    if not ring.dimension:
+        raise UsageError(f"space {space!r} has dimension 0; need a positive dimension")
+    return ring, space
 
 
 def _fail_usage(message: str) -> int:

@@ -38,17 +38,9 @@ from functools import lru_cache
 from math import lcm
 from typing import Mapping, NamedTuple
 
-from .basis import (
-    Monomial,
-    _odd_flat,
-    _orbits,
-    _PartTable,
-    _part_tables,
-    monomial_bigrade,
-    multiply_monomials,
-)
+from .basis import Monomial, _odd_flat, _orbits, _PartTable, _part_tables, monomial_bigrade
 from .linalg import RationalMatrix
-from .rings import GradedRing, basis_element, dual_basis, multiply
+from .rings import GradedRing, dual_basis
 
 
 @dataclass(frozen=True)
@@ -68,34 +60,35 @@ def algebra_element(terms: Mapping[Monomial, Fraction]) -> AlgebraElement:
     return AlgebraElement(tuple(kept))
 
 
-def _length_one_monomial(ring: GradedRing, a: int) -> Monomial:
-    """The length-1 generator for class y_a; the unit (a = 0) gives the empty monomial."""
-    m = ring.top_generator_count
-    r = [0] * m
-    if a:
-        r[a - 1] = 1
-    return Monomial(tuple(r), (0,) * (m + 1))
-
-
 @lru_cache(maxsize=None)
 def d_generator(ring: GradedRing, j: int) -> AlgebraElement:
     """Image of the length-2 generator for class y_j.
 
     Fixed convention: sum over all classes y_i of (-1)^|y_i| times the
     length-1 expansion of (y_j * y_i) times the length-1 expansion of the
-    Poincaré dual of y_i, renormalized with graded-commutative signs.
+    Poincaré dual of y_i, renormalized with graded-commutative signs. It is
+    read straight off the product table row `products[j][i]` and the dual
+    `dual_basis(ring)[i]`: a term y_a of one and y_b of the other give the
+    length-1 generators of y_a and y_b (none for the unit), with the Koszul
+    sign of putting them in index order, -1 when both are odd and a > b, and
+    no term when a == b is odd.
     """
     duals = dual_basis(ring)
+    m = ring.top_generator_count
     out: dict[Monomial, Fraction] = {}
     for i in range(ring.size):
         sign = -1 if ring.is_odd(i) else 1
-        product = multiply(ring, basis_element(ring, j), basis_element(ring, i))
-        for a, ca in product.items():
-            left = _length_one_monomial(ring, a)
+        for a, ca in ring.products[j][i]:
             for b, cb in duals[i].items():
-                koszul, mon = multiply_monomials(ring, left, _length_one_monomial(ring, b))
-                if koszul:
-                    out[mon] = out.get(mon, Fraction(0)) + sign * koszul * ca * cb
+                odd = ring.is_odd(a) and ring.is_odd(b)
+                if odd and a == b:
+                    continue
+                r = [0] * (m + 1)  # over classes 0..m: the unit's entry is dropped
+                r[a] += 1
+                r[b] += 1
+                mon = Monomial(tuple(r[1:]), (0,) * (m + 1))
+                koszul = -sign if odd and a > b else sign
+                out[mon] = out.get(mon, Fraction(0)) + koszul * ca * cb
     return algebra_element(out)
 
 
@@ -240,7 +233,9 @@ def packed_pieces(
     A monomial of the cell has length 2q plus its r entry count and its label
     is the sum of its parts' labels, so the codes of each (s-part, r-part)
     label pair whose sum represents its orbit go into that label's bucket for
-    the r entry count. Only the s-weights and r entry counts that the part
+    the r entry count. A cell whose p is not a multiple of the gcd of the
+    ring's degrees (an odd p when every degree is even) is empty and asks for
+    no list; otherwise only the s-weights and r entry counts that the part
     tables' bounds leave open are listed, and the ring's `_Orbits` classifies
     each label once. Inside a bucket int order is graded-lex order, so
     sorting each bucket as ints and joining them gives each piece in
@@ -249,12 +244,13 @@ def packed_pieces(
     symmetry that moves a label, every label is 0 and the whole cell is one
     piece of orbit size 1; `enumerate_basis` decodes that piece.
     """
-    if ring.dimension % 2:
-        raise ValueError("the bigraded model requires an even-dimensional ring")
+    if ring.dimension % 2 or not ring.dimension:
+        raise ValueError("the bigraded model requires a positive, even-dimensional ring")
     if n < 1:
         raise ValueError("n must be at least 1")
     max_r = n - 2 * q
-    if p < 0 or q < 0 or max_r < 0:
+    s_table = _part_tables(ring, reduced)[1]
+    if p < 0 or q < 0 or max_r < 0 or p % s_table.gcd_left[0]:  # s-parts hold every degree
         return PackedPieces([], [])
     orbits = _orbits(ring)
     weights = (0,) * ring.size if whole else orbits.weights

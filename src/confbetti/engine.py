@@ -26,6 +26,15 @@ is empty at its truncation: every rank of its differential is 0. A request
 beyond the reach rebuilds the record at saturation, so a query past a table
 rebuilds each cell once. `assemble_matrix` without bases, which dumps, oracles
 and the library call, lists both whole cells.
+
+A table is planned with one reach: `required_ranks` walks the cells (p, q)
+with q >= 1 on the table's lines, p first and then q, and lists each read of
+a rank it needs at its truncation min(n, p + 2q); `compute_ranks` ranks each
+listed cell once, in that order, so a cell is ranked before its codomain
+(p + D, q - 1). Every Betti number, of a table or of a single query, is then
+one sum over its line of `e_infinity_dim`, which reads the dimension and the
+two ranks straight off the records and raises `InternalConsistencyError`
+when they leave a negative dimension.
 """
 from __future__ import annotations
 
@@ -69,6 +78,8 @@ class BettiEngine:
     def __init__(self, ring: GradedRing, reduced: bool = True):
         if ring.dimension % 2:
             raise ValueError("the spectral-sequence engine requires even dimension")
+        if not ring.dimension:
+            raise ValueError("the spectral-sequence engine requires a positive dimension")
         self.ring = ring
         self.reduced = reduced
         self._cells: dict[tuple[int, int], _Cell] = {}
@@ -171,36 +182,40 @@ class BettiEngine:
     # -- dimensions of the limit page and Betti numbers ------------------------
 
     def e_infinity_dim(self, p: int, q: int, n: int) -> int:
+        """dim of the limit page at (p, q) for n points, read off the records.
+
+        The cell's dimension at n less the ranks of d leaving it and entering
+        it from (p - D, q + 1), each ranked first if it is not yet.
+        """
         if n < 1:
             raise ValueError("n must be at least 1")
-        if p < 0 or q < 0:
+        if p < 0 or q < 0 or n < 2 * q:
             return 0
-        cell_dim = self.dim(p, q, n)
-        if cell_dim == 0:
+        cell = self._cell(p, q, n)
+        value = cell.dims[min(n, cell.truncation)]
+        if not value:
             return 0
-        outgoing = self.rank(p, q, n)
-        incoming = self.rank(p - self.ring.dimension, q + 1, n)
-        value = cell_dim - outgoing - incoming
+        if q:
+            cell = self._ranked(p, q, n)
+            value -= cell.ranks[min(n, cell.truncation)]
+        if p >= self.ring.dimension and n >= 2 * q + 2:
+            source = self._ranked(p - self.ring.dimension, q + 1, n)
+            value -= source.ranks[min(n, source.truncation)]
         if value < 0:
             raise InternalConsistencyError(
                 f"negative limit-page dimension {value} at (p={p}, q={q}, n={n})"
             )
         return value
 
-    def _line_cells(self, i: int, n: int) -> list[tuple[int, int]]:
-        row_weight = self.ring.dimension - 1
-        cells = []
-        for q in range(min(i // row_weight, n // 2) + 1):
-            p = i - row_weight * q
-            if p >= 0:
-                cells.append((p, q))
-        return cells
-
     def betti_raw(self, i: int, n: int) -> int:
         """Sum of limit-page dimensions along the line, with no vanishing shortcut."""
         if i < 0:
             return 0
-        return sum(self.e_infinity_dim(p, q, n) for p, q in self._line_cells(i, n))
+        row_weight = self.ring.dimension - 1
+        return sum(
+            self.e_infinity_dim(i - row_weight * q, q, n)
+            for q in range(min(i // row_weight, n // 2) + 1)
+        )
 
     def betti_number(self, i: int, n: int) -> int:
         if n < 1:
@@ -214,23 +229,30 @@ class BettiEngine:
     # -- planning and tables ----------------------------------------------------
 
     def required_ranks(self, n_min: int, n_max: int, i_max: int) -> list[tuple[int, int, int]]:
-        """Distinct (p, q, n_eff) rank computations a table over the grid needs."""
-        needed: set[tuple[int, int, int]] = set()
-        for n in range(n_min, n_max + 1):
-            top = min(i_max, vanishing_bound(self.ring, n) - 1)
-            for i in range(top + 1):
-                for p, q in self._line_cells(i, n):
-                    for cell in ((p, q), (p - self.ring.dimension, q + 1)):
-                        cp, cq = cell
-                        if cq <= 0 or cp < 0 or 2 * cq > n:
-                            continue
-                        needed.add((cp, cq, min(n, cp + 2 * cq)))
-        return sorted(needed)
+        """Distinct (p, q, n_eff) rank computations a table over the grid needs, sorted.
+
+        Cell (p, q) with q >= 1 lies on line i = p + (D - 1) q, and the table
+        reads its rank at n, leaving it on line i and entering line i + 1, when
+        2q <= n and i <= min(i_max, vanishing_bound(n) - 1); the bound grows
+        with n, so these n run from the least that admits i to n_max. A read
+        at n is at truncation min(n, p + 2q), and the cells are walked p
+        first, then q, so the list comes out sorted.
+        """
+        row_weight = self.ring.dimension - 1
+        top = min(i_max, vanishing_bound(self.ring, n_max) - 1)
+        tasks = []
+        for p in range(top + 1):
+            for q in range(1, min(n_max // 2, (top - p) // row_weight) + 1):
+                first = max(n_min, 2 * q, -(-(p + row_weight * q - 1) // row_weight))
+                saturation = p + 2 * q
+                reads = range(min(first, saturation), min(n_max, saturation) + 1)
+                tasks += [(p, q, n_eff) for n_eff in reads]
+        return tasks
 
     def compute_ranks(
         self, tasks: list[tuple[int, int, int]], workers: int = 1, reach: int = 0
     ) -> None:
-        """Rank the cells the given tasks read, optionally in a process pool.
+        """Rank each cell that sorted tasks read, once, in their order, optionally in a pool.
 
         The engine's reach rises to the tasks' largest truncation, or to
         `reach`: a table's limit page also reads cell dimensions at its
@@ -238,10 +260,13 @@ class BettiEngine:
         below it. A pool job is one cell at the truncation of this engine's
         record; the worker returns the record's ranks, and this engine keeps
         them. The largest jobs go first, by the columns a worker assembles:
-        the cell's listed pieces.
+        the cell's listed pieces. Then each cell not ranked yet is ranked at
+        its last task's truncation, p ascending as `required_ranks` lists
+        them, so before its codomain (p + D, q - 1), whose codes it reads.
         """
         self._reach = max([self._reach, reach, *(n_eff for _, _, n_eff in tasks)])
-        cells = {(p, q): self._cell(p, q, n) for p, q, n in tasks} if workers > 1 else {}
+        last = {(p, q): n for p, q, n in tasks}  # each cell's largest read, in the tasks' order
+        cells = {(p, q): self._cell(p, q, n) for (p, q), n in last.items()} if workers > 1 else {}
         jobs = sorted(
             ((p, q, cell.truncation) for (p, q), cell in cells.items() if cell.ranks is None),
             key=lambda job: -len(cells[job[:2]].codes.codes),
@@ -258,8 +283,8 @@ class BettiEngine:
                 for (p, q, _), ranks in zip(jobs, pool.map(_pool_ranks, jobs, chunksize=1)):
                     cell = cells[(p, q)]
                     cell.ranks, cell.codes = ranks, None
-        for p, q, n in tasks:
-            self.rank(p, q, n)
+        for (p, q), n in last.items():
+            self._ranked(p, q, n)
 
 
 @dataclass

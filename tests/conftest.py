@@ -2,12 +2,18 @@ from __future__ import annotations
 
 import csv
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from confbetti import (
     Monomial,
+    algebra_element,
+    basis_element,
+    dual_basis,
+    multiply,
+    multiply_monomials,
     parse_ring,
     ring_cp,
     ring_product,
@@ -84,6 +90,36 @@ def _reference_basis(ring, p, q, n, reduced):
             found.append(Monomial(r_vec, s_vec))
     found.sort(key=lambda mon: (sum(mon.r) + sum(mon.s), mon.r + mon.s))
     return tuple(found)
+
+
+def reference_d_generator(ring, j):
+    """The image of the length-2 generator of y_j, built through ring and monomial products.
+
+    For every class y_i: (-1)^|y_i| times the length-1 expansion of y_j * y_i
+    times that of the Poincaré dual of y_i, each pair multiplied in the free
+    graded-commutative algebra, so the Koszul sign comes from
+    `multiply_monomials`. `differential.d_generator` reads the same sum off
+    the product table.
+    """
+    m = ring.top_generator_count
+
+    def length_one(a):
+        r = [0] * m
+        if a:
+            r[a - 1] = 1
+        return Monomial(tuple(r), (0,) * (m + 1))
+
+    duals = dual_basis(ring)
+    out = {}
+    for i in range(ring.size):
+        sign = -1 if ring.is_odd(i) else 1
+        product = multiply(ring, basis_element(ring, j), basis_element(ring, i))
+        for a, ca in product.items():
+            for b, cb in duals[i].items():
+                koszul, mon = multiply_monomials(ring, length_one(a), length_one(b))
+                if koszul:
+                    out[mon] = out.get(mon, Fraction(0)) + sign * koszul * ca * cb
+    return algebra_element(out)
 
 
 @pytest.fixture(scope="session")

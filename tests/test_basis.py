@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from operator import mul
 
@@ -191,6 +192,31 @@ def test_part_search_matches_brute_force(case):
         filled(*other)
     assert filled(weight, count) == expected
     assert cold(weight, count) == expected  # read back from the memo
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans(), st.lists(st.integers(1, 4), min_size=1, max_size=3), st.data())
+def test_part_table_ranges_run_between_the_cheapest_and_dearest_parts(unit, positive, data):
+    degrees = (0, *positive) if unit else tuple(positive)
+    caps = tuple(data.draw(st.sampled_from([0, 1, 2, sys.maxsize])) for _ in degrees)
+    table = basis_module._PartTable(degrees, caps)
+    most_weight, most_count = 24, 6  # every part of at most 6 entries has entries <= 6
+    spans: dict[int, list[int]] = {}  # count -> [least, greatest] weight of its parts
+    for part in itertools.product(*(range(min(cap, most_count) + 1) for cap in caps)):
+        weight, span = sum(map(mul, part, degrees)), spans.setdefault(sum(part), [])
+        spans[sum(part)] = [min(span[:1] + [weight]), max(span[1:] + [weight])]
+    step = math.gcd(*degrees) or 1
+    for count in range(most_count + 1):
+        least, greatest = spans.get(count, (0, -1))
+        expected = range(least, min(most_weight, greatest) + 1, step)
+        assert table.weights(count, most_weight) == expected
+    if not unit:  # `counts` takes positive degrees only
+        for weight in range(most_weight + 1):
+            expected = [
+                count for count, (least, greatest) in sorted(spans.items())
+                if count <= most_count and least <= weight <= greatest and not weight % step
+            ]
+            assert list(table.counts(weight, most_count)) == expected
 
 
 def test_part_codes_raise_past_the_field():

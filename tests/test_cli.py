@@ -172,6 +172,32 @@ def test_compute_rejects_odd_dimension(capsys):
     assert "betti-odd" in err
 
 
+POINT = (
+    '{"name": "point", "dimension": 0, "basis": [{"label": "1", "degree": 0}], '
+    '"products": [[0, 0, {"0": 1}]]}'
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--n", "1..3", "--i-max", "2"],
+        ["stable", "--i-max", "2"],
+        ["verify"],
+        ["betti-odd", "--n", "1..3"],
+    ],
+    ids=["compute", "stable", "verify", "betti-odd"],
+)
+def test_a_ring_of_dimension_zero_exits_2_with_one_line(tmp_path, capsys, argv):
+    path = tmp_path / "point.json"
+    path.write_text(POINT)
+    assert parse_ring(POINT).dimension == 0  # a valid ring document
+    code, out, err = run_cli(capsys, *argv, "--ring-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "space 'point' has dimension 0; need a positive dimension\n"
+
+
 def test_betti_odd_rejects_even_dimension(capsys):
     code, _, err = run_cli(capsys, "betti-odd", "--space", "cp2", "--n", "1..3")
     assert code == 2

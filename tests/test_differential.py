@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import seeded_ring
+from conftest import reference_d_generator, seeded_ring
 
 import confbetti.differential as differential_module
 import confbetti.engine as engine_module
@@ -26,10 +26,11 @@ from confbetti import (
     vanishing_bound,
 )
 from confbetti.differential import _Kernel, _field_type, _unpack, image_scale, packed_pieces
-from confbetti.spaces import resolve_space
+from confbetti.spaces import REGISTRY, resolve_space
 
 ROOT = Path(__file__).parents[1]
 SCALED_CP2 = ROOT / "tests" / "rings" / "cp2_scaled.json"  # x*x = 2*x2, so L = 2
+PAIRING_THIRDS = ROOT / "tests" / "rings" / "pairing_thirds.json"  # a pairing block with 2/3
 
 
 def _generator(ring, pos: int) -> Monomial:
@@ -217,6 +218,18 @@ def test_scaled_ring_matrices_hold_l_times_d():
 
 def _terms_by_text(ring, elem):
     return {format_monomial(ring, m): c for m, c in elem.terms}
+
+
+@pytest.mark.parametrize("space", [*sorted(REGISTRY), "s3", "seeded-sigma2", "pairing_thirds"])
+def test_d_generator_matches_the_construction_through_products(space):
+    if space == "pairing_thirds":
+        ring = parse_ring(PAIRING_THIRDS.read_text())
+    elif space == "seeded-sigma2":  # classes permuted and re-signed: signed duals
+        ring = seeded_ring("sigma2", 3)
+    else:
+        ring = resolve_space(space)
+    for j in range(ring.size):
+        assert d_generator(ring, j) == reference_d_generator(ring, j), (space, j)
 
 
 def test_generator_image_cp2(cp2):

@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import confbetti.differential as differential_module
 import confbetti.engine as engine_module
@@ -26,6 +28,7 @@ from confbetti import (
     e_infinity_dim,
     engine_for,
     enumerate_basis,
+    parse_ring,
     rank,
     rank_profile_exact,
     ring_cp,
@@ -113,9 +116,11 @@ def _whole_matrix_betti(engine: BettiEngine, i: int, n: int) -> int:
             return 0
         return rank(assemble_matrix(engine.ring, p, q, n, engine.reduced))
 
+    row_weight = engine.ring.dimension - 1
+    line = [(i - row_weight * q, q) for q in range(min(i // row_weight, n // 2) + 1)]
     return sum(
         engine.dim(p, q, n) - whole_rank(p, q) - whole_rank(p - engine.ring.dimension, q + 1)
-        for p, q in engine._line_cells(i, n)
+        for p, q in line
         if engine.dim(p, q, n)
     )
 
@@ -138,9 +143,107 @@ def test_required_ranks_covers_incoming(cp2):
     assert all(n_eff <= p + 2 * q for (p, q, n_eff) in tasks)
 
 
+def _reference_required_ranks(engine, n_min, n_max, i_max):
+    """The plan as an n x i x line-cell loop: each cell on a line of the table, and its source."""
+    dimension = engine.ring.dimension
+    needed = set()
+    for n in range(n_min, n_max + 1):
+        top = min(i_max, vanishing_bound(engine.ring, n) - 1)
+        for i in range(top + 1):
+            for q in range(min(i // (dimension - 1), n // 2) + 1):
+                p = i - (dimension - 1) * q
+                if p < 0:
+                    continue
+                for cp, cq in ((p, q), (p - dimension, q + 1)):
+                    if cq > 0 and cp >= 0 and 2 * cq <= n:
+                        needed.add((cp, cq, min(n, cp + 2 * cq)))
+    return sorted(needed)
+
+
+_PLANNED_RINGS = [
+    ring_cp(1), ring_cp(2), ring_cp(3), ring_cp(6), ring_surface(2),
+    ring_product(ring_cp(1), ring_cp(2)), ring_projective_bundle_cp2(),
+    ring_product(ring_surface(1), ring_cp(1)),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(_PLANNED_RINGS),
+    st.integers(1, 14),
+    st.integers(0, 14),
+    st.integers(0, 80),
+)
+def test_required_ranks_is_the_line_cell_loop(ring, n_min, extra, i_max):
+    engine = BettiEngine(ring)
+    n_max = n_min + extra
+    assert engine.required_ranks(n_min, n_max, i_max) == _reference_required_ranks(
+        engine, n_min, n_max, i_max
+    )
+
+
+@pytest.mark.parametrize(
+    "space, n_max, i_max", [("sigma2", 7, 12), ("cp3", 6, 24), ("cp1xcp2", 5, 30)]
+)
+def test_a_table_reads_what_single_queries_read(space, n_max, i_max, fresh_engines):
+    ring = resolve_space(space)
+    table = betti_table(ring, 1, n_max, i_max)
+    fresh = BettiEngine(ring)
+    for (n, i), value in table.grid.items():
+        assert value == fresh.betti_number(i, n), (n, i)
+
+
+def test_negative_limit_page_dimension_raises_on_a_tampered_record(sigma2):
+    engine = BettiEngine(sigma2)
+    value = engine.e_infinity_dim(2, 1, 4)
+    assert value == 16
+    cell = engine._cells[(2, 1)]
+    cell.ranks = [r + value + 1 for r in cell.ranks]  # one more rank than the page leaves
+    message = r"negative limit-page dimension -1 at \(p=2, q=1, n=4\)"
+    with pytest.raises(InternalConsistencyError, match=message):
+        engine.e_infinity_dim(2, 1, 4)
+
+
+@pytest.mark.parametrize("space, n_max, i_max", [("sigma3", 9, 16), ("cp6", 5, 115)])
+def test_every_part_list_asked_for_holds_a_part(space, n_max, i_max, fresh_engines, monkeypatch):
+    ring = resolve_space(space)
+    listing = []  # the p of each cell listed
+    asked = []  # (p of the cell being listed, parts found) for each part-list request
+    original_pieces = engine_module.packed_pieces
+    original_call = differential_module._PartCodes.__call__
+
+    def pieces(ring, p, q, n, reduced=True):
+        listing.append(p)
+        return original_pieces(ring, p, q, n, reduced)
+
+    def call(self, weight, count, pos=0):
+        found = original_call(self, weight, count, pos)
+        if pos == 0:
+            asked.append((listing[-1], bool(found)))
+        return found
+
+    monkeypatch.setattr(engine_module, "packed_pieces", pieces)
+    monkeypatch.setattr(differential_module._PartCodes, "__call__", call)
+    differential_module._part_codes.cache_clear()
+    betti_table(ring, 1, n_max, i_max)
+    assert asked and all(found for _, found in asked)
+    if space == "cp6":  # every degree is even: odd cells are read, as empty ones, with no request
+        assert any(p % 2 for p in listing)
+        assert not [p for p, _ in asked if p % 2]
+
+
 def test_engine_rejects_odd_dimension():
     with pytest.raises(ValueError):
         BettiEngine(ring_sphere(3))
+
+
+def test_engine_rejects_dimension_zero():
+    point = parse_ring(
+        '{"name": "point", "dimension": 0, "basis": [{"label": "1", "degree": 0}], '
+        '"products": [[0, 0, {"0": 1}]]}'
+    )
+    with pytest.raises(ValueError, match="positive dimension"):
+        BettiEngine(point)
 
 
 def test_betti_odd_closed_sphere():

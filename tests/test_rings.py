@@ -307,11 +307,13 @@ def test_validation_catches_associativity_with_additive_degrees():
     index = {cls["label"]: i for i, cls in enumerate(doc["basis"])}
     a, bc, abc = index["x|1|1"], index["1|x|x"], index["x|x|x"]
     # a*(bc) = 2*abc while (ab)*c = abc: degrees stay additive, and the
-    # triple (a, b, c) has degree sum 6, the dimension
+    # triple (a, b, c) has degree sum 6, the dimension. The triples are
+    # checked in lexicographic order of their indices, so (c, b, a) fails first.
     for row in doc["products"]:
         if sorted(row[:2]) == sorted([a, bc]):
             row[2] = {str(abc): 2}
-    with pytest.raises(RingValidationError, match="associativity"):
+    assert (index["1|1|x"], index["1|x|1"], a) == (1, 2, 4)
+    with pytest.raises(RingValidationError, match=r"^associativity fails on \(y_1, y_2, y_4\)$"):
         parse_ring(json.dumps(doc))
 
 
