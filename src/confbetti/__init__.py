@@ -1,11 +1,5 @@
 """Rational Betti numbers of unordered configuration spaces of manifolds."""
-from .basis import (
-    Monomial,
-    format_monomial,
-    monomial_bigrade,
-    monomial_length,
-    multiply_monomials,
-)
+from .basis import Monomial, format_monomial, monomial_bigrade
 from .differential import (
     AlgebraElement,
     algebra_element,
@@ -21,12 +15,11 @@ from .engine import (
     betti_number,
     betti_odd_closed,
     betti_table,
-    e_infinity_dim,
     engine_for,
     stable_betti,
     vanishing_bound,
 )
-from .linalg import RankProfile, RationalMatrix, rank, rank_profile_exact
+from .linalg import RankProfile, RationalMatrix, rank_profile_exact
 from .oracles import (
     CheckResult,
     OracleReport,
@@ -43,14 +36,11 @@ from .rings import (
     RingError,
     RingFormatError,
     RingValidationError,
-    basis_element,
     dual_basis,
     element,
     euler_characteristic,
-    multiply,
     parse_ring,
     ring_cp,
-    ring_even_sphere,
     ring_product,
     ring_projective_bundle_cp2,
     ring_sphere,
@@ -61,20 +51,18 @@ from .rings import (
 from .spaces import REGISTRY, resolve_space
 
 __all__ = (  # the imported names; the submodules are not part of the API
-    "Monomial", "format_monomial", "monomial_bigrade", "monomial_length", "multiply_monomials",
+    "Monomial", "format_monomial", "monomial_bigrade",
     "AlgebraElement", "algebra_element", "assemble_matrix", "d_generator", "d_monomial",
     "enumerate_basis",
     "BettiEngine", "BettiTable", "InternalConsistencyError", "betti_number",
-    "betti_odd_closed", "betti_table", "e_infinity_dim", "engine_for", "stable_betti",
-    "vanishing_bound",
-    "RankProfile", "RationalMatrix", "rank", "rank_profile_exact",
+    "betti_odd_closed", "betti_table", "engine_for", "stable_betti", "vanishing_bound",
+    "RankProfile", "RationalMatrix", "rank_profile_exact",
     "CheckResult", "OracleReport", "check_d_squared", "check_euler",
     "check_reduction_equivalence", "check_theorems", "run_all",
     "BasisClass", "GradedRing", "RingElement", "RingError", "RingFormatError",
-    "RingValidationError", "basis_element", "dual_basis", "element", "euler_characteristic",
-    "multiply", "parse_ring", "ring_cp", "ring_even_sphere", "ring_product",
-    "ring_projective_bundle_cp2", "ring_sphere", "ring_surface", "serialize_ring",
-    "validate_ring",
+    "RingValidationError", "dual_basis", "element", "euler_characteristic", "parse_ring",
+    "ring_cp", "ring_product", "ring_projective_bundle_cp2", "ring_sphere", "ring_surface",
+    "serialize_ring", "validate_ring",
     "REGISTRY", "resolve_space",
 )
 __version__ = "0.1.0"

@@ -54,11 +54,6 @@ def _odd_flat(ring: GradedRing) -> tuple[bool, ...]:
     return tuple(length_one + length_two)
 
 
-def monomial_length(mon: Monomial) -> int:
-    """Length-1 generators count once, length-2 generators twice."""
-    return sum(mon.r) + 2 * sum(mon.s)
-
-
 def monomial_bigrade(mon: Monomial, ring: GradedRing) -> tuple[int, int]:
     """(p, q): weighted degree over the ring, and the length-2 generator count."""
     m = ring.top_generator_count
@@ -71,27 +66,6 @@ def monomial_bigrade(mon: Monomial, ring: GradedRing) -> tuple[int, int]:
     p = sum(e * ring.degree(i + 1) for i, e in enumerate(mon.r))
     p += sum(e * ring.degree(j) for j, e in enumerate(mon.s))
     return p, sum(mon.s)
-
-
-def multiply_monomials(ring: GradedRing, a: Monomial, b: Monomial) -> tuple[int, Monomial | None]:
-    """Product in the free graded-commutative algebra: (sign, monomial) or (0, None)."""
-    e1 = a.r + a.s
-    e2 = b.r + b.s
-    odd = _odd_flat(ring)
-    crossings = 0
-    passed = 0  # odd factors of `a` seen so far, scanning from the top position down
-    for pos in range(len(odd) - 1, -1, -1):
-        if not odd[pos]:
-            continue
-        if e1[pos] and e2[pos]:
-            return 0, None
-        if e2[pos]:
-            crossings += passed
-        if e1[pos]:
-            passed += 1
-    merged = tuple(x + y for x, y in zip(e1, e2))
-    m = ring.top_generator_count
-    return (1 if crossings % 2 == 0 else -1), Monomial(merged[:m], merged[m:])
 
 
 def format_monomial(ring: GradedRing, mon: Monomial) -> str:

@@ -31,10 +31,13 @@ A table is planned with one reach: `required_ranks` walks the cells (p, q)
 with q >= 1 on the table's lines, p first and then q, and lists each read of
 a rank it needs at its truncation min(n, p + 2q); `compute_ranks` ranks each
 listed cell once, in that order, so a cell is ranked before its codomain
-(p + D, q - 1). Every Betti number, of a table or of a single query, is then
-one sum over its line of `e_infinity_dim`, which reads the dimension and the
-two ranks straight off the records and raises `InternalConsistencyError`
-when they leave a negative dimension.
+(p + D, q - 1). Every monomial's p is a multiple of g, the gcd of the ring's
+degrees (2 when every degree is even), and so is D, so p steps by g: a cell
+off that lattice is empty, like its source, and is neither planned nor read.
+Every Betti number, of a table or of a single query, is then one sum over
+its line of `e_infinity_dim`, which reads the dimension and the two ranks
+straight off the records and raises `InternalConsistencyError` when they
+leave a negative dimension.
 """
 from __future__ import annotations
 
@@ -42,6 +45,7 @@ import os
 from dataclasses import dataclass, field
 from itertools import accumulate
 
+from .basis import _part_tables
 from .differential import PackedPieces, assemble_matrix, packed_pieces
 from .linalg import RankProfile, RationalMatrix, rank_profile_modular
 from .linalg import rank_profile_exact as exact_rank
@@ -84,6 +88,8 @@ class BettiEngine:
         self.reduced = reduced
         self._cells: dict[tuple[int, int], _Cell] = {}
         self._reach = 0  # largest truncation a table reads
+        # every p a monomial reaches is a multiple of the gcd of the ring's degrees
+        self._p_step = _part_tables(ring, reduced)[1].gcd_left[0]
         self.uncertified_cells: list[tuple[int, int, int]] = []  # always empty; perfbench reads it
 
     # -- cell records -----------------------------------------------------------
@@ -215,6 +221,7 @@ class BettiEngine:
         return sum(
             self.e_infinity_dim(i - row_weight * q, q, n)
             for q in range(min(i // row_weight, n // 2) + 1)
+            if not (i - row_weight * q) % self._p_step  # else the cell is empty
         )
 
     def betti_number(self, i: int, n: int) -> int:
@@ -236,12 +243,14 @@ class BettiEngine:
         2q <= n and i <= min(i_max, vanishing_bound(n) - 1); the bound grows
         with n, so these n run from the least that admits i to n_max. A read
         at n is at truncation min(n, p + 2q), and the cells are walked p
-        first, then q, so the list comes out sorted.
+        first, then q, so the list comes out sorted. Only p on the lattice of
+        multiples of the gcd of the ring's degrees is walked: any other cell
+        is empty.
         """
         row_weight = self.ring.dimension - 1
         top = min(i_max, vanishing_bound(self.ring, n_max) - 1)
         tasks = []
-        for p in range(top + 1):
+        for p in range(0, top + 1, self._p_step):
             for q in range(1, min(n_max // 2, (top - p) // row_weight) + 1):
                 first = max(n_min, 2 * q, -(-(p + row_weight * q - 1) // row_weight))
                 saturation = p + 2 * q
@@ -296,7 +305,6 @@ class BettiTable:
     n_max: int
     i_max: int
     grid: dict[tuple[int, int], int]  # (n, i) -> Betti number
-    vanishing_bounds: dict[int, int] = field(default_factory=dict)
     # i -> the least n in the range from which b_i keeps its value at n_max
     stabilization_onsets: dict[int, int] = field(init=False)
 
@@ -331,10 +339,6 @@ def engine_for(
     return engine
 
 
-def e_infinity_dim(ring: GradedRing, p: int, q: int, n: int, reduced: bool = True) -> int:
-    return engine_for(ring, reduced).e_infinity_dim(p, q, n)
-
-
 def betti_number(ring: GradedRing, i: int, n: int, reduced: bool = True) -> int:
     return engine_for(ring, reduced).betti_number(i, n)
 
@@ -358,10 +362,7 @@ def betti_table(
     for n in range(n_min, n_max + 1):
         for i in range(i_max + 1):
             grid[(n, i)] = engine.betti_number(i, n)
-    bounds = {n: vanishing_bound(ring, n) for n in range(n_min, n_max + 1)}
-    return BettiTable(
-        ring=ring, n_min=n_min, n_max=n_max, i_max=i_max, grid=grid, vanishing_bounds=bounds
-    )
+    return BettiTable(ring=ring, n_min=n_min, n_max=n_max, i_max=i_max, grid=grid)
 
 
 def stable_betti(ring: GradedRing, i: int) -> int:

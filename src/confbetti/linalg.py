@@ -174,11 +174,6 @@ def rank_profile_modular(
     return _profile(m, m.cols if col_cap is None else min(col_cap, m.cols), prime)
 
 
-def rank(m: RationalMatrix) -> int:
-    """Exact rank of m over Q."""
-    return rank_profile_exact(m).rank
-
-
 def row_reduce(rows) -> list[tuple[int, list[int]]]:
     """Fraction-free Gauss-Jordan of dense integer rows of one width.
 

@@ -103,24 +103,6 @@ def element(ring: GradedRing, coeffs: Mapping[int, Fraction]) -> RingElement:
     return RingElement(ring, cleaned)
 
 
-def basis_element(ring: GradedRing, i: int) -> RingElement:
-    return RingElement(ring, ((i, Fraction(1)),))
-
-
-def multiply(ring: GradedRing, u: RingElement, v: RingElement) -> RingElement:
-    """Bilinear extension of the structure constants."""
-    if u.ring != ring or v.ring != ring:
-        raise RingError("elements are not over the given ring")
-    out: dict[int, Fraction] = {}
-    for a, ca in u.coeffs:
-        row = ring.products[a]
-        for b, cb in v.coeffs:
-            scale = ca * cb
-            for k, c in row[b]:
-                out[k] = out.get(k, Fraction(0)) + scale * c
-    return element(ring, out)
-
-
 def euler_characteristic(ring: GradedRing) -> int:
     return sum(-1 if cls.degree % 2 else 1 for cls in ring.basis)
 
@@ -425,13 +407,6 @@ def ring_surface(g: int) -> GradedRing:
     top = 2 * g + 1
     extra = {(i, g + i): {top: Fraction(1)} for i in range(1, g + 1)}
     return _make_ring(f"sigma{g}", 2, basis, _with_unit_rows(2 * g + 2, extra))
-
-
-def ring_even_sphere(k: int) -> GradedRing:
-    """Q[x]/(x^2) with |x| = 2k: the 2k-sphere; k = 1 gives ring_cp(1)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return ring_sphere(2 * k)
 
 
 def ring_sphere(d: int) -> GradedRing:

@@ -8,21 +8,76 @@ from pathlib import Path
 import pytest
 
 from confbetti import (
+    GradedRing,
     Monomial,
+    RingElement,
+    RingError,
     algebra_element,
-    basis_element,
     dual_basis,
-    multiply,
-    multiply_monomials,
+    element,
     parse_ring,
+    rank_profile_exact,
     ring_cp,
     ring_product,
     ring_projective_bundle_cp2,
     ring_surface,
 )
+from confbetti.basis import _odd_flat
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 RINGGEN = Path(__file__).parents[1] / "perfbench" / "ringgen.py"
+
+
+# -- references: ring, monomial and matrix arithmetic the program itself does not need --
+
+
+def basis_element(ring: GradedRing, i: int) -> RingElement:
+    return RingElement(ring, ((i, Fraction(1)),))
+
+
+def multiply(ring: GradedRing, u: RingElement, v: RingElement) -> RingElement:
+    """Bilinear extension of the structure constants."""
+    if u.ring != ring or v.ring != ring:
+        raise RingError("elements are not over the given ring")
+    out: dict[int, Fraction] = {}
+    for a, ca in u.coeffs:
+        row = ring.products[a]
+        for b, cb in v.coeffs:
+            scale = ca * cb
+            for k, c in row[b]:
+                out[k] = out.get(k, Fraction(0)) + scale * c
+    return element(ring, out)
+
+
+def monomial_length(mon: Monomial) -> int:
+    """Length-1 generators count once, length-2 generators twice."""
+    return sum(mon.r) + 2 * sum(mon.s)
+
+
+def multiply_monomials(ring: GradedRing, a: Monomial, b: Monomial) -> tuple[int, Monomial | None]:
+    """Product in the free graded-commutative algebra: (sign, monomial) or (0, None)."""
+    e1 = a.r + a.s
+    e2 = b.r + b.s
+    odd = _odd_flat(ring)
+    crossings = 0
+    passed = 0  # odd factors of `a` seen so far, scanning from the top position down
+    for pos in range(len(odd) - 1, -1, -1):
+        if not odd[pos]:
+            continue
+        if e1[pos] and e2[pos]:
+            return 0, None
+        if e2[pos]:
+            crossings += passed
+        if e1[pos]:
+            passed += 1
+    merged = tuple(x + y for x, y in zip(e1, e2))
+    m = ring.top_generator_count
+    return (1 if crossings % 2 == 0 else -1), Monomial(merged[:m], merged[m:])
+
+
+def rank(m) -> int:
+    """Exact rank of m over Q."""
+    return rank_profile_exact(m).rank
 
 
 def seeded_ring(space: str, seed: int):

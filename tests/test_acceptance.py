@@ -17,11 +17,10 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import load_golden
+from conftest import load_golden, rank
 
 from confbetti.differential import assemble_matrix, enumerate_basis
 from confbetti.engine import betti_table, engine_for, stable_betti
-from confbetti.linalg import rank
 from confbetti.oracles import (
     check_d_squared,
     check_euler,

@@ -6,7 +6,7 @@ import sys
 from operator import mul
 
 import pytest
-from conftest import _reference_basis, seeded_ring
+from conftest import _reference_basis, monomial_length, multiply_monomials, rank, seeded_ring
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +26,6 @@ from confbetti import (
     enumerate_basis,
     format_monomial,
     monomial_bigrade,
-    monomial_length,
-    multiply_monomials,
     ring_cp,
     ring_product,
     ring_sphere,
@@ -258,7 +256,7 @@ def test_sigma2_i1_line_at_two_points():
     # of which the latter dies under a rank-1 differential, leaving b_1 = 4
     assert len(enumerate_basis(s2, 1, 0, 2)) == 4
     assert len(enumerate_basis(s2, 0, 1, 2)) == 1
-    from confbetti import assemble_matrix, betti_number, rank
+    from confbetti import assemble_matrix, betti_number
 
     assert rank(assemble_matrix(s2, 0, 1, 2)) == 1
     assert betti_number(s2, 1, 2) == 4

@@ -18,7 +18,6 @@ from confbetti import (
     format_monomial,
     parse_ring,
     ring_cp,
-    ring_even_sphere,
     ring_product,
     ring_sphere,
     ring_surface,
@@ -443,10 +442,10 @@ def test_oversized_dynamic_space_exits_2_before_building(capsys, space):
 @pytest.mark.parametrize(
     "name, build",
     [
-        ("s2", lambda: ring_even_sphere(1)),
+        ("s2", lambda: ring_sphere(2)),
         ("s3", lambda: ring_sphere(3)),
-        ("s4", lambda: ring_even_sphere(2)),
-        ("cp1xs4", lambda: ring_product(ring_cp(1), ring_even_sphere(2))),
+        ("s4", lambda: ring_sphere(4)),
+        ("cp1xs4", lambda: ring_product(ring_cp(1), ring_sphere(4))),
     ],
 )
 def test_sphere_names_resolve_to_the_rings_module_spheres(name, build):

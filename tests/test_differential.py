@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import reference_d_generator, seeded_ring
+from conftest import multiply_monomials, rank, reference_d_generator, seeded_ring
 
 import confbetti.differential as differential_module
 import confbetti.engine as engine_module
@@ -18,9 +18,7 @@ from confbetti import (
     d_monomial,
     enumerate_basis,
     format_monomial,
-    multiply_monomials,
     parse_ring,
-    rank,
     ring_cp,
     ring_surface,
     vanishing_bound,

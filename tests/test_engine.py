@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import gc
+import math
 import os
 import re
 import types
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import confbetti.differential as differential_module
 import confbetti.engine as engine_module
 import confbetti.rings as rings_module
-from conftest import load_golden
+from conftest import load_golden, rank
 from confbetti import (
     BettiEngine,
     InternalConsistencyError,
@@ -25,11 +26,9 @@ from confbetti import (
     betti_number,
     betti_odd_closed,
     betti_table,
-    e_infinity_dim,
     engine_for,
     enumerate_basis,
     parse_ring,
-    rank,
     rank_profile_exact,
     ring_cp,
     ring_product,
@@ -46,9 +45,9 @@ README = Path(__file__).parents[1] / "README.md"
 
 
 def test_e_infinity_worked_examples(cp3, sigma1):
-    assert e_infinity_dim(cp3, 14, 2, 6) == 1
-    assert e_infinity_dim(sigma1, 3, 2, 5) == 6
-    assert e_infinity_dim(cp3, 0, 0, 4) == 1
+    assert engine_for(cp3).e_infinity_dim(14, 2, 6) == 1
+    assert engine_for(sigma1).e_infinity_dim(3, 2, 5) == 6
+    assert engine_for(cp3).e_infinity_dim(0, 0, 4) == 1
 
 
 def test_betti_point_examples(cp1, cp2, cp3, sigma1, cp1xcp1):
@@ -95,7 +94,7 @@ def test_table_grid_and_onsets(sigma1):
     assert table.row(1)[:3] == [1, 2, 1]
     # b_2 settles to its stable value 3 from n = 3 onward
     assert table.stabilization_onsets[2] == 3
-    assert table.vanishing_bounds[4] == 6
+    assert vanishing_bound(sigma1, 4) == 6
 
 
 def test_consistency_guard_quiet_on_valid_grid():
@@ -144,15 +143,20 @@ def test_required_ranks_covers_incoming(cp2):
 
 
 def _reference_required_ranks(engine, n_min, n_max, i_max):
-    """The plan as an n x i x line-cell loop: each cell on a line of the table, and its source."""
+    """The plan as an n x i x line-cell loop: each cell on a line of the table, and its source.
+
+    A cell whose p is not a multiple of the gcd of the ring's degrees is
+    empty, and so is its source: neither is planned.
+    """
     dimension = engine.ring.dimension
+    step = math.gcd(*(cls.degree for cls in engine.ring.basis))
     needed = set()
     for n in range(n_min, n_max + 1):
         top = min(i_max, vanishing_bound(engine.ring, n) - 1)
         for i in range(top + 1):
             for q in range(min(i // (dimension - 1), n // 2) + 1):
                 p = i - (dimension - 1) * q
-                if p < 0:
+                if p < 0 or p % step:
                     continue
                 for cp, cq in ((p, q), (p - dimension, q + 1)):
                     if cq > 0 and cp >= 0 and 2 * cq <= n:
@@ -227,9 +231,19 @@ def test_every_part_list_asked_for_holds_a_part(space, n_max, i_max, fresh_engin
     differential_module._part_codes.cache_clear()
     betti_table(ring, 1, n_max, i_max)
     assert asked and all(found for _, found in asked)
-    if space == "cp6":  # every degree is even: odd cells are read, as empty ones, with no request
-        assert any(p % 2 for p in listing)
+    if space == "cp6":  # every degree is even: no odd cell is listed, so none asks for a part
+        assert not any(p % 2 for p in listing)
         assert not [p for p, _ in asked if p % 2]
+
+
+@pytest.mark.parametrize("space, n_max, i_max", [("cp6", 5, 115), ("pbundle_cp2", 8, 40)])
+def test_a_table_builds_no_cell_off_the_degree_lattice(space, n_max, i_max, fresh_engines):
+    ring = resolve_space(space)
+    step = math.gcd(*(cls.degree for cls in ring.basis))
+    assert step == 2
+    betti_table(ring, 1, n_max, i_max)
+    cells = engine_for(ring)._cells
+    assert cells and not [p for p, _ in cells if p % step]
 
 
 def test_engine_rejects_odd_dimension():

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confbetti import RationalMatrix, rank, rank_profile_exact
+from conftest import rank
+
+from confbetti import RationalMatrix, rank_profile_exact
 from confbetti.linalg import rank_profile_modular, row_reduce
 
 

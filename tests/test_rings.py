@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import basis_element, multiply
+
 import confbetti.rings as rings_module
 from confbetti import (
     BasisClass,
@@ -16,15 +18,12 @@ from confbetti import (
     RingError,
     RingFormatError,
     RingValidationError,
-    basis_element,
     dual_basis,
     element,
     engine_for,
     euler_characteristic,
-    multiply,
     parse_ring,
     ring_cp,
-    ring_even_sphere,
     ring_product,
     ring_projective_bundle_cp2,
     ring_sphere,
@@ -77,7 +76,7 @@ def test_surface_genus2_pairing():
 def test_euler_characteristics():
     assert euler_characteristic(ring_cp(3)) == 4
     assert euler_characteristic(ring_surface(2)) == -2
-    assert euler_characteristic(ring_even_sphere(2)) == 2
+    assert euler_characteristic(ring_sphere(4)) == 2
     assert euler_characteristic(ring_sphere(3)) == 0
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from conftest import _reference_basis, seeded_ring
+from conftest import _reference_basis, monomial_length, multiply_monomials, seeded_ring
 
 import confbetti.basis as basis_module
 import confbetti.engine as engine_module
@@ -17,8 +17,6 @@ from confbetti import (
     assemble_matrix,
     d_monomial,
     enumerate_basis,
-    monomial_length,
-    multiply_monomials,
     parse_ring,
     rank_profile_exact,
     serialize_ring,
