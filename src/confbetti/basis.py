@@ -125,12 +125,13 @@ class _PartTable:
         least, greatest = _fill(self.ladder, count), _fill(reversed(self.ladder), count)
         return range(least, min(most, greatest) + 1, self.gcd_left[0] or 1)
 
+    @lru_cache(maxsize=None)  # the tables live as long as `_part_tables` keeps them
     def counts(self, weight: int, most: int) -> range:
         """The entry counts up to `most` that the bounds leave to vectors of `weight`.
 
         They run from the fewest entries that reach `weight`, dearest first,
         to the most whose cheapest fill stays within it. Every degree must be
-        positive.
+        positive. Each range is found once per table.
         """
         if weight % self.gcd_left[0]:
             return range(0)

@@ -13,10 +13,10 @@ is the narrowest holding (p + D q) // 2, which bounds every exponent of cell
 one place that joins s-parts with r-parts into cells: it builds a cell's
 packed orbit-representative pieces from one memoized search per part table,
 field type and label weights (`_PartCodes`), which adds up each part's code
-and label as it descends and never builds the part, with one bucket per
-piece and length, and each piece in graded-lex order; with `whole` the cell
-is one piece, which `enumerate_basis` decodes into `Monomial`s. d keeps a
-monomial's label, so the matrix of a cell's pieces is block-diagonal over
+and label as it descends and never builds the part, with one run of codes
+per piece and length, and each piece in graded-lex order; with `whole` the
+cell is one piece, which `enumerate_basis` decodes into `Monomial`s. d keeps
+a monomial's label, so the matrix of a cell's pieces is block-diagonal over
 them. The terms of d on a monomial depend on its
 r-part only through mask tests and a popcount, so one table per ring, `reduced`
 flag and field type keeps them by s-part (see `_Kernel`), built once per s-part
@@ -103,6 +103,10 @@ def image_scale(ring: GradedRing) -> int:
 # -- packed monomials ----------------------------------------------------------
 
 
+# each unsigned array type, narrowest first, with the least value its fields cannot hold
+_FIELD_LIMITS = tuple((tc, 256 ** array(tc).itemsize) for tc in "BHLQ")
+
+
 def _field_type(ring: GradedRing, p: int, q: int) -> str:
     """The narrowest unsigned array type holding every exponent on the d-chain of cell (p, q).
 
@@ -112,7 +116,7 @@ def _field_type(ring: GradedRing, p: int, q: int) -> str:
     (p + D, q - 1) has the same p + D q: a cell and its codomain share a type.
     """
     bound = (p + ring.dimension * q) // 2
-    return next(tc for tc in "BHLQ" if bound < 256 ** array(tc).itemsize)
+    return next(tc for tc, limit in _FIELD_LIMITS if bound < limit)
 
 
 def _pack(exponents: tuple[int, ...], typecode: str) -> int:
@@ -159,27 +163,31 @@ class _PartCodes:
 
     def __init__(self, table: _PartTable, units: list[int], weights: tuple[int, ...], field: int):
         self.table = table
-        self.units = units  # per position of the table
-        self.weights = weights  # per position of the table
         self.field = field  # the largest exponent a field holds
+        # per position: its degree, cap, field unit and label weight, and the
+        # bounds of the positions after it (see `_PartTable`)
+        self.positions = [
+            (deg, cap, unit, label_step, table.cap_left[pos + 1], table.low_left[pos + 1],
+             table.deg_left[pos + 1], table.gcd_left[pos + 1])
+            for pos, (deg, cap, unit, label_step)
+            in enumerate(zip(table.degrees, table.caps, units, weights))
+        ]
         self.states: dict[tuple[int, int, int], dict[int, list[int]]] = {}
 
     def __call__(self, weight: int, count: int, pos: int = 0) -> dict[int, list[int]]:
         """The parts over the positions from `pos` on with this weight and count, by label."""
-        table = self.table
-        if pos == len(table.degrees):  # the checks below leave only weight 0 and count 0 here
+        if pos == len(self.positions):  # the checks below leave only weight 0 and count 0 here
             return {0: [0]}
         key = (pos, weight, count)
         found = self.states.get(key)
         if found is not None:
             return found
         found = {}
-        deg, unit, label_step = table.degrees[pos], self.units[pos], self.weights[pos]
-        top = min(table.caps[pos], count)
+        deg, cap, unit, label_step, cap_after, low, high, step = self.positions[pos]
+        top = min(cap, count)
         if deg > 0:
             top = min(top, weight // deg)
-        low, high, step = table.low_left[pos + 1], table.deg_left[pos + 1], table.gcd_left[pos + 1]
-        for e in range(max(0, count - table.cap_left[pos + 1]), top + 1):
+        for e in range(max(0, count - cap_after), top + 1):
             count_left, weight_left = count - e, weight - e * deg
             if (
                 not count_left * low <= weight_left <= count_left * high
@@ -219,10 +227,15 @@ def _part_codes(
 
 
 class PackedPieces(NamedTuple):
-    """The pieces of a cell that represent their orbits, packed at the cell's field type."""
+    """The pieces of a cell that represent their orbits, packed at the cell's field type.
+
+    A run is the codes of one piece and one length: a contiguous range of
+    `codes`, given by its piece's orbit size, its length and its count. The
+    runs follow the codes, so each piece's runs come together, by length.
+    """
 
     codes: list[int]  # piece-major, graded by length inside each piece
-    pieces: list[tuple[int, list[int]]]  # per piece: its orbit size and its count per length
+    runs: list[tuple[int, int, int]]  # (orbit size, length, count), one per non-empty run
 
 
 def packed_pieces(
@@ -233,16 +246,17 @@ def packed_pieces(
     A monomial of the cell has length 2q plus its r entry count and its label
     is the sum of its parts' labels, so the codes of each (s-part, r-part)
     label pair whose sum represents its orbit go into that label's bucket for
-    the r entry count. A cell whose p is not a multiple of the gcd of the
-    ring's degrees (an odd p when every degree is even) is empty and asks for
-    no list; otherwise only the s-weights and r entry counts that the part
-    tables' bounds leave open are listed, and the ring's `_Orbits` classifies
-    each label once. Inside a bucket int order is graded-lex order, so
-    sorting each bucket as ints and joining them gives each piece in
-    graded-lex order, and the pieces follow in label order. The count
-    list of a piece runs over lengths 0..n. With `whole`, or on a ring with no
-    symmetry that moves a label, every label is 0 and the whole cell is one
-    piece of orbit size 1; `enumerate_basis` decodes that piece.
+    the r entry count: one bucket per (label, r count), made when first
+    filled. A cell whose p is not a multiple of the gcd of the ring's degrees
+    (an odd p when every degree is even) is empty and asks for no list;
+    otherwise only the s-weights and r entry counts that the part tables'
+    bounds leave open are listed, and the ring's `_Orbits` classifies each
+    label once. Inside a bucket int order is graded-lex order, so sorting
+    each bucket as ints and joining the buckets in (label, r count) order
+    gives each piece in graded-lex order, and the pieces in label order;
+    each bucket is one run. With `whole`, or on a ring with no symmetry that
+    moves a label, every label is 0 and the whole cell is one piece of orbit
+    size 1; `enumerate_basis` decodes that piece.
     """
     if ring.dimension % 2 or not ring.dimension:
         raise ValueError("the bigraded model requires a positive, even-dimensional ring")
@@ -255,7 +269,7 @@ def packed_pieces(
     orbits = _orbits(ring)
     weights = (0,) * ring.size if whole else orbits.weights
     r_codes, s_codes = _part_codes(ring, reduced, _field_type(ring, p, q), weights)
-    buckets: dict[int, list[list[int]]] = {}  # representative label -> one bucket per r count
+    buckets: dict[tuple[int, int], list[int]] = {}  # (representative label, r count) -> codes
     for s_weight in s_codes.table.weights(q, p):
         s_groups = s_codes(s_weight, q)
         if not s_groups:
@@ -266,20 +280,19 @@ def packed_pieces(
                 for s_label in s_groups:
                     label = r_label + s_label
                     if orbits[label]:
-                        piece = buckets.get(label)
-                        if piece is None:
-                            piece = buckets[label] = [[] for _ in range(max_r + 1)]
+                        bucket = buckets.get((label, count))
+                        if bucket is None:
+                            bucket = buckets[label, count] = []
                         s_list = s_groups[s_label]
-                        piece[count] += [r_code + s_code for r_code in r_list for s_code in s_list]
+                        bucket += [r_code + s_code for r_code in r_list for s_code in s_list]
     codes: list[int] = []
-    pieces = []
-    for label in sorted(buckets):
-        for bucket in buckets[label]:
-            bucket.sort()
-            codes += bucket
-        counts = [0] * (2 * q) + [len(bucket) for bucket in buckets[label]]
-        pieces.append((orbits[label], counts))
-    return PackedPieces(codes, pieces)
+    runs = []
+    for label, count in sorted(buckets):
+        bucket = buckets[label, count]
+        bucket.sort()
+        codes += bucket
+        runs.append((orbits[label], 2 * q + count, len(bucket)))
+    return PackedPieces(codes, runs)
 
 
 def enumerate_basis(

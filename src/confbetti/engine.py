@@ -15,17 +15,19 @@ so only one piece per orbit is listed, with its orbit size (see
 `basis._Orbits`); without a grading or a symmetry that moves a label, a cell
 is one piece. The differential preserves length and label, so the matrix is
 block-diagonal over the pieces, and within a piece the matrix at any n <= t is
-its leading columns of length at most n. A dimension or rank at n is the sum,
-over the listed pieces, of orbit size times the piece's count or prefix rank.
-The matrix is assembled once from the packed pieces, ranked by one exact
-left-to-right elimination, and dropped, so every rank is proven. When the
-columns of the first piece's shortest monomials are rank-deficient, they are
-also eliminated modulo one prime as a spot check: the exact ranks may not fall
-below those anywhere. An empty cell is never assembled, nor one whose codomain
-is empty at its truncation: every rank of its differential is 0. A request
-beyond the reach rebuilds the record at saturation, so a query past a table
-rebuilds each cell once. `assemble_matrix` without bases, which dumps, oracles
-and the library call, lists both whole cells.
+its leading columns of length at most n. The listing comes in runs, one per
+piece and length: a dimension or rank at n sums, over the runs of length at
+most n, orbit size times the run's count or the rise of the prefix rank
+across it. The matrix is assembled once from the packed pieces, ranked by one
+exact left-to-right elimination, and dropped, so every rank is proven. When
+the columns of the first run (the first piece's shortest monomials) are
+rank-deficient, they are also eliminated modulo one prime as a spot check: the
+exact ranks may not fall below those anywhere. An empty cell is never
+assembled, nor one whose codomain is empty at its truncation: every rank of
+its differential is 0. A request beyond the reach rebuilds the record at
+saturation, so a query past a table rebuilds each cell once. `assemble_matrix`
+without bases, which dumps, oracles and the library call, lists both whole
+cells.
 
 A table is planned with one reach: `required_ranks` walks the cells (p, q)
 with q >= 1 on the table's lines, p first and then q, and lists each read of
@@ -34,10 +36,12 @@ listed cell once, in that order, so a cell is ranked before its codomain
 (p + D, q - 1). Every monomial's p is a multiple of g, the gcd of the ring's
 degrees (2 when every degree is even), and so is D, so p steps by g: a cell
 off that lattice is empty, like its source, and is neither planned nor read.
-Every Betti number, of a table or of a single query, is then one sum over
-its line of `e_infinity_dim`, which reads the dimension and the two ranks
-straight off the records and raises `InternalConsistencyError` when they
-leave a negative dimension.
+Every Betti number is then a sum of `e_infinity_dim` over its line's cells:
+a single query sums one line, and a table walks each n's cells on the
+lattice below its vanishing bound once, adding each into its line.
+`e_infinity_dim` reads the dimension and the two ranks straight off the
+records and raises `InternalConsistencyError` when they leave a negative
+dimension.
 """
 from __future__ import annotations
 
@@ -72,7 +76,7 @@ class _Cell:
 
     truncation: int
     dims: list[int]  # dims[L] = basis monomials of length <= L, for L <= truncation
-    codes: PackedPieces | None  # the packed pieces, until no assembly is left to read them
+    codes: PackedPieces | None  # the packed codes and their runs, until no assembly reads them
     ranks: list[int] | None  # ranks[L] = rank of d on the monomials of length <= L, once ranked
 
 
@@ -101,9 +105,10 @@ class BettiEngine:
         if cell is None or cell.truncation < min(n, saturation):
             truncation = min(saturation, self._reach) if n <= self._reach else saturation
             codes = packed_pieces(self.ring, p, q, truncation, self.reduced)
-            dims = [0] * (truncation + 1)
-            for orbit, counts in codes.pieces:
-                dims = [d + orbit * total for d, total in zip(dims, accumulate(counts))]
+            added = [0] * (truncation + 1)  # monomials of each length, orbits counted
+            for orbit, length, count in codes.runs:
+                added[length] += orbit * count
+            dims = list(accumulate(added))
             ranks = None if dims[-1] else dims  # an empty cell is never assembled
             cell = _Cell(truncation, dims, codes, ranks)
             self._cells[(p, q)] = cell
@@ -118,11 +123,13 @@ class BettiEngine:
         Q in one pass, and dropped; into an empty codomain every rank is 0 and
         nothing is assembled. d keeps labels, so the matrix is block-diagonal
         over the pieces, and the rank of a piece at length L is the difference
-        of two prefix ranks: at the piece's start and at its end at length L.
-        Each piece stands for its whole orbit. The cell's own assembly is the
-        last to read its codes, and a q = 0 codomain is read by one cell only;
-        a codomain whose codes are gone (a pool worker or a query past a table
-        may rank it first) is listed again at its record's truncation.
+        of two prefix ranks: at the piece's start and at its end at length L,
+        which is the sum of the rises across its runs up to L. So each run
+        adds its rise, times its orbit size, at its length. The cell's own
+        assembly is the last to read its codes, and a q = 0 codomain is read
+        by one cell only; a codomain whose codes are gone (a pool worker or a
+        query past a table may rank it first) is listed again at its record's
+        truncation.
         """
         cell = self._cell(p, q, n)
         if cell.ranks is None:
@@ -136,16 +143,15 @@ class BettiEngine:
                 matrix = assemble_matrix(self.ring, p, q, t, self.reduced, bases=bases)
                 profile = exact_rank(matrix)
                 prefix = profile.prefix_ranks
-                shortest = next(c for c in accumulate(cell.codes.pieces[0][1]) if c)
+                shortest = cell.codes.runs[0][2]  # the first piece's shortest monomials
                 if prefix[shortest] < shortest:  # else no prime ranks higher
                     self._spot_check(matrix, profile, shortest, (p, q))
-                ranks, start = [0] * (t + 1), 0
-                for orbit, counts in cell.codes.pieces:
-                    base = prefix[start]
-                    ends = [start + total for total in accumulate(counts)]
-                    ranks = [r + orbit * (prefix[end] - base) for r, end in zip(ranks, ends)]
-                    start = ends[-1]
-                cell.ranks = ranks
+                added, start = [0] * (t + 1), 0  # the rank each length adds, orbits counted
+                for orbit, length, count in cell.codes.runs:
+                    end = start + count
+                    added[length] += orbit * (prefix[end] - prefix[start])
+                    start = end
+                cell.ranks = list(accumulate(added))
             else:
                 cell.ranks = [0] * len(cell.dims)
             cell.codes = None
@@ -191,21 +197,29 @@ class BettiEngine:
         """dim of the limit page at (p, q) for n points, read off the records.
 
         The cell's dimension at n less the ranks of d leaving it and entering
-        it from (p - D, q + 1), each ranked first if it is not yet.
+        it from (p - D, q + 1). A record that covers n, ranked where a rank
+        is read, is read straight from the engine's records; any other is
+        built or ranked first.
         """
         if n < 1:
             raise ValueError("n must be at least 1")
         if p < 0 or q < 0 or n < 2 * q:
             return 0
-        cell = self._cell(p, q, n)
+        cell = self._cells.get((p, q))
+        if cell is None or cell.truncation < min(n, p + 2 * q):
+            cell = self._cell(p, q, n)
         value = cell.dims[min(n, cell.truncation)]
         if not value:
             return 0
         if q:
-            cell = self._ranked(p, q, n)
+            if cell.ranks is None:
+                cell = self._ranked(p, q, n)
             value -= cell.ranks[min(n, cell.truncation)]
         if p >= self.ring.dimension and n >= 2 * q + 2:
-            source = self._ranked(p - self.ring.dimension, q + 1, n)
+            sp, sq = p - self.ring.dimension, q + 1  # the source, whose d enters this cell
+            source = self._cells.get((sp, sq))
+            if source is None or source.ranks is None or source.truncation < min(n, sp + 2 * sq):
+                source = self._ranked(sp, sq, n)
             value -= source.ranks[min(n, source.truncation)]
         if value < 0:
             raise InternalConsistencyError(
@@ -358,10 +372,14 @@ def betti_table(
         raise ValueError("i_max must be nonnegative")
     engine = engine_for(ring, reduced)
     engine.compute_ranks(engine.required_ranks(n_min, n_max, i_max), workers, reach=n_max)
-    grid: dict[tuple[int, int], int] = {}
+    grid = dict.fromkeys(((n, i) for n in range(n_min, n_max + 1) for i in range(i_max + 1)), 0)
+    # each n's cells (p, q) on the degree lattice, below its vanishing bound, add to line i
+    row_weight, step = ring.dimension - 1, engine._p_step
     for n in range(n_min, n_max + 1):
-        for i in range(i_max + 1):
-            grid[(n, i)] = engine.betti_number(i, n)
+        top = min(i_max, vanishing_bound(ring, n) - 1)
+        for q in range(min(n // 2, top // row_weight) + 1):
+            for p in range(0, top - row_weight * q + 1, step):
+                grid[(n, p + row_weight * q)] += engine.e_infinity_dim(p, q, n)
     return BettiTable(ring=ring, n_min=n_min, n_max=n_max, i_max=i_max, grid=grid)
 
 

@@ -16,9 +16,11 @@ graph), and ranking the blocks one by one would repeat the same row operations.
 The rows hold integers (a column with Fraction entries is first scaled by the
 lcm of their denominators) and updates are fraction-free: with pivot a, the
 row's entry b and g = gcd(a, b), the row becomes row*(a/g) - pivot_row*(b/g),
-and is then divided by the gcd of its entries. Modulo a prime the same update
-runs on residues, which are reduced instead of divided; the engine uses it only
-as a spot check, since reduction can lower a rank but never raise it.
+and is then divided by the gcd of its entries. A unit pivot (a = 1 or -1)
+divides every entry, so the row becomes row - pivot_row*(a*b) with no gcd and
+no rescale. Modulo a prime the same update runs on residues, which are reduced
+instead of divided; the engine uses it only as a spot check, since reduction
+can lower a rank but never raise it.
 `row_reduce` makes the same fraction-free update on dense integer rows.
 """
 from __future__ import annotations
@@ -119,17 +121,20 @@ def _profile(m: RationalMatrix, cols: int, prime: int = 0) -> RankProfile:
         pivot_entries, live[pivot_row] = live[pivot_row], None
         remaining -= 1
         pivot = pivot_entries.pop(j)
+        unit = pivot == 1 or pivot == -1
         for c in pivot_entries:
             holders[c].discard(pivot_row)
         for r in candidates:
             row = live[r]
-            # row * (pivot / g) - pivot_row * (entry / g) keeps integers
             entry = row.pop(j)
-            g = gcd(pivot, entry)
-            factor, scale = entry // g, pivot // g
-            if scale != 1:
-                for c in row:
-                    row[c] *= scale
+            if unit:  # row - pivot_row * (entry / pivot), and 1 / pivot is pivot
+                factor = entry * pivot
+            else:  # row * (pivot / g) - pivot_row * (entry / g) keeps integers
+                g = gcd(pivot, entry)
+                factor, scale = entry // g, pivot // g
+                if scale != 1:
+                    for c in row:
+                        row[c] *= scale
             for c, v in pivot_entries.items():
                 value = row.get(c, 0) - factor * v
                 if prime:

@@ -95,13 +95,14 @@ def _assert_packed_like(ring, p, q, n, reduced, monomials):
     `monomials` must come from outside the packed path (`_reference_basis`):
     `enumerate_basis` decodes this same list.
     """
-    codes, pieces = packed_pieces(ring, p, q, n, reduced, whole=True)
+    codes, runs = packed_pieces(ring, p, q, n, reduced, whole=True)
     m = ring.top_generator_count
     assert [_unpack(code, _field_type(ring, p, q), m) for code in codes] == list(monomials)
     counts = [0] * (n + 1)
     for mon in monomials:
         counts[monomial_length(mon)] += 1
-    assert pieces == ([(1, counts)] if monomials else []), (p, q, n)
+    # one piece of orbit size 1: one run per length that holds a monomial
+    assert runs == [(1, length, count) for length, count in enumerate(counts) if count], (p, q, n)
 
 
 @pytest.mark.parametrize("space, seed", [(name, 0) for name in REFERENCE_SPACES] + [("cp1xcp2", 2)])

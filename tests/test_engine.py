@@ -187,12 +187,26 @@ def test_required_ranks_is_the_line_cell_loop(ring, n_min, extra, i_max):
 
 
 @pytest.mark.parametrize(
-    "space, n_max, i_max", [("sigma2", 7, 12), ("cp3", 6, 24), ("cp1xcp2", 5, 30)]
+    "space, n_min, n_max, i_max, reduced",
+    [
+        pytest.param("sigma2", 1, 7, 12, True, id="sigma2-7-12"),
+        pytest.param("cp3", 1, 6, 24, True, id="cp3-6-24"),
+        pytest.param("cp1xcp2", 1, 5, 30, True, id="cp1xcp2-5-30"),
+        pytest.param("sigma3", 1, 9, 16, True, id="sigma3-9-16"),  # the benchmark's two tables
+        pytest.param("cp6", 1, 5, 115, True, id="cp6-5-115"),
+        pytest.param("cp3", 3, 7, 24, True, id="cp3-3..7-24"),
+        pytest.param("sigma2", 1, 6, 12, False, id="sigma2-6-12-unreduced"),
+    ],
 )
-def test_a_table_reads_what_single_queries_read(space, n_max, i_max, fresh_engines):
+def test_a_table_reads_what_single_queries_read(
+    space, n_min, n_max, i_max, reduced, fresh_engines
+):
     ring = resolve_space(space)
-    table = betti_table(ring, 1, n_max, i_max)
-    fresh = BettiEngine(ring)
+    table = betti_table(ring, n_min, n_max, i_max, reduced=reduced)
+    fresh = BettiEngine(ring, reduced=reduced)
+    assert list(table.grid) == [
+        (n, i) for n in range(n_min, n_max + 1) for i in range(i_max + 1)
+    ]
     for (n, i), value in table.grid.items():
         assert value == fresh.betti_number(i, n), (n, i)
 
@@ -415,8 +429,8 @@ def planted_cell(cp1, monkeypatch):
         original = engine_module.packed_pieces
 
         def two_copies(ring, p, q, n, reduced=True):
-            (code,), ((orbit, counts),) = original(ring, p, q, n, reduced)
-            return PackedPieces([code, code], [(orbit, [2 * c for c in counts])])
+            (code,), ((orbit, length, count),) = original(ring, p, q, n, reduced)
+            return PackedPieces([code, code], [(orbit, length, 2 * count)])
 
         def planted(ring, p, q, n, reduced=True, bases=None):
             assert (p, q) == (0, 1)

@@ -262,6 +262,26 @@ def test_exact_profile_is_every_prefix_rank_over_q(m):
     assert rank(m) == expected[-1]
 
 
+@st.composite
+def unit_and_other_pivots(draw):
+    """Sparse int rows mixing entries 1 and -1 with non-units: some columns pivot on a
+    unit, and others scale the rows they update, which later unit pivots then meet."""
+    rows, cols = draw(st.integers(2, 8)), draw(st.integers(1, 8))
+    values = st.sampled_from([1, -1, 1, -1, 2, -2, 3, -6])
+    entries = {}
+    for r in range(rows):
+        for c in draw(st.sets(st.integers(0, cols - 1), min_size=1, max_size=4)):
+            entries[(r, c)] = draw(values)
+    return RationalMatrix(rows, cols, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_and_other_pivots())
+def test_unit_and_other_pivots_give_every_prefix_rank_over_q(m):
+    sympy = pytest.importorskip("sympy")
+    assert rank_profile_exact(m).prefix_ranks == _sympy_prefix_ranks(sympy, m)
+
+
 def test_exact_profile_finds_the_rank_both_primes_miss():
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix

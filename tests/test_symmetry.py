@@ -70,6 +70,12 @@ def _act(ring, sigma, mon: Monomial) -> tuple[int, Monomial]:
     return sign, product
 
 
+def _piece_count(ring, p, q, listed) -> int:
+    """The pieces a cell's listing holds: the distinct labels of its monomials."""
+    m, typecode = ring.top_generator_count, _field_type(ring, p, q)
+    return len({_label(ring, _unpack(code, typecode, m)) for code in listed.codes})
+
+
 def _small_cells(ring, n):
     for q in range(n // 2 + 1):
         for p in range(n * ring.dimension + 1):
@@ -120,8 +126,12 @@ def test_seeded_rings_have_the_registry_group_and_orbits(k):
     registry, seeded = resolve_space("sigma3"), seeded_ring("sigma3", k)
     assert automorphisms(seeded).order == automorphisms(registry).order
     for p, q in _small_cells(registry, 6):
-        pieces = packed_pieces(registry, p, q, 6).pieces
-        assert len(packed_pieces(seeded, p, q, 6).pieces) == len(pieces), (p, q)
+        pieces, runs = [], []
+        for ring in (registry, seeded):
+            listed = packed_pieces(ring, p, q, 6)
+            pieces.append(_piece_count(ring, p, q, listed))
+            runs.append(sorted(listed.runs))
+        assert pieces[1] == pieces[0] and runs[1] == runs[0], (p, q)
 
 
 def test_search_rejects_a_signed_permutation_that_breaks_one_product():
@@ -222,7 +232,37 @@ def test_one_piece_rings_list_the_whole_cell(space, n):
         listed = packed_pieces(ring, p, q, n)
         m, typecode = ring.top_generator_count, _field_type(ring, p, q)
         assert [_unpack(code, typecode, m) for code in listed.codes] == list(monomials)
-        assert listed.pieces == ([(1, counts)] if monomials else [])
+        assert listed.runs == [(1, length, count) for length, count in enumerate(counts) if count]
+
+
+@pytest.mark.parametrize("space", ["sigma3", "sigma1xcp1", "cp1xcp1xcp1", "cp6"])
+def test_runs_tile_each_cell_by_label_and_length(space):
+    ring = resolve_space(space)
+    graded = bool(_orbits(ring).actions)  # else every label is 0 and a cell is one piece
+    m = ring.top_generator_count
+    checked = 0
+    for n in range(1, 7):
+        for p, q in _small_cells(ring, n):
+            codes, runs = packed_pieces(ring, p, q, n)
+            typecode = _field_type(ring, p, q)
+            assert sum(count for _, _, count in runs) == len(codes), (p, q, n)
+            keys, start, per_length = [], 0, [0] * (n + 1)
+            for orbit, length, count in runs:
+                assert count > 0, (p, q, n)
+                run = [_unpack(code, typecode, m) for code in codes[start : start + count]]
+                labels = {_label(ring, mon) if graded else () for mon in run}
+                assert len(labels) == 1 and {monomial_length(mon) for mon in run} == {length}
+                # a packed label orders as its coordinates, the last one first
+                keys.append((tuple(reversed(labels.pop())), length))
+                per_length[length] += orbit * count
+                start += count
+            assert keys == sorted(set(keys)), (p, q, n)  # (label, length) order, no repeat
+            whole = [0] * (n + 1)
+            for mon in enumerate_basis(ring, p, q, n):
+                whole[monomial_length(mon)] += 1
+            assert per_length == whole, (p, q, n)
+            checked += len(runs)
+    assert checked > 50
 
 
 def test_one_piece_smoke_ring_still_spot_checks(monkeypatch):
