@@ -1,4 +1,4 @@
-"""Bigraded, length-filtered monomial bases of the truncated two-step model algebra.
+"""Monomials of the truncated two-step model algebra, and the ring's grading and symmetry.
 
 The model algebra is free graded-commutative on two families of generators
 derived from a ring basis {y_0 = 1, y_1, ..., y_m}:
@@ -10,25 +10,17 @@ derived from a ring basis {y_0 = 1, y_1, ..., y_m}:
 
 Truncating to total length <= n models n unlabeled points.
 
-A cell (p, q) at truncation n pairs exponent-vector parts: an s-part has
-exactly q entries, an r-part at most n - 2q. This module keeps the bounds of
-the parts once per ring and reduction flag (`_part_tables`): which weights
-and entry counts can hold a part at all, and what the positions from each one
-on can add. `differential._PartCodes` searches the parts of one weight and
-entry count within them, and `differential.packed_pieces` joins them into
-cells. A state whose weight left exceeds its count left times the largest
-degree left, falls below it times the smallest, or is not a multiple of the
-gcd of the degrees left is never searched, and a list is asked for only at
-the weights and counts that its cheapest and dearest parts bound. A cell
-whose p is not a multiple of the gcd of the ring's degrees asks for no list:
-with all of cp6's degrees even, its odd-p cells are empty. A cell splits
-into pieces by the ring's grading (`grading`), and one piece per orbit of
-the ring's automorphisms (`automorphisms`, `_Orbits`) is kept; both are
-found from the product table on first use, once per ring.
+This module keeps the monomial API: `Monomial`, its bigrade
+(`monomial_bigrade`), its printed form (`format_monomial`) and the parity of
+each generator (`_odd_flat`), the one rule that caps an odd exponent at 1.
+Which monomials a cell holds is decided in `differential` (`_part_codes`).
+It also keeps the ring's symmetry: a cell splits into pieces by the ring's
+grading (`grading`), and one piece per orbit of the ring's automorphisms
+(`automorphisms`, `_Orbits`) is kept; both are found from the product table
+on first use, once per ring.
 """
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
@@ -80,102 +72,6 @@ def format_monomial(ring: GradedRing, mon: Monomial) -> str:
             label = f"{ring.basis[j].label}~"
             parts.append(label if e == 1 else f"{label}^{e}")
     return "*".join(parts) if parts else "1"
-
-
-def _fill(ladder, count: int) -> int:
-    """The weight of `count` entries taken along `ladder`'s (degree, cap) pairs, each to its cap."""
-    weight = 0
-    for degree, cap in ladder:
-        if count <= cap:
-            return weight + count * degree
-        weight += cap * degree
-        count -= cap
-    return weight
-
-
-class _PartTable:
-    """The bounds of the exponent vectors over one generator family.
-
-    A part is a vector with entries at most `caps`, an entry sum (its count)
-    and a degree-weighted sum (its weight); `differential._PartCodes` lists
-    the parts of one weight and count within these bounds.
-    """
-
-    def __init__(self, degrees: tuple[int, ...], caps: tuple[int, ...]):
-        self.degrees = degrees
-        self.caps = caps
-        # what the positions from pos on can hold: at most cap_left[pos]
-        # entries, each of degree in [low_left[pos], deg_left[pos]], making
-        # weights that are multiples of gcd_left[pos] (0 when no positive degree is left)
-        ends = range(len(degrees) + 1)
-        self.cap_left = [sum(caps[pos:]) for pos in ends]
-        self.deg_left = [max(degrees[pos:], default=0) for pos in ends]
-        self.low_left = [min(degrees[pos:], default=0) for pos in ends]
-        self.gcd_left = [gcd(*degrees[pos:]) for pos in ends]
-        self.ladder = sorted(zip(degrees, caps))  # (degree, cap), the cheapest entries first
-
-    def weights(self, count: int, most: int) -> range:
-        """The weights up to `most` that the bounds leave to vectors of `count` entries.
-
-        They run from the weight of the `count` cheapest entries the caps
-        allow to that of the `count` dearest, in steps of the gcd.
-        """
-        if count > self.cap_left[0]:
-            return range(0)
-        least, greatest = _fill(self.ladder, count), _fill(reversed(self.ladder), count)
-        return range(least, min(most, greatest) + 1, self.gcd_left[0] or 1)
-
-    @lru_cache(maxsize=None)  # the tables live as long as `_part_tables` keeps them
-    def counts(self, weight: int, most: int) -> range:
-        """The entry counts up to `most` that the bounds leave to vectors of `weight`.
-
-        They run from the fewest entries that reach `weight`, dearest first,
-        to the most whose cheapest fill stays within it. Every degree must be
-        positive. Each range is found once per table.
-        """
-        if weight % self.gcd_left[0]:
-            return range(0)
-        fewest, left = 0, weight
-        for degree, cap in reversed(self.ladder):
-            if left <= 0:
-                break
-            take = min(cap, -(-left // degree))
-            fewest, left = fewest + take, left - take * degree
-        if left > 0:
-            return range(0)
-        largest, left = 0, weight
-        for degree, cap in self.ladder:
-            take = min(cap, left // degree)
-            largest, left = largest + take, left - take * degree
-        return range(fewest, min(most, largest) + 1)
-
-
-@lru_cache(maxsize=None)
-def _part_tables(ring: GradedRing, reduced: bool) -> tuple[_PartTable, _PartTable]:
-    """The r-part and s-part tables of a ring, built on first use.
-
-    Only the unit has degree 0, so every entry at a positive degree is bounded
-    by the weight, and the unit's length-2 generator is odd: an even generator
-    needs no cap of its own.
-    """
-    m = ring.top_generator_count
-    top = ring.orientation_index
-    unbounded = sys.maxsize
-    r_caps = []
-    for i in range(1, m + 1):
-        cap = 1 if ring.is_odd(i) else unbounded
-        if reduced and i == top:
-            cap = 1
-        r_caps.append(cap)
-    s_caps = []
-    for j in range(m + 1):
-        cap = 1 if not ring.is_odd(j) else unbounded
-        if reduced and j == top:
-            cap = 0
-        s_caps.append(cap)
-    r_degs = tuple(ring.degree(i) for i in range(1, m + 1))
-    s_degs = tuple(ring.degree(j) for j in range(m + 1))
-    return _PartTable(r_degs, tuple(r_caps)), _PartTable(s_degs, tuple(s_caps))
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .basis import format_monomial
-from .differential import assemble_matrix, enumerate_basis, image_scale
+from .differential import assemble_matrix, decode_codes, image_scale, packed_pieces
 from .engine import BettiTable, betti_odd_closed, betti_table, engine_for, stable_betti
 from .oracles import run_all
 from .rings import GradedRing, RingError, euler_characteristic, parse_ring
@@ -100,18 +100,19 @@ def _dump_matrices(table: BettiTable, reduced: bool, directory: Path) -> None:
     for (p, q), ns in truncations.items():
         # the bases are graded by length, so each truncation is a leading part of the largest
         top = max(ns)
-        whole = assemble_matrix(ring, p, q, top, reduced)
+        cells = [(p + ring.dimension * k, q - k) for k in (0, 1)]  # domain, codomain
+        bases = tuple(packed_pieces(ring, *cell, top, reduced, whole=True).codes for cell in cells)
+        whole = assemble_matrix(ring, p, q, top, reduced, bases=bases)
         whole.entries = {key: Fraction(v, scale) for key, v in whole.entries.items()}
         # column c is d of the c-th monomial, and its rows are in graded-lex order
-        codomain = enumerate_basis(ring, p + ring.dimension, q - 1, top, reduced)
-        row_names = [format_monomial(ring, m) for m in codomain]
+        domain, codomain = (
+            [format_monomial(ring, m) for m in decode_codes(ring, *cell, codes)]
+            for cell, codes in zip(cells, bases)
+        )
         images: list[list[str]] = [[] for _ in range(whole.cols)]
         for (row, col), coeff in sorted(whole.entries.items()):
-            images[col].append(f"({coeff})*{row_names[row]}")
-        listing = [
-            f"{format_monomial(ring, monomial)} -> {' + '.join(terms) or '0'}"
-            for monomial, terms in zip(enumerate_basis(ring, p, q, top, reduced), images)
-        ]
+            images[col].append(f"({coeff})*{codomain[row]}")
+        listing = [f"{name} -> {' + '.join(terms) or '0'}" for name, terms in zip(domain, images)]
         for n_eff in ns:
             cols = engine.dim(p, q, n_eff)
             rows = engine.dim(p + ring.dimension, q - 1, n_eff)

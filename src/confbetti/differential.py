@@ -9,15 +9,17 @@ Matrices are assembled from packed monomials: one Python int per monomial, with
 one fixed-width field per exponent (all r positions, then all s positions, the
 first in the highest field), so int order is lexicographic order. The width
 is the narrowest holding (p + D q) // 2, which bounds every exponent of cell
-(p, q) and of its codomain alike (see `_field_type`). `packed_pieces` is the
-one place that joins s-parts with r-parts into cells: it builds a cell's
-packed orbit-representative pieces from one memoized search per part table,
-field type and label weights (`_PartCodes`), which adds up each part's code
-and label as it descends and never builds the part, with one run of codes
-per piece and length, and each piece in graded-lex order; with `whole` the
-cell is one piece, which `enumerate_basis` decodes into `Monomial`s. d keeps
-a monomial's label, so the matrix of a cell's pieces is block-diagonal over
-them. The terms of d on a monomial depend on its
+(p, q) and of its codomain alike (see `_field_type`). This module alone
+decides which monomials a cell holds: `_part_codes` keeps one `_PartCodes`
+per generator family, with the parts' caps (odd generators and the
+reduction), their bounds and one memoized search that adds up each part's
+code and label as it descends and never builds the part. `packed_pieces`
+joins s-parts with r-parts into a cell's packed orbit-representative pieces,
+with one run of codes per piece and length, and each piece in graded-lex
+order; a cell whose p is not a multiple of g (`degree_gcd`) is empty. With
+`whole` the cell is one piece, which `decode_codes` turns into `Monomial`s.
+d keeps a monomial's label, so the matrix of a cell's pieces is
+block-diagonal over them. The terms of d on a monomial depend on its
 r-part only through mask tests and a popcount, so one table per ring, `reduced`
 flag and field type keeps them by s-part (see `_Kernel`), built once per s-part
 and shared by every cell. Assembly is one loop over the domain codes: look up
@@ -35,10 +37,10 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, NamedTuple
 
-from .basis import Monomial, _odd_flat, _orbits, _PartTable, _part_tables, monomial_bigrade
+from .basis import Monomial, _odd_flat, _orbits, monomial_bigrade
 from .linalg import RationalMatrix
 from .rings import GradedRing, dual_basis
 
@@ -142,37 +144,94 @@ def _field_units(m: int, typecode: str) -> tuple[list[int], int]:
     return [1 << width * (2 * m - pos) for pos in range(2 * m + 1)], (1 << width) - 1
 
 
-class _PartCodes:
-    """The parts of one of `basis`'s part tables, packed and grouped by label, by (weight, count).
+def _fill(ladder, count: int) -> int:
+    """The weight of `count` entries taken along `ladder`'s (degree, cap) pairs, each to its cap."""
+    weight = 0
+    for degree, cap in ladder:
+        if count <= cap:
+            return weight + count * degree
+        weight += cap * degree
+        count -= cap
+    return weight
 
-    A part packs as the sum over its positions of exponent times the field
-    unit there, and its label as the sum of exponent times the class weight.
-    The search is memoized on (position, weight left, count left): a state
-    holds its suffixes as {label: codes}, and one position up, exponent e adds
-    e times the unit to each code and e times the weight to each label. So the
-    (weight, count) lists, the states at position 0, share their suffixes,
-    and no part is built as a tuple. Codes are in int order within a label.
-    The search skips a state whose weight left exceeds its count left times
-    the largest degree left, falls below it times the smallest, or is not a
-    multiple of the gcd of the degrees left. States at position 1 are built
-    again for each list instead of kept: they hold about half the suffix
-    codes, and each serves only the lists that differ from it in the first
-    exponent. A part with an exponent past the field's largest value raises
-    `OverflowError`, as its code would carry into the next field.
+
+class _PartCodes:
+    """The parts over one generator family, packed and grouped by label, by (weight, count).
+
+    A part is an exponent vector with entries at most `caps`, an entry sum
+    (its count) and a degree-weighted sum (its weight). It packs as the sum
+    over its positions of exponent times the field unit there, and its label
+    as the sum of exponent times the class weight. `weights` and `counts`
+    bound the lists worth asking for, and the search is memoized on
+    (position, weight left, count left): a state holds its suffixes as
+    {label: codes}, and one position up, exponent e adds e times the unit to
+    each code and e times the weight to each label. So the (weight, count)
+    lists, the states at position 0, share their suffixes, and no part is
+    built as a tuple. Codes are in int order within a label. The search skips
+    a state whose weight left exceeds its count left times the largest degree
+    left, falls below it times the smallest, or is not a multiple of the gcd
+    of the degrees left. States at position 1 are built again for each list
+    instead of kept: they hold about half the suffix codes, and each serves
+    only the lists that differ from it in the first exponent. A part with an
+    exponent past the field's largest value raises `OverflowError`, as its
+    code would carry into the next field.
     """
 
-    def __init__(self, table: _PartTable, units: list[int], weights: tuple[int, ...], field: int):
-        self.table = table
+    def __init__(self, degrees: list[int], caps: list[int], units: list[int], weights, field: int):
         self.field = field  # the largest exponent a field holds
+        # what the positions from pos on can hold: at most cap_left[pos]
+        # entries, each of degree in [low_left[pos], deg_left[pos]], making
+        # weights that are multiples of gcd_left[pos] (0 when no positive degree is left)
+        ends = range(len(degrees) + 1)
+        cap_left = [sum(caps[pos:]) for pos in ends]
+        low_left = [min(degrees[pos:], default=0) for pos in ends]
+        deg_left = [max(degrees[pos:], default=0) for pos in ends]
+        gcd_left = [gcd(*degrees[pos:]) for pos in ends]
+        self.cap_total, self.gcd = cap_left[0], gcd_left[0]
+        self.ladder = sorted(zip(degrees, caps))  # (degree, cap), the cheapest entries first
         # per position: its degree, cap, field unit and label weight, and the
-        # bounds of the positions after it (see `_PartTable`)
+        # bounds of the positions after it
         self.positions = [
-            (deg, cap, unit, label_step, table.cap_left[pos + 1], table.low_left[pos + 1],
-             table.deg_left[pos + 1], table.gcd_left[pos + 1])
-            for pos, (deg, cap, unit, label_step)
-            in enumerate(zip(table.degrees, table.caps, units, weights))
+            (deg, cap, unit, label_step, cap_left[pos + 1], low_left[pos + 1],
+             deg_left[pos + 1], gcd_left[pos + 1])
+            for pos, (deg, cap, unit, label_step) in enumerate(zip(degrees, caps, units, weights))
         ]
         self.states: dict[tuple[int, int, int], dict[int, list[int]]] = {}
+
+    def weights(self, count: int, most: int) -> range:
+        """The weights up to `most` that the bounds leave to parts of `count` entries.
+
+        They run from the weight of the `count` cheapest entries the caps
+        allow to that of the `count` dearest, in steps of the gcd.
+        """
+        if count > self.cap_total:
+            return range(0)
+        least, greatest = _fill(self.ladder, count), _fill(reversed(self.ladder), count)
+        return range(least, min(most, greatest) + 1, self.gcd or 1)
+
+    @lru_cache(maxsize=None)  # the searches live as long as `_part_codes` keeps them
+    def counts(self, weight: int, most: int) -> range:
+        """The entry counts up to `most` that the bounds leave to parts of `weight`.
+
+        They run from the fewest entries that reach `weight`, dearest first,
+        to the most whose cheapest fill stays within it. Every degree must be
+        positive. Each range is found once per search.
+        """
+        if weight % self.gcd:
+            return range(0)
+        fewest, left = 0, weight
+        for degree, cap in reversed(self.ladder):
+            if left <= 0:
+                break
+            take = min(cap, -(-left // degree))
+            fewest, left = fewest + take, left - take * degree
+        if left > 0:
+            return range(0)
+        largest, left = 0, weight
+        for degree, cap in self.ladder:
+            take = min(cap, left // degree)
+            largest, left = largest + take, left - take * degree
+        return range(fewest, min(most, largest) + 1)
 
     def __call__(self, weight: int, count: int, pos: int = 0) -> dict[int, list[int]]:
         """The parts over the positions from `pos` on with this weight and count, by label."""
@@ -207,22 +266,36 @@ class _PartCodes:
 
 
 @lru_cache(maxsize=None)
+def degree_gcd(ring: GradedRing) -> int:
+    """g, the gcd of the ring's degrees: every monomial's p is a multiple of it, and so is D."""
+    return gcd(*(ring.degree(k) for k in range(ring.size)))
+
+
+@lru_cache(maxsize=None)
 def _part_codes(
     ring: GradedRing, reduced: bool, typecode: str, weights: tuple[int, ...]
 ) -> tuple[_PartCodes, _PartCodes]:
-    """`basis`'s r-part and s-part tables as packed codes grouped by label (see `_PartCodes`).
+    """The r-part and s-part searches of a ring, packed at one field type (see `_PartCodes`).
 
-    An r-part packs with zero s exponents and an s-part with zero r
-    exponents, so a monomial's code is the sum of its two parts' codes, and
-    its label, under the packed class `weights`, the sum of theirs: one label
-    when every weight is 0.
+    An odd generator (`basis._odd_flat`) has cap 1 and an even one none: only
+    the unit has degree 0, so every entry at a positive degree is bounded by
+    the weight, and the unit's length-2 generator is odd. Reduced mode caps
+    the top class's r exponent at 1 and its s exponent at 0. An r-part packs
+    with zero s exponents and an s-part with zero r exponents, so a
+    monomial's code is the sum of its two parts' codes, and its label, under
+    the packed class `weights`, the sum of theirs: one label when every
+    weight is 0.
     """
-    r_table, s_table = _part_tables(ring, reduced)
     m = ring.top_generator_count
+    degrees = [ring.degree(k) for k in (*range(1, m + 1), *range(m + 1))]  # flat order
+    caps = [1 if odd else sys.maxsize for odd in _odd_flat(ring)]
+    if reduced:
+        top = ring.orientation_index
+        caps[top - 1], caps[m + top] = 1, 0
     units, field = _field_units(m, typecode)
     return (
-        _PartCodes(r_table, units[:m], weights[1:], field),
-        _PartCodes(s_table, units[m:], weights, field),
+        _PartCodes(degrees[:m], caps[:m], units[:m], weights[1:], field),
+        _PartCodes(degrees[m:], caps[m:], units[m:], weights, field),
     )
 
 
@@ -247,35 +320,34 @@ def packed_pieces(
     is the sum of its parts' labels, so the codes of each (s-part, r-part)
     label pair whose sum represents its orbit go into that label's bucket for
     the r entry count: one bucket per (label, r count), made when first
-    filled. A cell whose p is not a multiple of the gcd of the ring's degrees
-    (an odd p when every degree is even) is empty and asks for no list;
-    otherwise only the s-weights and r entry counts that the part tables'
-    bounds leave open are listed, and the ring's `_Orbits` classifies each
-    label once. Inside a bucket int order is graded-lex order, so sorting
-    each bucket as ints and joining the buckets in (label, r count) order
-    gives each piece in graded-lex order, and the pieces in label order;
-    each bucket is one run. With `whole`, or on a ring with no symmetry that
-    moves a label, every label is 0 and the whole cell is one piece of orbit
-    size 1; `enumerate_basis` decodes that piece.
+    filled. A cell whose p is not a multiple of g (`degree_gcd`; an odd p
+    when every degree is even) is empty and asks for no list; otherwise only
+    the s-weights and r entry counts that the parts' bounds leave open are
+    listed, and the ring's `_Orbits` classifies each label once. Inside a
+    bucket int order is graded-lex order, so sorting each bucket as ints and
+    joining the buckets in (label, r count) order gives each piece in
+    graded-lex order, and the pieces in label order; each bucket is one run.
+    With `whole`, or on a ring with no symmetry that moves a label, every
+    label is 0 and the whole cell is one piece of orbit size 1;
+    `decode_codes` decodes that piece.
     """
     if ring.dimension % 2 or not ring.dimension:
         raise ValueError("the bigraded model requires a positive, even-dimensional ring")
     if n < 1:
         raise ValueError("n must be at least 1")
     max_r = n - 2 * q
-    s_table = _part_tables(ring, reduced)[1]
-    if p < 0 or q < 0 or max_r < 0 or p % s_table.gcd_left[0]:  # s-parts hold every degree
+    if p < 0 or q < 0 or max_r < 0 or p % degree_gcd(ring):
         return PackedPieces([], [])
     orbits = _orbits(ring)
     weights = (0,) * ring.size if whole else orbits.weights
     r_codes, s_codes = _part_codes(ring, reduced, _field_type(ring, p, q), weights)
     buckets: dict[tuple[int, int], list[int]] = {}  # (representative label, r count) -> codes
-    for s_weight in s_codes.table.weights(q, p):
+    for s_weight in s_codes.weights(q, p):
         s_groups = s_codes(s_weight, q)
         if not s_groups:
             continue
         r_weight = p - s_weight
-        for count in r_codes.table.counts(r_weight, max_r):  # r degrees are positive
+        for count in r_codes.counts(r_weight, max_r):  # r degrees are positive
             for r_label, r_list in r_codes(r_weight, count).items():
                 for s_label in s_groups:
                     label = r_label + s_label
@@ -299,7 +371,11 @@ def enumerate_basis(
     ring: GradedRing, p: int, q: int, n: int, reduced: bool = True
 ) -> tuple[Monomial, ...]:
     """All basis monomials of bigrade (p, q) and length <= n, in graded-lex order."""
-    codes = packed_pieces(ring, p, q, n, reduced, whole=True).codes
+    return decode_codes(ring, p, q, packed_pieces(ring, p, q, n, reduced, whole=True).codes)
+
+
+def decode_codes(ring: GradedRing, p: int, q: int, codes: list[int]) -> tuple[Monomial, ...]:
+    """The `Monomial`s of codes that `packed_pieces` lists for cell (p, q)."""
     typecode, m = _field_type(ring, p, q), ring.top_generator_count
     return tuple(_unpack(code, typecode, m) for code in codes)
 

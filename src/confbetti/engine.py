@@ -33,8 +33,8 @@ A table is planned with one reach: `required_ranks` walks the cells (p, q)
 with q >= 1 on the table's lines, p first and then q, and lists each read of
 a rank it needs at its truncation min(n, p + 2q); `compute_ranks` ranks each
 listed cell once, in that order, so a cell is ranked before its codomain
-(p + D, q - 1). Every monomial's p is a multiple of g, the gcd of the ring's
-degrees (2 when every degree is even), and so is D, so p steps by g: a cell
+(p + D, q - 1). Every monomial's p, and D, are multiples of g (`degree_gcd`),
+the gcd of the ring's degrees (2 when all are even), so p steps by g: a cell
 off that lattice is empty, like its source, and is neither planned nor read.
 Every Betti number is then a sum of `e_infinity_dim` over its line's cells:
 a single query sums one line, and a table walks each n's cells on the
@@ -49,8 +49,7 @@ import os
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .basis import _part_tables
-from .differential import PackedPieces, assemble_matrix, packed_pieces
+from .differential import PackedPieces, assemble_matrix, degree_gcd, packed_pieces
 from .linalg import RankProfile, RationalMatrix, rank_profile_modular
 from .linalg import rank_profile_exact as exact_rank
 from .rings import GradedRing
@@ -92,8 +91,7 @@ class BettiEngine:
         self.reduced = reduced
         self._cells: dict[tuple[int, int], _Cell] = {}
         self._reach = 0  # largest truncation a table reads
-        # every p a monomial reaches is a multiple of the gcd of the ring's degrees
-        self._p_step = _part_tables(ring, reduced)[1].gcd_left[0]
+        self._p_step = degree_gcd(ring)  # every p a monomial reaches is a multiple of it
         self.uncertified_cells: list[tuple[int, int, int]] = []  # always empty; perfbench reads it
 
     # -- cell records -----------------------------------------------------------

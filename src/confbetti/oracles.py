@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .differential import assemble_matrix
+from .differential import assemble_matrix, degree_gcd
 from .engine import engine_for, vanishing_bound
 from .rings import GradedRing, euler_characteristic
 
@@ -71,7 +71,7 @@ def check_d_squared(
                         len(composite.entries),
                     )
                 )
-            p += 1
+            p += degree_gcd(ring)  # a cell off the degree lattice is empty
     return results
 
 

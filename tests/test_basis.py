@@ -10,7 +10,6 @@ from conftest import _reference_basis, monomial_length, multiply_monomials, rank
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import confbetti.basis as basis_module
 import confbetti.differential as differential_module
 from confbetti.differential import (
     _field_type,
@@ -156,7 +155,7 @@ def test_cell_lists_no_s_part_heavier_than_its_p():
 
 @st.composite
 def _part_search(draw):
-    """A part table (unit's degree 0 first), label weights, its place in a flat code, and keys."""
+    """A part family (unit's degree 0 first), label weights, its place in a flat code, and keys."""
     size = draw(st.integers(1, 4))
     degrees = (0, *draw(st.lists(st.integers(1, 3), min_size=size - 1, max_size=size - 1)))
     caps = tuple(draw(st.lists(st.sampled_from([0, 1, sys.maxsize]), min_size=size, max_size=size)))
@@ -184,9 +183,9 @@ def test_part_search_matches_brute_force(case):
     flat = before + len(degrees) + after
     units = [1 << 8 * (flat - 1 - pos) for pos in range(before, before + len(degrees))]
     expected = _brute_force_groups(degrees, caps, weights, before, after, weight, count)
-    cold = _PartCodes(basis_module._PartTable(degrees, caps), units, weights, 255)
+    cold = _PartCodes(degrees, caps, units, weights, 255)
     assert cold(weight, count) == expected
-    filled = _PartCodes(basis_module._PartTable(degrees, caps), units, weights, 255)
+    filled = _PartCodes(degrees, caps, units, weights, 255)
     for other in others:  # fill the memo with other keys' states first
         filled(*other)
     assert filled(weight, count) == expected
@@ -198,7 +197,7 @@ def test_part_search_matches_brute_force(case):
 def test_part_table_ranges_run_between_the_cheapest_and_dearest_parts(unit, positive, data):
     degrees = (0, *positive) if unit else tuple(positive)
     caps = tuple(data.draw(st.sampled_from([0, 1, 2, sys.maxsize])) for _ in degrees)
-    table = basis_module._PartTable(degrees, caps)
+    parts = _PartCodes(degrees, caps, [1] * len(degrees), (0,) * len(degrees), 255)
     most_weight, most_count = 24, 6  # every part of at most 6 entries has entries <= 6
     spans: dict[int, list[int]] = {}  # count -> [least, greatest] weight of its parts
     for part in itertools.product(*(range(min(cap, most_count) + 1) for cap in caps)):
@@ -208,14 +207,14 @@ def test_part_table_ranges_run_between_the_cheapest_and_dearest_parts(unit, posi
     for count in range(most_count + 1):
         least, greatest = spans.get(count, (0, -1))
         expected = range(least, min(most_weight, greatest) + 1, step)
-        assert table.weights(count, most_weight) == expected
+        assert parts.weights(count, most_weight) == expected
     if not unit:  # `counts` takes positive degrees only
         for weight in range(most_weight + 1):
             expected = [
                 count for count, (least, greatest) in sorted(spans.items())
                 if count <= most_count and least <= weight <= greatest and not weight % step
             ]
-            assert list(table.counts(weight, most_count)) == expected
+            assert list(parts.counts(weight, most_count)) == expected
 
 
 def test_part_codes_raise_past_the_field():

@@ -13,7 +13,9 @@ import pytest
 import confbetti
 from confbetti import (
     assemble_matrix,
+    betti_table,
     d_monomial,
+    engine_for,
     enumerate_basis,
     format_monomial,
     parse_ring,
@@ -350,6 +352,26 @@ def test_dump_matrices_are_the_same_with_a_worker_pool(tmp_path, capsys, monkeyp
         dumped[workers] = out, {path.name: path.read_text() for path in dump.iterdir()}
     assert len(dumped["1"][1]) > 10
     assert dumped["2"] == dumped["1"]
+
+
+def test_a_dump_lists_each_cells_domain_and_codomain_once(tmp_path, monkeypatch):
+    ring = resolve_space("sigma2")
+    monkeypatch.setattr(confbetti.engine, "_ENGINES", {})
+    table = betti_table(ring, 1, 7, 9)
+    original, listed = confbetti.differential.packed_pieces, []
+
+    def pieces(ring, p, q, n, reduced=True, whole=False):
+        if whole:
+            listed.append((p, q, n))
+        return original(ring, p, q, n, reduced, whole)
+
+    monkeypatch.setattr(confbetti.differential, "packed_pieces", pieces)
+    monkeypatch.setattr(confbetti.cli, "packed_pieces", pieces, raising=False)
+    confbetti.cli._dump_matrices(table, True, tmp_path)
+    dumped = {(p, q) for p, q, _ in engine_for(ring).required_ranks(1, 7, 9)}
+    # 44 files of 21 cells: each cell's domain and codomain are listed once
+    assert len(list(tmp_path.iterdir())) == 44
+    assert len(listed) == 2 * len(dumped) == 42
 
 
 SCALED_CP2 = Path(__file__).parent / "rings" / "cp2_scaled.json"  # x*x = 2*x2

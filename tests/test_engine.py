@@ -39,7 +39,7 @@ from confbetti import (
     vanishing_bound,
 )
 from confbetti.differential import PackedPieces
-from confbetti.spaces import resolve_space
+from confbetti.spaces import REGISTRY, resolve_space
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -258,6 +258,17 @@ def test_a_table_builds_no_cell_off_the_degree_lattice(space, n_max, i_max, fres
     betti_table(ring, 1, n_max, i_max)
     cells = engine_for(ring)._cells
     assert cells and not [p for p, _ in cells if p % step]
+
+
+@pytest.mark.parametrize("space", sorted(REGISTRY))
+def test_one_degree_gcd_steps_the_part_search_and_the_engine(space):
+    ring = REGISTRY[space]
+    g = differential_module.degree_gcd(ring)
+    assert g == math.gcd(*(ring.degree(k) for k in range(ring.size)))
+    for reduced in (True, False):
+        _, s_codes = differential_module._part_codes(ring, reduced, "B", (0,) * ring.size)
+        assert s_codes.gcd == g  # s-parts hold every class, the unit included
+        assert BettiEngine(ring, reduced)._p_step == g
 
 
 def test_engine_rejects_odd_dimension():

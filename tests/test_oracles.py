@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+import confbetti.oracles as oracles_module
 from confbetti import (
     check_d_squared,
     check_euler,
@@ -26,6 +27,20 @@ def test_d_squared_passes_low_grid(cp2, sigma1):
 def test_d_squared_unreduced(sigma2):
     results = check_d_squared(sigma2, 5, 8, reduced=False)
     assert results and all(r.passed for r in results)
+
+
+def test_d_squared_assembles_no_cell_off_the_degree_lattice(monkeypatch):
+    ring = ring_cp(3)  # every degree even: an odd-p cell is empty
+    original, assembled = oracles_module.assemble_matrix, []
+
+    def assemble(ring, p, q, n, reduced=True):
+        assembled.append(p)
+        return original(ring, p, q, n, reduced)
+
+    monkeypatch.setattr(oracles_module, "assemble_matrix", assemble)
+    results = check_d_squared(ring, 6, 20)
+    assert results and all(r.passed for r in results)
+    assert assembled and not [p for p in assembled if p % 2]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
