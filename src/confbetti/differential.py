@@ -7,33 +7,32 @@ the free graded-commutative algebra.
 
 Matrices are assembled from packed monomials: one Python int per monomial, with
 one fixed-width field per exponent (all r positions, then all s positions, the
-first in the highest field), so int order is lexicographic order. The width
-is the narrowest holding (p + D q) // 2, which bounds every exponent of cell
-(p, q) and of its codomain alike (see `_field_type`). This module alone
-decides which monomials a cell holds: `_part_codes` keeps one `_PartCodes`
-per generator family, with the parts' caps (odd generators and the
-reduction), their bounds and one memoized search that adds up each part's
-code and label as it descends and never builds the part. `packed_pieces`
-joins s-parts with r-parts into a cell's packed orbit-representative pieces,
-with one run of codes per piece and length, and each piece in graded-lex
-order; a cell whose p is not a multiple of g (`degree_gcd`) is empty. With
-`whole` the cell is one piece, which `decode_codes` turns into `Monomial`s.
-d keeps a monomial's label, so the matrix of a cell's pieces is
-block-diagonal over them. The terms of d on a monomial depend on its
-r-part only through mask tests and a popcount, so one table per ring, `reduced`
-flag and field type keeps them by s-part (see `_Kernel`), built once per s-part
-and shared by every cell. Assembly is one loop over the domain codes: look up
-the code's s-part, skip a term whose odd factor the code already holds, and
-write the signed coefficient at the row of `code + delta`. Coefficients are
-ints scaled by L, the lcm of the images' denominators, so a matrix holds L * d
-(L is 1 on every built-in ring). `d_monomial` validates a monomial, expands
-it from the same table and decodes the result into graded-lex `Monomial`s with
-rational coefficients.
+first in the highest field; see `_field_units`), so int order is lexicographic
+order. The width is the narrowest of 8, 16, 32, ... bits holding (p + D q) // 2,
+which bounds every exponent of cell (p, q) and of its codomain alike (see
+`_field_width`). This module alone decides which monomials a cell holds:
+`_part_codes` keeps one `_PartCodes` per generator family, with the parts' caps
+(odd generators and the reduction), their bounds and one memoized search that
+adds up each part's code and label as it descends and never builds the part.
+`packed_pieces` joins s-parts with r-parts into a cell's packed
+orbit-representative pieces, with one run of codes per piece and length, and
+each piece in graded-lex order; a cell whose p is not a multiple of g
+(`degree_gcd`) is empty. With `whole` the cell is one piece, which
+`decode_codes` turns into `Monomial`s. d keeps a monomial's label, so the
+matrix of a cell's pieces is block-diagonal over them. The terms of d on a
+monomial depend on its r-part only through mask tests and a popcount, so one
+table per ring, `reduced` flag and field width keeps them by s-part (see
+`_Kernel`), built once per s-part and shared by every cell. Assembly is one
+loop over the domain codes: look up the code's s-part, skip a term whose odd
+factor the code already holds, and write the signed coefficient at the row of
+`code + delta`. Coefficients are ints scaled by L, the lcm of the images'
+denominators, so a matrix holds L * d (L is 1 on every built-in ring).
+`d_monomial` validates a monomial, expands it from the same table and decodes
+the result into graded-lex `Monomial`s with rational coefficients.
 """
 from __future__ import annotations
 
 import sys
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -105,43 +104,35 @@ def image_scale(ring: GradedRing) -> int:
 # -- packed monomials ----------------------------------------------------------
 
 
-# each unsigned array type, narrowest first, with the least value its fields cannot hold
-_FIELD_LIMITS = tuple((tc, 256 ** array(tc).itemsize) for tc in "BHLQ")
-
-
-def _field_type(ring: GradedRing, p: int, q: int) -> str:
-    """The narrowest unsigned array type holding every exponent on the d-chain of cell (p, q).
+def _field_width(ring: GradedRing, p: int, q: int) -> int:
+    """The narrowest field width, 8 bits doubled as often as needed, for the d-chain of cell (p, q).
 
     A length-2 exponent is at most q, an even length-1 class has degree at
     least 2, an odd generator's exponent is at most 1 and D >= 2, so no
     exponent of the cell exceeds max(1, (p + D q) // 2). The codomain
-    (p + D, q - 1) has the same p + D q: a cell and its codomain share a type.
+    (p + D, q - 1) has the same p + D q: a cell and its codomain share a width.
     """
-    bound = (p + ring.dimension * q) // 2
-    return next(tc for tc, limit in _FIELD_LIMITS if bound < limit)
+    bound, width = (p + ring.dimension * q) // 2, 8
+    while bound >> width > 0:  # a negative bound shifts to -1 and stops at 8
+        width *= 2
+    return width
 
 
-def _pack(exponents: tuple[int, ...], typecode: str) -> int:
-    """Big-endian fields, the first exponent highest: int order is lexicographic order."""
-    if typecode == "B":
-        return int.from_bytes(bytes(exponents), "big")
-    fields = array(typecode, exponents)
-    if sys.byteorder == "little":
-        fields.byteswap()
-    return int.from_bytes(fields, "big")
+@lru_cache(maxsize=None)
+def _field_units(m: int, width: int) -> tuple[tuple[int, ...], int]:
+    """The packed layout: each flat position's field unit, the first highest, and a field's top."""
+    return tuple(1 << width * (2 * m - pos) for pos in range(2 * m + 1)), (1 << width) - 1
 
 
-def _unpack(code: int, typecode: str, m: int) -> Monomial:
-    fields = array(typecode, code.to_bytes((2 * m + 1) * array(typecode).itemsize, "big"))
-    if sys.byteorder == "little":
-        fields.byteswap()
-    return Monomial(tuple(fields[:m]), tuple(fields[m:]))
+def _pack(exponents: tuple[int, ...], width: int) -> int:
+    units, _ = _field_units(len(exponents) // 2, width)
+    return sum(e * unit for e, unit in zip(exponents, units))
 
 
-def _field_units(m: int, typecode: str) -> tuple[list[int], int]:
-    """Each flat position's field unit, as `_pack` lays fields out, and a field's largest value."""
-    width = 8 * array(typecode).itemsize
-    return [1 << width * (2 * m - pos) for pos in range(2 * m + 1)], (1 << width) - 1
+def _unpack(code: int, width: int, m: int) -> Monomial:
+    units, field = _field_units(m, width)
+    fields = tuple(code // unit & field for unit in units)
+    return Monomial(fields[:m], fields[m:])
 
 
 def _fill(ladder, count: int) -> int:
@@ -273,9 +264,9 @@ def degree_gcd(ring: GradedRing) -> int:
 
 @lru_cache(maxsize=None)
 def _part_codes(
-    ring: GradedRing, reduced: bool, typecode: str, weights: tuple[int, ...]
+    ring: GradedRing, reduced: bool, width: int, weights: tuple[int, ...]
 ) -> tuple[_PartCodes, _PartCodes]:
-    """The r-part and s-part searches of a ring, packed at one field type (see `_PartCodes`).
+    """The r-part and s-part searches of a ring, packed at one field width (see `_PartCodes`).
 
     An odd generator (`basis._odd_flat`) has cap 1 and an even one none: only
     the unit has degree 0, so every entry at a positive degree is bounded by
@@ -292,7 +283,7 @@ def _part_codes(
     if reduced:
         top = ring.orientation_index
         caps[top - 1], caps[m + top] = 1, 0
-    units, field = _field_units(m, typecode)
+    units, field = _field_units(m, width)
     return (
         _PartCodes(degrees[:m], caps[:m], units[:m], weights[1:], field),
         _PartCodes(degrees[m:], caps[m:], units[m:], weights, field),
@@ -300,7 +291,7 @@ def _part_codes(
 
 
 class PackedPieces(NamedTuple):
-    """The pieces of a cell that represent their orbits, packed at the cell's field type.
+    """The pieces of a cell that represent their orbits, packed at the cell's field width.
 
     A run is the codes of one piece and one length: a contiguous range of
     `codes`, given by its piece's orbit size, its length and its count. The
@@ -340,7 +331,7 @@ def packed_pieces(
         return PackedPieces([], [])
     orbits = _orbits(ring)
     weights = (0,) * ring.size if whole else orbits.weights
-    r_codes, s_codes = _part_codes(ring, reduced, _field_type(ring, p, q), weights)
+    r_codes, s_codes = _part_codes(ring, reduced, _field_width(ring, p, q), weights)
     buckets: dict[tuple[int, int], list[int]] = {}  # (representative label, r count) -> codes
     for s_weight in s_codes.weights(q, p):
         s_groups = s_codes(s_weight, q)
@@ -376,30 +367,30 @@ def enumerate_basis(
 
 def decode_codes(ring: GradedRing, p: int, q: int, codes: list[int]) -> tuple[Monomial, ...]:
     """The `Monomial`s of codes that `packed_pieces` lists for cell (p, q)."""
-    typecode, m = _field_type(ring, p, q), ring.top_generator_count
-    return tuple(_unpack(code, typecode, m) for code in codes)
+    width, m = _field_width(ring, p, q), ring.top_generator_count
+    return tuple(_unpack(code, width, m) for code in codes)
 
 
 class _Kernel:
-    """The differential on packed monomials of one ring, `reduced` flag and field type.
+    """The differential on the basis codes of one ring, `reduced` flag and field width.
 
     `table` maps an s-part (a code's s fields, `code & s_mask`) to the terms
-    of d on every monomial with that s-part, one tuple of terms for each
-    top-class r exponent 0, 1 and at least 2. A term (delta, odd, sign, value)
-    sends `code` to `code + delta` with coefficient `value`, negated when
-    `code & sign` has odd popcount, unless `code & odd` holds an odd factor
-    squared. The s exponent of the consumed generator and the part of the sign
-    its s-part decides are folded into `value`, so `sign` covers r fields
-    only. `fill` builds an s-part's entry on its first lookup; the entry is
-    kept as long as the kernel, so every cell of every table shares it.
+    of d on every basis code with that s-part: one tuple for top-class r
+    exponent 0, one for 1 or more (a reduced basis code has at most 1, and no
+    top-class s exponent). A term (delta, odd, sign, value) sends `code` to
+    `code + delta` with coefficient `value`, negated when `code & sign` has
+    odd popcount, unless `code & odd` holds an odd factor squared. The s
+    exponent of the consumed generator and the part of the sign its s-part
+    decides are folded into `value`, so `sign` covers r fields only. `fill`
+    builds an s-part's entry on its first lookup; the entry is kept as long
+    as the kernel, so every cell of every table shares it.
     """
 
-    def __init__(self, ring: GradedRing, reduced: bool, typecode: str):
+    def __init__(self, ring: GradedRing, reduced: bool, width: int):
         m = ring.top_generator_count
-        self.reduced = reduced
         scale = image_scale(ring)
         # flat positions: r over classes 1..m, then s over classes 0..m
-        unit, self.field = _field_units(m, typecode)
+        unit, self.field = _field_units(m, width)
         shift = [u.bit_length() - 1 for u in unit]
         odd = _odd_flat(ring)
         self.s_mask = unit[m] * (self.field + 1) - 1  # the s fields are the lowest m + 1
@@ -409,7 +400,7 @@ class _Kernel:
             return sum(unit[pos] for pos in range(lo, hi) if odd[pos])
 
         top = ring.orientation_index
-        self.r_top_shift, self.s_top_shift = shift[top - 1], shift[m + top]
+        self.r_top_shift = shift[top - 1]
         self.slots = []
         for j in range(m + 1):
             slot = m + j
@@ -426,18 +417,18 @@ class _Kernel:
                     sign_mask ^= odd_bits(pos + 1, slot)
                 # the term is kept for the top exponents t < kept: reduced mode
                 # drops products whose top-class r exponent reaches 2
-                kept = 2 - image.r[top - 1] if reduced else 1
+                kept = 2 - image.r[top - 1] if reduced else 2
                 if kept > 0:
                     s_sign = sign_mask & self.s_mask
                     terms.append((
-                        _pack(image.r + image.s, typecode) - unit[slot],
+                        _pack(image.r + image.s, width) - unit[slot],
                         sum(unit[pos] for pos in factors),
                         sign_mask ^ s_sign,
                         s_sign,
                         int(c * scale),
                         kept,
                     ))
-            self.slots.append((shift[slot], j == top, terms))
+            self.slots.append((shift[slot], terms))
         self.table: dict[int, tuple[tuple, ...]] = {}
         # one copy of each distinct term, shared by every entry holding it
         self.distinct: dict[tuple, tuple] = {}
@@ -445,33 +436,29 @@ class _Kernel:
     def fill(self, s_part: int) -> tuple[tuple, ...]:
         """Build and keep the table entry of one s-part."""
         field, distinct = self.field, self.distinct
-        s_top = (s_part >> self.s_top_shift) & field if self.reduced else 0
-        by_top: tuple[list, ...] = ([], [], [])
-        for shift, is_top, terms in self.slots:
+        by_top: tuple[list, ...] = ([], [])
+        for shift, terms in self.slots:
             s_j = (s_part >> shift) & field
-            if not s_j or s_top - is_top >= 1:
-                continue  # reduced mode drops images with a top-class s exponent
+            if not s_j:
+                continue
             for delta, odd_factors, sign, s_sign, coef, kept in terms:
                 value = -s_j * coef if (s_part & s_sign).bit_count() & 1 else s_j * coef
                 term = (delta, odd_factors, sign, value)
                 term = distinct.setdefault(term, term)
                 for listed in by_top[:kept]:
                     listed.append(term)
-        entry = tuple(map(tuple, by_top))
-        if not self.reduced:  # no term is dropped: one tuple serves every top exponent
-            entry = (entry[0],) * 3
-        self.table[s_part] = entry
+        entry = self.table[s_part] = tuple(map(tuple, by_top))
         return entry
 
     def expand(self, code: int) -> list[tuple[int, int]]:
-        """d of one packed monomial as (packed image, L * coefficient) pairs.
+        """d of one packed basis code as (packed image, L * coefficient) pairs.
 
         No two pairs share an image: terms of one slot differ in their r part,
-        and two slots leave different s parts. In reduced mode, images with an
-        s exponent of the top class, or its r exponent at least 2, are dropped.
+        and two slots leave different s parts. In reduced mode, images whose
+        top-class r exponent reaches 2 are dropped.
         """
         by_top = self.table.get(code & self.s_mask) or self.fill(code & self.s_mask)
-        terms = by_top[min(2, (code >> self.r_top_shift) & self.field)]
+        terms = by_top[min(1, (code >> self.r_top_shift) & self.field)]
         return [
             (code + delta, -value if (code & sign).bit_count() & 1 else value)
             for delta, odd_factors, sign, value in terms
@@ -480,17 +467,26 @@ class _Kernel:
 
 
 @lru_cache(maxsize=None)
-def _kernel(ring: GradedRing, reduced: bool, typecode: str) -> _Kernel:
-    return _Kernel(ring, reduced, typecode)
+def _kernel(ring: GradedRing, reduced: bool, width: int) -> _Kernel:
+    return _Kernel(ring, reduced, width)
 
 
 def d_monomial(ring: GradedRing, mon: Monomial, reduced: bool = True) -> AlgebraElement:
-    """The differential on one monomial, validated and in graded-lex order."""
+    """The differential on one monomial, validated and in graded-lex order.
+
+    Reduced, a monomial off the reduced basis (top-class r exponent above 1
+    or s exponent above 0) maps to 0: d never lowers those exponents, and d
+    of the top class's length-2 generator is its square in length 1, so such
+    monomials span a subcomplex, and the reduced model is the quotient by it.
+    """
     p, q = monomial_bigrade(mon, ring)  # validates shape and exterior constraints
-    typecode = _field_type(ring, p, q)
-    image = _kernel(ring, reduced, typecode).expand(_pack(mon.r + mon.s, typecode))
+    top = ring.orientation_index
+    if reduced and (mon.r[top - 1] > 1 or mon.s[top]):
+        return algebra_element({})
+    width = _field_width(ring, p, q)
+    image = _kernel(ring, reduced, width).expand(_pack(mon.r + mon.s, width))
     m, scale = ring.top_generator_count, image_scale(ring)
-    return algebra_element({_unpack(c, typecode, m): Fraction(v, scale) for c, v in image})
+    return algebra_element({_unpack(c, width, m): Fraction(v, scale) for c, v in image})
 
 
 def assemble_matrix(
@@ -515,7 +511,7 @@ def assemble_matrix(
             for k in (0, 1)
         )
     domain, codomain = bases
-    kernel = _kernel(ring, reduced, _field_type(ring, p, q))
+    kernel = _kernel(ring, reduced, _field_width(ring, p, q))
     table, s_mask = kernel.table, kernel.s_mask
     top_shift, field = kernel.r_top_shift, kernel.field
     index = {code: row for row, code in enumerate(codomain)}
@@ -523,7 +519,7 @@ def assemble_matrix(
     try:
         for col, code in enumerate(domain):
             by_top = table.get(code & s_mask) or kernel.fill(code & s_mask)
-            for delta, odd_factors, sign, value in by_top[min(2, (code >> top_shift) & field)]:
+            for delta, odd_factors, sign, value in by_top[min(1, (code >> top_shift) & field)]:
                 if not code & odd_factors:
                     row = index[code + delta]
                     entries[row, col] = -value if (code & sign).bit_count() & 1 else value

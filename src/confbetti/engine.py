@@ -25,20 +25,19 @@ rank-deficient, they are also eliminated modulo one prime as a spot check: the
 exact ranks may not fall below those anywhere. An empty cell is never
 assembled, nor one whose codomain is empty at its truncation: every rank of
 its differential is 0. A request beyond the reach rebuilds the record at
-saturation, so a query past a table rebuilds each cell once. `assemble_matrix`
-without bases, which dumps, oracles and the library call, lists both whole
-cells.
+saturation, so a query past a table rebuilds each cell once. Only the library
+calls `assemble_matrix` without bases; it then lists both whole cells.
 
-A table is planned with one reach: `required_ranks` walks the cells (p, q)
-with q >= 1 on the table's lines, p first and then q, and lists each read of
-a rank it needs at its truncation min(n, p + 2q); `compute_ranks` ranks each
-listed cell once, in that order, so a cell is ranked before its codomain
-(p + D, q - 1). Every monomial's p, and D, are multiples of g (`degree_gcd`),
-the gcd of the ring's degrees (2 when all are even), so p steps by g: a cell
-off that lattice is empty, like its source, and is neither planned nor read.
-Every Betti number is then a sum of `e_infinity_dim` over its line's cells:
-a single query sums one line, and a table walks each n's cells on the
-lattice below its vanishing bound once, adding each into its line.
+A table walks the cells it reads once, in `_table_reads`: each n, then the
+cells (p, q) on its lines below n's vanishing bound. It is planned with one
+reach: `required_ranks` lists, sorted, each rank those reads need at its
+truncation min(n, p + 2q); `compute_ranks` ranks each listed cell once, in
+that order (p first), so a cell is ranked before its codomain (p + D, q - 1).
+Every monomial's p, and D, are multiples of g (`degree_gcd`), the gcd of the
+ring's degrees (2 when all are even), so p steps by g: a cell off that
+lattice is empty, like its source, and is neither planned nor read. Every
+Betti number is then a sum of `e_infinity_dim` over its line's cells: a
+single query sums one line, and a table adds each read into its line.
 `e_infinity_dim` reads the dimension and the two ranks straight off the
 records and raises `InternalConsistencyError` when they leave a negative
 dimension.
@@ -247,28 +246,28 @@ class BettiEngine:
 
     # -- planning and tables ----------------------------------------------------
 
+    def _table_reads(self, n_min: int, n_max: int, i_max: int):
+        """The (p, q, n) a table over the grid reads the limit page at: n, then q, then p.
+
+        n reads the cells on line i = p + (D - 1) q with 2q <= n and
+        i <= min(i_max, vanishing_bound(n) - 1), p on the degree lattice.
+        """
+        row_weight = self.ring.dimension - 1
+        for n in range(n_min, n_max + 1):
+            top = min(i_max, vanishing_bound(self.ring, n) - 1)
+            for q in range(min(n // 2, top // row_weight) + 1):
+                for p in range(0, top - row_weight * q + 1, self._p_step):
+                    yield p, q, n
+
     def required_ranks(self, n_min: int, n_max: int, i_max: int) -> list[tuple[int, int, int]]:
         """Distinct (p, q, n_eff) rank computations a table over the grid needs, sorted.
 
-        Cell (p, q) with q >= 1 lies on line i = p + (D - 1) q, and the table
-        reads its rank at n, leaving it on line i and entering line i + 1, when
-        2q <= n and i <= min(i_max, vanishing_bound(n) - 1); the bound grows
-        with n, so these n run from the least that admits i to n_max. A read
-        at n is at truncation min(n, p + 2q), and the cells are walked p
-        first, then q, so the list comes out sorted. Only p on the lattice of
-        multiples of the gcd of the ring's degrees is walked: any other cell
-        is empty.
+        A read of cell (p, q) at n needs the rank leaving it, if q >= 1, at
+        truncation min(n, p + 2q), and the rank entering it, whose source the
+        table also reads at n.
         """
-        row_weight = self.ring.dimension - 1
-        top = min(i_max, vanishing_bound(self.ring, n_max) - 1)
-        tasks = []
-        for p in range(0, top + 1, self._p_step):
-            for q in range(1, min(n_max // 2, (top - p) // row_weight) + 1):
-                first = max(n_min, 2 * q, -(-(p + row_weight * q - 1) // row_weight))
-                saturation = p + 2 * q
-                reads = range(min(first, saturation), min(n_max, saturation) + 1)
-                tasks += [(p, q, n_eff) for n_eff in reads]
-        return tasks
+        reads = self._table_reads(n_min, n_max, i_max)
+        return sorted({(p, q, min(n, p + 2 * q)) for p, q, n in reads if q})
 
     def compute_ranks(
         self, tasks: list[tuple[int, int, int]], workers: int = 1, reach: int = 0
@@ -371,13 +370,9 @@ def betti_table(
     engine = engine_for(ring, reduced)
     engine.compute_ranks(engine.required_ranks(n_min, n_max, i_max), workers, reach=n_max)
     grid = dict.fromkeys(((n, i) for n in range(n_min, n_max + 1) for i in range(i_max + 1)), 0)
-    # each n's cells (p, q) on the degree lattice, below its vanishing bound, add to line i
-    row_weight, step = ring.dimension - 1, engine._p_step
-    for n in range(n_min, n_max + 1):
-        top = min(i_max, vanishing_bound(ring, n) - 1)
-        for q in range(min(n // 2, top // row_weight) + 1):
-            for p in range(0, top - row_weight * q + 1, step):
-                grid[(n, p + row_weight * q)] += engine.e_infinity_dim(p, q, n)
+    row_weight = ring.dimension - 1
+    for p, q, n in engine._table_reads(n_min, n_max, i_max):
+        grid[(n, p + row_weight * q)] += engine.e_infinity_dim(p, q, n)
     return BettiTable(ring=ring, n_min=n_min, n_max=n_max, i_max=i_max, grid=grid)
 
 

@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
-from .differential import assemble_matrix, degree_gcd
+from .differential import assemble_matrix, degree_gcd, packed_pieces
 from .engine import engine_for, vanishing_bound
 from .rings import GradedRing, euler_characteristic
 
@@ -54,13 +55,20 @@ def check_d_squared(
     """The differential composed with itself must vanish on every cell."""
     results = []
     mode = "reduced" if reduced else "unreduced"
-    row_weight = ring.dimension - 1
+    dim, row_weight = ring.dimension, ring.dimension - 1
+
+    @cache  # each cell is listed once, and only when a nonempty domain needs it
+    def codes(p: int, q: int) -> list[int]:
+        return packed_pieces(ring, p, q, n, reduced, whole=True).codes
+
     for q in range(2, n // 2 + 1):
-        p = 0
-        while p + row_weight * q <= i_max + ring.dimension:
-            inner = assemble_matrix(ring, p, q, n, reduced)
-            if inner.cols:
-                outer = assemble_matrix(ring, p + ring.dimension, q - 1, n, reduced)
+        # a cell off the degree lattice is empty
+        for p in range(0, i_max + dim - row_weight * q + 1, degree_gcd(ring)):
+            domain = codes(p, q)
+            if domain:
+                middle, target = codes(p + dim, q - 1), codes(p + 2 * dim, q - 2)
+                inner = assemble_matrix(ring, p, q, n, reduced, bases=(domain, middle))
+                outer = assemble_matrix(ring, p + dim, q - 1, n, reduced, bases=(middle, target))
                 composite = outer.matmul(inner)
                 results.append(
                     _result(
@@ -71,7 +79,6 @@ def check_d_squared(
                         len(composite.entries),
                     )
                 )
-            p += degree_gcd(ring)  # a cell off the degree lattice is empty
     return results
 
 

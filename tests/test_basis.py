@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import confbetti.differential as differential_module
 from confbetti.differential import (
-    _field_type,
+    _field_width,
     _pack,
     _part_codes,
     _PartCodes,
@@ -96,7 +96,7 @@ def _assert_packed_like(ring, p, q, n, reduced, monomials):
     """
     codes, runs = packed_pieces(ring, p, q, n, reduced, whole=True)
     m = ring.top_generator_count
-    assert [_unpack(code, _field_type(ring, p, q), m) for code in codes] == list(monomials)
+    assert [_unpack(code, _field_width(ring, p, q), m) for code in codes] == list(monomials)
     counts = [0] * (n + 1)
     for mon in monomials:
         counts[monomial_length(mon)] += 1
@@ -133,7 +133,7 @@ def test_packed_basis_with_wide_fields(space, p, q, n):
     ring = resolve_space(space)
     monomials = _reference_basis(ring, p, q, n, False)
     assert max(max(mon.r + mon.s) for mon in monomials) > 255
-    assert _field_type(ring, p, q) == "H"
+    assert _field_width(ring, p, q) == 16
     _assert_packed_like(ring, p, q, n, False, monomials)
 
 
@@ -146,7 +146,7 @@ def test_cell_lists_no_s_part_heavier_than_its_p():
     assert cell == _reference_basis(ring, p, q, n, True)
     # the s-part lists searched are the memo's nonempty states at position 0
     zero = (0,) * ring.size
-    _, s_codes = differential_module._part_codes(ring, True, _field_type(ring, p, q), zero)
+    _, s_codes = differential_module._part_codes(ring, True, _field_width(ring, p, q), zero)
     states = s_codes.states.items()
     listed = [weight for (pos, weight, _), groups in states if pos == 0 and groups]
     # four length-2 generators of the degree-1 classes reach weight 4 > p
@@ -171,7 +171,9 @@ def _brute_force_groups(degrees, caps, weights, before, after, weight, count):
     groups: dict[int, list[int]] = {}
     for part in itertools.product(*(range(min(cap, count) + 1) for cap in caps)):
         if sum(part) == count and sum(map(mul, part, degrees)) == weight:
-            code = _pack((0,) * before + part + (0,) * after, "B")
+            flat = (0,) * before + part + (0,) * after
+            # `_pack` lays out 2m + 1 fields; a leading zero field adds nothing
+            code = _pack((0,) * (1 - len(flat) % 2) + flat, 8)
             groups.setdefault(sum(map(mul, part, weights)), []).append(code)
     return {label: sorted(codes) for label, codes in groups.items()}
 
@@ -220,7 +222,7 @@ def test_part_table_ranges_run_between_the_cheapest_and_dearest_parts(unit, posi
 def test_part_codes_raise_past_the_field():
     # cp1 unreduced: one r position of degree 2 with no cap, then two s fields;
     # an exponent of 256 would carry into the s field of the unit
-    r_codes, _ = _part_codes(resolve_space("cp1"), False, "B", (0, 0))
+    r_codes, _ = _part_codes(resolve_space("cp1"), False, 8, (0, 0))
     assert dict(r_codes(510, 255)) == {0: [255 << 16]}
     with pytest.raises((OverflowError, ValueError)):
         r_codes(512, 256)

@@ -23,7 +23,14 @@ from confbetti import (
     ring_surface,
     vanishing_bound,
 )
-from confbetti.differential import _Kernel, _field_type, _unpack, image_scale, packed_pieces
+from confbetti.differential import (
+    _Kernel,
+    _field_width,
+    _pack,
+    _unpack,
+    image_scale,
+    packed_pieces,
+)
 from confbetti.spaces import REGISTRY, resolve_space
 
 ROOT = Path(__file__).parents[1]
@@ -83,8 +90,8 @@ def _check_cell_against_leibniz(
         bases = tuple(
             packed_pieces(ring, p + ring.dimension * k, q - k, n, reduced).codes for k in (0, 1)
         )
-        m, typecode = ring.top_generator_count, _field_type(ring, p, q)
-        domain, codomain = ([_unpack(c, typecode, m) for c in codes] for codes in bases)
+        m, width = ring.top_generator_count, _field_width(ring, p, q)
+        domain, codomain = ([_unpack(c, width, m) for c in codes] for codes in bases)
     else:
         domain = enumerate_basis(ring, p, q, n, reduced)
         codomain = enumerate_basis(ring, p + ring.dimension, q - 1, n, reduced)
@@ -154,7 +161,7 @@ def test_cells_assembled_from_a_filled_table_match_the_leibniz_rule():
     differential_module._kernel.cache_clear()
     engine = BettiEngine(ring)  # its assemblies fill the table first
     engine.compute_ranks(engine.required_ranks(1, n, vanishing_bound(ring, n) - 1))
-    kernel = differential_module._kernel(ring, True, "B")
+    kernel = differential_module._kernel(ring, True, 8)
     filled = dict(kernel.table)
     assert len(filled) > 20
     # the engine assembles orbit-representative pieces, so those are what is checked
@@ -172,7 +179,7 @@ def test_cells_assembled_from_a_filled_table_match_the_leibniz_rule():
 def test_kernel_fields_do_not_carry_past_eight_bits(cp1):
     # unreduced cp1 keeps x^a for any a; on cell (600, 1) the chain bound
     # (p + D q) // 2 is 301, past an 8-bit field, so a carry into the next field would show
-    assert _field_type(cp1, 600, 1) != "B"
+    assert _field_width(cp1, 600, 1) == 16
     assert _check_cell_against_leibniz(cp1, 600, 1, 302, False) == 2
     assert _check_cell_against_leibniz(cp1, 598, 2, 302, False) > 0
     # the engine ranks cells past 8-bit fields: b_520 of 301 points on S^2 is 0
@@ -182,14 +189,14 @@ def test_kernel_fields_do_not_carry_past_eight_bits(cp1):
 @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
 @pytest.mark.parametrize("space", ["sigma2", "cp3", "cp1xcp2", "pbundle_cp2"])
 def test_the_chain_bound_holds_every_exponent_of_a_cell_and_its_images(space, reduced):
-    # the field type rests on this bound; an odd generator's exponent 1 passes
-    # (p + D q) // 2 on cell (1, 0) only, and every type holds 1
+    # the field width rests on this bound; an odd generator's exponent 1 passes
+    # (p + D q) // 2 on cell (1, 0) only, and every width holds 1
     ring = resolve_space(space)
     n, checked = 6, 0
     for q in range(n // 2 + 1):
         for p in range(n * ring.dimension + 1):
             bound = max(1, (p + ring.dimension * q) // 2)
-            assert _field_type(ring, p + ring.dimension, q - 1) == _field_type(ring, p, q)
+            assert _field_width(ring, p + ring.dimension, q - 1) == _field_width(ring, p, q)
             for mon in enumerate_basis(ring, p, q, n, reduced):
                 images = [image for image, _ in d_monomial(ring, mon, reduced).terms]
                 assert all(max(image.r + image.s) <= bound for image in [mon, *images]), mon
@@ -200,11 +207,38 @@ def test_the_chain_bound_holds_every_exponent_of_a_cell_and_its_images(space, re
 def test_fields_widen_where_the_chain_bound_passes_a_byte(cp1):
     # unreduced cp1's (508, 1) maps onto x^255, the top of an 8-bit field, and
     # (510, 1) onto x^256, which needs 16 bits
-    assert [_field_type(cp1, p, 1) for p in (508, 510)] == ["B", "H"]
+    assert [_field_width(cp1, p, 1) for p in (508, 510)] == [8, 16]
     for p, top in ((508, 255), (510, 256)):
         codomain = enumerate_basis(cp1, p + cp1.dimension, 0, 258, False)
         assert max(mon.r[0] for mon in codomain) == top
         assert _check_cell_against_leibniz(cp1, p, 1, 258, False) == 2
+
+
+def test_field_width_doubles_from_a_byte_without_limit(cp1):
+    # on cp1 (D = 2) the chain bound of cell (p, 0) is p // 2
+    bounds = (0, 255, 256, 2**16, 2**32, 2**64)
+    widths = [_field_width(cp1, 2 * bound, 0) for bound in bounds]
+    assert widths == [8, 8, 16, 32, 64, 128]
+    assert _field_width(cp1, -1, 0) == _field_width(cp1, -600, 0) == 8
+    for width in (8, 128):
+        field = (1 << width) - 1
+        for r, s in (((field,), (0, field)), ((1,), (field, 0)), ((0,), (0, 1))):
+            assert _unpack(_pack(r + s, width), width, 1) == Monomial(r, s)
+
+
+@pytest.mark.parametrize("space", ["cp2", "sigma1", "cp1xcp1", "pbundle_cp2"])
+def test_reduced_d_is_zero_outside_the_reduced_basis(space):
+    # the monomials the reduction drops span a subcomplex, so d is 0 on them in the quotient
+    ring, n, checked = resolve_space(space), 6, 0
+    for q in range(n // 2 + 1):
+        for p in range(n * ring.dimension + 1):
+            kept = set(enumerate_basis(ring, p, q, n, True))
+            for mon in enumerate_basis(ring, p, q, n, False):
+                if mon not in kept:
+                    assert _leibniz(ring, mon, True) == {}, mon
+                    assert d_monomial(ring, mon, True).is_zero(), mon
+                    checked += 1
+    assert checked > 20
 
 
 def test_scaled_ring_matrices_hold_l_times_d():

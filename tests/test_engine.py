@@ -266,7 +266,7 @@ def test_one_degree_gcd_steps_the_part_search_and_the_engine(space):
     g = differential_module.degree_gcd(ring)
     assert g == math.gcd(*(ring.degree(k) for k in range(ring.size)))
     for reduced in (True, False):
-        _, s_codes = differential_module._part_codes(ring, reduced, "B", (0,) * ring.size)
+        _, s_codes = differential_module._part_codes(ring, reduced, 8, (0,) * ring.size)
         assert s_codes.gcd == g  # s-parts hold every class, the unit included
         assert BettiEngine(ring, reduced)._p_step == g
 

@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+import confbetti.differential as differential_module
 import confbetti.oracles as oracles_module
 from confbetti import (
     check_d_squared,
@@ -33,14 +34,30 @@ def test_d_squared_assembles_no_cell_off_the_degree_lattice(monkeypatch):
     ring = ring_cp(3)  # every degree even: an odd-p cell is empty
     original, assembled = oracles_module.assemble_matrix, []
 
-    def assemble(ring, p, q, n, reduced=True):
+    def assemble(ring, p, q, n, reduced=True, bases=None):
         assembled.append(p)
-        return original(ring, p, q, n, reduced)
+        return original(ring, p, q, n, reduced, bases)
 
     monkeypatch.setattr(oracles_module, "assemble_matrix", assemble)
     results = check_d_squared(ring, 6, 20)
     assert results and all(r.passed for r in results)
     assert assembled and not [p for p in assembled if p % 2]
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+def test_d_squared_lists_each_cell_once(monkeypatch, sigma2, reduced):
+    listed = []
+    for module in (oracles_module, differential_module):  # by name, or inside `assemble_matrix`
+        original = module.packed_pieces
+
+        def listing(ring, p, q, n, reduced=True, whole=False, original=original):
+            listed.append((p, q))
+            return original(ring, p, q, n, reduced, whole)
+
+        monkeypatch.setattr(module, "packed_pieces", listing)
+    results = check_d_squared(sigma2, 6, 14, reduced)
+    assert results and all(r.passed for r in results)
+    assert listed and len(listed) == len(set(listed))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])

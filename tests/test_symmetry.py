@@ -23,7 +23,7 @@ from confbetti import (
     vanishing_bound,
 )
 from confbetti.basis import _orbits, automorphisms, grading
-from confbetti.differential import _field_type, _unpack, packed_pieces
+from confbetti.differential import _field_width, _unpack, packed_pieces
 from confbetti.spaces import resolve_space
 
 SEEDED = {f"seeded-sigma3-{k}": ("sigma3", k) for k in (1, 2, 3)}
@@ -72,8 +72,8 @@ def _act(ring, sigma, mon: Monomial) -> tuple[int, Monomial]:
 
 def _piece_count(ring, p, q, listed) -> int:
     """The pieces a cell's listing holds: the distinct labels of its monomials."""
-    m, typecode = ring.top_generator_count, _field_type(ring, p, q)
-    return len({_label(ring, _unpack(code, typecode, m)) for code in listed.codes})
+    m, width = ring.top_generator_count, _field_width(ring, p, q)
+    return len({_label(ring, _unpack(code, width, m)) for code in listed.codes})
 
 
 def _small_cells(ring, n):
@@ -230,8 +230,8 @@ def test_one_piece_rings_list_the_whole_cell(space, n):
         for mon in monomials:
             counts[monomial_length(mon)] += 1
         listed = packed_pieces(ring, p, q, n)
-        m, typecode = ring.top_generator_count, _field_type(ring, p, q)
-        assert [_unpack(code, typecode, m) for code in listed.codes] == list(monomials)
+        m, width = ring.top_generator_count, _field_width(ring, p, q)
+        assert [_unpack(code, width, m) for code in listed.codes] == list(monomials)
         assert listed.runs == [(1, length, count) for length, count in enumerate(counts) if count]
 
 
@@ -244,12 +244,12 @@ def test_runs_tile_each_cell_by_label_and_length(space):
     for n in range(1, 7):
         for p, q in _small_cells(ring, n):
             codes, runs = packed_pieces(ring, p, q, n)
-            typecode = _field_type(ring, p, q)
+            width = _field_width(ring, p, q)
             assert sum(count for _, _, count in runs) == len(codes), (p, q, n)
             keys, start, per_length = [], 0, [0] * (n + 1)
             for orbit, length, count in runs:
                 assert count > 0, (p, q, n)
-                run = [_unpack(code, typecode, m) for code in codes[start : start + count]]
+                run = [_unpack(code, width, m) for code in codes[start : start + count]]
                 labels = {_label(ring, mon) if graded else () for mon in run}
                 assert len(labels) == 1 and {monomial_length(mon) for mon in run} == {length}
                 # a packed label orders as its coordinates, the last one first
