@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -223,20 +224,7 @@ def _add_grid_options(sub, *, n_default=None, i_required=False, i_default=None) 
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="confbetti",
-        description=(
-            "Rational Betti numbers of unordered configuration spaces of closed, "
-            "oriented, even-dimensional manifolds"
-        ),
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("spaces", help="list the built-in spaces")
-    sub.set_defaults(func=cmd_spaces)
-
-    sub = subs.add_parser("compute", help="Betti-number table over an n range")
+def _compute_options(sub) -> None:
     _add_grid_options(sub, i_required=True)
     sub.add_argument("--format", choices=("csv", "md", "json"), default="csv")
     sub.add_argument("--no-reduction", action="store_true", help="keep top-class monomials")
@@ -251,37 +239,96 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="write every differential matrix and generator image to DIR",
     )
-    sub.set_defaults(func=cmd_compute)
 
-    sub = subs.add_parser("verify", help="run the oracle suite; one line per check")
+
+def _verify_options(sub) -> None:
     _add_grid_options(sub, n_default=(1, 6), i_default=14)
-    sub.set_defaults(func=cmd_verify)
 
-    sub = subs.add_parser("stable", help="stable Betti numbers b_0..b_imax")
+
+def _stable_options(sub) -> None:
     _add_ring_options(sub)
     sub.add_argument("--i-max", type=int, required=True)
-    sub.set_defaults(func=cmd_stable)
 
-    sub = subs.add_parser(
-        "betti-odd", help="closed-formula table for odd-dimensional manifolds"
-    )
+
+def _betti_odd_options(sub) -> None:
     _add_grid_options(sub)
     sub.add_argument("--format", choices=("csv", "md", "json"), default="csv")
-    sub.set_defaults(func=cmd_betti_odd)
 
+
+# name -> (help in the listing, option adder, handler), in the listing's order
+_COMMANDS = {
+    "spaces": ("list the built-in spaces", lambda sub: None, cmd_spaces),
+    "compute": ("Betti-number table over an n range", _compute_options, cmd_compute),
+    "verify": ("run the oracle suite; one line per check", _verify_options, cmd_verify),
+    "stable": ("stable Betti numbers b_0..b_imax", _stable_options, cmd_stable),
+    "betti-odd": (
+        "closed-formula table for odd-dimensional manifolds",
+        _betti_odd_options,
+        cmd_betti_odd,
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every subcommand, for the listing, `-h` and an unknown name."""
+    parser = argparse.ArgumentParser(
+        prog="confbetti",
+        description=(
+            "Rational Betti numbers of unordered configuration spaces of closed, "
+            "oriented, even-dimensional manifolds"
+        ),
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_options, handler) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        add_options(sub)
+        sub.set_defaults(func=handler)
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """The arguments of one run; a named subcommand builds only its own parser.
+
+    That parser is the one `build_parser` adds for the name, so its help and
+    errors read the same, and arguments it does not know are reported by the
+    full parser, as a subcommand leaves them to it.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        return build_parser().parse_args(argv)
+    name = argv[0]
+    _, add_options, handler = _COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"confbetti {name}")
+    add_options(parser)
+    args, unknown = parser.parse_known_args(argv[1:])
+    if unknown:
+        build_parser().error(f"unrecognized arguments: {' '.join(unknown)}")
+    args.func = handler
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "i_max", None) is not None and args.i_max < 0:
-        return _fail_usage(f"--i-max must be nonnegative, got {args.i_max}")
-    if getattr(args, "workers", 1) < 1:
-        return _fail_usage(f"--workers must be at least 1, got {args.workers}")
+    """Run one command with the cyclic garbage collector off, and restore its state.
+
+    The engine's records hold no reference cycles, so a run frees its memory
+    without the collector, whose passes only cost time; a second, larger
+    table on the same engine leaves nothing for it to collect.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
-    except UsageError as err:
-        return _fail_usage(str(err))
+        args = _parse_args(argv)
+        if getattr(args, "i_max", None) is not None and args.i_max < 0:
+            return _fail_usage(f"--i-max must be nonnegative, got {args.i_max}")
+        if getattr(args, "workers", 1) < 1:
+            return _fail_usage(f"--workers must be at least 1, got {args.workers}")
+        try:
+            return args.func(args)
+        except UsageError as err:
+            return _fail_usage(str(err))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

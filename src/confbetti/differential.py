@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Mapping, NamedTuple
+from typing import Collection, Mapping, NamedTuple
 
 from .basis import Monomial, _odd_flat, _orbits, monomial_bigrade
 from .linalg import RationalMatrix
@@ -496,6 +496,7 @@ def assemble_matrix(
     n: int,
     reduced: bool = True,
     bases: tuple[list[int], list[int]] | None = None,
+    cleared: Collection[int] = (),
 ) -> RationalMatrix:
     """L times the matrix of the differential on cell (p, q) at truncation n.
 
@@ -503,7 +504,9 @@ def assemble_matrix(
     a q = 0 cell maps to the zero space. Entries are ints. `bases` are the
     domain and codomain codes as `packed_pieces` lists them, whole cells or
     unions of pieces (d keeps labels); without `bases` both are the whole
-    cells at n.
+    cells at n. Every term landing on a codomain code in `cleared` is
+    skipped, which leaves that row empty; the engine clears the codomain's
+    pivot columns, whose rows are combinations of the others (see `engine`).
     """
     if bases is None:
         bases = tuple(
@@ -514,7 +517,8 @@ def assemble_matrix(
     kernel = _kernel(ring, reduced, _field_width(ring, p, q))
     table, s_mask = kernel.table, kernel.s_mask
     top_shift, field = kernel.r_top_shift, kernel.field
-    index = {code: row for row, code in enumerate(codomain)}
+    index: dict[int, int | None] = {code: row for row, code in enumerate(codomain)}
+    index.update(dict.fromkeys(cleared))  # a cleared row takes no term
     entries: dict[tuple[int, int], int] = {}
     try:
         for col, code in enumerate(domain):
@@ -522,7 +526,8 @@ def assemble_matrix(
             for delta, odd_factors, sign, value in by_top[min(1, (code >> top_shift) & field)]:
                 if not code & odd_factors:
                     row = index[code + delta]
-                    entries[row, col] = -value if (code & sign).bit_count() & 1 else value
+                    if row is not None:
+                        entries[row, col] = -value if (code & sign).bit_count() & 1 else value
     except KeyError:
         raise RuntimeError(
             f"differential image escaped cell ({p + ring.dimension}, {q - 1}) at n={n}"

@@ -28,11 +28,29 @@ its differential is 0. A request beyond the reach rebuilds the record at
 saturation, so a query past a table rebuilds each cell once. Only the library
 calls `assemble_matrix` without bases; it then lists both whole cells.
 
+A table clears the rows a codomain's ranking has made redundant, as in
+persistent homology (Chen & Kerber, EuroCG 2011; Bauer, Kerber & Reininghaus,
+TopoInVis 2013). Let d' leave the codomain (p + D, q - 1) of d, and A be the
+codomain's pivot columns: those where its prefix rank rises, so d' is
+injective on them. Since d' d = 0, each row of d at A is a combination of the
+rows outside A, in every column, so deleting those rows keeps the rank of
+every column prefix: every rank at every length end of every piece, and the
+spot check's. Pieces keep this, as d keeps labels and the codomain's pieces
+hold the rows of the cell's. The codomain's record keeps the codes of A with
+its own codes until its source's assembly has read them, and
+`assemble_matrix` skips every term landing on them. A record rebuilt past a
+table keeps none, and its source is assembled without clearing.
+
 A table walks the cells it reads once, in `_table_reads`: each n, then the
 cells (p, q) on its lines below n's vanishing bound. It is planned with one
 reach: `required_ranks` lists, sorted, each rank those reads need at its
-truncation min(n, p + 2q); `compute_ranks` ranks each listed cell once, in
-that order (p first), so a cell is ranked before its codomain (p + D, q - 1).
+truncation min(n, p + 2q); `compute_ranks` ranks each listed cell once, q
+ascending and then p, so a codomain (p + D, q - 1) is ranked before the one
+cell that maps into it; q = 1 cells map into q = 0, which has no
+differential, and keep all their rows. A codomain's codes and pivots go once
+its source's assembly has read them, or right after its own ranking when no
+listed source reads them; a pool ranks one q at a time and sends each job its
+codomain's pivots.
 Every monomial's p, and D, are multiples of g (`degree_gcd`), the gcd of the
 ring's degrees (2 when all are even), so p steps by g: a cell off that
 lattice is empty, like its source, and is neither planned nor read. Every
@@ -45,8 +63,9 @@ dimension.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from itertools import accumulate
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, groupby
 
 from .differential import PackedPieces, assemble_matrix, degree_gcd, packed_pieces
 from .linalg import RankProfile, RationalMatrix, rank_profile_modular
@@ -76,6 +95,7 @@ class _Cell:
     dims: list[int]  # dims[L] = basis monomials of length <= L, for L <= truncation
     codes: PackedPieces | None  # the packed codes and their runs, until no assembly reads them
     ranks: list[int] | None  # ranks[L] = rank of d on the monomials of length <= L, once ranked
+    pivots: set[int] | None = None  # its pivot columns' codes, kept with `codes` for its source
 
 
 class BettiEngine:
@@ -106,54 +126,93 @@ class BettiEngine:
             for orbit, length, count in codes.runs:
                 added[length] += orbit * count
             dims = list(accumulate(added))
-            ranks = None if dims[-1] else dims  # an empty cell is never assembled
-            cell = _Cell(truncation, dims, codes, ranks)
+            if dims[-1]:
+                cell = _Cell(truncation, dims, codes, None)
+            else:  # an empty cell is never assembled
+                cell = _Cell(truncation, dims, None, dims)
             self._cells[(p, q)] = cell
         return cell
 
-    def _ranked(self, p: int, q: int, n: int) -> _Cell:
+    def _ranked(self, p: int, q: int, n: int, keep: bool = False) -> _Cell:
         """The record of cell (p, q), covering n, with the ranks of its differential.
 
         The matrix is assembled from the codes of this cell's record and of
         its codomain's, as both records list them (codomain rows longer than
-        this cell's truncation stay empty: d never raises length), ranked over
-        Q in one pass, and dropped; into an empty codomain every rank is 0 and
-        nothing is assembled. d keeps labels, so the matrix is block-diagonal
-        over the pieces, and the rank of a piece at length L is the difference
-        of two prefix ranks: at the piece's start and at its end at length L,
-        which is the sum of the rises across its runs up to L. So each run
-        adds its rise, times its orbit size, at its length. The cell's own
-        assembly is the last to read its codes, and a q = 0 codomain is read
-        by one cell only; a codomain whose codes are gone (a pool worker or a
-        query past a table may rank it first) is listed again at its record's
-        truncation.
+        this cell's truncation stay empty: d never raises length), with the
+        rows at the codomain's pivots cleared when its record keeps them,
+        ranked over Q in one pass, and dropped; into an empty codomain every
+        rank is 0 and nothing is assembled. d keeps labels, so the matrix is
+        block-diagonal over the pieces, and the rank of a piece at length L
+        is the difference of two prefix ranks: at the piece's start and at
+        its end at length L, which is the sum of the rises across its runs up
+        to L. So each run adds its rise, times its orbit size, at its length.
+        The cell's own assembly is the last to read its codes, unless `keep`
+        says that its source is still to be assembled: then they stay, with
+        the codes of the columns where its prefix rank rises (`_rank_task`
+        drops both after that assembly). A q = 0 codomain is read by one
+        cell only; an unranked codomain of q >= 1 keeps its codes for its
+        own ranking, which a query may ask for next, and a codomain whose
+        codes are gone (a pool worker or a query out of order may have
+        ranked it first) is listed again at its record's truncation.
         """
         cell = self._cell(p, q, n)
         if cell.ranks is None:
             t = cell.truncation
             target = self._cell(p + self.ring.dimension, q - 1, t)
             if target.dims[min(t, target.truncation)]:
+                domain = cell.codes
                 codomain = target.codes or packed_pieces(
                     self.ring, p + self.ring.dimension, q - 1, target.truncation, self.reduced
                 )
-                bases = (cell.codes.codes, codomain.codes)
-                matrix = assemble_matrix(self.ring, p, q, t, self.reduced, bases=bases)
+                bases = (domain.codes, codomain.codes)
+                matrix = assemble_matrix(
+                    self.ring, p, q, t, self.reduced, bases=bases, cleared=target.pivots or ()
+                )
                 profile = exact_rank(matrix)
                 prefix = profile.prefix_ranks
-                shortest = cell.codes.runs[0][2]  # the first piece's shortest monomials
+                shortest = domain.runs[0][2]  # the first piece's shortest monomials
                 if prefix[shortest] < shortest:  # else no prime ranks higher
                     self._spot_check(matrix, profile, shortest, (p, q))
                 added, start = [0] * (t + 1), 0  # the rank each length adds, orbits counted
-                for orbit, length, count in cell.codes.runs:
+                for orbit, length, count in domain.runs:
                     end = start + count
                     added[length] += orbit * (prefix[end] - prefix[start])
                     start = end
                 cell.ranks = list(accumulate(added))
+                if keep:
+                    rises = zip(domain.codes, prefix, prefix[1:])
+                    cell.pivots = {code for code, before, after in rises if after > before}
             else:
                 cell.ranks = [0] * len(cell.dims)
-            cell.codes = None
+            if not keep:
+                cell.codes = None
             if q == 1:
                 target.codes = None
+        return cell
+
+    def _rank_task(self, p: int, q: int, n: int, keep: bool) -> _Cell:
+        """`_ranked` for a task of a plan ranked q ascending: the codomain's last reader.
+
+        So the codomain's codes and pivots go, also when this cell was ranked
+        already (an empty cell is ranked when built). A codomain of q >= 1
+        still unranked is ranked by no task: its record goes, and a later
+        read builds it again.
+        """
+        cell = self._ranked(p, q, n, keep)
+        key = (p + self.ring.dimension, q - 1)
+        codomain = self._cells.get(key)
+        if codomain is not None:
+            if q > 1 and codomain.ranks is None:
+                del self._cells[key]
+            else:
+                codomain.codes = codomain.pivots = None
+        return cell
+
+    def _covered(self, p: int, q: int, n: int) -> _Cell | None:
+        """The record of cell (p, q) if it is ranked and covers truncation n, else None."""
+        cell = self._cells.get((p, q))
+        if cell is None or cell.ranks is None or cell.truncation < min(n, p + 2 * q):
+            return None
         return cell
 
     def dim(self, p: int, q: int, n: int) -> int:
@@ -214,9 +273,7 @@ class BettiEngine:
             value -= cell.ranks[min(n, cell.truncation)]
         if p >= self.ring.dimension and n >= 2 * q + 2:
             sp, sq = p - self.ring.dimension, q + 1  # the source, whose d enters this cell
-            source = self._cells.get((sp, sq))
-            if source is None or source.ranks is None or source.truncation < min(n, sp + 2 * sq):
-                source = self._ranked(sp, sq, n)
+            source = self._covered(sp, sq, n) or self._ranked(sp, sq, n)
             value -= source.ranks[min(n, source.truncation)]
         if value < 0:
             raise InternalConsistencyError(
@@ -272,25 +329,34 @@ class BettiEngine:
     def compute_ranks(
         self, tasks: list[tuple[int, int, int]], workers: int = 1, reach: int = 0
     ) -> None:
-        """Rank each cell that sorted tasks read, once, in their order, optionally in a pool.
+        """Rank each cell that sorted tasks read, once, codomains first, optionally in a pool.
 
         The engine's reach rises to the tasks' largest truncation, or to
         `reach`: a table's limit page also reads cell dimensions at its
         largest n, which no task reaches when every ranked cell saturates
-        below it. A pool job is one cell at the truncation of this engine's
-        record; the worker returns the record's ranks, and this engine keeps
-        them. The largest jobs go first, by the columns a worker assembles:
-        the cell's listed pieces. Then each cell not ranked yet is ranked at
-        its last task's truncation, p ascending as `required_ranks` lists
-        them, so before its codomain (p + D, q - 1), whose codes it reads.
+        below it. Each cell not ranked yet is ranked at its last task's
+        truncation, q ascending and then p, so after its codomain (p + D,
+        q - 1). A cell whose source (p - D, q + 1) the tasks still assemble
+        keeps its codes and pivots until that assembly, which clears those
+        rows. A pool ranks the cells in waves, one q at a time: a job is one
+        cell at the truncation of this engine's record, with its codomain's
+        pivots; the worker returns the record's ranks, and its pivots when
+        its source is awaited, and this engine keeps them until the next
+        wave has read them. The largest jobs of a wave go first, by the
+        columns a worker assembles: the cell's listed pieces.
         """
+        dimension = self.ring.dimension
         self._reach = max([self._reach, reach, *(n_eff for _, _, n_eff in tasks)])
         last = {(p, q): n for p, q, n in tasks}  # each cell's largest read, in the tasks' order
-        cells = {(p, q): self._cell(p, q, n) for (p, q), n in last.items()} if workers > 1 else {}
-        jobs = sorted(
-            ((p, q, cell.truncation) for (p, q), cell in cells.items() if cell.ranks is None),
-            key=lambda job: -len(cells[job[:2]].codes.codes),
-        )
+        order = sorted(last, key=lambda cell: cell[::-1])  # q ascending, then p
+
+        def awaited(p: int, q: int) -> bool:
+            """Whether the tasks still assemble the source of (p, q), which reads its record."""
+            sp, sq = p - dimension, q + 1
+            return (sp, sq) in last and not self._covered(sp, sq, last[sp, sq])
+
+        cells = {(p, q): self._cell(p, q, last[p, q]) for p, q in order} if workers > 1 else {}
+        jobs = [(p, q, cell.truncation) for (p, q), cell in cells.items() if cell.ranks is None]
         if len(jobs) > 1:
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
 
@@ -300,11 +366,20 @@ class BettiEngine:
                 initializer=_pool_init,
                 initargs=(self.ring, self.reduced),
             ) as pool:
-                for (p, q, _), ranks in zip(jobs, pool.map(_pool_ranks, jobs, chunksize=1)):
-                    cell = cells[(p, q)]
-                    cell.ranks, cell.codes = ranks, None
-        for (p, q), n in last.items():
-            self._ranked(p, q, n)
+                for _, wave in groupby(jobs, key=lambda job: job[1]):
+                    wave = sorted(wave, key=lambda job: -len(cells[job[:2]].codes.codes))
+                    targets = [self._cells.get((p + dimension, q - 1)) for p, q, _ in wave]
+                    sent = [
+                        (p, q, t, target and target.pivots, awaited(p, q))
+                        for (p, q, t), target in zip(wave, targets)
+                    ]
+                    for (p, q, _), (ranks, pivots) in zip(wave, pool.map(_pool_ranks, sent)):
+                        cell = cells[(p, q)]
+                        cell.ranks, cell.codes, cell.pivots = ranks, None, pivots
+                    for target in filter(None, targets):
+                        target.pivots = None
+        for p, q in order:
+            self._rank_task(p, q, last[p, q], keep=awaited(p, q))
 
 
 @dataclass
@@ -316,16 +391,17 @@ class BettiTable:
     n_max: int
     i_max: int
     grid: dict[tuple[int, int], int]  # (n, i) -> Betti number
-    # i -> the least n in the range from which b_i keeps its value at n_max
-    stabilization_onsets: dict[int, int] = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.stabilization_onsets = {}
+    @cached_property
+    def stabilization_onsets(self) -> dict[int, int]:
+        """i -> the least n in the range from which b_i keeps its value at n_max."""
+        onsets = {}
         for i in range(self.i_max + 1):
             onset = self.n_max
             while onset > self.n_min and self.grid[(onset - 1, i)] == self.grid[(self.n_max, i)]:
                 onset -= 1
-            self.stabilization_onsets[i] = onset
+            onsets[i] = onset
+        return onsets
 
     def betti(self, n: int, i: int) -> int:
         return self.grid[(n, i)]
@@ -415,8 +491,16 @@ def _pool_init(ring: GradedRing, reduced: bool) -> None:
     _POOL_ENGINE = BettiEngine(ring, reduced=reduced)
 
 
-def _pool_ranks(job: tuple[int, int, int]) -> list[int]:
-    """The ranks of cell (p, q), built at exactly truncation t."""
-    p, q, t = job
-    _POOL_ENGINE._reach = t
-    return _POOL_ENGINE._ranked(p, q, t).ranks
+def _pool_ranks(job: tuple) -> tuple[list[int], set[int] | None]:
+    """The ranks of cell (p, q), built at exactly truncation t, and its pivot codes when `keep`.
+
+    The rows at the codomain's pivot codes `cleared` are cleared; the
+    worker's records keep neither codes nor pivots after the job.
+    """
+    p, q, t, cleared, keep = job
+    engine = _POOL_ENGINE
+    engine._reach = t
+    engine._cell(p + engine.ring.dimension, q - 1, t).pivots = cleared
+    cell = engine._rank_task(p, q, t, keep)
+    pivots, cell.codes, cell.pivots = cell.pivots, None, None
+    return cell.ranks, pivots

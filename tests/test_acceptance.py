@@ -19,8 +19,10 @@ import pytest
 
 from conftest import load_golden, rank
 
+import confbetti.engine as engine_module
 from confbetti.differential import assemble_matrix, enumerate_basis
 from confbetti.engine import betti_table, engine_for, stable_betti
+from confbetti.linalg import rank_profile_exact
 from confbetti.oracles import (
     check_d_squared,
     check_euler,
@@ -743,3 +745,53 @@ def test_extended_full_tables(name, n_max, i_max):
             assert table.betti(n, i) == expected, (name, n, i, expected)
             checked += 1
     assert checked >= 100
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("name,n_max,i_max", [("cp6", 12, 115), ("sigma3", 15, 16)])
+def test_extended_each_cleared_pair_composes_to_zero(name, n_max, i_max, monkeypatch):
+    """d' d = 0 on the very matrices clearing reads, and clearing keeps every prefix rank.
+
+    d' is the codomain's matrix as the engine ranked it (its own pivot rows
+    cleared), d the source's on the same codes without clearing.
+    """
+    ring = resolve_space(name)
+    assembled = {}
+    original = engine_module.assemble_matrix
+
+    def recording(ring, p, q, n, reduced=True, bases=None, cleared=()):
+        matrix = original(ring, p, q, n, reduced, bases, cleared=cleared)
+        assembled[p, q] = (n, bases, bool(cleared), matrix)
+        return matrix
+
+    monkeypatch.setattr(engine_module, "assemble_matrix", recording)
+    engine = engine_module.BettiEngine(ring)
+    engine.compute_ranks(engine.required_ranks(1, n_max, i_max), reach=n_max)
+    monkeypatch.undo()
+    pairs = 0
+    for (p, q), (n, bases, cleared, matrix) in assembled.items():
+        if not cleared:
+            continue
+        *_, outer = assembled[p + ring.dimension, q - 1]
+        whole = assemble_matrix(ring, p, q, n, True, bases)
+        assert outer.matmul(whole).entries == {}
+        assert rank_profile_exact(matrix).prefix_ranks == rank_profile_exact(whole).prefix_ranks
+        pairs += 1
+    assert pairs > 20
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize(
+    "name,n_min,n_max,i_max", [("cp6", 12, 17, 115), ("pbundle_cp2", 17, 17, 52)]
+)
+def test_extended_unreduced_model_agrees_on_the_blanked_golden_rows(name, n_min, n_max, i_max):
+    """The rows whose golden cells are blanked, checked through the unreduced model.
+
+    It is a larger complex with the same cohomology, so its matrices differ;
+    cp6 rows 12..17 take about 50 s unreduced.
+    """
+    ring = resolve_space(name)
+    reduced = betti_table(ring, n_min, n_max, i_max)
+    unreduced = betti_table(ring, n_min, n_max, i_max, reduced=False)
+    assert unreduced.grid == reduced.grid
+    assert sum(reduced.grid.values()) > 0

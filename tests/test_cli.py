@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -513,3 +514,61 @@ def test_an_option_the_command_does_not_read_exits_2(capsys, command, option):
         main([command, "--space", space, "--n", "1..2", option, *_UNREAD[option]])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+def _exit_text(capsys, parse, argv) -> tuple[int, str, str]:
+    with pytest.raises(SystemExit) as exc:
+        parse(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spaces", "--help"),
+        ("spaces", "extra"),
+        ("compute", "--help"),
+        ("compute", "--space", "cp1", "--n", "2", "--i-max", "3", "--format", "xml"),
+        ("compute", "--space", "cp1", "--n", "2", "--i-max", "3", "--bogus", "1"),
+        ("verify", "--help"),
+        ("verify", "--space", "cp1", "--ring-file", "ring.json"),
+        ("stable", "--help"),
+        ("stable", "--space", "cp1"),
+        ("betti-odd", "--help"),
+        ("betti-odd", "--space", "s3", "--n", "1..x"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_a_subcommand_parser_prints_the_full_parsers_help_and_errors(capsys, argv):
+    expected = _exit_text(capsys, confbetti.cli.build_parser().parse_args, argv)
+    assert expected[0] in (0, 2) and expected[1] + expected[2]
+    assert _exit_text(capsys, main, argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("spaces",), ("stable", "--space", "cp1", "--i-max", "-1"), ("stable", "--space", "cp1")],
+    ids=["done", "usage-error", "parser-error"],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_restores_the_collector_state(capsys, argv, enabled):
+    collecting = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse exits on its own errors
+            code = exc.code
+        assert code == (0 if argv == ("spaces",) else 2)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if collecting else gc.disable)()
+
+
+def test_main_runs_with_the_collector_off(monkeypatch):
+    states = []
+    command = ("", lambda sub: None, lambda args: states.append(gc.isenabled()) or 0)
+    monkeypatch.setitem(confbetti.cli._COMMANDS, "spaces", command)
+    assert main(["spaces"]) == 0
+    assert states == [False]

@@ -142,9 +142,9 @@ def test_a_table_expands_each_s_part_once(monkeypatch):
         filled.append((kernel, s_part))
         return fill(kernel, s_part)
 
-    def recording(ring, p, q, n, reduced=True, bases=None):
+    def recording(ring, p, q, n, reduced=True, bases=None, **kwargs):
         domains.append(bases[0])
-        return assemble(ring, p, q, n, reduced, bases)
+        return assemble(ring, p, q, n, reduced, bases, **kwargs)
 
     monkeypatch.setattr(_Kernel, "fill", counting)
     monkeypatch.setattr(engine_module, "assemble_matrix", recording)

@@ -443,7 +443,7 @@ def planted_cell(cp1, monkeypatch):
             (code,), ((orbit, length, count),) = original(ring, p, q, n, reduced)
             return PackedPieces([code, code], [(orbit, length, 2 * count)])
 
-        def planted(ring, p, q, n, reduced=True, bases=None):
+        def planted(ring, p, q, n, reduced=True, bases=None, **kwargs):
             assert (p, q) == (0, 1)
             values = {key: Fraction(v) for key, v in entries.items()}
             return RationalMatrix(2, 2, values)
@@ -558,8 +558,8 @@ def _record_assemblies(monkeypatch) -> list:
     assembled = []
     original = engine_module.assemble_matrix
 
-    def recording(ring, p, q, n, reduced=True, bases=None):
-        matrix = original(ring, p, q, n, reduced, bases)
+    def recording(ring, p, q, n, reduced=True, bases=None, **kwargs):
+        matrix = original(ring, p, q, n, reduced, bases, **kwargs)
         assembled.append(((p, q, n), matrix))
         return matrix
 
@@ -649,3 +649,74 @@ def test_readme_library_snippet_runs():
     assert names["grid"] == table.grid and table.grid[(7, 13)] == names["b"]
     assert names["onsets"] == table.stabilization_onsets
     assert len(names["row"]) == 21
+
+
+@pytest.mark.parametrize(
+    "space, small, large, i_max",
+    [("sigma3", 5, 9, 16), ("sigma2", 4, 8, 12), ("cp1xcp2", 5, 10, 40), ("cp6", 4, 8, 80)],
+)
+def test_a_second_larger_table_leaves_no_cyclic_garbage(space, small, large, i_max, fresh_engines):
+    # a CLI run keeps the collector off, so a table must free its memory by reference counts
+    ring = resolve_space(space)
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        betti_table(ring, 1, small, i_max)
+        gc.collect()  # the first table of a symmetric ring leaves its automorphism search
+        betti_table(ring, 1, large, i_max)
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def test_stabilization_onsets_are_computed_when_first_read(cp2):
+    table = betti_table(cp2, 1, 6, 8)
+    assert "stabilization_onsets" not in vars(table)
+    onsets = table.stabilization_onsets
+    assert onsets is table.stabilization_onsets
+    assert onsets == {
+        i: min(n for n in range(1, 7) if all(table.betti(m, i) == table.betti(6, i) for m in range(n, 7)))
+        for i in range(9)
+    }
+
+
+@pytest.mark.parametrize(
+    "space, n_max, i_max, workers",
+    [("sigma3", 9, 16, 1), ("cp6", 9, 115, 1), ("cp1xcp2", 10, 74, 1), ("sigma2", 6, 10, 2)],
+)
+def test_no_record_keeps_codes_or_pivots_after_compute_ranks(space, n_max, i_max, workers):
+    engine = BettiEngine(resolve_space(space))
+    for n in (n_max - 3, n_max):  # the second, larger plan rebuilds some records
+        engine.compute_ranks(engine.required_ranks(1, n, i_max), workers, reach=n)
+        assert all(cell.codes is None for cell in engine._cells.values())
+        assert all(cell.pivots is None for cell in engine._cells.values())
+
+
+def test_a_table_clears_each_codomains_pivot_rows(fresh_engines, monkeypatch):
+    # cp6 has no symmetry, so every record is one piece listed in code order
+    assembled = {}
+    original = engine_module.assemble_matrix
+
+    def recording(ring, p, q, n, reduced=True, bases=None, cleared=()):
+        assert (p, q) not in assembled
+        assembled[p, q] = (n, bases, set(cleared))
+        return original(ring, p, q, n, reduced, bases, cleared=cleared)
+
+    monkeypatch.setattr(engine_module, "assemble_matrix", recording)
+    ring = ring_cp(6)
+    betti_table(ring, 1, 9, 115)
+    checked = 0
+    for (p, q), (_, bases, cleared) in assembled.items():
+        codomain = (p + ring.dimension, q - 1)
+        if codomain not in assembled:
+            assert not cleared  # no ranked codomain, so no pivots to clear
+            continue
+        n, codomain_bases, _ = assembled[codomain]
+        assert bases[1] == codomain_bases[0]  # the rows as the codomain's own assembly listed them
+        prefix = rank_profile_exact(assemble_matrix(ring, *codomain, n, True, codomain_bases))
+        rises = zip(codomain_bases[0], prefix.prefix_ranks, prefix.prefix_ranks[1:])
+        assert cleared == {code for code, before, after in rises if after > before}
+        checked += bool(cleared)
+    assert checked > 20

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -326,3 +327,45 @@ def test_row_reduce_is_sympy_rref(rows):
 def test_row_reduce_of_no_rows_and_zero_rows():
     assert row_reduce([]) == []
     assert row_reduce([[0, 0], [0, 0]]) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_clearing_the_codomains_pivot_rows_keeps_every_prefix_rank(data):
+    # a random integer complex C2 -d-> C1 -d'-> C0 with d'd = 0: the columns of
+    # d are integer combinations of a nullspace basis of d'
+    middle = data.draw(st.integers(1, 7), label="dim C1")
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    outer = [
+        data.draw(st.lists(entry, min_size=middle, max_size=middle), label="row of d'")
+        for _ in range(data.draw(st.integers(0, 5), label="dim C0"))
+    ]
+    solved = row_reduce(outer)
+    pivot_columns = {c for c, _ in solved}
+    nullspace = []
+    for free in range(middle):
+        if free in pivot_columns:
+            continue
+        vector = [Fraction(0)] * middle
+        vector[free] = Fraction(1)
+        for c, row in solved:
+            vector[c] = -Fraction(row[free], row[c])
+        scale = math.lcm(*(v.denominator for v in vector))
+        nullspace.append([int(v * scale) for v in vector])
+    columns = []
+    for _ in range(data.draw(st.integers(1, 6), label="dim C2")):
+        coefficients = [data.draw(st.integers(-3, 3), label="coefficient") for _ in nullspace]
+        columns.append([sum(a * v[k] for a, v in zip(coefficients, nullspace)) for k in range(middle)])
+    d = RationalMatrix(middle, len(columns), {
+        (k, j): Fraction(v) for j, column in enumerate(columns) for k, v in enumerate(column) if v
+    })
+    d_outer = RationalMatrix(len(outer), middle, {
+        (r, k): Fraction(v) for r, row in enumerate(outer) for k, v in enumerate(row) if v
+    })
+    assert d_outer.matmul(d).entries == {}
+    prefix = rank_profile_exact(d_outer).prefix_ranks
+    pivots = {k for k in range(middle) if prefix[k + 1] > prefix[k]}
+    cleared = RationalMatrix(middle, d.cols, {
+        (k, j): v for (k, j), v in d.entries.items() if k not in pivots
+    })
+    assert rank_profile_exact(cleared).prefix_ranks == rank_profile_exact(d).prefix_ranks

@@ -315,8 +315,8 @@ def test_a_pool_worker_lists_a_gone_codomain_by_its_representatives(monkeypatch)
     relisted = []
     original = engine_module.assemble_matrix
 
-    def recording(ring, p, q, n, reduced=True, bases=None):
-        matrix = original(ring, p, q, n, reduced, bases)
+    def recording(ring, p, q, n, reduced=True, bases=None, **kwargs):
+        matrix = original(ring, p, q, n, reduced, bases, **kwargs)
         shapes[mode][(p, q)] = (matrix.rows, matrix.cols)
         if mode == "pool":  # the worker's engine: was the codomain's record already ranked?
             target = engine_module._POOL_ENGINE._cells[(p + ring.dimension, q - 1)]
