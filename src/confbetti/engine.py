@@ -2,9 +2,8 @@
 
 Each bigrade cell (p, q) is one record, built once at a truncation t and
 indexed by length L <= t: the dimension and the rank over Q of the
-differential leaving the cell at truncation L, and its packed pieces until the
-assemblies that read them are done. Before ranking, a table raises the
-engine's reach to its largest n; a cell read within the reach is built at
+differential leaving the cell at truncation L. Before ranking, a table raises
+the engine's reach to its largest n; a cell read within the reach is built at
 min(saturation, reach), and any other at saturation (length p + 2q, beyond
 which the cell stops growing). A table reading a cell at some n reads it at
 every larger n up to its last, so this is the largest truncation the table
@@ -28,29 +27,32 @@ its differential is 0. A request beyond the reach rebuilds the record at
 saturation, so a query past a table rebuilds each cell once. Only the library
 calls `assemble_matrix` without bases; it then lists both whole cells.
 
-A table clears the rows a codomain's ranking has made redundant, as in
-persistent homology (Chen & Kerber, EuroCG 2011; Bauer, Kerber & Reininghaus,
-TopoInVis 2013). Let d' leave the codomain (p + D, q - 1) of d, and A be the
-codomain's pivot columns: those where its prefix rank rises, so d' is
-injective on them. Since d' d = 0, each row of d at A is a combination of the
-rows outside A, in every column, so deleting those rows keeps the rank of
-every column prefix: every rank at every length end of every piece, and the
-spot check's. Pieces keep this, as d keeps labels and the codomain's pieces
-hold the rows of the cell's. The codomain's record keeps the codes of A with
-its own codes until its source's assembly has read them, and
-`assemble_matrix` skips every term landing on them. A record rebuilt past a
-table keeps none, and its source is assembled without clearing.
+d maps (p, q) to (p + D, q - 1), so it keeps the chain key p + Dq, and
+`_rank_chain` ranks one chain's cells bottom-up, q ascending. It lists the
+first cell's codomain once, for its rows; then each cell is listed, assembled
+against the codes of the cell ranked just before it, and ranked, and only its
+own codes and prefix ranks, whose rises mark its pivots, pass on to the next
+cell. The codes are the routine's local values, never a record's. Ranking the
+codomain first clears rows, as in persistent homology (Chen & Kerber, EuroCG
+2011; Bauer, Kerber & Reininghaus, TopoInVis 2013). Let d' leave the codomain
+(p + D, q - 1) of d, and A be the codomain's pivot columns: those where its
+prefix rank rises, so d' is injective on them. Since d' d = 0, each row of d
+at A is a combination of the rows outside A, in every column, so deleting
+those rows keeps the rank of every column prefix: every rank at every length
+end of every piece, and the spot check's. Pieces keep this, as d keeps labels
+and the codomain's pieces hold the rows of the cell's. `assemble_matrix` skips
+every term landing on A. A chain's first cell, and a cell whose codomain the
+pass did not rank just before it, is assembled without clearing; a query past
+a table ranks a chain of one cell.
 
 A table walks the cells it reads once, in `_table_reads`: each n, then the
 cells (p, q) on its lines below n's vanishing bound. It is planned with one
 reach: `required_ranks` lists, sorted, each rank those reads need at its
-truncation min(n, p + 2q); `compute_ranks` ranks each listed cell once, q
-ascending and then p, so a codomain (p + D, q - 1) is ranked before the one
-cell that maps into it; q = 1 cells map into q = 0, which has no
-differential, and keep all their rows. A codomain's codes and pivots go once
-its source's assembly has read them, or right after its own ranking when no
-listed source reads them; a pool ranks one q at a time and sends each job its
-codomain's pivots.
+truncation min(n, p + 2q); `compute_ranks` groups the listed cells that are
+not ranked yet by chain, and ranks each chain once. A table's cells of one
+chain form one interval of q, so each cell but the chain's lowest is cleared.
+A pool ranks one chain per job and returns its records, so the parent lists
+no cell it ranks.
 Every monomial's p, and D, are multiples of g (`degree_gcd`), the gcd of the
 ring's degrees (2 when all are even), so p steps by g: a cell off that
 lattice is empty, like its source, and is neither planned nor read. Every
@@ -65,7 +67,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, groupby
+from itertools import accumulate
 
 from .differential import PackedPieces, assemble_matrix, degree_gcd, packed_pieces
 from .linalg import RankProfile, RationalMatrix, rank_profile_modular
@@ -93,9 +95,7 @@ class _Cell:
 
     truncation: int
     dims: list[int]  # dims[L] = basis monomials of length <= L, for L <= truncation
-    codes: PackedPieces | None  # the packed codes and their runs, until no assembly reads them
     ranks: list[int] | None  # ranks[L] = rank of d on the monomials of length <= L, once ranked
-    pivots: set[int] | None = None  # its pivot columns' codes, kept with `codes` for its source
 
 
 class BettiEngine:
@@ -115,98 +115,77 @@ class BettiEngine:
 
     # -- cell records -----------------------------------------------------------
 
-    def _cell(self, p: int, q: int, n: int) -> _Cell:
-        """The record of cell (p, q), rebuilt first if it does not cover truncation n."""
+    def _cell(self, p: int, q: int, n: int) -> tuple[_Cell, PackedPieces | None]:
+        """The record of cell (p, q) covering truncation n, and its codes if this call built it."""
         saturation = max(1, p + 2 * q)  # the cell stops growing beyond this length
         cell = self._cells.get((p, q))
-        if cell is None or cell.truncation < min(n, saturation):
-            truncation = min(saturation, self._reach) if n <= self._reach else saturation
-            codes = packed_pieces(self.ring, p, q, truncation, self.reduced)
-            added = [0] * (truncation + 1)  # monomials of each length, orbits counted
-            for orbit, length, count in codes.runs:
-                added[length] += orbit * count
-            dims = list(accumulate(added))
-            if dims[-1]:
-                cell = _Cell(truncation, dims, codes, None)
-            else:  # an empty cell is never assembled
-                cell = _Cell(truncation, dims, None, dims)
-            self._cells[(p, q)] = cell
-        return cell
+        if cell is not None and cell.truncation >= min(n, saturation):
+            return cell, None
+        truncation = min(saturation, self._reach) if n <= self._reach else saturation
+        codes = packed_pieces(self.ring, p, q, truncation, self.reduced)
+        added = [0] * (truncation + 1)  # monomials of each length, orbits counted
+        for orbit, length, count in codes.runs:
+            added[length] += orbit * count
+        dims = list(accumulate(added))
+        # an empty cell is never assembled: every rank of its differential is 0
+        cell = self._cells[(p, q)] = _Cell(truncation, dims, None if dims[-1] else dims)
+        return cell, codes
 
-    def _ranked(self, p: int, q: int, n: int, keep: bool = False) -> _Cell:
-        """The record of cell (p, q), covering n, with the ranks of its differential.
+    def _listed(self, p: int, q: int, n: int) -> tuple[_Cell, PackedPieces]:
+        """The record of cell (p, q) covering truncation n, with its codes at its truncation."""
+        cell, codes = self._cell(p, q, n)
+        if codes is None:  # a kept record keeps no codes
+            codes = packed_pieces(self.ring, p, q, cell.truncation, self.reduced)
+        return cell, codes
 
-        The matrix is assembled from the codes of this cell's record and of
-        its codomain's, as both records list them (codomain rows longer than
-        this cell's truncation stay empty: d never raises length), with the
-        rows at the codomain's pivots cleared when its record keeps them,
+    def _rank_chain(self, chain: list[tuple[int, int, int]]) -> None:
+        """Rank the cells (p, q, n) of one chain p + Dq, q ascending, each covering its n.
+
+        Each matrix is assembled from the codes of the cell and of its
+        codomain (p + D, q - 1), as their records list them (codomain rows
+        longer than the cell's truncation stay empty: d never raises length),
         ranked over Q in one pass, and dropped; into an empty codomain every
-        rank is 0 and nothing is assembled. d keeps labels, so the matrix is
-        block-diagonal over the pieces, and the rank of a piece at length L
-        is the difference of two prefix ranks: at the piece's start and at
-        its end at length L, which is the sum of the rises across its runs up
-        to L. So each run adds its rise, times its orbit size, at its length.
-        The cell's own assembly is the last to read its codes, unless `keep`
-        says that its source is still to be assembled: then they stay, with
-        the codes of the columns where its prefix rank rises (`_rank_task`
-        drops both after that assembly). A q = 0 codomain is read by one
-        cell only; an unranked codomain of q >= 1 keeps its codes for its
-        own ranking, which a query may ask for next, and a codomain whose
-        codes are gone (a pool worker or a query out of order may have
-        ranked it first) is listed again at its record's truncation.
+        rank is 0 and nothing is assembled. When the codomain is the cell
+        ranked just before, its codes are the rows and its pivot codes are
+        cleared; otherwise the codomain is listed and nothing is cleared. d
+        keeps labels, so the matrix is block-diagonal over the pieces, and
+        the rank of a piece at length L is the difference of two prefix
+        ranks: at the piece's start and at its end at length L, which is the
+        sum of the rises across its runs up to L. So each run adds its rise,
+        times its orbit size, at its length.
         """
-        cell = self._cell(p, q, n)
-        if cell.ranks is None:
-            t = cell.truncation
-            target = self._cell(p + self.ring.dimension, q - 1, t)
-            if target.dims[min(t, target.truncation)]:
-                domain = cell.codes
-                codomain = target.codes or packed_pieces(
-                    self.ring, p + self.ring.dimension, q - 1, target.truncation, self.reduced
-                )
-                bases = (domain.codes, codomain.codes)
-                matrix = assemble_matrix(
-                    self.ring, p, q, t, self.reduced, bases=bases, cleared=target.pivots or ()
-                )
-                profile = exact_rank(matrix)
-                prefix = profile.prefix_ranks
-                shortest = domain.runs[0][2]  # the first piece's shortest monomials
-                if prefix[shortest] < shortest:  # else no prime ranks higher
-                    self._spot_check(matrix, profile, shortest, (p, q))
-                added, start = [0] * (t + 1), 0  # the rank each length adds, orbits counted
-                for orbit, length, count in domain.runs:
-                    end = start + count
-                    added[length] += orbit * (prefix[end] - prefix[start])
-                    start = end
-                cell.ranks = list(accumulate(added))
-                if keep:
-                    rises = zip(domain.codes, prefix, prefix[1:])
-                    cell.pivots = {code for code, before, after in rises if after > before}
-            else:
-                cell.ranks = [0] * len(cell.dims)
-            if not keep:
-                cell.codes = None
-            if q == 1:
-                target.codes = None
-        return cell
-
-    def _rank_task(self, p: int, q: int, n: int, keep: bool) -> _Cell:
-        """`_ranked` for a task of a plan ranked q ascending: the codomain's last reader.
-
-        So the codomain's codes and pivots go, also when this cell was ranked
-        already (an empty cell is ranked when built). A codomain of q >= 1
-        still unranked is ranked by no task: its record goes, and a later
-        read builds it again.
-        """
-        cell = self._ranked(p, q, n, keep)
-        key = (p + self.ring.dimension, q - 1)
-        codomain = self._cells.get(key)
-        if codomain is not None:
-            if q > 1 and codomain.ranks is None:
-                del self._cells[key]
-            else:
-                codomain.codes = codomain.pivots = None
-        return cell
+        dimension = self.ring.dimension
+        below = None  # the record, codes and prefix ranks of the cell ranked last
+        for p, q, n in chain:
+            cell, codes = self._listed(p, q, n)
+            t, prefix = cell.truncation, ()
+            if cell.ranks is None:
+                target = self._cells.get((p + dimension, q - 1))
+                if below and below[0] is target and target.truncation >= t:
+                    _, rows, ranked = below
+                    rises = zip(rows.codes, ranked, ranked[1:])
+                    cleared = {code for code, before, after in rises if after > before}
+                else:
+                    (target, rows), cleared = self._listed(p + dimension, q - 1, t), ()
+                if target.dims[min(t, target.truncation)]:
+                    bases = (codes.codes, rows.codes)
+                    matrix = assemble_matrix(
+                        self.ring, p, q, t, self.reduced, bases=bases, cleared=cleared
+                    )
+                    profile = exact_rank(matrix)
+                    prefix = profile.prefix_ranks
+                    shortest = codes.runs[0][2]  # the first piece's shortest monomials
+                    if prefix[shortest] < shortest:  # else no prime ranks higher
+                        self._spot_check(matrix, profile, shortest, (p, q))
+                    added, start = [0] * (t + 1), 0  # the rank each length adds, orbits counted
+                    for orbit, length, count in codes.runs:
+                        end = start + count
+                        added[length] += orbit * (prefix[end] - prefix[start])
+                        start = end
+                    cell.ranks = list(accumulate(added))
+                else:
+                    cell.ranks = [0] * len(cell.dims)
+            below = cell, codes, prefix
 
     def _covered(self, p: int, q: int, n: int) -> _Cell | None:
         """The record of cell (p, q) if it is ranked and covers truncation n, else None."""
@@ -215,11 +194,16 @@ class BettiEngine:
             return None
         return cell
 
+    def _ranked(self, p: int, q: int, n: int) -> _Cell:
+        """The record of cell (p, q), covering n, ranked as a chain of one: nothing is cleared."""
+        self._rank_chain([(p, q, n)])
+        return self._cells[(p, q)]
+
     def dim(self, p: int, q: int, n: int) -> int:
         """dim of cell (p, q) at truncation n: its monomials of length at most n."""
         if p < 0 or q < 0 or n < max(1, 2 * q):  # every monomial has length >= 2q
             return 0
-        cell = self._cell(p, q, n)
+        cell = self._cell(p, q, n)[0]
         return cell.dims[min(n, cell.truncation)]
 
     # -- ranks ----------------------------------------------------------------
@@ -230,9 +214,9 @@ class BettiEngine:
         Both bases are graded by length and the differential preserves it, so
         the matrix at n is the cell's columns of length at most n.
         """
-        if q <= 0 or p < 0 or n < 2 * q or not self.dim(p, q, n):
+        if q <= 0 or p < 0 or n < 2 * q:
             return 0
-        cell = self._ranked(p, q, n)
+        cell = self._covered(p, q, n) or self._ranked(p, q, n)
         return cell.ranks[min(n, cell.truncation)]
 
     @staticmethod
@@ -261,15 +245,14 @@ class BettiEngine:
             raise ValueError("n must be at least 1")
         if p < 0 or q < 0 or n < 2 * q:
             return 0
-        cell = self._cells.get((p, q))
-        if cell is None or cell.truncation < min(n, p + 2 * q):
-            cell = self._cell(p, q, n)
+        if q:
+            cell = self._covered(p, q, n) or self._ranked(p, q, n)
+        else:
+            cell = self._cell(p, q, n)[0]
         value = cell.dims[min(n, cell.truncation)]
         if not value:
             return 0
         if q:
-            if cell.ranks is None:
-                cell = self._ranked(p, q, n)
             value -= cell.ranks[min(n, cell.truncation)]
         if p >= self.ring.dimension and n >= 2 * q + 2:
             sp, sq = p - self.ring.dimension, q + 1  # the source, whose d enters this cell
@@ -329,57 +312,38 @@ class BettiEngine:
     def compute_ranks(
         self, tasks: list[tuple[int, int, int]], workers: int = 1, reach: int = 0
     ) -> None:
-        """Rank each cell that sorted tasks read, once, codomains first, optionally in a pool.
+        """Rank each cell that sorted tasks read, once, one chain at a time, optionally in a pool.
 
         The engine's reach rises to the tasks' largest truncation, or to
         `reach`: a table's limit page also reads cell dimensions at its
         largest n, which no task reaches when every ranked cell saturates
         below it. Each cell not ranked yet is ranked at its last task's
-        truncation, q ascending and then p, so after its codomain (p + D,
-        q - 1). A cell whose source (p - D, q + 1) the tasks still assemble
-        keeps its codes and pivots until that assembly, which clears those
-        rows. A pool ranks the cells in waves, one q at a time: a job is one
-        cell at the truncation of this engine's record, with its codomain's
-        pivots; the worker returns the record's ranks, and its pivots when
-        its source is awaited, and this engine keeps them until the next
-        wave has read them. The largest jobs of a wave go first, by the
-        columns a worker assembles: the cell's listed pieces.
+        truncation by `_rank_chain`, with the other cells of its chain p + Dq,
+        q ascending. A pool ranks one chain per job, largest chain key first,
+        on a worker engine at this engine's reach, and takes back its records.
         """
         dimension = self.ring.dimension
         self._reach = max([self._reach, reach, *(n_eff for _, _, n_eff in tasks)])
         last = {(p, q): n for p, q, n in tasks}  # each cell's largest read, in the tasks' order
-        order = sorted(last, key=lambda cell: cell[::-1])  # q ascending, then p
-
-        def awaited(p: int, q: int) -> bool:
-            """Whether the tasks still assemble the source of (p, q), which reads its record."""
-            sp, sq = p - dimension, q + 1
-            return (sp, sq) in last and not self._covered(sp, sq, last[sp, sq])
-
-        cells = {(p, q): self._cell(p, q, last[p, q]) for p, q in order} if workers > 1 else {}
-        jobs = [(p, q, cell.truncation) for (p, q), cell in cells.items() if cell.ranks is None]
-        if len(jobs) > 1:
+        chains: dict[int, list[tuple[int, int, int]]] = {}
+        for p, q in sorted(last, key=lambda cell: cell[::-1]):  # q ascending
+            if not self._covered(p, q, last[p, q]):
+                chains.setdefault(p + dimension * q, []).append((p, q, last[p, q]))
+        if workers > 1 and len(chains) > 1:
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
 
+            jobs = [(self._reach, chains[key]) for key in sorted(chains, reverse=True)]
             # a forking pool starts every worker at once, so ask for no more than can run
             with ProcessPoolExecutor(
                 max_workers=min(workers, len(jobs), os.cpu_count() or 1),
                 initializer=_pool_init,
                 initargs=(self.ring, self.reduced),
             ) as pool:
-                for _, wave in groupby(jobs, key=lambda job: job[1]):
-                    wave = sorted(wave, key=lambda job: -len(cells[job[:2]].codes.codes))
-                    targets = [self._cells.get((p + dimension, q - 1)) for p, q, _ in wave]
-                    sent = [
-                        (p, q, t, target and target.pivots, awaited(p, q))
-                        for (p, q, t), target in zip(wave, targets)
-                    ]
-                    for (p, q, _), (ranks, pivots) in zip(wave, pool.map(_pool_ranks, sent)):
-                        cell = cells[(p, q)]
-                        cell.ranks, cell.codes, cell.pivots = ranks, None, pivots
-                    for target in filter(None, targets):
-                        target.pivots = None
-        for p, q in order:
-            self._rank_task(p, q, last[p, q], keep=awaited(p, q))
+                for (_, chain), records in zip(jobs, pool.map(_pool_chain, jobs)):
+                    self._cells.update(((p, q), cell) for (p, q, _), cell in zip(chain, records))
+        else:
+            for chain in chains.values():
+                self._rank_chain(chain)
 
 
 @dataclass
@@ -491,16 +455,15 @@ def _pool_init(ring: GradedRing, reduced: bool) -> None:
     _POOL_ENGINE = BettiEngine(ring, reduced=reduced)
 
 
-def _pool_ranks(job: tuple) -> tuple[list[int], set[int] | None]:
-    """The ranks of cell (p, q), built at exactly truncation t, and its pivot codes when `keep`.
+def _pool_chain(job: tuple) -> list[_Cell]:
+    """The ranked records of one chain's cells, built at the parent's reach.
 
-    The rows at the codomain's pivot codes `cleared` are cleared; the
-    worker's records keep neither codes nor pivots after the job.
+    The worker keeps no record between jobs.
     """
-    p, q, t, cleared, keep = job
+    reach, chain = job
     engine = _POOL_ENGINE
-    engine._reach = t
-    engine._cell(p + engine.ring.dimension, q - 1, t).pivots = cleared
-    cell = engine._rank_task(p, q, t, keep)
-    pivots, cell.codes, cell.pivots = cell.pivots, None, None
-    return cell.ranks, pivots
+    engine._reach = reach
+    engine._rank_chain(chain)
+    records = [engine._cells[p, q] for p, q, _ in chain]
+    engine._cells.clear()
+    return records

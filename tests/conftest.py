@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import importlib.util
 from fractions import Fraction
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import confbetti.engine as engine_module
 from confbetti import (
     GradedRing,
     Monomial,
@@ -175,6 +177,29 @@ def reference_d_generator(ring, j):
                 if koszul:
                     out[mon] = out.get(mon, Fraction(0)) + sign * koszul * ca * cb
     return algebra_element(out)
+
+
+class InlineExecutor:
+    """Runs every job in this process, as one worker that takes them in pool order."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """A `workers > 1` table runs its pool jobs in this process, where a test sees their calls."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(engine_module, "_POOL_ENGINE", None, raising=False)
 
 
 @pytest.fixture(scope="session")

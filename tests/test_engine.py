@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import confbetti.differential as differential_module
 import confbetti.engine as engine_module
 import confbetti.rings as rings_module
-from conftest import load_golden, rank
+from conftest import InlineExecutor, load_golden, rank
 from confbetti import (
     BettiEngine,
     InternalConsistencyError,
@@ -355,29 +355,19 @@ def test_pool_workers_take_the_ring_without_validating_it(cp1xcp1, monkeypatch):
 
 @pytest.mark.parametrize("cpus, expected", [(3, 3), (None, 1)])
 def test_worker_pool_asks_for_no_more_workers_than_cpus(
-    cp1xcp1, cpus, expected, fresh_engines, monkeypatch
+    cp1xcp1, cpus, expected, fresh_engines, inline_pool, monkeypatch
 ):
     requested = []
 
-    class InlineExecutor:
-        """Records the pool size asked for and runs every job in this process."""
+    class Recording(InlineExecutor):
+        """Records the pool size asked for."""
 
         def __init__(self, max_workers, initializer, initargs):
             requested.append(max_workers)
-            initializer(*initargs)
+            super().__init__(max_workers, initializer, initargs)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs, chunksize=1):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(engine_module, "_POOL_ENGINE", None, raising=False)
     pooled = betti_table(cp1xcp1, 1, 6, 10, workers=10**6)
     assert requested == [expected]
     assert engine_for(cp1xcp1).uncertified_cells == []
@@ -392,10 +382,10 @@ def test_query_past_a_table_builds_each_cell_once(sigma2, fresh_engines, monkeyp
 
     def counting(engine, p, q, n):
         kept = engine._cells.get((p, q))
-        cell = original(engine, p, q, n)
+        cell, codes = original(engine, p, q, n)
         if cell is not kept:  # the record was built
             builds[(p, q)] = builds.get((p, q), 0) + 1
-        return cell
+        return cell, codes
 
     # counts records, not calls of `packed_pieces`: the engine also lists a
     # ranked codomain's pieces again for a cell that maps into it
@@ -638,7 +628,6 @@ def test_worker_pool_leaves_the_serial_ranks_in_each_record(sigma2, fresh_engine
     ranked = {key: cell.ranks for key, cell in pooled._cells.items() if cell.ranks}
     assert len(ranked) > 10
     assert ranked == {key: serial._cells[key].ranks for key in ranked}
-    assert all(pooled._cells[key].codes is None for key in ranked if any(ranked[key]))
 
 
 def test_readme_library_snippet_runs():
@@ -690,11 +679,11 @@ def test_no_record_keeps_codes_or_pivots_after_compute_ranks(space, n_max, i_max
     engine = BettiEngine(resolve_space(space))
     for n in (n_max - 3, n_max):  # the second, larger plan rebuilds some records
         engine.compute_ranks(engine.required_ranks(1, n, i_max), workers, reach=n)
-        assert all(cell.codes is None for cell in engine._cells.values())
-        assert all(cell.pivots is None for cell in engine._cells.values())
+        fields = [set(vars(cell)) for cell in engine._cells.values()]
+        assert fields and all(names == {"truncation", "dims", "ranks"} for names in fields)
 
 
-def test_a_table_clears_each_codomains_pivot_rows(fresh_engines, monkeypatch):
+def _assert_each_codomains_pivot_rows_are_cleared(workers, monkeypatch):
     # cp6 has no symmetry, so every record is one piece listed in code order
     assembled = {}
     original = engine_module.assemble_matrix
@@ -706,7 +695,7 @@ def test_a_table_clears_each_codomains_pivot_rows(fresh_engines, monkeypatch):
 
     monkeypatch.setattr(engine_module, "assemble_matrix", recording)
     ring = ring_cp(6)
-    betti_table(ring, 1, 9, 115)
+    betti_table(ring, 1, 9, 115, workers=workers)
     checked = 0
     for (p, q), (_, bases, cleared) in assembled.items():
         codomain = (p + ring.dimension, q - 1)
@@ -720,3 +709,67 @@ def test_a_table_clears_each_codomains_pivot_rows(fresh_engines, monkeypatch):
         assert cleared == {code for code, before, after in rises if after > before}
         checked += bool(cleared)
     assert checked > 20
+
+
+def test_a_table_clears_each_codomains_pivot_rows(fresh_engines, monkeypatch):
+    _assert_each_codomains_pivot_rows_are_cleared(1, monkeypatch)
+
+
+def test_a_pool_table_clears_each_codomains_pivot_rows(fresh_engines, inline_pool, monkeypatch):
+    _assert_each_codomains_pivot_rows_are_cleared(2, monkeypatch)
+
+
+@pytest.mark.parametrize("space, n_max, i_max", [("sigma3", 9, 16), ("cp6", 9, 115)])
+def test_serial_and_pool_tables_assemble_the_same_matrices(
+    space, n_max, i_max, fresh_engines, inline_pool, monkeypatch
+):
+    original = engine_module.assemble_matrix
+    shapes: dict[int, list] = {1: [], 2: []}
+
+    def recording(ring, p, q, n, reduced=True, bases=None, cleared=()):
+        matrix = original(ring, p, q, n, reduced, bases, cleared=cleared)
+        shapes[workers].append((p, q, matrix.rows, matrix.cols, len(matrix.entries)))
+        return matrix
+
+    monkeypatch.setattr(engine_module, "assemble_matrix", recording)
+    ring = resolve_space(space)
+    for workers in (1, 2):
+        fresh_engines()
+        betti_table(ring, 1, n_max, i_max, workers=workers)
+    assert len(shapes[1]) > 20
+    assert sorted(shapes[2]) == sorted(shapes[1])
+
+
+def test_a_pool_parent_lists_no_cell_it_ranks(sigma2, fresh_engines, monkeypatch):
+    top = vanishing_bound(sigma2, 6) - 1
+    listed = []  # the parent's listings; a worker's stay in the worker
+    original = engine_module.packed_pieces
+
+    def recording(ring, p, q, n, reduced=True):
+        listed.append((p, q))
+        return original(ring, p, q, n, reduced)
+
+    monkeypatch.setattr(engine_module, "packed_pieces", recording)
+    table = betti_table(sigma2, 1, 6, top, workers=2)
+    planned = {(p, q) for p, q, _ in engine_for(sigma2).required_ranks(1, 6, top)}
+    assert len(planned) > 10 and not planned & set(listed)
+    fresh_engines()
+    assert table.grid == betti_table(sigma2, 1, 6, top).grid
+
+
+def test_a_chain_lists_a_codomain_record_shorter_than_its_cell_again(cp2):
+    # `dim` builds (8, 1) at the reach of the first table; the second raises the
+    # reach, so the third builds (4, 2) longer than the record of its codomain
+    engine = BettiEngine(cp2)
+    engine.compute_ranks(engine.required_ranks(1, 4, 0), reach=4)
+    engine.dim(8, 1, 4)
+    engine.compute_ranks(engine.required_ranks(1, 5, 0), reach=5)
+    engine.compute_ranks(engine.required_ranks(1, 4, 12), reach=4)
+    assert engine._cells[(4, 2)].truncation == 5
+    checked = 0
+    for (p, q), cell in engine._cells.items():
+        if q and cell.ranks is not None:
+            lengths = range(1, cell.truncation + 1)
+            assert cell.ranks[1:] == [rank(assemble_matrix(cp2, p, q, n)) for n in lengths]
+            checked += 1
+    assert checked > 5
