@@ -11,9 +11,7 @@ from pathlib import Path
 from .basis import format_monomial
 from .differential import assemble_matrix, decode_codes, image_scale, packed_pieces
 from .engine import BettiTable, betti_odd_closed, betti_table, engine_for, stable_betti
-from .oracles import run_all
 from .rings import GradedRing, RingError, euler_characteristic, parse_ring
-from .spaces import REGISTRY, resolve_space
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
@@ -43,6 +41,8 @@ def _load_ring(args) -> tuple[GradedRing, str]:
             ring = parse_ring(Path(args.ring_file).read_text(encoding="utf-8"))
             space = ring.name
         else:
+            from .spaces import resolve_space  # a --ring-file run never loads the registry
+
             ring, space = resolve_space(args.space), args.space
     except KeyError as err:  # an unknown space name; str() would quote the message
         raise UsageError(err.args[0]) from None
@@ -124,6 +124,8 @@ def _dump_matrices(table: BettiTable, reduced: bool, directory: Path) -> None:
 
 
 def cmd_spaces(args) -> int:
+    from .spaces import REGISTRY
+
     for name in sorted(REGISTRY):
         ring = REGISTRY[name]
         print(f"{name}  dimension={ring.dimension}  basis={ring.size}")
@@ -192,6 +194,8 @@ def cmd_verify(args) -> int:
             f"space {space!r} is odd-dimensional; the oracle suite applies to the "
             "spectral-sequence path (use betti-odd for the closed formula)"
         )
+    from .oracles import run_all  # only this command runs the oracle suite
+
     report = run_all(ring, args.n_range[0], args.n_range[1], args.i_max)
     for line in report.lines():
         print(line)

@@ -33,7 +33,6 @@ the result into graded-lex `Monomial`s with rational coefficients.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -44,8 +43,7 @@ from .linalg import RationalMatrix
 from .rings import GradedRing, dual_basis
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(NamedTuple):
     """Rational linear combination of monomials; zero coefficients never stored."""
 
     terms: tuple[tuple[Monomial, Fraction], ...]

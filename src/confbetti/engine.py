@@ -89,13 +89,13 @@ def vanishing_bound(ring: GradedRing, n: int) -> int:
     return (ring.dimension - 1) * n + 2
 
 
-@dataclass
 class _Cell:
     """One bigrade cell, built at truncation t; it serves every n with min(n, p + 2q) <= t."""
 
-    truncation: int
-    dims: list[int]  # dims[L] = basis monomials of length <= L, for L <= truncation
-    ranks: list[int] | None  # ranks[L] = rank of d on the monomials of length <= L, once ranked
+    def __init__(self, truncation: int, dims: list[int], ranks: list[int] | None):
+        self.truncation = truncation
+        self.dims = dims  # dims[L] = basis monomials of length <= L, for L <= truncation
+        self.ranks = ranks  # ranks[L] = rank of d on the monomials of length <= L, once ranked
 
 
 class BettiEngine:

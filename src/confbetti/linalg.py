@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 
 @dataclass
@@ -67,8 +68,7 @@ class RationalMatrix:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(slots=True)
-class RankProfile:
+class RankProfile(NamedTuple):
     """Ranks over Q of every column prefix of one matrix."""
 
     prefix_ranks: list[int]  # prefix_ranks[k] = rank of the first k columns

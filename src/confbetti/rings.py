@@ -77,8 +77,7 @@ def _value_hash(ring: GradedRing) -> int:
     return hash(tuple(getattr(ring, f.name) for f in fields(ring)))
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(NamedTuple):
     """Sparse rational coefficient vector over a ring basis."""
 
     ring: GradedRing
@@ -285,7 +284,7 @@ def parse_ring(text: str) -> GradedRing:
     """Parse and validate a ring-spec JSON document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or an integer too long
         raise RingFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise RingFormatError("top level must be a JSON object")

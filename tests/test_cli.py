@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import importlib
 import json
 import os
 import subprocess
@@ -73,6 +74,13 @@ def test_registry_builds_each_ring_once_on_lookup():
         REGISTRY["cp7"]
 
 
+def _child_env() -> dict:
+    """This environment, with the package's source directory first on PYTHONPATH."""
+    src = str(Path(confbetti.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def test_import_loads_no_numpy_and_builds_no_ring():
     # counts ring validations, differential kernels built and generator images,
     # and lists the process-pool modules the import loaded
@@ -86,7 +94,9 @@ sys.setprofile(watch)
 import confbetti.cli
 imported = list(calls.values())
 pool_modules = set(sys.modules)
-ring = confbetti.cli.REGISTRY["cp2"]
+assert not {"confbetti.oracles", "confbetti.spaces"} & pool_modules, pool_modules
+import confbetti.spaces
+ring = confbetti.spaces.REGISTRY["cp2"]
 looked_up = list(calls.values())
 confbetti.differential.assemble_matrix(ring, 0, 1, 2)
 sys.setprofile(None)
@@ -94,11 +104,9 @@ pools = [name for name in ("multiprocessing", "concurrent.futures", "concurrent.
          if name in pool_modules]
 print(imported, looked_up, min(calls.values()) > 0, "numpy" in sys.modules, pools)
 """
-    src = str(Path(confbetti.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=path), check=True,
+        env=_child_env(), check=True,
     )
     assert done.stdout.strip() == "[0, 0, 0] [1, 0, 0] True False []"
 
@@ -109,6 +117,59 @@ def test_package_exports_no_submodule():
     assert {"basis", "engine", "linalg", "spaces"} <= submodules
     assert not submodules & set(confbetti.__all__)
     assert all(hasattr(confbetti, name) for name in confbetti.__all__)
+
+
+def test_each_export_is_its_submodules_object():
+    for module, names in confbetti._EXPORTS.items():
+        submodule = importlib.import_module(f"confbetti.{module}")
+        for name in names:
+            assert getattr(confbetti, name) is getattr(submodule, name)
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from confbetti import *", namespace)
+    assert set(confbetti.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(confbetti, name) for name in confbetti.__all__)
+
+
+def test_an_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'confbetti' has no attribute 'no_such_name'"):
+        confbetti.no_such_name
+
+
+_LOADED_BY = """
+import json, sys
+import confbetti.cli
+code = confbetti.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("confbetti"))]))
+"""
+_TABLE_MODULES = ["confbetti"] + [
+    f"confbetti.{name}" for name in ("basis", "cli", "differential", "engine", "linalg", "rings")
+]
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["compute", "--ring-file", "{ring}", "--n", "1..3", "--i-max", "2"], []),
+        (["compute", "--space", "cp1", "--n", "1..3", "--i-max", "2"], ["confbetti.spaces"]),
+        (["verify", "--space", "cp1", "--n", "1..2", "--i-max", "2"],
+         ["confbetti.oracles", "confbetti.spaces"]),
+    ],
+    ids=["compute-ring-file", "compute-space", "verify"],
+)
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
+    ring_file = tmp_path / "cp1.json"
+    ring_file.write_text(serialize_ring(ring_cp(1)))
+    argv = [arg.format(ring=ring_file) for arg in argv]
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY, *argv], capture_output=True, text=True, timeout=60,
+        env=_child_env(), check=True,
+    )
+    code, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == sorted(_TABLE_MODULES + extra)
 
 
 def test_compute_csv_shape_and_determinism(capsys):
@@ -241,6 +302,29 @@ def test_non_utf8_ring_file_exits_2_with_one_line(tmp_path, capsys):
     assert out == ""
     assert "UTF-8" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        ('{"name": "big", "dimension": ' + "7" * 5000 + "}", "integer string conversion"),
+    ],
+    ids=["nested-100000-deep", "5000-digit-literal"],
+)
+def test_a_ring_file_json_cannot_read_exits_2_with_one_line(tmp_path, text, reason):
+    path = tmp_path / "ring.json"
+    path.write_text(text)
+    done = subprocess.run(
+        [sys.executable, "-m", "confbetti.cli", "compute", "--ring-file", str(path),
+         "--n", "1..2", "--i-max", "2"],
+        capture_output=True, text=True, timeout=60, env=_child_env(),
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("not valid JSON: ") and reason in done.stderr
 
 
 def test_stable_row(capsys):

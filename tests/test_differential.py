@@ -16,6 +16,7 @@ from confbetti import (
     assemble_matrix,
     d_generator,
     d_monomial,
+    element,
     enumerate_basis,
     format_monomial,
     parse_ring,
@@ -107,6 +108,23 @@ def _check_cell_against_leibniz(
     assert matrix.entries == expected
     assert all(type(v) is int for v in matrix.entries.values())
     return len(domain)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: element(ring_cp(2), {2: Fraction(1, 2), 1: 3, 0: 0}), "coeffs"),
+        (lambda: algebra_element({Monomial((1, 0), (0, 0, 0)): Fraction(2, 3)}), "terms"),
+    ],
+    ids=["ring-element", "algebra-element"],
+)
+def test_elements_from_equal_data_are_equal_immutable_values(build, field):
+    first, second = build(), build()
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    for name in (field, "note"):
+        with pytest.raises(AttributeError):
+            setattr(first, name, ())
 
 
 @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])

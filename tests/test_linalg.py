@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import rank
 
-from confbetti import RationalMatrix, rank_profile_exact
+from confbetti import RankProfile, RationalMatrix, rank_profile_exact
 from confbetti.linalg import rank_profile_modular, row_reduce
 
 
@@ -32,6 +32,11 @@ def test_rank_zero_matrix():
     m = _matrix(4, 3, {})
     assert rank(m) == 0
     assert rank_profile_exact(m).prefix_ranks == [0, 0, 0, 0]
+
+
+def test_a_profiles_rank_is_its_last_prefix_rank():
+    assert RankProfile([0, 1, 1, 2]).rank == 2
+    assert RankProfile([0]).rank == 0
 
 
 def test_rank_with_fractions():
