@@ -153,7 +153,10 @@ def cmd_compute(args) -> int:
     n_min, n_max = args.n_range
     table = betti_table(ring, n_min, n_max, args.i_max, reduced=reduced, workers=args.workers)
     if dump_dir is not None:
-        _dump_matrices(table, reduced, dump_dir)
+        try:
+            _dump_matrices(table, reduced, dump_dir)
+        except OSError as err:
+            raise UsageError(f"cannot write --dump-matrices file: {err}") from None
     sys.stdout.write(_grid_rows(table, space, args.format))
     return 0
 
@@ -169,7 +172,7 @@ def cmd_betti_odd(args) -> int:
     i_max = args.i_max if args.i_max is not None else n_max * ring.dimension
     grid = {}
     for n in range(n_min, n_max + 1):
-        values = betti_odd_closed(ring, n)
+        values = betti_odd_closed(ring, n, i_max)
         for i in range(i_max + 1):
             grid[(n, i)] = values[i] if i < len(values) else 0
     table = BettiTable(ring, n_min, n_max, i_max, grid)
@@ -180,7 +183,7 @@ def cmd_betti_odd(args) -> int:
 def cmd_stable(args) -> int:
     ring, space = _load_ring(args)
     if ring.dimension % 2:
-        values = [betti_odd_closed(ring, i + 1)[i] for i in range(args.i_max + 1)]
+        values = [betti_odd_closed(ring, i + 1, i)[i] for i in range(args.i_max + 1)]
     else:
         values = [stable_betti(ring, i) for i in range(args.i_max + 1)]
     print(",".join(str(v) for v in values))

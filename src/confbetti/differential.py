@@ -27,8 +27,8 @@ loop over the domain codes: look up the code's s-part, skip a term whose odd
 factor the code already holds, and write the signed coefficient at the row of
 `code + delta`. Coefficients are ints scaled by L, the lcm of the images'
 denominators, so a matrix holds L * d (L is 1 on every built-in ring).
-`d_monomial` validates a monomial, expands it from the same table and decodes
-the result into graded-lex `Monomial`s with rational coefficients.
+`d_monomial` assembles the column of one validated monomial and decodes its
+rows into graded-lex `Monomial`s with rational coefficients.
 """
 from __future__ import annotations
 
@@ -448,21 +448,6 @@ class _Kernel:
         entry = self.table[s_part] = tuple(map(tuple, by_top))
         return entry
 
-    def expand(self, code: int) -> list[tuple[int, int]]:
-        """d of one packed basis code as (packed image, L * coefficient) pairs.
-
-        No two pairs share an image: terms of one slot differ in their r part,
-        and two slots leave different s parts. In reduced mode, images whose
-        top-class r exponent reaches 2 are dropped.
-        """
-        by_top = self.table.get(code & self.s_mask) or self.fill(code & self.s_mask)
-        terms = by_top[min(1, (code >> self.r_top_shift) & self.field)]
-        return [
-            (code + delta, -value if (code & sign).bit_count() & 1 else value)
-            for delta, odd_factors, sign, value in terms
-            if not code & odd_factors  # else an odd factor squared
-        ]
-
 
 @lru_cache(maxsize=None)
 def _kernel(ring: GradedRing, reduced: bool, width: int) -> _Kernel:
@@ -476,15 +461,18 @@ def d_monomial(ring: GradedRing, mon: Monomial, reduced: bool = True) -> Algebra
     or s exponent above 0) maps to 0: d never lowers those exponents, and d
     of the top class's length-2 generator is its square in length 1, so such
     monomials span a subcomplex, and the reduced model is the quotient by it.
+    Otherwise it is the monomial's column of `assemble_matrix` at its length.
     """
     p, q = monomial_bigrade(mon, ring)  # validates shape and exterior constraints
     top = ring.orientation_index
     if reduced and (mon.r[top - 1] > 1 or mon.s[top]):
         return algebra_element({})
-    width = _field_width(ring, p, q)
-    image = _kernel(ring, reduced, width).expand(_pack(mon.r + mon.s, width))
+    length, width = max(1, sum(mon.r) + 2 * q), _field_width(ring, p, q)
+    rows = packed_pieces(ring, p + ring.dimension, q - 1, length, reduced, whole=True).codes
+    column = assemble_matrix(ring, p, q, length, reduced, ([_pack(mon.r + mon.s, width)], rows))
     m, scale = ring.top_generator_count, image_scale(ring)
-    return algebra_element({_unpack(c, width, m): Fraction(v, scale) for c, v in image})
+    image = column.entries.items()
+    return algebra_element({_unpack(rows[r], width, m): Fraction(v, scale) for (r, _), v in image})
 
 
 def assemble_matrix(

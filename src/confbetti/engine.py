@@ -46,11 +46,12 @@ pass did not rank just before it, is assembled without clearing; a query past
 a table ranks a chain of one cell.
 
 A table walks the cells it reads once, in `_table_reads`: each n, then the
-cells (p, q) on its lines below n's vanishing bound. It is planned with one
-reach: `required_ranks` lists, sorted, each rank those reads need at its
-truncation min(n, p + 2q); `compute_ranks` groups the listed cells that are
-not ranked yet by chain, and ranks each chain once. A table's cells of one
-chain form one interval of q, so each cell but the chain's lowest is cleared.
+cells (p, q) on its lines below n's vanishing bound. The lines only grow with
+n, so the reads at the largest n name each cell, at its largest truncation
+min(n, p + 2q), and `compute_ranks` plans from them alone, with the largest n
+as reach: it groups the cells not ranked yet by chain and ranks each chain
+once. A table's cells of one chain form one interval of q, so each cell but
+the chain's lowest is cleared.
 A pool ranks one chain per job and returns its records, so the parent lists
 no cell it ranks.
 Every monomial's p, and D, are multiples of g (`degree_gcd`), the gcd of the
@@ -195,9 +196,12 @@ class BettiEngine:
         return cell
 
     def _ranked(self, p: int, q: int, n: int) -> _Cell:
-        """The record of cell (p, q), covering n, ranked as a chain of one: nothing is cleared."""
-        self._rank_chain([(p, q, n)])
-        return self._cells[(p, q)]
+        """The record of cell (p, q), ranked and covering n: kept, or ranked as a chain of one."""
+        cell = self._covered(p, q, n)
+        if cell is None:
+            self._rank_chain([(p, q, n)])
+            cell = self._cells[p, q]
+        return cell
 
     def dim(self, p: int, q: int, n: int) -> int:
         """dim of cell (p, q) at truncation n: its monomials of length at most n."""
@@ -216,7 +220,7 @@ class BettiEngine:
         """
         if q <= 0 or p < 0 or n < 2 * q:
             return 0
-        cell = self._covered(p, q, n) or self._ranked(p, q, n)
+        cell = self._ranked(p, q, n)
         return cell.ranks[min(n, cell.truncation)]
 
     @staticmethod
@@ -246,7 +250,7 @@ class BettiEngine:
         if p < 0 or q < 0 or n < 2 * q:
             return 0
         if q:
-            cell = self._covered(p, q, n) or self._ranked(p, q, n)
+            cell = self._ranked(p, q, n)
         else:
             cell = self._cell(p, q, n)[0]
         value = cell.dims[min(n, cell.truncation)]
@@ -256,7 +260,7 @@ class BettiEngine:
             value -= cell.ranks[min(n, cell.truncation)]
         if p >= self.ring.dimension and n >= 2 * q + 2:
             sp, sq = p - self.ring.dimension, q + 1  # the source, whose d enters this cell
-            source = self._covered(sp, sq, n) or self._ranked(sp, sq, n)
+            source = self._ranked(sp, sq, n)
             value -= source.ranks[min(n, source.truncation)]
         if value < 0:
             raise InternalConsistencyError(
@@ -304,31 +308,29 @@ class BettiEngine:
 
         A read of cell (p, q) at n needs the rank leaving it, if q >= 1, at
         truncation min(n, p + 2q), and the rank entering it, whose source the
-        table also reads at n.
+        table also reads at n. The matrix dump writes one matrix per entry.
         """
         reads = self._table_reads(n_min, n_max, i_max)
         return sorted({(p, q, min(n, p + 2 * q)) for p, q, n in reads if q})
 
-    def compute_ranks(
-        self, tasks: list[tuple[int, int, int]], workers: int = 1, reach: int = 0
-    ) -> None:
-        """Rank each cell that sorted tasks read, once, one chain at a time, optionally in a pool.
+    def compute_ranks(self, n_max: int, i_max: int, workers: int = 1) -> None:
+        """Rank each cell a table up to n_max and i_max reads, once, one chain at a time.
 
-        The engine's reach rises to the tasks' largest truncation, or to
-        `reach`: a table's limit page also reads cell dimensions at its
-        largest n, which no task reaches when every ranked cell saturates
-        below it. Each cell not ranked yet is ranked at its last task's
-        truncation by `_rank_chain`, with the other cells of its chain p + Dq,
-        q ascending. A pool ranks one chain per job, largest chain key first,
-        on a worker engine at this engine's reach, and takes back its records.
+        A table reads a cell at every n from its first read up to n_max, so
+        its reads at n_max name every cell it ranks, each at truncation
+        min(n_max, p + 2q). The engine's reach rises to n_max: the limit page
+        also reads cell dimensions at n_max, beyond every truncation of a
+        cell that saturates below it. Each cell not ranked yet is ranked by
+        `_rank_chain`, with the other cells of its chain p + Dq, q ascending.
+        A pool ranks one chain per job, largest chain key first, on a worker
+        engine at this engine's reach, and takes back its records.
         """
         dimension = self.ring.dimension
-        self._reach = max([self._reach, reach, *(n_eff for _, _, n_eff in tasks)])
-        last = {(p, q): n for p, q, n in tasks}  # each cell's largest read, in the tasks' order
+        self._reach = max(self._reach, n_max)
         chains: dict[int, list[tuple[int, int, int]]] = {}
-        for p, q in sorted(last, key=lambda cell: cell[::-1]):  # q ascending
-            if not self._covered(p, q, last[p, q]):
-                chains.setdefault(p + dimension * q, []).append((p, q, last[p, q]))
+        for p, q, n in self._table_reads(n_max, n_max, i_max):  # q ascending
+            if q and not self._covered(p, q, n):
+                chains.setdefault(p + dimension * q, []).append((p, q, n))
         if workers > 1 and len(chains) > 1:
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
 
@@ -408,7 +410,7 @@ def betti_table(
     if i_max < 0:
         raise ValueError("i_max must be nonnegative")
     engine = engine_for(ring, reduced)
-    engine.compute_ranks(engine.required_ranks(n_min, n_max, i_max), workers, reach=n_max)
+    engine.compute_ranks(n_max, i_max, workers)
     grid = dict.fromkeys(((n, i) for n in range(n_min, n_max + 1) for i in range(i_max + 1)), 0)
     row_weight = ring.dimension - 1
     for p, q, n in engine._table_reads(n_min, n_max, i_max):
@@ -421,19 +423,22 @@ def stable_betti(ring: GradedRing, i: int) -> int:
     return betti_number(ring, i, max(i + 1, 1))
 
 
-def betti_odd_closed(ring: GradedRing, n: int) -> list[int]:
+def betti_odd_closed(ring: GradedRing, n: int, i_max: int | None = None) -> list[int]:
     """Betti numbers of n points on an odd-dimensional manifold, by closed formula.
 
-    Dimensions, graded by cohomological degree, of the direct sum over
+    Dimensions, graded by cohomological degree up to n * dim (or i_max, if
+    smaller: degree d reads only the degrees below it), of the direct sum over
     i + j = n of Sym^i(even cohomology) tensor Exterior^j(odd cohomology).
     """
     if ring.dimension % 2 == 0:
         raise ValueError("even-dimensional rings take the spectral-sequence path")
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if i_max is not None and i_max < 0:
+        raise ValueError("i_max must be nonnegative")
     if n == 0:
         return [1]
-    top_degree = n * ring.dimension
+    top_degree = n * ring.dimension if i_max is None else min(n * ring.dimension, i_max)
     # table[j][d]: ways to place j points with total cohomological degree d
     table = [[0] * (top_degree + 1) for _ in range(n + 1)]
     table[0][0] = 1

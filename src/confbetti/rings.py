@@ -40,7 +40,6 @@ class GradedRing:
     dimension: int
     basis: tuple[BasisClass, ...]
     products: ProductTable
-    unit_index: int
     orientation_index: int
 
     @property
@@ -189,7 +188,6 @@ def _make_ring(
         dimension=dimension,
         basis=tuple(basis),
         products=_complete_products(len(basis), degrees, sparse),
-        unit_index=0,
         orientation_index=tops[0],
     )
     validate_ring(ring)
@@ -226,7 +224,7 @@ def validate_ring(ring: GradedRing) -> None:
                     )
 
     # unit laws, on both sides
-    unit = ring.unit_index
+    unit = 0  # `_make_ring` puts the unit first
     for i in range(size):
         if ring.products[unit][i] != ((i, Fraction(1)),):
             raise RingValidationError(f"unit law fails: y_{unit}*y_{i} != y_{i}")

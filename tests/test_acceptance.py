@@ -766,7 +766,7 @@ def test_extended_each_cleared_pair_composes_to_zero(name, n_max, i_max, monkeyp
 
     monkeypatch.setattr(engine_module, "assemble_matrix", recording)
     engine = engine_module.BettiEngine(ring)
-    engine.compute_ranks(engine.required_ranks(1, n_max, i_max), reach=n_max)
+    engine.compute_ranks(n_max, i_max)
     monkeypatch.undo()
     pairs = 0
     for (p, q), (n, bases, cleared, matrix) in assembled.items():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -513,6 +514,39 @@ def test_dump_matrices_into_a_file_exits_2(tmp_path, capsys, under):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "--dump-matrices" in err
+
+
+def test_a_dump_file_that_cannot_be_written_exits_2(tmp_path, capsys):
+    (tmp_path / "d_p0_q1_n2.txt").mkdir()  # the dump's first file path is taken by a directory
+    code, out, err = run_cli(
+        capsys, "compute", "--space", "cp1", "--n", "1..3", "--i-max", "3",
+        "--dump-matrices", str(tmp_path),
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "--dump-matrices" in err and "d_p0_q1_n2.txt" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("betti-odd", "--space", "s100001", "--n", "1..2", "--i-max", "3"),
+        ("stable", "--space", "s100001", "--i-max", "3"),
+    ],
+    ids=["betti-odd", "stable"],
+)
+def test_an_odd_sphere_run_allocates_by_i_max_not_by_dimension(argv, capsys):
+    run_cli(capsys, argv[0], "--space", "s3", *argv[3:])  # load what the run imports first
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.splitlines()[-1].endswith("1,0,0,0")
+    assert peak < 2 * 2**20
 
 
 def test_n_range_single_value(capsys):

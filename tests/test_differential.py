@@ -167,7 +167,7 @@ def test_a_table_expands_each_s_part_once(monkeypatch):
     monkeypatch.setattr(_Kernel, "fill", counting)
     monkeypatch.setattr(engine_module, "assemble_matrix", recording)
     engine = BettiEngine(ring)
-    engine.compute_ranks(engine.required_ranks(1, 9, 16), reach=9)
+    engine.compute_ranks(9, 16)
     (kernel,) = {kernel for kernel, _ in filled}
     s_parts = [s_part for _, s_part in filled]
     assert len(domains) > 20 and len(s_parts) == len(set(s_parts)) == len(kernel.table)
@@ -178,7 +178,7 @@ def test_cells_assembled_from_a_filled_table_match_the_leibniz_rule():
     ring, n = seeded_ring("sigma3", 4), 5
     differential_module._kernel.cache_clear()
     engine = BettiEngine(ring)  # its assemblies fill the table first
-    engine.compute_ranks(engine.required_ranks(1, n, vanishing_bound(ring, n) - 1))
+    engine.compute_ranks(n, vanishing_bound(ring, n) - 1)
     kernel = differential_module._kernel(ring, True, 8)
     filled = dict(kernel.table)
     assert len(filled) > 20

@@ -186,6 +186,31 @@ def test_required_ranks_is_the_line_cell_loop(ring, n_min, extra, i_max):
     )
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(_PLANNED_RINGS),
+    st.integers(1, 14),
+    st.integers(1, 14),
+    st.integers(0, 80),
+)
+def test_compute_ranks_ranks_each_cell_a_table_reads_once_at_its_largest_read(
+    ring, n_min, n_max, i_max
+):
+    n_min = min(n_min, n_max)
+    engine = BettiEngine(ring)
+    chains, rank_chain = [], engine._rank_chain
+    engine._rank_chain = lambda chain: (chains.append(chain), rank_chain(chain))
+    engine.compute_ranks(n_max, i_max)
+    largest: dict[tuple[int, int], int] = {}
+    for p, q, n_eff in engine.required_ranks(n_min, n_max, i_max):
+        largest[p, q] = max(largest.get((p, q), 0), n_eff)
+    ranked = [(p, q) for chain in chains for p, q, _ in chain]
+    assert sorted(ranked) == sorted(largest)  # each cell once
+    for key, n_eff in largest.items():
+        cell = engine._cells[key]
+        assert cell.ranks is not None and cell.truncation == n_eff
+
+
 @pytest.mark.parametrize(
     "space, n_min, n_max, i_max, reduced",
     [
@@ -290,8 +315,12 @@ def test_betti_odd_closed_sphere():
     assert betti_odd_closed(s3, 0) == [1]
     assert betti_odd_closed(s3, 1) == [1, 0, 0, 1]
     assert betti_odd_closed(s3, 2) == [1, 0, 0, 1, 0, 0, 0]
+    assert betti_odd_closed(s3, 2, i_max=4) == [1, 0, 0, 1, 0]  # the degrees up to i_max
+    assert betti_odd_closed(s3, 1, i_max=9) == [1, 0, 0, 1]
     with pytest.raises(ValueError):
         betti_odd_closed(ring_cp(2), 2)
+    with pytest.raises(ValueError, match="i_max"):
+        betti_odd_closed(s3, 2, i_max=-1)
 
 
 def test_betti_odd_closed_products():
@@ -467,7 +496,7 @@ def test_rank_above_both_modular_ranks_is_found(planted_cell):
 def test_block_prefix_ranks_match_the_whole_cell(ring, n_max):
     engine = BettiEngine(ring)
     top = vanishing_bound(ring, n_max) - 1
-    engine.compute_ranks(engine.required_ranks(1, n_max, top))
+    engine.compute_ranks(n_max, top)
     checked = 0
     for (p, q), cell in engine._cells.items():
         if q == 0 or cell.ranks is None:
@@ -484,7 +513,7 @@ def test_exact_only_table_matches_hybrid_on_sigma3(fresh_engines):
     sigma3 = ring_surface(3)
     exact = engine_for(sigma3, True, True)
     assert exact is engine_for(sigma3)
-    exact.compute_ranks(exact.required_ranks(1, 6, 12))
+    exact.compute_ranks(6, 12)
     whole = BettiEngine(sigma3)
     for n in range(1, 7):
         for i in range(13):
@@ -570,14 +599,14 @@ def test_exact_profile_runs_once_per_block(sigma2, exact_only, fresh_engines, mo
 
     monkeypatch.setattr(engine_module, "exact_rank", counting)
     engine = engine_for(sigma2, True, exact_only)
-    tasks = engine.required_ranks(1, 8, vanishing_bound(sigma2, 8) - 1)
-    engine.compute_ranks(tasks)
+    top = vanishing_bound(sigma2, 8) - 1
+    engine.compute_ranks(8, top)
     assert assembled and set(calls) == {id(matrix) for _, matrix in assembled}
     assert set(calls.values()) == {1}
     assert len({cell[:2] for cell, _ in assembled}) == len(assembled)  # each cell once
     monkeypatch.undo()
     fresh = BettiEngine(sigma2)
-    for p, q, n_eff in tasks:
+    for p, q, n_eff in engine.required_ranks(1, 8, top):
         assert engine.rank(p, q, n_eff) == fresh.rank(p, q, n_eff)
         assert engine.rank(p, q, n_eff) == rank(assemble_matrix(sigma2, p, q, n_eff))
 
@@ -593,19 +622,18 @@ def test_spot_check_catches_an_exact_profile_below_the_modular_one(sigma2, monke
     monkeypatch.setattr(engine_module, "rank_profile_modular", recording)
     assembled = _record_assemblies(monkeypatch)
     engine = BettiEngine(sigma2)
-    tasks = engine.required_ranks(1, 6, 10)
-    engine.compute_ranks(tasks)
+    engine.compute_ranks(6, 10)
     assert checked and {id(matrix) for matrix in checked} <= {id(m) for _, m in assembled}
     monkeypatch.setattr(
         engine_module, "exact_rank", lambda matrix: RankProfile([0] * (matrix.cols + 1))
     )
     with pytest.raises(InternalConsistencyError, match="modulo 1000003"):
-        BettiEngine(sigma2).compute_ranks(tasks)
+        BettiEngine(sigma2).compute_ranks(6, 10)
 
 
 def test_no_matrix_outlives_its_ranking(sigma2):
     engine = BettiEngine(sigma2)
-    engine.compute_ranks(engine.required_ranks(1, 6, vanishing_bound(sigma2, 6) - 1))
+    engine.compute_ranks(6, vanishing_bound(sigma2, 6) - 1)
     assert any(any(cell.ranks) for cell in engine._cells.values() if cell.ranks)
     seen, stack = set(), [engine]
     while stack:
@@ -624,7 +652,7 @@ def test_worker_pool_leaves_the_serial_ranks_in_each_record(sigma2, fresh_engine
     assert assembled == []
     pooled = engine_for(sigma2)
     serial = BettiEngine(sigma2)
-    serial.compute_ranks(serial.required_ranks(1, 6, top))
+    serial.compute_ranks(6, top)
     ranked = {key: cell.ranks for key, cell in pooled._cells.items() if cell.ranks}
     assert len(ranked) > 10
     assert ranked == {key: serial._cells[key].ranks for key in ranked}
@@ -678,7 +706,7 @@ def test_stabilization_onsets_are_computed_when_first_read(cp2):
 def test_no_record_keeps_codes_or_pivots_after_compute_ranks(space, n_max, i_max, workers):
     engine = BettiEngine(resolve_space(space))
     for n in (n_max - 3, n_max):  # the second, larger plan rebuilds some records
-        engine.compute_ranks(engine.required_ranks(1, n, i_max), workers, reach=n)
+        engine.compute_ranks(n, i_max, workers)
         fields = [set(vars(cell)) for cell in engine._cells.values()]
         assert fields and all(names == {"truncation", "dims", "ranks"} for names in fields)
 
@@ -761,10 +789,10 @@ def test_a_chain_lists_a_codomain_record_shorter_than_its_cell_again(cp2):
     # `dim` builds (8, 1) at the reach of the first table; the second raises the
     # reach, so the third builds (4, 2) longer than the record of its codomain
     engine = BettiEngine(cp2)
-    engine.compute_ranks(engine.required_ranks(1, 4, 0), reach=4)
+    engine.compute_ranks(4, 0)
     engine.dim(8, 1, 4)
-    engine.compute_ranks(engine.required_ranks(1, 5, 0), reach=5)
-    engine.compute_ranks(engine.required_ranks(1, 4, 12), reach=4)
+    engine.compute_ranks(5, 0)
+    engine.compute_ranks(4, 12)
     assert engine._cells[(4, 2)].truncation == 5
     checked = 0
     for (p, q), cell in engine._cells.items():

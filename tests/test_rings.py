@@ -38,7 +38,6 @@ SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 def test_cp1_shape(cp1):
     assert cp1.dimension == 2
     assert [c.degree for c in cp1.basis] == [0, 2]
-    assert cp1.unit_index == 0
     assert cp1.orientation_index == 1
 
 
@@ -98,7 +97,6 @@ def test_product_with_point_is_isomorphic():
         dimension=0,
         basis=(BasisClass("1", 0),),
         products=((((0, Fraction(1)),),),),
-        unit_index=0,
         orientation_index=0,
     )
     validate_ring(point)
@@ -325,7 +323,6 @@ def test_validation_catches_a_broken_right_unit():
         dimension=cp2.dimension,
         basis=cp2.basis,
         products=tuple(tuple(row) for row in products),
-        unit_index=cp2.unit_index,
         orientation_index=cp2.orientation_index,
     )
     with pytest.raises(RingValidationError, match="unit law fails: y_1\\*y_0"):

@@ -187,7 +187,7 @@ def test_d_keeps_the_label(space):
 def _assert_records_match_whole_cells(ring, n_max) -> int:
     """Orbit-weighted dims and ranks of every record equal the whole cell's prefix ranks."""
     engine = BettiEngine(ring)
-    engine.compute_ranks(engine.required_ranks(1, n_max, vanishing_bound(ring, n_max) - 1))
+    engine.compute_ranks(n_max, vanishing_bound(ring, n_max) - 1)
     reduced = 0
     for (p, q), cell in engine._cells.items():
         t = cell.truncation
@@ -276,7 +276,7 @@ def test_one_piece_smoke_ring_still_spot_checks(monkeypatch):
     ring = resolve_space("cp2")
     assert grading(ring)[0] == ()
     engine = BettiEngine(ring)
-    engine.compute_ranks(engine.required_ranks(1, 4, 12))
+    engine.compute_ranks(4, 12)
     assert checked
 
 
@@ -307,7 +307,7 @@ def test_a_pool_worker_lists_a_gone_codomain_by_its_representatives(inline_pool,
     ring = resolve_space("sigma3")
     for mode, workers in (("serial", 1), ("pool", 2)):
         engine = BettiEngine(ring)
-        engine.compute_ranks(engine.required_ranks(1, 9, 16), workers, reach=9)
+        engine.compute_ranks(9, 16, workers)
     assert shapes["serial"] and shapes["pool"] == shapes["serial"]
 
 
