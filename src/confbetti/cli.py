@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .basis import format_monomial
 from .differential import assemble_matrix, decode_codes, image_scale, packed_pieces
-from .engine import BettiTable, betti_odd_closed, betti_table, engine_for, stable_betti
+from .engine import BettiTable, betti_odd_closed, betti_table, engine_for
 from .rings import GradedRing, RingError, euler_characteristic, parse_ring
 
 
@@ -181,11 +181,13 @@ def cmd_betti_odd(args) -> int:
 
 
 def cmd_stable(args) -> int:
+    """b_0..b_imax: row n = i_max + 1 of one table, as each b_i is stable from n = i + 1."""
     ring, space = _load_ring(args)
+    n = args.i_max + 1
     if ring.dimension % 2:
-        values = [betti_odd_closed(ring, i + 1, i)[i] for i in range(args.i_max + 1)]
+        values = betti_odd_closed(ring, n, args.i_max)
     else:
-        values = [stable_betti(ring, i) for i in range(args.i_max + 1)]
+        values = betti_table(ring, n, n, args.i_max).row(n)
     print(",".join(str(v) for v in values))
     return 0
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from math import gcd, lcm
 from typing import Collection, Mapping, NamedTuple
 
@@ -144,6 +144,31 @@ def _fill(ladder, count: int) -> int:
     return weight
 
 
+def _counts(ladder, step: int, weight: int, most: int) -> range:
+    """The entry counts up to `most` that the (degree, cap) `ladder` leaves to parts of `weight`.
+
+    They run from the fewest entries that reach `weight`, dearest first, to
+    the most whose cheapest fill stays within it; a weight that is not a
+    multiple of `step`, the gcd of the degrees, has none. Every degree must
+    be positive.
+    """
+    if weight % step:
+        return range(0)
+    fewest, left = 0, weight
+    for degree, cap in reversed(ladder):
+        if left <= 0:
+            break
+        take = min(cap, -(-left // degree))
+        fewest, left = fewest + take, left - take * degree
+    if left > 0:
+        return range(0)
+    largest, left = 0, weight
+    for degree, cap in ladder:
+        take = min(cap, left // degree)
+        largest, left = largest + take, left - take * degree
+    return range(fewest, min(most, largest) + 1)
+
+
 class _PartCodes:
     """The parts over one generator family, packed and grouped by label, by (weight, count).
 
@@ -186,6 +211,8 @@ class _PartCodes:
             for pos, (deg, cap, unit, label_step) in enumerate(zip(degrees, caps, units, weights))
         ]
         self.states: dict[tuple[int, int, int], dict[int, list[int]]] = {}
+        # each (weight, most) range is found once, and freed with the search, not the module
+        self.counts = cache(partial(_counts, self.ladder, self.gcd))
 
     def weights(self, count: int, most: int) -> range:
         """The weights up to `most` that the bounds leave to parts of `count` entries.
@@ -197,30 +224,6 @@ class _PartCodes:
             return range(0)
         least, greatest = _fill(self.ladder, count), _fill(reversed(self.ladder), count)
         return range(least, min(most, greatest) + 1, self.gcd or 1)
-
-    @lru_cache(maxsize=None)  # the searches live as long as `_part_codes` keeps them
-    def counts(self, weight: int, most: int) -> range:
-        """The entry counts up to `most` that the bounds leave to parts of `weight`.
-
-        They run from the fewest entries that reach `weight`, dearest first,
-        to the most whose cheapest fill stays within it. Every degree must be
-        positive. Each range is found once per search.
-        """
-        if weight % self.gcd:
-            return range(0)
-        fewest, left = 0, weight
-        for degree, cap in reversed(self.ladder):
-            if left <= 0:
-                break
-            take = min(cap, -(-left // degree))
-            fewest, left = fewest + take, left - take * degree
-        if left > 0:
-            return range(0)
-        largest, left = 0, weight
-        for degree, cap in self.ladder:
-            take = min(cap, left // degree)
-            largest, left = largest + take, left - take * degree
-        return range(fewest, min(most, largest) + 1)
 
     def __call__(self, weight: int, count: int, pos: int = 0) -> dict[int, list[int]]:
         """The parts over the positions from `pos` on with this weight and count, by label."""

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import sys
+import weakref
 from operator import mul
 
 import pytest
@@ -151,6 +153,19 @@ def test_cell_lists_no_s_part_heavier_than_its_p():
     listed = [weight for (pos, weight, _), groups in states if pos == 0 and groups]
     # four length-2 generators of the degree-1 classes reach weight 4 > p
     assert listed and max(listed) == p
+
+
+def test_clearing_the_part_searches_frees_them():
+    ring = resolve_space("cp6")
+    p, q, n = 12, 2, 8
+    differential_module._part_codes.cache_clear()
+    assert packed_pieces(ring, p, q, n, whole=True).codes  # asks the r-part search for counts
+    searches = _part_codes(ring, True, _field_width(ring, p, q), (0,) * ring.size)
+    alive = [weakref.ref(search) for search in searches]
+    del searches
+    differential_module._part_codes.cache_clear()
+    gc.collect()
+    assert [ref() for ref in alive] == [None, None]
 
 
 @st.composite

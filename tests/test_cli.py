@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import confbetti
+import confbetti.engine as engine_module
 from confbetti import (
     assemble_matrix,
     betti_table,
@@ -332,6 +333,28 @@ def test_stable_row(capsys):
     code, out, _ = run_cli(capsys, "stable", "--space", "sigma1", "--i-max", "6")
     assert code == 0
     assert out.strip() == "1,2,3,5,7,9,11"
+
+
+@pytest.mark.parametrize(
+    "space, command", [("cp2", "compute"), ("sigma2", "compute"), ("s3", "betti-odd")]
+)
+def test_stable_is_row_i_max_plus_one_of_a_planned_table(capsys, monkeypatch, space, command):
+    monkeypatch.setattr(engine_module, "_ENGINES", {})
+    cleared = []
+    original = engine_module.assemble_matrix
+
+    def recording(*args, **kwargs):
+        cleared.append(kwargs.get("cleared", ()))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "assemble_matrix", recording)
+    code, out, _ = run_cli(capsys, "stable", "--space", space, "--i-max", "12")
+    assert code == 0
+    if command == "compute":  # the row's chains are ranked bottom-up, clearing rows
+        assert any(cleared)
+    code, table, _ = run_cli(capsys, command, "--space", space, "--n", "13", "--i-max", "12")
+    assert code == 0
+    assert out == table.splitlines()[1].removeprefix("13,") + "\n"
 
 
 def test_verify_passes_and_prints_lines(capsys):

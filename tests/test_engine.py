@@ -433,6 +433,7 @@ def test_a_table_builds_each_cell_once_and_indexes_it_by_length(
     space, n_min, n_max, i_max, fresh_engines, monkeypatch
 ):
     ring = resolve_space(space)
+    engine = engine_for(ring)  # the table's: `monkeypatch.undo` would restore the shared registry
     builds: dict[tuple[int, int], int] = {}
     original = engine_module.packed_pieces
 
@@ -442,9 +443,11 @@ def test_a_table_builds_each_cell_once_and_indexes_it_by_length(
 
     monkeypatch.setattr(engine_module, "packed_pieces", counting)
     betti_table(ring, n_min, n_max, i_max)
+    monkeypatch.setattr(engine_module, "packed_pieces", original)
     assert builds and max(builds.values()) == 1
-    monkeypatch.undo()
-    for (p, q), cell in engine_for(ring)._cells.items():
+    assert set(engine._cells) == set(builds)
+    assert any(cell.ranks is not None and any(cell.ranks) for cell in engine._cells.values())
+    for (p, q), cell in engine._cells.items():
         lengths = range(1, cell.truncation + 1)  # every read is at a length n >= 1
         assert cell.dims[1:] == [len(enumerate_basis(ring, p, q, n)) for n in lengths]
         if cell.ranks is not None:

@@ -5,16 +5,19 @@ import pathlib
 import pytest
 
 import confbetti.differential as differential_module
+import confbetti.engine as engine_module
 import confbetti.oracles as oracles_module
 from confbetti import (
     check_d_squared,
     check_euler,
     check_reduction_equivalence,
     check_theorems,
+    engine_for,
     ring_cp,
     ring_surface,
     run_all,
 )
+from confbetti.spaces import resolve_space
 
 
 def test_d_squared_passes_low_grid(cp2, sigma1):
@@ -100,6 +103,15 @@ def test_report_lines_format(cp1):
     for line in report.lines():
         assert line.startswith("PASS ")
         assert " expected=" in line and " actual=" in line
+
+
+def test_run_all_builds_no_cell_past_its_largest_n(monkeypatch):
+    monkeypatch.setattr(engine_module, "_ENGINES", {})
+    ring = resolve_space("cp6")
+    assert run_all(ring, 1, 4, 20).passed
+    for reduced in (True, False):
+        cells = engine_for(ring, reduced)._cells.values()
+        assert cells and max(cell.truncation for cell in cells) <= 4
 
 
 def test_package_never_imports_sympy():
