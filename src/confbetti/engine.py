@@ -2,12 +2,12 @@
 
 Each bigrade cell (p, q) is one record, built once at a truncation t and
 indexed by length L <= t: the dimension and the rank over Q of the
-differential leaving the cell at truncation L. Before ranking, a table raises
-the engine's reach to its largest n; a cell read within the reach is built at
-min(saturation, reach), and any other at saturation (length p + 2q, beyond
-which the cell stops growing). A table reading a cell at some n reads it at
-every larger n up to its last, so this is the largest truncation the table
-reads the cell at. The record is built by `packed_pieces`, with no `Monomial`
+differential leaving the cell at truncation L. Every read is planned first,
+and the plan raises the engine's reach to its largest n; a cell is built at
+min(saturation, reach) (saturation is length p + 2q, beyond which the cell
+stops growing). A table reading a cell at some n reads it at every larger n
+up to its last, so this is the largest truncation the table reads the cell
+at. The record is built by `packed_pieces`, with no `Monomial`
 made: the ring's grading splits the cell into pieces, one per label, which d
 keeps, and the ring's automorphisms make whole orbits of pieces rank-equal,
 so only one piece per orbit is listed, with its orbit size (see
@@ -23,9 +23,8 @@ the columns of the first run (the first piece's shortest monomials) are
 rank-deficient, they are also eliminated modulo one prime as a spot check: the
 exact ranks may not fall below those anywhere. An empty cell is never
 assembled, nor one whose codomain is empty at its truncation: every rank of
-its differential is 0. A request beyond the reach rebuilds the record at
-saturation, so a query past a table rebuilds each cell once. Only the library
-calls `assemble_matrix` without bases; it then lists both whole cells.
+its differential is 0. Only the library calls `assemble_matrix` without
+bases; it then lists both whole cells.
 
 d maps (p, q) to (p + D, q - 1), so it keeps the chain key p + Dq, and
 `_rank_chain` ranks one chain's cells bottom-up, q ascending. It lists the
@@ -42,26 +41,25 @@ those rows keeps the rank of every column prefix: every rank at every length
 end of every piece, and the spot check's. Pieces keep this, as d keeps labels
 and the codomain's pieces hold the rows of the cell's. `assemble_matrix` skips
 every term landing on A. A chain's first cell, and a cell whose codomain the
-pass did not rank just before it, is assembled without clearing; a query past
-a table ranks a chain of one cell.
+pass did not rank just before it, is assembled without clearing.
 
 A table walks the cells it reads once, in `_table_reads`: each n, then the
 cells (p, q) on its lines below n's vanishing bound. The lines only grow with
 n, so the reads at the largest n name each cell, at its largest truncation
 min(n, p + 2q), and `compute_ranks` plans from them alone, with the largest n
-as reach: it groups the cells not ranked yet by chain and ranks each chain
-once. A table's cells of one chain form one interval of q, so each cell but
-the chain's lowest is cleared.
+as reach: `_plan` groups the cells not ranked yet by chain and ranks each
+chain once. A table's cells of one chain form one interval of q, so each cell
+but the chain's lowest is cleared. A single value plans just the cells it
+reads; a read that no plan ranked raises `InternalConsistencyError`.
 A pool ranks one chain per job and returns its records, so the parent lists
 no cell it ranks.
 Every monomial's p, and D, are multiples of g (`degree_gcd`), the gcd of the
 ring's degrees (2 when all are even), so p steps by g: a cell off that
 lattice is empty, like its source, and is neither planned nor read. Every
-Betti number is then a sum of `e_infinity_dim` over its line's cells: a
+Betti number is then a sum of limit-page dimensions over its line's cells: a
 single query sums one line, and a table adds each read into its line.
-`e_infinity_dim` reads the dimension and the two ranks straight off the
-records and raises `InternalConsistencyError` when they leave a negative
-dimension.
+`_limit_dim` reads the dimension and the two ranks straight off the records
+and raises `InternalConsistencyError` when they leave a negative dimension.
 """
 from __future__ import annotations
 
@@ -117,12 +115,12 @@ class BettiEngine:
     # -- cell records -----------------------------------------------------------
 
     def _cell(self, p: int, q: int, n: int) -> tuple[_Cell, PackedPieces | None]:
-        """The record of cell (p, q) covering truncation n, and its codes if this call built it."""
+        """The record of cell (p, q) covering n <= reach, and its codes if this call built it."""
         saturation = max(1, p + 2 * q)  # the cell stops growing beyond this length
         cell = self._cells.get((p, q))
         if cell is not None and cell.truncation >= min(n, saturation):
             return cell, None
-        truncation = min(saturation, self._reach) if n <= self._reach else saturation
+        truncation = min(saturation, self._reach)
         codes = packed_pieces(self.ring, p, q, truncation, self.reduced)
         added = [0] * (truncation + 1)  # monomials of each length, orbits counted
         for orbit, length, count in codes.runs:
@@ -196,17 +194,17 @@ class BettiEngine:
         return cell
 
     def _ranked(self, p: int, q: int, n: int) -> _Cell:
-        """The record of cell (p, q), ranked and covering n: kept, or ranked as a chain of one."""
+        """The record of cell (p, q), ranked by a plan and covering n, else an internal error."""
         cell = self._covered(p, q, n)
         if cell is None:
-            self._rank_chain([(p, q, n)])
-            cell = self._cells[p, q]
+            raise InternalConsistencyError(f"no plan ranked cell ({p}, {q}) at n={n}")
         return cell
 
     def dim(self, p: int, q: int, n: int) -> int:
         """dim of cell (p, q) at truncation n: its monomials of length at most n."""
         if p < 0 or q < 0 or n < max(1, 2 * q):  # every monomial has length >= 2q
             return 0
+        self._reach = max(self._reach, n)  # a dimension is built, never ranked
         cell = self._cell(p, q, n)[0]
         return cell.dims[min(n, cell.truncation)]
 
@@ -220,6 +218,7 @@ class BettiEngine:
         """
         if q <= 0 or p < 0 or n < 2 * q:
             return 0
+        self._plan(n, [(p, q, n)])
         cell = self._ranked(p, q, n)
         return cell.ranks[min(n, cell.truncation)]
 
@@ -238,21 +237,24 @@ class BettiEngine:
     # -- dimensions of the limit page and Betti numbers ------------------------
 
     def e_infinity_dim(self, p: int, q: int, n: int) -> int:
-        """dim of the limit page at (p, q) for n points, read off the records.
+        """dim of the limit page at (p, q) for n points, once the cells it reads are planned.
 
         The cell's dimension at n less the ranks of d leaving it and entering
-        it from (p - D, q + 1). A record that covers n, ranked where a rank
-        is read, is read straight from the engine's records; any other is
-        built or ranked first.
+        it from its source (p - D, q + 1), which follows it in its chain.
         """
         if n < 1:
             raise ValueError("n must be at least 1")
         if p < 0 or q < 0 or n < 2 * q:
             return 0
-        if q:
-            cell = self._ranked(p, q, n)
-        else:
-            cell = self._cell(p, q, n)[0]
+        reads = [(p, q, n)]
+        if p >= self.ring.dimension and n >= 2 * q + 2:
+            reads.append((p - self.ring.dimension, q + 1, n))
+        self._plan(n, reads)
+        return self._limit_dim(p, q, n)
+
+    def _limit_dim(self, p: int, q: int, n: int) -> int:
+        """dim of the limit page at (p, q) for n points, read off planned records."""
+        cell = self._ranked(p, q, n) if q else self._cell(p, q, n)[0]
         value = cell.dims[min(n, cell.truncation)]
         if not value:
             return 0
@@ -317,20 +319,25 @@ class BettiEngine:
         """Rank each cell a table up to n_max and i_max reads, once, one chain at a time.
 
         A table reads a cell at every n from its first read up to n_max, so
-        its reads at n_max name every cell it ranks, each at truncation
-        min(n_max, p + 2q). The engine's reach rises to n_max: the limit page
-        also reads cell dimensions at n_max, beyond every truncation of a
-        cell that saturates below it. Each cell not ranked yet is ranked by
-        `_rank_chain`, with the other cells of its chain p + Dq, q ascending.
-        A pool ranks one chain per job, largest chain key first, on a worker
-        engine at this engine's reach, and takes back its records.
+        its reads at n_max, planned with n_max as reach, name every cell.
         """
-        dimension = self.ring.dimension
-        self._reach = max(self._reach, n_max)
+        self._plan(n_max, self._table_reads(n_max, n_max, i_max), workers)
+
+    def _plan(self, reach: int, reads, workers: int = 1) -> None:
+        """Rank each cell (p, q, n), q >= 1, of the reads not ranked yet, one chain at a time.
+
+        The engine's reach rises to `reach`, the largest n read: the limit
+        page also reads cell dimensions at it, beyond every truncation of a
+        cell that saturates below it. Each cell is ranked by `_rank_chain`,
+        with the other cells of its chain p + Dq, which the reads list q
+        ascending. A pool ranks one chain per job, largest chain key first,
+        on a worker engine at this engine's reach, and takes back its records.
+        """
+        self._reach = max(self._reach, reach)
         chains: dict[int, list[tuple[int, int, int]]] = {}
-        for p, q, n in self._table_reads(n_max, n_max, i_max):  # q ascending
+        for p, q, n in reads:
             if q and not self._covered(p, q, n):
-                chains.setdefault(p + dimension * q, []).append((p, q, n))
+                chains.setdefault(p + self.ring.dimension * q, []).append((p, q, n))
         if workers > 1 and len(chains) > 1:
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
 
@@ -414,7 +421,7 @@ def betti_table(
     grid = dict.fromkeys(((n, i) for n in range(n_min, n_max + 1) for i in range(i_max + 1)), 0)
     row_weight = ring.dimension - 1
     for p, q, n in engine._table_reads(n_min, n_max, i_max):
-        grid[(n, p + row_weight * q)] += engine.e_infinity_dim(p, q, n)
+        grid[(n, p + row_weight * q)] += engine._limit_dim(p, q, n)
     return BettiTable(ring=ring, n_min=n_min, n_max=n_max, i_max=i_max, grid=grid)
 
 

@@ -147,6 +147,10 @@ def run_all(
     ring: GradedRing, n_min: int, n_max: int, i_max: int
 ) -> OracleReport:
     """Every oracle over the grid; one result per individual assertion."""
+    # plan each engine once, at its largest n, so no cell is built twice
+    engine_for(ring).compute_ranks(n_max, vanishing_bound(ring, n_max) - 1)
+    if n_min <= 5:
+        engine_for(ring, reduced=False).compute_ranks(min(n_max, 5), i_max)
     results: list[CheckResult] = []
     for n in range(n_min, n_max + 1):
         results.extend(check_d_squared(ring, n, i_max, reduced=True))

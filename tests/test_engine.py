@@ -404,25 +404,62 @@ def test_worker_pool_asks_for_no_more_workers_than_cpus(
     assert pooled.grid == betti_table(cp1xcp1, 1, 6, 10, workers=1).grid
 
 
-def test_query_past_a_table_builds_each_cell_once(sigma2, fresh_engines, monkeypatch):
+def _truncations_within_reach(engine: BettiEngine) -> bool:
+    return bool(engine._cells) and all(
+        cell.truncation <= engine._reach for cell in engine._cells.values()
+    )
+
+
+def test_query_past_a_table_builds_within_the_reach(sigma2, fresh_engines, monkeypatch):
+    # each value plans its cells at its own n, so a later, larger n may build a
+    # record again; none is built past the reach, and a second pass builds none
     betti_table(sigma2, 1, 4, 8)
-    builds: dict[tuple[int, int], int] = {}
+    engine = engine_for(sigma2)
+    builds: list[tuple[int, int]] = []
     original = BettiEngine._cell
 
     def counting(engine, p, q, n):
         kept = engine._cells.get((p, q))
         cell, codes = original(engine, p, q, n)
         if cell is not kept:  # the record was built
-            builds[(p, q)] = builds.get((p, q), 0) + 1
+            builds.append((p, q))
         return cell, codes
 
     # counts records, not calls of `packed_pieces`: the engine also lists a
     # ranked codomain's pieces again for a cell that maps into it
     monkeypatch.setattr(BettiEngine, "_cell", counting)
     values = [stable_betti(sigma2, i) for i in range(12)]
-    assert builds and max(builds.values()) == 1
+    assert builds and _truncations_within_reach(engine)
+    builds.clear()
+    assert [stable_betti(sigma2, i) for i in range(12)] == values
+    assert builds == []
     fresh = BettiEngine(sigma2)
     assert values == [fresh.betti_number(i, i + 1) for i in range(12)]
+
+
+_SINGLE_VALUES = {  # i names a line that holds a ranked cell at n = 4
+    "betti_number": lambda ring, i: betti_number(ring, i, 4),
+    "engine.betti_number": lambda ring, i: engine_for(ring).betti_number(i, 4),
+    "stable_betti": lambda ring, i: stable_betti(ring, i),
+    "rank": lambda ring, i: engine_for(ring).rank(2, 1, 4),
+    "dim": lambda ring, i: engine_for(ring).dim(2, 1, 4),
+    "e_infinity_dim": lambda ring, i: engine_for(ring).e_infinity_dim(2, 1, 4),
+    "betti_raw": lambda ring, i: engine_for(ring).betti_raw(i + 3, 3),  # past the vanishing bound
+}
+
+
+@pytest.mark.parametrize("space, i", [("sigma2", 5), ("cp6", 22)])
+@pytest.mark.parametrize("call", sorted(_SINGLE_VALUES))
+def test_a_single_value_builds_no_record_past_the_reach(space, i, call, fresh_engines):
+    ring = resolve_space(space)
+    _SINGLE_VALUES[call](ring, i)
+    assert _truncations_within_reach(engine_for(ring))
+
+
+def test_a_read_no_plan_ranked_is_an_internal_error(sigma2, monkeypatch):
+    monkeypatch.setattr(BettiEngine, "_plan", lambda engine, reach, reads, workers=1: None)
+    with pytest.raises(InternalConsistencyError, match=r"no plan ranked cell \(2, 1\) at n=4"):
+        BettiEngine(sigma2).e_infinity_dim(2, 1, 4)
 
 
 @pytest.mark.parametrize(

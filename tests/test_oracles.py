@@ -114,6 +114,28 @@ def test_run_all_builds_no_cell_past_its_largest_n(monkeypatch):
         assert cells and max(cell.truncation for cell in cells) <= 4
 
 
+@pytest.mark.parametrize("space, n_min, n_max, i_max", [("cp6", 1, 8, 40), ("sigma3", 1, 8, 14)])
+def test_run_all_builds_each_cell_once(space, n_min, n_max, i_max, monkeypatch):
+    monkeypatch.setattr(engine_module, "_ENGINES", {})
+    ring = resolve_space(space)
+    builds = []
+    original = engine_module.BettiEngine._cell
+
+    def counting(engine, p, q, n):
+        kept = engine._cells.get((p, q))
+        cell, codes = original(engine, p, q, n)
+        if cell is not kept:  # the record was built
+            builds.append((engine.reduced, p, q))
+        return cell, codes
+
+    monkeypatch.setattr(engine_module.BettiEngine, "_cell", counting)
+    assert run_all(ring, n_min, n_max, i_max).passed
+    records = [
+        (reduced, *key) for reduced in (True, False) for key in engine_for(ring, reduced)._cells
+    ]
+    assert len(builds) == len(set(builds)) == len(records)
+
+
 def test_package_never_imports_sympy():
     # sympy is a test-only oracle; the library itself must not touch it
     import confbetti
