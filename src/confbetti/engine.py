@@ -159,14 +159,19 @@ class BettiEngine:
             cell, codes = self._listed(p, q, n)
             t, prefix = cell.truncation, ()
             if cell.ranks is None:
-                target = self._cells.get((p + dimension, q - 1))
+                target, cleared = self._cells.get((p + dimension, q - 1)), ()
                 if below and below[0] is target and target.truncation >= t:
                     _, rows, ranked = below
                     rises = zip(rows.codes, ranked, ranked[1:])
                     cleared = {code for code, before, after in rises if after > before}
+                    filled = target.dims[t]
+                elif target and target.ranks is not None and target.truncation < t:
+                    rows = packed_pieces(self.ring, p + dimension, q - 1, t, self.reduced)
+                    filled = rows.codes  # a ranked record is kept: the plan read it as covered
                 else:
-                    (target, rows), cleared = self._listed(p + dimension, q - 1, t), ()
-                if target.dims[min(t, target.truncation)]:
+                    target, rows = self._listed(p + dimension, q - 1, t)
+                    filled = target.dims[min(t, target.truncation)]
+                if filled:
                     bases = (codes.codes, rows.codes)
                     matrix = assemble_matrix(
                         self.ring, p, q, t, self.reduced, bases=bases, cleared=cleared
@@ -201,7 +206,7 @@ class BettiEngine:
         return cell
 
     def dim(self, p: int, q: int, n: int) -> int:
-        """dim of cell (p, q) at truncation n: its monomials of length at most n."""
+        """dim of cell (p, q) at truncation n; it raises the reach to n for later plans."""
         if p < 0 or q < 0 or n < max(1, 2 * q):  # every monomial has length >= 2q
             return 0
         self._reach = max(self._reach, n)  # a dimension is built, never ranked
@@ -246,10 +251,7 @@ class BettiEngine:
             raise ValueError("n must be at least 1")
         if p < 0 or q < 0 or n < 2 * q:
             return 0
-        reads = [(p, q, n)]
-        if p >= self.ring.dimension and n >= 2 * q + 2:
-            reads.append((p - self.ring.dimension, q + 1, n))
-        self._plan(n, reads)
+        self._plan(n, [(p, q, n), (p - self.ring.dimension, q + 1, n)])
         return self._limit_dim(p, q, n)
 
     def _limit_dim(self, p: int, q: int, n: int) -> int:
@@ -261,8 +263,7 @@ class BettiEngine:
         if q:
             value -= cell.ranks[min(n, cell.truncation)]
         if p >= self.ring.dimension and n >= 2 * q + 2:
-            sp, sq = p - self.ring.dimension, q + 1  # the source, whose d enters this cell
-            source = self._ranked(sp, sq, n)
+            source = self._ranked(p - self.ring.dimension, q + 1, n)  # d enters from the source
             value -= source.ranks[min(n, source.truncation)]
         if value < 0:
             raise InternalConsistencyError(
@@ -284,11 +285,7 @@ class BettiEngine:
     def betti_number(self, i: int, n: int) -> int:
         if n < 1:
             raise ValueError("n must be at least 1")
-        if i < 0:
-            return 0
-        if i >= vanishing_bound(self.ring, n):
-            return 0
-        return self.betti_raw(i, n)
+        return 0 if i >= vanishing_bound(self.ring, n) else self.betti_raw(i, n)
 
     # -- planning and tables ----------------------------------------------------
 
@@ -326,6 +323,7 @@ class BettiEngine:
     def _plan(self, reach: int, reads, workers: int = 1) -> None:
         """Rank each cell (p, q, n), q >= 1, of the reads not ranked yet, one chain at a time.
 
+        A read of a cell with no monomial at n (p < 0 or n < 2q) is skipped.
         The engine's reach rises to `reach`, the largest n read: the limit
         page also reads cell dimensions at it, beyond every truncation of a
         cell that saturates below it. Each cell is ranked by `_rank_chain`,
@@ -336,7 +334,7 @@ class BettiEngine:
         self._reach = max(self._reach, reach)
         chains: dict[int, list[tuple[int, int, int]]] = {}
         for p, q, n in reads:
-            if q and not self._covered(p, q, n):
+            if q and p >= 0 and n >= 2 * q and not self._covered(p, q, n):
                 chains.setdefault(p + self.ring.dimension * q, []).append((p, q, n))
         if workers > 1 and len(chains) > 1:
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here

@@ -10,6 +10,8 @@ from .differential import assemble_matrix, degree_gcd, packed_pieces
 from .engine import betti_table, engine_for, vanishing_bound
 from .rings import GradedRing, euler_characteristic
 
+_UNREDUCED_N_MAX = 5  # run_all checks the unreduced model, which grows fast, up to this n
+
 
 class CheckResult(NamedTuple):
     passed: bool
@@ -149,15 +151,15 @@ def run_all(
     """Every oracle over the grid; one result per individual assertion."""
     # plan each engine once, at its largest n, so no cell is built twice
     engine_for(ring).compute_ranks(n_max, vanishing_bound(ring, n_max) - 1)
-    if n_min <= 5:
-        engine_for(ring, reduced=False).compute_ranks(min(n_max, 5), i_max)
+    if n_min <= _UNREDUCED_N_MAX:
+        engine_for(ring, reduced=False).compute_ranks(min(n_max, _UNREDUCED_N_MAX), i_max)
     results: list[CheckResult] = []
     for n in range(n_min, n_max + 1):
         results.extend(check_d_squared(ring, n, i_max, reduced=True))
         results.extend(check_d_squared(ring, n, i_max, reduced=False))
     for n in range(n_min, n_max + 1):
         results.append(check_euler(ring, n))
-    for n in range(n_min, min(n_max, 5) + 1):
+    for n in range(n_min, min(n_max, _UNREDUCED_N_MAX) + 1):
         results.extend(check_reduction_equivalence(ring, n, i_max))
     results.extend(check_theorems(ring, n_max, i_max))
     return OracleReport(tuple(results))

@@ -462,6 +462,37 @@ def test_a_read_no_plan_ranked_is_an_internal_error(sigma2, monkeypatch):
         BettiEngine(sigma2).e_infinity_dim(2, 1, 4)
 
 
+_GROWN_REACH = {  # a read whose cell a plan found covered, before one whose reach had grown
+    "betti_number": (
+        lambda ring: (betti_number(ring, 5, 4), stable_betti(ring, 15)),
+        lambda ring: betti_number(ring, 4, 4),
+    ),
+    "betti_table": (
+        lambda ring: (engine_for(ring).rank(3, 1, 4), engine_for(ring).dim(0, 0, 20)),
+        lambda ring: betti_table(ring, 4, 4, 4).row(4),
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_GROWN_REACH))
+def test_a_plan_keeps_a_ranked_record_it_found_covered(sigma2, call, fresh_engines):
+    # the source (1, 2) of the covered cell (3, 1) is built past (3, 1)'s
+    # truncation, and listing (3, 1) for its rows must not unrank its record
+    before, last = _GROWN_REACH[call]
+    before(sigma2)
+    value = last(sigma2)
+    fresh_engines()
+    assert value == last(sigma2)
+
+
+def test_dim_raises_the_reach_for_later_plans(sigma2, fresh_engines):
+    engine = engine_for(sigma2)
+    assert engine.dim(0, 0, 20) == BettiEngine(sigma2).dim(0, 0, 20)
+    assert engine._reach == 20
+    engine.rank(2, 1, 3)
+    assert engine._cells[2, 1].truncation == 4  # saturation, not n
+
+
 @pytest.mark.parametrize(
     "space, n_min, n_max, i_max",
     [("sigma3", 1, 15, 4), ("cp6", 1, 12, 20), ("pbundle_cp2", 2, 8, 40), ("cp1xcp2", 1, 10, 74)],
