@@ -102,7 +102,8 @@ def _dump_matrices(table: BettiTable, reduced: bool, directory: Path) -> None:
         # the bases are graded by length, so each truncation is a leading part of the largest
         top = max(ns)
         cells = [(p + ring.dimension * k, q - k) for k in (0, 1)]  # domain, codomain
-        bases = tuple(packed_pieces(ring, *cell, top, reduced, whole=True).codes for cell in cells)
+        listed = [packed_pieces(ring, *cell, top, reduced, whole=True) for cell in cells]
+        bases = tuple(pieces.codes for pieces in listed)
         whole = assemble_matrix(ring, p, q, top, reduced, bases=bases)
         whole.entries = {key: Fraction(v, scale) for key, v in whole.entries.items()}
         # column c is d of the c-th monomial, and its rows are in graded-lex order
@@ -115,8 +116,8 @@ def _dump_matrices(table: BettiTable, reduced: bool, directory: Path) -> None:
             images[col].append(f"({coeff})*{codomain[row]}")
         listing = [f"{name} -> {' + '.join(terms) or '0'}" for name, terms in zip(domain, images)]
         for n_eff in ns:
-            cols = engine.dim(p, q, n_eff)
-            rows = engine.dim(p + ring.dimension, q - 1, n_eff)
+            # each cell is listed by length, so its dimension at n_eff counts its first runs
+            cols, rows = (sum(c for _, k, c in cell.runs if k <= n_eff) for cell in listed)
             matrix = whole.column_prefix(cols, rows=rows)
             lines = [matrix.dump_triplets(), "", *listing[:cols]]
             path = directory / f"d_p{p}_q{q}_n{n_eff}.txt"

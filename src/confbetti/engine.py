@@ -3,11 +3,11 @@
 Each bigrade cell (p, q) is one record, built once at a truncation t and
 indexed by length L <= t: the dimension and the rank over Q of the
 differential leaving the cell at truncation L. Every read is planned first,
-and the plan raises the engine's reach to its largest n; a cell is built at
-min(saturation, reach) (saturation is length p + 2q, beyond which the cell
-stops growing). A table reading a cell at some n reads it at every larger n
-up to its last, so this is the largest truncation the table reads the cell
-at. The record is built by `packed_pieces`, with no `Monomial`
+and a plan builds each record at min(saturation, reach), reach being the
+plan's largest n (saturation is length p + 2q, beyond which the cell stops
+growing): the engine keeps no reach. A table reading a cell at some n reads
+it at every larger n up to its last, so this is the largest truncation the
+table reads the cell at. The record is built by `packed_pieces`, with no `Monomial`
 made: the ring's grading splits the cell into pieces, one per label, which d
 keeps, and the ring's automorphisms make whole orbits of pieces rank-equal,
 so only one piece per orbit is listed, with its orbit size (see
@@ -48,9 +48,10 @@ cells (p, q) on its lines below n's vanishing bound. The lines only grow with
 n, so the reads at the largest n name each cell, at its largest truncation
 min(n, p + 2q), and `compute_ranks` plans from them alone, with the largest n
 as reach: `_plan` groups the cells not ranked yet by chain and ranks each
-chain once. A table's cells of one chain form one interval of q, so each cell
-but the chain's lowest is cleared. A single value plans just the cells it
-reads; a read that no plan ranked raises `InternalConsistencyError`.
+chain once, then builds the q = 0 cells the reads name. A table's cells of
+one chain form one interval of q, so each cell but the chain's lowest is
+cleared. A single value plans just the cells it reads, at its own n; a read
+that no plan covered raises `InternalConsistencyError`.
 A pool ranks one chain per job and returns its records, so the parent lists
 no cell it ranks.
 Every monomial's p, and D, are multiples of g (`degree_gcd`), the gcd of the
@@ -108,19 +109,23 @@ class BettiEngine:
         self.ring = ring
         self.reduced = reduced
         self._cells: dict[tuple[int, int], _Cell] = {}
-        self._reach = 0  # largest truncation a table reads
         self._p_step = degree_gcd(ring)  # every p a monomial reaches is a multiple of it
         self.uncertified_cells: list[tuple[int, int, int]] = []  # always empty; perfbench reads it
 
     # -- cell records -----------------------------------------------------------
 
-    def _cell(self, p: int, q: int, n: int) -> tuple[_Cell, PackedPieces | None]:
-        """The record of cell (p, q) covering n <= reach, and its codes if this call built it."""
+    def _cell(self, p: int, q: int, n: int, reach: int) -> tuple[_Cell, PackedPieces | None]:
+        """The record of cell (p, q) covering n, and its codes if this call built it.
+
+        It is built at min(saturation, max(n, reach)), reach being its plan's largest n,
+        also over a longer unranked record: that keeps no codes, so it is listed anyway.
+        """
         saturation = max(1, p + 2 * q)  # the cell stops growing beyond this length
+        truncation = min(saturation, max(n, reach))
         cell = self._cells.get((p, q))
-        if cell is not None and cell.truncation >= min(n, saturation):
-            return cell, None
-        truncation = min(saturation, self._reach)
+        if cell is not None and min(n, saturation) <= cell.truncation:
+            if cell.ranks is not None or cell.truncation <= truncation:
+                return cell, None
         codes = packed_pieces(self.ring, p, q, truncation, self.reduced)
         added = [0] * (truncation + 1)  # monomials of each length, orbits counted
         for orbit, length, count in codes.runs:
@@ -130,15 +135,15 @@ class BettiEngine:
         cell = self._cells[(p, q)] = _Cell(truncation, dims, None if dims[-1] else dims)
         return cell, codes
 
-    def _listed(self, p: int, q: int, n: int) -> tuple[_Cell, PackedPieces]:
+    def _listed(self, p: int, q: int, n: int, reach: int) -> tuple[_Cell, PackedPieces]:
         """The record of cell (p, q) covering truncation n, with its codes at its truncation."""
-        cell, codes = self._cell(p, q, n)
+        cell, codes = self._cell(p, q, n, reach)
         if codes is None:  # a kept record keeps no codes
             codes = packed_pieces(self.ring, p, q, cell.truncation, self.reduced)
         return cell, codes
 
-    def _rank_chain(self, chain: list[tuple[int, int, int]]) -> None:
-        """Rank the cells (p, q, n) of one chain p + Dq, q ascending, each covering its n.
+    def _rank_chain(self, chain: list[tuple[int, int, int]], reach: int) -> None:
+        """Rank the cells (p, q, n) of one chain p + Dq, q ascending, for a plan up to reach.
 
         Each matrix is assembled from the codes of the cell and of its
         codomain (p + D, q - 1), as their records list them (codomain rows
@@ -156,7 +161,7 @@ class BettiEngine:
         dimension = self.ring.dimension
         below = None  # the record, codes and prefix ranks of the cell ranked last
         for p, q, n in chain:
-            cell, codes = self._listed(p, q, n)
+            cell, codes = self._listed(p, q, n, reach)
             t, prefix = cell.truncation, ()
             if cell.ranks is None:
                 target, cleared = self._cells.get((p + dimension, q - 1)), ()
@@ -169,7 +174,7 @@ class BettiEngine:
                     rows = packed_pieces(self.ring, p + dimension, q - 1, t, self.reduced)
                     filled = rows.codes  # a ranked record is kept: the plan read it as covered
                 else:
-                    target, rows = self._listed(p + dimension, q - 1, t)
+                    target, rows = self._listed(p + dimension, q - 1, t, reach)
                     filled = target.dims[min(t, target.truncation)]
                 if filled:
                     bases = (codes.codes, rows.codes)
@@ -192,26 +197,18 @@ class BettiEngine:
             below = cell, codes, prefix
 
     def _covered(self, p: int, q: int, n: int) -> _Cell | None:
-        """The record of cell (p, q) if it is ranked and covers truncation n, else None."""
+        """The record of cell (p, q) if it covers truncation n and, for q >= 1, is ranked."""
         cell = self._cells.get((p, q))
-        if cell is None or cell.ranks is None or cell.truncation < min(n, p + 2 * q):
+        if cell is None or (q and cell.ranks is None) or cell.truncation < min(n, p + 2 * q):
             return None
         return cell
 
     def _ranked(self, p: int, q: int, n: int) -> _Cell:
-        """The record of cell (p, q), ranked by a plan and covering n, else an internal error."""
+        """The record of cell (p, q), covered by a plan, else an internal error."""
         cell = self._covered(p, q, n)
         if cell is None:
             raise InternalConsistencyError(f"no plan ranked cell ({p}, {q}) at n={n}")
         return cell
-
-    def dim(self, p: int, q: int, n: int) -> int:
-        """dim of cell (p, q) at truncation n; it raises the reach to n for later plans."""
-        if p < 0 or q < 0 or n < max(1, 2 * q):  # every monomial has length >= 2q
-            return 0
-        self._reach = max(self._reach, n)  # a dimension is built, never ranked
-        cell = self._cell(p, q, n)[0]
-        return cell.dims[min(n, cell.truncation)]
 
     # -- ranks ----------------------------------------------------------------
 
@@ -256,7 +253,7 @@ class BettiEngine:
 
     def _limit_dim(self, p: int, q: int, n: int) -> int:
         """dim of the limit page at (p, q) for n points, read off planned records."""
-        cell = self._ranked(p, q, n) if q else self._cell(p, q, n)[0]
+        cell = self._ranked(p, q, n)
         value = cell.dims[min(n, cell.truncation)]
         if not value:
             return 0
@@ -316,30 +313,33 @@ class BettiEngine:
         """Rank each cell a table up to n_max and i_max reads, once, one chain at a time.
 
         A table reads a cell at every n from its first read up to n_max, so
-        its reads at n_max, planned with n_max as reach, name every cell.
+        its reads at n_max, planned up to n_max, name every cell.
         """
         self._plan(n_max, self._table_reads(n_max, n_max, i_max), workers)
 
     def _plan(self, reach: int, reads, workers: int = 1) -> None:
-        """Rank each cell (p, q, n), q >= 1, of the reads not ranked yet, one chain at a time.
+        """Cover each read (p, q, n) not covered yet: rank its cell if q >= 1, else build it.
 
         A read of a cell with no monomial at n (p < 0 or n < 2q) is skipped.
-        The engine's reach rises to `reach`, the largest n read: the limit
-        page also reads cell dimensions at it, beyond every truncation of a
-        cell that saturates below it. Each cell is ranked by `_rank_chain`,
-        with the other cells of its chain p + Dq, which the reads list q
-        ascending. A pool ranks one chain per job, largest chain key first,
-        on a worker engine at this engine's reach, and takes back its records.
+        Each record is built at reach, the largest n read, or at saturation
+        below it: the limit page reads cell dimensions at reach too. A cell
+        with q >= 1 is ranked by `_rank_chain` with the other cells of its
+        chain p + Dq, which the reads list q ascending; a pool ranks one chain
+        per job, largest chain key first, and takes back its records. The
+        q = 0 cells come last, so no chain's first codomain is listed again.
         """
-        self._reach = max(self._reach, reach)
         chains: dict[int, list[tuple[int, int, int]]] = {}
+        tops = []  # the q = 0 reads, whose cells no differential leaves
         for p, q, n in reads:
-            if q and p >= 0 and n >= 2 * q and not self._covered(p, q, n):
-                chains.setdefault(p + self.ring.dimension * q, []).append((p, q, n))
+            if p >= 0 and n >= 2 * q and not self._covered(p, q, n):
+                if q:
+                    chains.setdefault(p + self.ring.dimension * q, []).append((p, q, n))
+                else:
+                    tops.append((p, n))
         if workers > 1 and len(chains) > 1:
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
 
-            jobs = [(self._reach, chains[key]) for key in sorted(chains, reverse=True)]
+            jobs = [(reach, chains[key]) for key in sorted(chains, reverse=True)]
             # a forking pool starts every worker at once, so ask for no more than can run
             with ProcessPoolExecutor(
                 max_workers=min(workers, len(jobs), os.cpu_count() or 1),
@@ -350,7 +350,9 @@ class BettiEngine:
                     self._cells.update(((p, q), cell) for (p, q, _), cell in zip(chain, records))
         else:
             for chain in chains.values():
-                self._rank_chain(chain)
+                self._rank_chain(chain, reach)
+        for p, n in tops:
+            self._cell(p, 0, n, reach)
 
 
 @dataclass
@@ -466,14 +468,9 @@ def _pool_init(ring: GradedRing, reduced: bool) -> None:
 
 
 def _pool_chain(job: tuple) -> list[_Cell]:
-    """The ranked records of one chain's cells, built at the parent's reach.
-
-    The worker keeps no record between jobs.
-    """
+    """The ranked records of one chain's cells; the worker keeps none between jobs."""
     reach, chain = job
-    engine = _POOL_ENGINE
-    engine._reach = reach
-    engine._rank_chain(chain)
-    records = [engine._cells[p, q] for p, q, _ in chain]
-    engine._cells.clear()
+    _POOL_ENGINE._rank_chain(chain, reach)
+    records = [_POOL_ENGINE._cells[p, q] for p, q, _ in chain]
+    _POOL_ENGINE._cells.clear()
     return records

@@ -116,7 +116,7 @@ def check_reduction_equivalence(ring: GradedRing, n: int, i_max: int) -> list[Ch
 def check_theorems(ring: GradedRing, n_max: int, i_max: int) -> list[CheckResult]:
     """Structural facts: stabilization, vanishing, and surface sharpness."""
     engine = engine_for(ring, reduced=True)
-    # plan the stability and sharpness lines at n_max; the vanishing reads are in its reach
+    # plan the stability and sharpness lines at n_max
     engine.compute_ranks(n_max, max(min(i_max, 8), min(8, n_max) + 1))
     results = []
     for i in range(min(i_max, 8) + 1):
@@ -130,12 +130,13 @@ def check_theorems(ring: GradedRing, n_max: int, i_max: int) -> list[CheckResult
                     engine.betti_number(i, n + 1),
                 )
             )
-    for n in range(1, n_max + 1):
-        bound = vanishing_bound(ring, n)
-        for i in range(bound, bound + 5):
-            results.append(
-                _result("vanishing", ring, f"(i={i},n={n})", 0, engine.betti_raw(i, n))
-            )
+    vanishing = {  # largest n first, so each cell is built once, at its largest read
+        (n, i): engine.betti_raw(i, n)
+        for n in range(n_max, 0, -1)
+        for i in range(vanishing_bound(ring, n), vanishing_bound(ring, n) + 5)
+    }
+    for (n, i), value in sorted(vanishing.items()):
+        results.append(_result("vanishing", ring, f"(i={i},n={n})", 0, value))
     if ring.dimension == 2 and any(ring.is_odd(k) for k in range(ring.size)):
         for n in range(3, min(8, n_max) + 1):
             value = engine.betti_number(n + 1, n)

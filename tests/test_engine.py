@@ -38,7 +38,7 @@ from confbetti import (
     stable_betti,
     vanishing_bound,
 )
-from confbetti.differential import PackedPieces
+from confbetti.differential import PackedPieces, packed_pieces
 from confbetti.spaces import REGISTRY, resolve_space
 
 README = Path(__file__).parents[1] / "README.md"
@@ -115,12 +115,15 @@ def _whole_matrix_betti(engine: BettiEngine, i: int, n: int) -> int:
             return 0
         return rank(assemble_matrix(engine.ring, p, q, n, engine.reduced))
 
+    def dim(p, q):
+        return len(enumerate_basis(engine.ring, p, q, n, engine.reduced))
+
     row_weight = engine.ring.dimension - 1
     line = [(i - row_weight * q, q) for q in range(min(i // row_weight, n // 2) + 1)]
     return sum(
-        engine.dim(p, q, n) - whole_rank(p, q) - whole_rank(p - engine.ring.dimension, q + 1)
+        dim(p, q) - whole_rank(p, q) - whole_rank(p - engine.ring.dimension, q + 1)
         for p, q in line
-        if engine.dim(p, q, n)
+        if dim(p, q)
     )
 
 
@@ -199,7 +202,7 @@ def test_compute_ranks_ranks_each_cell_a_table_reads_once_at_its_largest_read(
     n_min = min(n_min, n_max)
     engine = BettiEngine(ring)
     chains, rank_chain = [], engine._rank_chain
-    engine._rank_chain = lambda chain: (chains.append(chain), rank_chain(chain))
+    engine._rank_chain = lambda chain, reach: (chains.append(chain), rank_chain(chain, reach))
     engine.compute_ranks(n_max, i_max)
     largest: dict[tuple[int, int], int] = {}
     for p, q, n_eff in engine.required_ranks(n_min, n_max, i_max):
@@ -404,23 +407,43 @@ def test_worker_pool_asks_for_no_more_workers_than_cpus(
     assert pooled.grid == betti_table(cp1xcp1, 1, 6, 10, workers=1).grid
 
 
-def _truncations_within_reach(engine: BettiEngine) -> bool:
+def _record_plans(monkeypatch) -> dict[int, int]:
+    """Map each record a plan builds, by id, to that plan's largest n."""
+    built: dict[int, int] = {}
+    alive = []  # every record built, so no id is reused
+    original = BettiEngine._plan
+
+    def recording(engine, reach, reads, workers=1):
+        before = dict(engine._cells)
+        original(engine, reach, reads, workers)
+        for key, cell in engine._cells.items():
+            if before.get(key) is not cell:
+                built[id(cell)] = reach
+                alive.append(cell)
+
+    monkeypatch.setattr(BettiEngine, "_plan", recording)
+    return built
+
+
+def _truncations_within_their_plans(engine: BettiEngine, built: dict[int, int]) -> bool:
+    """Every record was built by a plan, and at no more than that plan's largest n."""
     return bool(engine._cells) and all(
-        cell.truncation <= engine._reach for cell in engine._cells.values()
+        cell.truncation <= built.get(id(cell), -1) for cell in engine._cells.values()
     )
 
 
 def test_query_past_a_table_builds_within_the_reach(sigma2, fresh_engines, monkeypatch):
     # each value plans its cells at its own n, so a later, larger n may build a
-    # record again; none is built past the reach, and a second pass builds none
+    # record again; none is built past the n of its plan, and a second pass builds none
+    plans = _record_plans(monkeypatch)
     betti_table(sigma2, 1, 4, 8)
     engine = engine_for(sigma2)
     builds: list[tuple[int, int]] = []
     original = BettiEngine._cell
 
-    def counting(engine, p, q, n):
+    def counting(engine, p, q, n, reach):
         kept = engine._cells.get((p, q))
-        cell, codes = original(engine, p, q, n)
+        cell, codes = original(engine, p, q, n, reach)
         if cell is not kept:  # the record was built
             builds.append((p, q))
         return cell, codes
@@ -429,7 +452,7 @@ def test_query_past_a_table_builds_within_the_reach(sigma2, fresh_engines, monke
     # ranked codomain's pieces again for a cell that maps into it
     monkeypatch.setattr(BettiEngine, "_cell", counting)
     values = [stable_betti(sigma2, i) for i in range(12)]
-    assert builds and _truncations_within_reach(engine)
+    assert builds and _truncations_within_their_plans(engine, plans)
     builds.clear()
     assert [stable_betti(sigma2, i) for i in range(12)] == values
     assert builds == []
@@ -442,7 +465,6 @@ _SINGLE_VALUES = {  # i names a line that holds a ranked cell at n = 4
     "engine.betti_number": lambda ring, i: engine_for(ring).betti_number(i, 4),
     "stable_betti": lambda ring, i: stable_betti(ring, i),
     "rank": lambda ring, i: engine_for(ring).rank(2, 1, 4),
-    "dim": lambda ring, i: engine_for(ring).dim(2, 1, 4),
     "e_infinity_dim": lambda ring, i: engine_for(ring).e_infinity_dim(2, 1, 4),
     "betti_raw": lambda ring, i: engine_for(ring).betti_raw(i + 3, 3),  # past the vanishing bound
 }
@@ -450,10 +472,13 @@ _SINGLE_VALUES = {  # i names a line that holds a ranked cell at n = 4
 
 @pytest.mark.parametrize("space, i", [("sigma2", 5), ("cp6", 22)])
 @pytest.mark.parametrize("call", sorted(_SINGLE_VALUES))
-def test_a_single_value_builds_no_record_past_the_reach(space, i, call, fresh_engines):
+def test_a_single_value_builds_no_record_past_the_reach(
+    space, i, call, fresh_engines, monkeypatch
+):
     ring = resolve_space(space)
+    plans = _record_plans(monkeypatch)
     _SINGLE_VALUES[call](ring, i)
-    assert _truncations_within_reach(engine_for(ring))
+    assert _truncations_within_their_plans(engine_for(ring), plans)
 
 
 def test_a_read_no_plan_ranked_is_an_internal_error(sigma2, monkeypatch):
@@ -462,35 +487,88 @@ def test_a_read_no_plan_ranked_is_an_internal_error(sigma2, monkeypatch):
         BettiEngine(sigma2).e_infinity_dim(2, 1, 4)
 
 
-_GROWN_REACH = {  # a read whose cell a plan found covered, before one whose reach had grown
+_GROWN_REACH = {  # calls that rank (3, 1), then a call that reads its source (1, 2)
     "betti_number": (
         lambda ring: (betti_number(ring, 5, 4), stable_betti(ring, 15)),
         lambda ring: betti_number(ring, 4, 4),
     ),
     "betti_table": (
-        lambda ring: (engine_for(ring).rank(3, 1, 4), engine_for(ring).dim(0, 0, 20)),
-        lambda ring: betti_table(ring, 4, 4, 4).row(4),
+        lambda ring: engine_for(ring).rank(3, 1, 4),
+        lambda ring: betti_table(ring, 5, 5, 3).row(5),
     ),
 }
 
 
 @pytest.mark.parametrize("call", sorted(_GROWN_REACH))
 def test_a_plan_keeps_a_ranked_record_it_found_covered(sigma2, call, fresh_engines):
-    # the source (1, 2) of the covered cell (3, 1) is built past (3, 1)'s
-    # truncation, and listing (3, 1) for its rows must not unrank its record
+    # when the source (1, 2) of the ranked cell (3, 1) is built past (3, 1)'s
+    # truncation, listing (3, 1) for its rows must not unrank its record
     before, last = _GROWN_REACH[call]
     before(sigma2)
     value = last(sigma2)
+    assert engine_for(sigma2)._cells[3, 1].ranks is not None
     fresh_engines()
     assert value == last(sigma2)
 
 
-def test_dim_raises_the_reach_for_later_plans(sigma2, fresh_engines):
-    engine = engine_for(sigma2)
-    assert engine.dim(0, 0, 20) == BettiEngine(sigma2).dim(0, 0, 20)
-    assert engine._reach == 20
-    engine.rank(2, 1, 3)
-    assert engine._cells[2, 1].truncation == 4  # saturation, not n
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_table_after_a_stable_value_builds_within_its_own_n(workers, fresh_engines, inline_pool):
+    # the n of one plan does not carry over: the table builds nothing past n = 8
+    cp6 = ring_cp(6)
+    stable_betti(cp6, 40)
+    engine = engine_for(cp6)
+    kept = dict(engine._cells)
+    table = betti_table(cp6, 1, 8, 115, workers=workers)
+    built = [cell for key, cell in engine._cells.items() if kept.get(key) is not cell]
+    assert built and max(cell.truncation for cell in built) <= 8
+    fresh_engines()
+    assert table.grid == betti_table(cp6, 1, 8, 115).grid
+
+
+_SEQUENCE_RINGS = [resolve_space(name) for name in ("sigma2", "cp2", "cp3", "cp1xcp1", "sigma1xcp1")]
+
+_PUBLIC_CALLS = {  # each public call on a ring, from three small integers
+    "betti_number": lambda ring, a, b, c: betti_number(ring, a, b),
+    "stable_betti": lambda ring, a, b, c: stable_betti(ring, a),
+    "e_infinity_dim": lambda ring, a, b, c: engine_for(ring).e_infinity_dim(a, c, b),
+    "rank": lambda ring, a, b, c: engine_for(ring).rank(a, c, b),
+    "betti_raw": lambda ring, a, b, c: engine_for(ring).betti_raw(a, b),
+    "betti_table": lambda ring, a, b, c: betti_table(ring, max(1, b - c), b, a).grid,
+}
+
+
+def _ranked_truncations(engine: BettiEngine) -> dict[tuple[int, int], int]:
+    cells = engine._cells.items()
+    return {key: cell.truncation for key, cell in cells if key[1] and cell.ranks is not None}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_SEQUENCE_RINGS),
+    st.lists(
+        st.tuples(
+            st.sampled_from(sorted(_PUBLIC_CALLS)),
+            st.integers(0, 10),
+            st.integers(1, 7),
+            st.integers(0, 3),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_a_ranked_record_stays_ranked(ring, calls):
+    registry, shared = engine_module._ENGINES, BettiEngine(ring)
+    try:
+        for name, a, b, c in calls:
+            before = _ranked_truncations(shared)
+            engine_module._ENGINES = {(ring, True): shared}
+            value = _PUBLIC_CALLS[name](ring, a, b, c)
+            after = _ranked_truncations(shared)
+            assert all(after.get(key, -1) >= t for key, t in before.items())
+            engine_module._ENGINES = {}  # the same call on a fresh engine
+            assert value == _PUBLIC_CALLS[name](ring, a, b, c)
+    finally:
+        engine_module._ENGINES = registry
 
 
 @pytest.mark.parametrize(
@@ -625,10 +703,10 @@ def test_a_table_assembles_no_matrix_into_an_empty_codomain(
     assembled = _record_assemblies(monkeypatch)
     ring = resolve_space(space)
     table = betti_table(ring, 1, n_max, i_max)
-    engine = engine_for(ring)
     # a codomain record built past t adds rows longer than t, so its dimension at t decides
     assert assembled and all(
-        engine.dim(p + ring.dimension, q - 1, t) > 0 for (p, q, t), _ in assembled
+        packed_pieces(ring, p + ring.dimension, q - 1, t, whole=True).runs
+        for (p, q, t), _ in assembled
     )
     golden = {
         (n, i): v for (n, i), v in load_golden(space).items() if n <= n_max and i <= i_max
@@ -856,19 +934,19 @@ def test_a_pool_parent_lists_no_cell_it_ranks(sigma2, fresh_engines, monkeypatch
     assert table.grid == betti_table(sigma2, 1, 6, top).grid
 
 
-def test_a_chain_lists_a_codomain_record_shorter_than_its_cell_again(cp2):
-    # `dim` builds (8, 1) at the reach of the first table; the second raises the
-    # reach, so the third builds (4, 2) longer than the record of its codomain
-    engine = BettiEngine(cp2)
-    engine.compute_ranks(4, 0)
-    engine.dim(8, 1, 4)
-    engine.compute_ranks(5, 0)
-    engine.compute_ranks(4, 12)
+def test_a_chain_lists_a_codomain_record_shorter_than_its_cell_again(cp2, fresh_engines):
+    # b_11 at n = 4 ranks (8, 1) at 4; b_10 at n = 5 builds its source (4, 2) at 5,
+    # and lists (8, 1) again for the rows, past its record, which stays
+    betti_number(cp2, 11, 4)
+    value = betti_number(cp2, 10, 5)
+    engine = engine_for(cp2)
+    assert engine._cells[(8, 1)].truncation == 4 and engine._cells[(8, 1)].ranks is not None
     assert engine._cells[(4, 2)].truncation == 5
+    assert value == BettiEngine(cp2).betti_number(10, 5)
     checked = 0
     for (p, q), cell in engine._cells.items():
         if q and cell.ranks is not None:
             lengths = range(1, cell.truncation + 1)
             assert cell.ranks[1:] == [rank(assemble_matrix(cp2, p, q, n)) for n in lengths]
             checked += 1
-    assert checked > 5
+    assert checked >= 3

@@ -121,9 +121,9 @@ def test_run_all_builds_each_cell_once(space, n_min, n_max, i_max, monkeypatch):
     builds = []
     original = engine_module.BettiEngine._cell
 
-    def counting(engine, p, q, n):
+    def counting(engine, p, q, n, reach):
         kept = engine._cells.get((p, q))
-        cell, codes = original(engine, p, q, n)
+        cell, codes = original(engine, p, q, n, reach)
         if cell is not kept:  # the record was built
             builds.append((engine.reduced, p, q))
         return cell, codes
