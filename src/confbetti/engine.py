@@ -2,10 +2,11 @@
 
 Each bigrade cell (p, q) is one record, built once at a truncation t and
 indexed by length L <= t: the dimension and the rank over Q of the
-differential leaving the cell at truncation L. Every read is planned first,
-and a plan builds each record at min(saturation, reach), reach being the
-plan's largest n (saturation is length p + 2q, beyond which the cell stops
-growing): the engine keeps no reach. A table reading a cell at some n reads
+differential leaving the cell at truncation L (0 when q = 0: d sends the
+cell to the zero space). A record is stored only once it is complete.
+Every read is planned first: a plan is one n over (p, q) cells, and it
+builds each record at min(saturation, n) (saturation is length p + 2q,
+beyond which the cell stops growing). A table reading a cell at some n reads
 it at every larger n up to its last, so this is the largest truncation the
 table reads the cell at. The record is built by `packed_pieces`, with no `Monomial`
 made: the ring's grading splits the cell into pieces, one per label, which d
@@ -27,33 +28,35 @@ its differential is 0. Only the library calls `assemble_matrix` without
 bases; it then lists both whole cells.
 
 d maps (p, q) to (p + D, q - 1), so it keeps the chain key p + Dq, and
-`_rank_chain` ranks one chain's cells bottom-up, q ascending. It lists the
-first cell's codomain once, for its rows; then each cell is listed, assembled
-against the codes of the cell ranked just before it, and ranked, and only its
-own codes and prefix ranks, whose rises mark its pivots, pass on to the next
-cell. The codes are the routine's local values, never a record's. Ranking the
-codomain first clears rows, as in persistent homology (Chen & Kerber, EuroCG
-2011; Bauer, Kerber & Reininghaus, TopoInVis 2013). Let d' leave the codomain
+`_rank_chain` ranks one chain's cells bottom-up, q ascending: each cell is
+listed, assembled against the codes of the cell ranked just before it,
+ranked and stored, and only its own codes and prefix ranks, whose rises mark
+its pivots, pass on to the next cell. The codes are the routine's local
+values, never a record's. Ranking the codomain first clears rows, as in
+persistent homology (Chen & Kerber, EuroCG 2011; Bauer, Kerber &
+Reininghaus, TopoInVis 2013). Let d' leave the codomain
 (p + D, q - 1) of d, and A be the codomain's pivot columns: those where its
 prefix rank rises, so d' is injective on them. Since d' d = 0, each row of d
 at A is a combination of the rows outside A, in every column, so deleting
 those rows keeps the rank of every column prefix: every rank at every length
 end of every piece, and the spot check's. Pieces keep this, as d keeps labels
 and the codomain's pieces hold the rows of the cell's. `assemble_matrix` skips
-every term landing on A. A chain's first cell, and a cell whose codomain the
-pass did not rank just before it, is assembled without clearing.
+every term landing on A. A cell whose codomain the pass did not rank just
+before it, such as a chain's first, is assembled without clearing: it lists
+its codomain at its own truncation for the rows, and keeps that as a record
+only when it is a q = 0 cell, as the limit page reads it.
 
 A table walks the cells it reads once, in `_table_reads`: each n, then the
 cells (p, q) on its lines below n's vanishing bound. The lines only grow with
 n, so the reads at the largest n name each cell, at its largest truncation
-min(n, p + 2q), and `compute_ranks` plans from them alone, with the largest n
-as reach: `_plan` groups the cells not ranked yet by chain and ranks each
-chain once, then builds the q = 0 cells the reads name. A table's cells of
-one chain form one interval of q, so each cell but the chain's lowest is
+min(n, p + 2q), and `compute_ranks` plans their cells at the largest n:
+`_plan` groups the cells no record covers by chain and ranks each chain
+once, then builds the q = 0 cells no chain built. A table's cells of one
+chain form one interval of q, so each cell but the chain's lowest is
 cleared. A single value plans just the cells it reads, at its own n; a read
 that no plan covered raises `InternalConsistencyError`.
-A pool ranks one chain per job and returns its records, so the parent lists
-no cell it ranks.
+A pool ranks one chain per job and returns every record the job built, its
+q = 0 codomain included, so the parent lists no cell a worker listed.
 Every monomial's p, and D, are multiples of g (`degree_gcd`), the gcd of the
 ring's degrees (2 when all are even), so p steps by g: a cell off that
 lattice is empty, like its source, and is neither planned nor read. Every
@@ -92,10 +95,18 @@ def vanishing_bound(ring: GradedRing, n: int) -> int:
 class _Cell:
     """One bigrade cell, built at truncation t; it serves every n with min(n, p + 2q) <= t."""
 
-    def __init__(self, truncation: int, dims: list[int], ranks: list[int] | None):
+    def __init__(self, truncation: int, dims: list[int], ranks: list[int]):
         self.truncation = truncation
         self.dims = dims  # dims[L] = basis monomials of length <= L, for L <= truncation
-        self.ranks = ranks  # ranks[L] = rank of d on the monomials of length <= L, once ranked
+        self.ranks = ranks  # ranks[L] = rank of d on the monomials of length <= L
+
+
+def _dims(codes: PackedPieces, truncation: int) -> list[int]:
+    """dims[L]: the monomials of length <= L that codes list, orbits counted."""
+    added = [0] * (truncation + 1)
+    for orbit, length, count in codes.runs:
+        added[length] += orbit * count
+    return list(accumulate(added))
 
 
 class BettiEngine:
@@ -109,74 +120,50 @@ class BettiEngine:
         self.ring = ring
         self.reduced = reduced
         self._cells: dict[tuple[int, int], _Cell] = {}
-        self._p_step = degree_gcd(ring)  # every p a monomial reaches is a multiple of it
+        self._p_step = degree_gcd(ring)  # the p of every monomial is a multiple of it
         self.uncertified_cells: list[tuple[int, int, int]] = []  # always empty; perfbench reads it
 
     # -- cell records -----------------------------------------------------------
 
-    def _cell(self, p: int, q: int, n: int, reach: int) -> tuple[_Cell, PackedPieces | None]:
-        """The record of cell (p, q) covering n, and its codes if this call built it.
+    def _top(self, p: int, n: int) -> PackedPieces:
+        """Store cell (p, 0) at min(saturation, n), ranked 0 (d sends it to 0); return its codes."""
+        t = min(max(1, p), n)
+        codes = packed_pieces(self.ring, p, 0, t, self.reduced)
+        self._cells[p, 0] = _Cell(t, _dims(codes, t), [0] * (t + 1))
+        return codes
 
-        It is built at min(saturation, max(n, reach)), reach being its plan's largest n,
-        also over a longer unranked record: that keeps no codes, so it is listed anyway.
-        """
-        saturation = max(1, p + 2 * q)  # the cell stops growing beyond this length
-        truncation = min(saturation, max(n, reach))
-        cell = self._cells.get((p, q))
-        if cell is not None and min(n, saturation) <= cell.truncation:
-            if cell.ranks is not None or cell.truncation <= truncation:
-                return cell, None
-        codes = packed_pieces(self.ring, p, q, truncation, self.reduced)
-        added = [0] * (truncation + 1)  # monomials of each length, orbits counted
-        for orbit, length, count in codes.runs:
-            added[length] += orbit * count
-        dims = list(accumulate(added))
-        # an empty cell is never assembled: every rank of its differential is 0
-        cell = self._cells[(p, q)] = _Cell(truncation, dims, None if dims[-1] else dims)
-        return cell, codes
+    def _rank_chain(self, chain: list[tuple[int, int]], n: int) -> None:
+        """Rank the cells (p, q) of one chain p + Dq, q ascending, at min(saturation, n).
 
-    def _listed(self, p: int, q: int, n: int, reach: int) -> tuple[_Cell, PackedPieces]:
-        """The record of cell (p, q) covering truncation n, with its codes at its truncation."""
-        cell, codes = self._cell(p, q, n, reach)
-        if codes is None:  # a kept record keeps no codes
-            codes = packed_pieces(self.ring, p, q, cell.truncation, self.reduced)
-        return cell, codes
-
-    def _rank_chain(self, chain: list[tuple[int, int, int]], reach: int) -> None:
-        """Rank the cells (p, q, n) of one chain p + Dq, q ascending, for a plan up to reach.
-
-        Each matrix is assembled from the codes of the cell and of its
-        codomain (p + D, q - 1), as their records list them (codomain rows
-        longer than the cell's truncation stay empty: d never raises length),
-        ranked over Q in one pass, and dropped; into an empty codomain every
-        rank is 0 and nothing is assembled. When the codomain is the cell
-        ranked just before, its codes are the rows and its pivot codes are
-        cleared; otherwise the codomain is listed and nothing is cleared. d
-        keeps labels, so the matrix is block-diagonal over the pieces, and
-        the rank of a piece at length L is the difference of two prefix
-        ranks: at the piece's start and at its end at length L, which is the
-        sum of the rises across its runs up to L. So each run adds its rise,
-        times its orbit size, at its length.
+        Each cell is listed, ranked over Q in one pass against the codes of
+        its codomain (p + D, q - 1), and stored as a complete record. The
+        codomain ranked just before gives its codes as the rows and its pivot
+        codes to clear. A q = 0 codomain is stored too, as the limit page
+        reads it, and any other is listed at the cell's truncation t for its
+        rows alone (rows longer than t would stay empty: d never raises
+        length). d keeps labels, so the matrix is block-diagonal over the
+        pieces, and the rank of a piece at length L is the difference of two
+        prefix ranks: at the piece's start and at its end at length L, which
+        is the sum of the rises across its runs up to L. So each run adds its
+        rise, times its orbit size, at its length.
         """
         dimension = self.ring.dimension
-        below = None  # the record, codes and prefix ranks of the cell ranked last
-        for p, q, n in chain:
-            cell, codes = self._listed(p, q, n, reach)
-            t, prefix = cell.truncation, ()
-            if cell.ranks is None:
-                target, cleared = self._cells.get((p + dimension, q - 1)), ()
-                if below and below[0] is target and target.truncation >= t:
+        below = None  # the q, codes and prefix ranks of the cell ranked last
+        for p, q in chain:
+            t = min(p + 2 * q, n)
+            codes = packed_pieces(self.ring, p, q, t, self.reduced)
+            dims, ranks, prefix = _dims(codes, t), [0] * (t + 1), ()  # an empty cell ranks 0
+            if dims[-1]:
+                cleared = ()
+                if below and below[0] == q - 1:
                     _, rows, ranked = below
                     rises = zip(rows.codes, ranked, ranked[1:])
                     cleared = {code for code, before, after in rises if after > before}
-                    filled = target.dims[t]
-                elif target and target.ranks is not None and target.truncation < t:
-                    rows = packed_pieces(self.ring, p + dimension, q - 1, t, self.reduced)
-                    filled = rows.codes  # a ranked record is kept: the plan read it as covered
+                elif q == 1:  # no record covers the codomain either (see `_plan`)
+                    rows = self._top(p + dimension, n)
                 else:
-                    target, rows = self._listed(p + dimension, q - 1, t, reach)
-                    filled = target.dims[min(t, target.truncation)]
-                if filled:
+                    rows = packed_pieces(self.ring, p + dimension, q - 1, t, self.reduced)
+                if any(length <= t for _, length, _ in rows.runs):  # else no row at t
                     bases = (codes.codes, rows.codes)
                     matrix = assemble_matrix(
                         self.ring, p, q, t, self.reduced, bases=bases, cleared=cleared
@@ -191,17 +178,14 @@ class BettiEngine:
                         end = start + count
                         added[length] += orbit * (prefix[end] - prefix[start])
                         start = end
-                    cell.ranks = list(accumulate(added))
-                else:
-                    cell.ranks = [0] * len(cell.dims)
-            below = cell, codes, prefix
+                    ranks = list(accumulate(added))
+            self._cells[p, q] = _Cell(t, dims, ranks)
+            below = q, codes, prefix
 
     def _covered(self, p: int, q: int, n: int) -> _Cell | None:
-        """The record of cell (p, q) if it covers truncation n and, for q >= 1, is ranked."""
+        """The record of cell (p, q) if it covers truncation n."""
         cell = self._cells.get((p, q))
-        if cell is None or (q and cell.ranks is None) or cell.truncation < min(n, p + 2 * q):
-            return None
-        return cell
+        return cell if cell and cell.truncation >= min(n, p + 2 * q) else None
 
     def _ranked(self, p: int, q: int, n: int) -> _Cell:
         """The record of cell (p, q), covered by a plan, else an internal error."""
@@ -220,7 +204,7 @@ class BettiEngine:
         """
         if q <= 0 or p < 0 or n < 2 * q:
             return 0
-        self._plan(n, [(p, q, n)])
+        self._plan(n, [(p, q)])
         cell = self._ranked(p, q, n)
         return cell.ranks[min(n, cell.truncation)]
 
@@ -248,7 +232,7 @@ class BettiEngine:
             raise ValueError("n must be at least 1")
         if p < 0 or q < 0 or n < 2 * q:
             return 0
-        self._plan(n, [(p, q, n), (p - self.ring.dimension, q + 1, n)])
+        self._plan(n, [(p, q), (p - self.ring.dimension, q + 1)])
         return self._limit_dim(p, q, n)
 
     def _limit_dim(self, p: int, q: int, n: int) -> int:
@@ -257,8 +241,7 @@ class BettiEngine:
         value = cell.dims[min(n, cell.truncation)]
         if not value:
             return 0
-        if q:
-            value -= cell.ranks[min(n, cell.truncation)]
+        value -= cell.ranks[min(n, cell.truncation)]
         if p >= self.ring.dimension and n >= 2 * q + 2:
             source = self._ranked(p - self.ring.dimension, q + 1, n)  # d enters from the source
             value -= source.ranks[min(n, source.truncation)]
@@ -313,46 +296,50 @@ class BettiEngine:
         """Rank each cell a table up to n_max and i_max reads, once, one chain at a time.
 
         A table reads a cell at every n from its first read up to n_max, so
-        its reads at n_max, planned up to n_max, name every cell.
+        its reads at n_max name every cell, and the table is one plan at n_max.
         """
-        self._plan(n_max, self._table_reads(n_max, n_max, i_max), workers)
+        cells = ((p, q) for p, q, _ in self._table_reads(n_max, n_max, i_max))
+        self._plan(n_max, cells, workers)
 
-    def _plan(self, reach: int, reads, workers: int = 1) -> None:
-        """Cover each read (p, q, n) not covered yet: rank its cell if q >= 1, else build it.
+    def _plan(self, n: int, cells, workers: int = 1) -> None:
+        """Cover each cell (p, q) at n not covered yet: rank it if q >= 1, else build it.
 
-        A read of a cell with no monomial at n (p < 0 or n < 2q) is skipped.
-        Each record is built at reach, the largest n read, or at saturation
-        below it: the limit page reads cell dimensions at reach too. A cell
-        with q >= 1 is ranked by `_rank_chain` with the other cells of its
-        chain p + Dq, which the reads list q ascending; a pool ranks one chain
-        per job, largest chain key first, and takes back its records. The
-        q = 0 cells come last, so no chain's first codomain is listed again.
+        A cell with no monomial at n (p < 0 or n < 2q) is skipped. Each
+        record is built at min(saturation, n): the limit page reads cell
+        dimensions at n too. A cell with q >= 1 is ranked by `_rank_chain`
+        with the other cells of its chain p + Dq, which come q ascending; a
+        pool ranks one chain per job, largest chain key first, and keeps
+        every record a job returns. The q = 0 cells no chain built come last.
+        Every caller plans a q = 0 cell (p, 0) with its source (p - D, 1),
+        whose saturation is no larger, so no record covers the codomain of a
+        q = 1 cell a chain ranks: that codomain is built and kept.
         """
-        chains: dict[int, list[tuple[int, int, int]]] = {}
-        tops = []  # the q = 0 reads, whose cells no differential leaves
-        for p, q, n in reads:
+        chains: dict[int, list[tuple[int, int]]] = {}
+        tops = []  # the q = 0 cells, which no differential leaves
+        for p, q in cells:
             if p >= 0 and n >= 2 * q and not self._covered(p, q, n):
                 if q:
-                    chains.setdefault(p + self.ring.dimension * q, []).append((p, q, n))
+                    chains.setdefault(p + self.ring.dimension * q, []).append((p, q))
                 else:
-                    tops.append((p, n))
+                    tops.append(p)
         if workers > 1 and len(chains) > 1:
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
 
-            jobs = [(reach, chains[key]) for key in sorted(chains, reverse=True)]
+            jobs = [(n, chains[key]) for key in sorted(chains, reverse=True)]
             # a forking pool starts every worker at once, so ask for no more than can run
             with ProcessPoolExecutor(
                 max_workers=min(workers, len(jobs), os.cpu_count() or 1),
                 initializer=_pool_init,
                 initargs=(self.ring, self.reduced),
             ) as pool:
-                for (_, chain), records in zip(jobs, pool.map(_pool_chain, jobs)):
-                    self._cells.update(((p, q), cell) for (p, q, _), cell in zip(chain, records))
+                for records in pool.map(_pool_chain, jobs):
+                    self._cells.update(records)
         else:
             for chain in chains.values():
-                self._rank_chain(chain, reach)
-        for p, n in tops:
-            self._cell(p, 0, n, reach)
+                self._rank_chain(chain, n)
+        for p in tops:
+            if not self._covered(p, 0, n):  # else a chain built it as a codomain
+                self._top(p, n)
 
 
 @dataclass
@@ -467,10 +454,9 @@ def _pool_init(ring: GradedRing, reduced: bool) -> None:
     _POOL_ENGINE = BettiEngine(ring, reduced=reduced)
 
 
-def _pool_chain(job: tuple) -> list[_Cell]:
-    """The ranked records of one chain's cells; the worker keeps none between jobs."""
-    reach, chain = job
-    _POOL_ENGINE._rank_chain(chain, reach)
-    records = [_POOL_ENGINE._cells[p, q] for p, q, _ in chain]
-    _POOL_ENGINE._cells.clear()
-    return records
+def _pool_chain(job: tuple) -> dict[tuple[int, int], _Cell]:
+    """Every record one chain's ranking built, its q = 0 codomain too; each job starts with none."""
+    n, chain = job
+    _POOL_ENGINE._cells = {}
+    _POOL_ENGINE._rank_chain(chain, n)
+    return _POOL_ENGINE._cells

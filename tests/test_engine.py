@@ -202,12 +202,12 @@ def test_compute_ranks_ranks_each_cell_a_table_reads_once_at_its_largest_read(
     n_min = min(n_min, n_max)
     engine = BettiEngine(ring)
     chains, rank_chain = [], engine._rank_chain
-    engine._rank_chain = lambda chain, reach: (chains.append(chain), rank_chain(chain, reach))
+    engine._rank_chain = lambda chain, n: (chains.append(chain), rank_chain(chain, n))
     engine.compute_ranks(n_max, i_max)
     largest: dict[tuple[int, int], int] = {}
     for p, q, n_eff in engine.required_ranks(n_min, n_max, i_max):
         largest[p, q] = max(largest.get((p, q), 0), n_eff)
-    ranked = [(p, q) for chain in chains for p, q, _ in chain]
+    ranked = [(p, q) for chain in chains for p, q in chain]
     assert sorted(ranked) == sorted(largest)  # each cell once
     for key, n_eff in largest.items():
         cell = engine._cells[key]
@@ -413,12 +413,12 @@ def _record_plans(monkeypatch) -> dict[int, int]:
     alive = []  # every record built, so no id is reused
     original = BettiEngine._plan
 
-    def recording(engine, reach, reads, workers=1):
+    def recording(engine, n, cells, workers=1):
         before = dict(engine._cells)
-        original(engine, reach, reads, workers)
+        original(engine, n, cells, workers)
         for key, cell in engine._cells.items():
             if before.get(key) is not cell:
-                built[id(cell)] = reach
+                built[id(cell)] = n
                 alive.append(cell)
 
     monkeypatch.setattr(BettiEngine, "_plan", recording)
@@ -435,27 +435,17 @@ def _truncations_within_their_plans(engine: BettiEngine, built: dict[int, int]) 
 def test_query_past_a_table_builds_within_the_reach(sigma2, fresh_engines, monkeypatch):
     # each value plans its cells at its own n, so a later, larger n may build a
     # record again; none is built past the n of its plan, and a second pass builds none
+    # counts records, not calls of `packed_pieces`: the engine also lists a
+    # codomain's pieces for the rows of a cell that maps into it
     plans = _record_plans(monkeypatch)
     betti_table(sigma2, 1, 4, 8)
     engine = engine_for(sigma2)
-    builds: list[tuple[int, int]] = []
-    original = BettiEngine._cell
-
-    def counting(engine, p, q, n, reach):
-        kept = engine._cells.get((p, q))
-        cell, codes = original(engine, p, q, n, reach)
-        if cell is not kept:  # the record was built
-            builds.append((p, q))
-        return cell, codes
-
-    # counts records, not calls of `packed_pieces`: the engine also lists a
-    # ranked codomain's pieces again for a cell that maps into it
-    monkeypatch.setattr(BettiEngine, "_cell", counting)
+    builds = len(plans)
     values = [stable_betti(sigma2, i) for i in range(12)]
-    assert builds and _truncations_within_their_plans(engine, plans)
-    builds.clear()
+    assert len(plans) > builds and _truncations_within_their_plans(engine, plans)
+    builds = len(plans)
     assert [stable_betti(sigma2, i) for i in range(12)] == values
-    assert builds == []
+    assert len(plans) == builds
     fresh = BettiEngine(sigma2)
     assert values == [fresh.betti_number(i, i + 1) for i in range(12)]
 
@@ -482,7 +472,7 @@ def test_a_single_value_builds_no_record_past_the_reach(
 
 
 def test_a_read_no_plan_ranked_is_an_internal_error(sigma2, monkeypatch):
-    monkeypatch.setattr(BettiEngine, "_plan", lambda engine, reach, reads, workers=1: None)
+    monkeypatch.setattr(BettiEngine, "_plan", lambda engine, n, cells, workers=1: None)
     with pytest.raises(InternalConsistencyError, match=r"no plan ranked cell \(2, 1\) at n=4"):
         BettiEngine(sigma2).e_infinity_dim(2, 1, 4)
 
@@ -502,11 +492,11 @@ _GROWN_REACH = {  # calls that rank (3, 1), then a call that reads its source (1
 @pytest.mark.parametrize("call", sorted(_GROWN_REACH))
 def test_a_plan_keeps_a_ranked_record_it_found_covered(sigma2, call, fresh_engines):
     # when the source (1, 2) of the ranked cell (3, 1) is built past (3, 1)'s
-    # truncation, listing (3, 1) for its rows must not unrank its record
+    # truncation, listing (3, 1) for its rows must not replace its record
     before, last = _GROWN_REACH[call]
     before(sigma2)
     value = last(sigma2)
-    assert engine_for(sigma2)._cells[3, 1].ranks is not None
+    assert engine_for(sigma2)._cells[3, 1].truncation == 4
     fresh_engines()
     assert value == last(sigma2)
 
@@ -525,6 +515,20 @@ def test_a_table_after_a_stable_value_builds_within_its_own_n(workers, fresh_eng
     assert table.grid == betti_table(cp6, 1, 8, 115).grid
 
 
+_LEFT_UNRANKED = {  # calls with a chain whose first codomain, q >= 1, the chain does not rank
+    "sigma3-table": lambda: betti_table(resolve_space("sigma3"), 1, 15, 4),
+    "cp6-stable": lambda: stable_betti(ring_cp(6), 40),
+    "cp6-table": lambda: betti_table(ring_cp(6), 1, 14, 115),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_LEFT_UNRANKED))
+def test_every_record_is_complete(call, fresh_engines):
+    _LEFT_UNRANKED[call]()
+    for engine in engine_module._ENGINES.values():
+        _assert_records_complete(engine)
+
+
 _SEQUENCE_RINGS = [resolve_space(name) for name in ("sigma2", "cp2", "cp3", "cp1xcp1", "sigma1xcp1")]
 
 _PUBLIC_CALLS = {  # each public call on a ring, from three small integers
@@ -537,9 +541,15 @@ _PUBLIC_CALLS = {  # each public call on a ring, from three small integers
 }
 
 
-def _ranked_truncations(engine: BettiEngine) -> dict[tuple[int, int], int]:
-    cells = engine._cells.items()
-    return {key: cell.truncation for key, cell in cells if key[1] and cell.ranks is not None}
+def _truncations(engine: BettiEngine) -> dict[tuple[int, int], int]:
+    return {key: cell.truncation for key, cell in engine._cells.items()}
+
+
+def _assert_records_complete(engine: BettiEngine) -> None:
+    """Every record holds one dimension and one rank per length, and q = 0 ranks are 0."""
+    for (p, q), cell in engine._cells.items():
+        assert len(cell.ranks) == len(cell.dims) == cell.truncation + 1, (p, q)
+        assert q or not any(cell.ranks), (p, q)
 
 
 @settings(max_examples=60, deadline=None)
@@ -560,11 +570,12 @@ def test_a_ranked_record_stays_ranked(ring, calls):
     registry, shared = engine_module._ENGINES, BettiEngine(ring)
     try:
         for name, a, b, c in calls:
-            before = _ranked_truncations(shared)
+            before = _truncations(shared)
             engine_module._ENGINES = {(ring, True): shared}
             value = _PUBLIC_CALLS[name](ring, a, b, c)
-            after = _ranked_truncations(shared)
+            after = _truncations(shared)
             assert all(after.get(key, -1) >= t for key, t in before.items())
+            _assert_records_complete(shared)
             engine_module._ENGINES = {}  # the same call on a fresh engine
             assert value == _PUBLIC_CALLS[name](ring, a, b, c)
     finally:
@@ -591,13 +602,14 @@ def test_a_table_builds_each_cell_once_and_indexes_it_by_length(
     betti_table(ring, n_min, n_max, i_max)
     monkeypatch.setattr(engine_module, "packed_pieces", original)
     assert builds and max(builds.values()) == 1
-    assert set(engine._cells) == set(builds)
-    assert any(cell.ranks is not None and any(cell.ranks) for cell in engine._cells.values())
+    # a cell listed with no record is a q >= 1 codomain, listed for the rows of its source
+    for p, q in builds.keys() - engine._cells.keys():
+        assert q and (p - ring.dimension, q + 1) in engine._cells
+    assert any(any(cell.ranks) for cell in engine._cells.values())
     for (p, q), cell in engine._cells.items():
         lengths = range(1, cell.truncation + 1)  # every read is at a length n >= 1
         assert cell.dims[1:] == [len(enumerate_basis(ring, p, q, n)) for n in lengths]
-        if cell.ranks is not None:
-            assert cell.ranks[1:] == [rank(assemble_matrix(ring, p, q, n)) for n in lengths]
+        assert cell.ranks[1:] == [rank(assemble_matrix(ring, p, q, n)) for n in lengths]
 
 
 @pytest.fixture
@@ -648,8 +660,6 @@ def test_block_prefix_ranks_match_the_whole_cell(ring, n_max):
     engine.compute_ranks(n_max, top)
     checked = 0
     for (p, q), cell in engine._cells.items():
-        if q == 0 or cell.ranks is None:
-            continue
         # the engine ranks the whole cell in one pass; the profile here is independent of it
         whole = rank_profile_exact(assemble_matrix(ring, p, q, cell.truncation))
         assert cell.ranks == [whole.prefix_ranks[d] for d in cell.dims]
@@ -783,7 +793,7 @@ def test_spot_check_catches_an_exact_profile_below_the_modular_one(sigma2, monke
 def test_no_matrix_outlives_its_ranking(sigma2):
     engine = BettiEngine(sigma2)
     engine.compute_ranks(6, vanishing_bound(sigma2, 6) - 1)
-    assert any(any(cell.ranks) for cell in engine._cells.values() if cell.ranks)
+    assert any(any(cell.ranks) for cell in engine._cells.values())
     seen, stack = set(), [engine]
     while stack:
         obj = stack.pop()
@@ -802,7 +812,7 @@ def test_worker_pool_leaves_the_serial_ranks_in_each_record(sigma2, fresh_engine
     pooled = engine_for(sigma2)
     serial = BettiEngine(sigma2)
     serial.compute_ranks(6, top)
-    ranked = {key: cell.ranks for key, cell in pooled._cells.items() if cell.ranks}
+    ranked = {key: cell.ranks for key, cell in pooled._cells.items()}
     assert len(ranked) > 10
     assert ranked == {key: serial._cells[key].ranks for key in ranked}
 
@@ -929,7 +939,9 @@ def test_a_pool_parent_lists_no_cell_it_ranks(sigma2, fresh_engines, monkeypatch
     monkeypatch.setattr(engine_module, "packed_pieces", recording)
     table = betti_table(sigma2, 1, 6, top, workers=2)
     planned = {(p, q) for p, q, _ in engine_for(sigma2).required_ranks(1, 6, top)}
-    assert len(planned) > 10 and not planned & set(listed)
+    # a worker returns the q = 0 codomain it built with its chain's records
+    codomains = {(p + sigma2.dimension, 0) for p, q in planned if q == 1}
+    assert len(planned) > 10 and codomains and not (planned | codomains) & set(listed)
     fresh_engines()
     assert table.grid == betti_table(sigma2, 1, 6, top).grid
 
@@ -940,13 +952,12 @@ def test_a_chain_lists_a_codomain_record_shorter_than_its_cell_again(cp2, fresh_
     betti_number(cp2, 11, 4)
     value = betti_number(cp2, 10, 5)
     engine = engine_for(cp2)
-    assert engine._cells[(8, 1)].truncation == 4 and engine._cells[(8, 1)].ranks is not None
+    assert engine._cells[(8, 1)].truncation == 4
     assert engine._cells[(4, 2)].truncation == 5
     assert value == BettiEngine(cp2).betti_number(10, 5)
     checked = 0
     for (p, q), cell in engine._cells.items():
-        if q and cell.ranks is not None:
-            lengths = range(1, cell.truncation + 1)
-            assert cell.ranks[1:] == [rank(assemble_matrix(cp2, p, q, n)) for n in lengths]
-            checked += 1
+        lengths = range(1, cell.truncation + 1)
+        assert cell.ranks[1:] == [rank(assemble_matrix(cp2, p, q, n)) for n in lengths]
+        checked += 1
     assert checked >= 3

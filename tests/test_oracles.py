@@ -119,16 +119,16 @@ def test_run_all_builds_each_cell_once(space, n_min, n_max, i_max, monkeypatch):
     monkeypatch.setattr(engine_module, "_ENGINES", {})
     ring = resolve_space(space)
     builds = []
-    original = engine_module.BettiEngine._cell
+    original = engine_module.BettiEngine._plan
 
-    def counting(engine, p, q, n, reach):
-        kept = engine._cells.get((p, q))
-        cell, codes = original(engine, p, q, n, reach)
-        if cell is not kept:  # the record was built
-            builds.append((engine.reduced, p, q))
-        return cell, codes
+    def counting(engine, n, cells, workers=1):
+        kept = dict(engine._cells)
+        original(engine, n, cells, workers)
+        for key, cell in engine._cells.items():
+            if kept.get(key) is not cell:  # the record was built
+                builds.append((engine.reduced, *key))
 
-    monkeypatch.setattr(engine_module.BettiEngine, "_cell", counting)
+    monkeypatch.setattr(engine_module.BettiEngine, "_plan", counting)
     assert run_all(ring, n_min, n_max, i_max).passed
     records = [
         (reduced, *key) for reduced in (True, False) for key in engine_for(ring, reduced)._cells

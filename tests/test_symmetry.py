@@ -197,9 +197,8 @@ def _assert_records_match_whole_cells(ring, n_max) -> int:
         dims = list(accumulate(counts))
         assert cell.dims == dims, (p, q)
         reduced += len(packed_pieces(ring, p, q, t).codes) < dims[-1]
-        if cell.ranks is not None and q > 0:
-            whole = rank_profile_exact(assemble_matrix(ring, p, q, t))
-            assert cell.ranks == [whole.prefix_ranks[d] for d in dims], (p, q)
+        whole = rank_profile_exact(assemble_matrix(ring, p, q, t))
+        assert cell.ranks == [whole.prefix_ranks[d] for d in dims], (p, q)
     return reduced
 
 
