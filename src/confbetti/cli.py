@@ -121,7 +121,7 @@ def _dump_matrices(table: BettiTable, reduced: bool, directory: Path) -> None:
             matrix = whole.column_prefix(cols, rows=rows)
             lines = [matrix.dump_triplets(), "", *listing[:cols]]
             path = directory / f"d_p{p}_q{q}_n{n_eff}.txt"
-            path.write_text("\n".join(lines) + "\n")
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cmd_spaces(args) -> int:
@@ -203,8 +203,10 @@ def cmd_verify(args) -> int:
     from .oracles import run_all  # only this command runs the oracle suite
 
     report = run_all(ring, args.n_range[0], args.n_range[1], args.i_max)
+    # a ring file's names may not fit stdout's encoding: escape what does not
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"  # a StringIO has None
     for line in report.lines():
-        print(line)
+        print(line.encode(encoding, "backslashreplace").decode(encoding))
     return 0 if report.passed else 1
 
 

@@ -31,7 +31,8 @@ d maps (p, q) to (p + D, q - 1), so it keeps the chain key p + Dq, and
 `_rank_chain` ranks one chain's cells bottom-up, q ascending: each cell is
 listed, assembled against the codes of the cell ranked just before it,
 ranked and stored, and only its own codes and prefix ranks, whose rises mark
-its pivots, pass on to the next cell. The codes are the routine's local
+its pivots, pass on to the next cell. A q = 0 cell, a chain's bottom, is
+listed and stored with ranks 0. The codes are the routine's local
 values, never a record's. Ranking the codomain first clears rows, as in
 persistent homology (Chen & Kerber, EuroCG 2011; Bauer, Kerber &
 Reininghaus, TopoInVis 2013). Let d' leave the codomain
@@ -43,20 +44,20 @@ end of every piece, and the spot check's. Pieces keep this, as d keeps labels
 and the codomain's pieces hold the rows of the cell's. `assemble_matrix` skips
 every term landing on A. A cell whose codomain the pass did not rank just
 before it, such as a chain's first, is assembled without clearing: it lists
-its codomain at its own truncation for the rows, and keeps that as a record
-only when it is a q = 0 cell, as the limit page reads it.
+its codomain at its own truncation for the rows only, and keeps no record of
+it.
 
 A table walks the cells it reads once, in `_table_reads`: each n, then the
 cells (p, q) on its lines below n's vanishing bound. The lines only grow with
 n, so the reads at the largest n name each cell, at its largest truncation
 min(n, p + 2q), and `compute_ranks` plans their cells at the largest n:
-`_plan` groups the cells no record covers by chain and ranks each chain
-once, then builds the q = 0 cells no chain built. A table's cells of one
-chain form one interval of q, so each cell but the chain's lowest is
-cleared. A single value plans just the cells it reads, at its own n; a read
+`_plan` groups the cells no record covers by chain, q = 0 included, and
+ranks each chain once, so every record is a cell some plan named. A table's
+cells of one chain form one interval of q, so each cell but the chain's
+lowest is cleared. A single value plans just the cells it reads, at its own n; a read
 that no plan covered raises `InternalConsistencyError`.
-A pool ranks one chain per job and returns every record the job built, its
-q = 0 codomain included, so the parent lists no cell a worker listed.
+A pool ranks one chain per job and returns the job's records, so the
+parent lists no cell.
 Every monomial's p, and D, are multiples of g (`degree_gcd`), the gcd of the
 ring's degrees (2 when all are even), so p steps by g: a cell off that
 lattice is empty, like its source, and is neither planned nor read. Every
@@ -125,23 +126,16 @@ class BettiEngine:
 
     # -- cell records -----------------------------------------------------------
 
-    def _top(self, p: int, n: int) -> PackedPieces:
-        """Store cell (p, 0) at min(saturation, n), ranked 0 (d sends it to 0); return its codes."""
-        t = min(max(1, p), n)
-        codes = packed_pieces(self.ring, p, 0, t, self.reduced)
-        self._cells[p, 0] = _Cell(t, _dims(codes, t), [0] * (t + 1))
-        return codes
-
     def _rank_chain(self, chain: list[tuple[int, int]], n: int) -> None:
         """Rank the cells (p, q) of one chain p + Dq, q ascending, at min(saturation, n).
 
         Each cell is listed, ranked over Q in one pass against the codes of
-        its codomain (p + D, q - 1), and stored as a complete record. The
-        codomain ranked just before gives its codes as the rows and its pivot
-        codes to clear. A q = 0 codomain is stored too, as the limit page
-        reads it, and any other is listed at the cell's truncation t for its
-        rows alone (rows longer than t would stay empty: d never raises
-        length). d keeps labels, so the matrix is block-diagonal over the
+        its codomain (p + D, q - 1), and stored as a complete record; a q = 0
+        cell ranks 0, as d sends it to the zero space. The codomain ranked
+        just before gives its codes as the rows and its pivot codes to clear;
+        any other is listed at the cell's truncation t for its rows alone
+        (rows longer than t would stay empty: d never raises length) and not
+        stored. d keeps labels, so the matrix is block-diagonal over the
         pieces, and the rank of a piece at length L is the difference of two
         prefix ranks: at the piece's start and at its end at length L, which
         is the sum of the rises across its runs up to L. So each run adds its
@@ -150,17 +144,15 @@ class BettiEngine:
         dimension = self.ring.dimension
         below = None  # the q, codes and prefix ranks of the cell ranked last
         for p, q in chain:
-            t = min(p + 2 * q, n)
+            t = min(max(1, p + 2 * q), n)  # `packed_pieces` lists from length 1
             codes = packed_pieces(self.ring, p, q, t, self.reduced)
             dims, ranks, prefix = _dims(codes, t), [0] * (t + 1), ()  # an empty cell ranks 0
-            if dims[-1]:
+            if q and dims[-1]:
                 cleared = ()
                 if below and below[0] == q - 1:
                     _, rows, ranked = below
                     rises = zip(rows.codes, ranked, ranked[1:])
                     cleared = {code for code, before, after in rises if after > before}
-                elif q == 1:  # no record covers the codomain either (see `_plan`)
-                    rows = self._top(p + dimension, n)
                 else:
                     rows = packed_pieces(self.ring, p + dimension, q - 1, t, self.reduced)
                 if any(length <= t for _, length, _ in rows.runs):  # else no row at t
@@ -302,26 +294,18 @@ class BettiEngine:
         self._plan(n_max, cells, workers)
 
     def _plan(self, n: int, cells, workers: int = 1) -> None:
-        """Cover each cell (p, q) at n not covered yet: rank it if q >= 1, else build it.
+        """Rank each cell (p, q) at n not covered yet, with its chain p + Dq.
 
         A cell with no monomial at n (p < 0 or n < 2q) is skipped. Each
         record is built at min(saturation, n): the limit page reads cell
-        dimensions at n too. A cell with q >= 1 is ranked by `_rank_chain`
-        with the other cells of its chain p + Dq, which come q ascending; a
-        pool ranks one chain per job, largest chain key first, and keeps
-        every record a job returns. The q = 0 cells no chain built come last.
-        Every caller plans a q = 0 cell (p, 0) with its source (p - D, 1),
-        whose saturation is no larger, so no record covers the codomain of a
-        q = 1 cell a chain ranks: that codomain is built and kept.
+        dimensions at n too. `_rank_chain` ranks the cells of each chain,
+        which come q ascending; a pool ranks one chain per job, largest chain
+        key first, and keeps every record a job returns.
         """
         chains: dict[int, list[tuple[int, int]]] = {}
-        tops = []  # the q = 0 cells, which no differential leaves
         for p, q in cells:
             if p >= 0 and n >= 2 * q and not self._covered(p, q, n):
-                if q:
-                    chains.setdefault(p + self.ring.dimension * q, []).append((p, q))
-                else:
-                    tops.append(p)
+                chains.setdefault(p + self.ring.dimension * q, []).append((p, q))
         if workers > 1 and len(chains) > 1:
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
 
@@ -337,9 +321,6 @@ class BettiEngine:
         else:
             for chain in chains.values():
                 self._rank_chain(chain, n)
-        for p in tops:
-            if not self._covered(p, 0, n):  # else a chain built it as a codomain
-                self._top(p, n)
 
 
 @dataclass
@@ -455,7 +436,7 @@ def _pool_init(ring: GradedRing, reduced: bool) -> None:
 
 
 def _pool_chain(job: tuple) -> dict[tuple[int, int], _Cell]:
-    """Every record one chain's ranking built, its q = 0 codomain too; each job starts with none."""
+    """The records of one chain's cells; each job starts with none."""
     n, chain = job
     _POOL_ENGINE._cells = {}
     _POOL_ENGINE._rank_chain(chain, n)

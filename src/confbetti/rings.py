@@ -331,8 +331,10 @@ def parse_ring(text: str) -> GradedRing:
         for key, value in terms.items():
             try:
                 k = int(key)
-            except ValueError as exc:
-                raise RingFormatError(f"{where}: bad basis index key {key!r}") from exc
+            except ValueError:
+                k = None
+            if k is None or key != str(k):  # one spelling per index, so no two keys merge
+                raise RingFormatError(f"{where}: bad basis index key {key!r}")
             if not 0 <= k < size:
                 raise RingFormatError(f"{where}: index key {k} out of range")
             parsed[k] = _parse_coefficient(value, where)

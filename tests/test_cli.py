@@ -306,6 +306,59 @@ def test_non_utf8_ring_file_exits_2_with_one_line(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def _greek_cp2(tmp_path) -> Path:
+    """cp2 as a UTF-8 ring file named "κp2", with its degree-2 class labelled "ξ"."""
+    doc = json.loads(serialize_ring(ring_cp(2)))
+    doc["name"], doc["basis"][1]["label"] = "\u03bap2", "\u03be"
+    path = tmp_path / "kp2.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    return path
+
+
+def _ascii_locale_run(*argv) -> subprocess.CompletedProcess:
+    """The command line in a child whose locale, and so stdout, is ASCII."""
+    env = dict(_child_env(), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env.pop("PYTHONIOENCODING", None)
+    return subprocess.run(
+        [sys.executable, "-m", "confbetti.cli", *argv],
+        capture_output=True, timeout=60, env=env,
+    )
+
+
+def test_a_dump_writes_ring_file_labels_as_utf8_under_an_ascii_locale(tmp_path):
+    dump = tmp_path / "dump"
+    done = _ascii_locale_run(
+        "compute", "--ring-file", str(_greek_cp2(tmp_path)), "--n", "1..3", "--i-max", "6",
+        "--dump-matrices", str(dump),
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.decode("ascii").splitlines()[3] == "3,1,0,1,0,1,0,0"
+    assert "\u03be" in (dump / "d_p0_q1_n2.txt").read_text(encoding="utf-8")
+
+
+def test_verify_escapes_a_ring_file_name_stdout_cannot_encode(tmp_path):
+    done = _ascii_locale_run(
+        "verify", "--ring-file", str(_greek_cp2(tmp_path)), "--n", "1..3", "--i-max", "6"
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    lines = done.stdout.decode("ascii").splitlines()
+    assert lines and all(line.startswith("PASS ") for line in lines)
+    assert "PASS euler \\u03bap2 (n=1) expected=3 actual=3" in lines
+
+
+@pytest.mark.parametrize("key", ["02", "+2"])
+def test_a_product_key_not_in_decimal_exits_2_with_one_line(tmp_path, capsys, key):
+    doc = json.loads(serialize_ring(ring_cp(2)))
+    doc["products"][-1] = [1, 1, {"2": 1, key: 5}]  # int() reads both keys as 2
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "compute", "--ring-file", str(path), "--n", "1..2", "--i-max", "2"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"products[3]: bad basis index key {key!r}\n"
+
+
 @pytest.mark.parametrize(
     "text, reason",
     [

@@ -284,6 +284,19 @@ def test_parse_rejects_bad_top_dimension():
         parse_ring(json.dumps(doc))
 
 
+@pytest.mark.parametrize("key", ["02", " 2", "2 ", "+2", "1_0", "\uff12", "", "x"])
+def test_parse_rejects_a_product_key_not_written_as_a_decimal_index(key):
+    # int() reads each of the first six as an index (2, or 10 for "1_0"), so
+    # {"2": 1, "02": 5} would silently load as x * x = 5 x2
+    import json
+
+    doc = json.loads(serialize_ring(ring_cp(2)))
+    doc["products"][-1] = [1, 1, {"2": 1, key: 5}]
+    with pytest.raises(RingFormatError) as raised:
+        parse_ring(json.dumps(doc))
+    assert str(raised.value) == f"products[3]: bad basis index key {key!r}"
+
+
 def test_validation_catches_broken_associativity():
     import json
 
