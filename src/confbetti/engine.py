@@ -30,50 +30,52 @@ bases; it then lists both whole cells.
 d maps (p, q) to (p + D, q - 1), so it keeps the chain key p + Dq, and
 `_rank_chain` ranks one chain's cells bottom-up, q ascending: each cell is
 listed, assembled against the codes of the cell ranked just before it,
-ranked and stored, and only its own codes and prefix ranks, whose rises mark
-its pivots, pass on to the next cell. A q = 0 cell, a chain's bottom, is
-listed and stored with ranks 0. The codes are the routine's local
-values, never a record's. Ranking the codomain first clears rows, as in
-persistent homology (Chen & Kerber, EuroCG 2011; Bauer, Kerber &
-Reininghaus, TopoInVis 2013). Let d' leave the codomain
-(p + D, q - 1) of d, and A be the codomain's pivot columns: those where its
-prefix rank rises, so d' is injective on them. Since d' d = 0, each row of d
-at A is a combination of the rows outside A, in every column, so deleting
-those rows keeps the rank of every column prefix: every rank at every length
-end of every piece, and the spot check's. Pieces keep this, as d keeps labels
-and the codomain's pieces hold the rows of the cell's. `assemble_matrix` skips
-every term landing on A. A cell whose codomain the pass did not rank just
-before it, such as a chain's first, is assembled without clearing: it lists
-its codomain at its own truncation for the rows only, and keeps no record of
-it.
+ranked and recorded, and only its own codes and prefix ranks, whose rises
+mark its pivots, pass on to the next cell. A q = 0 cell, a chain's bottom,
+is listed and recorded with ranks 0. `_rank_chain` is a function of the
+ring, the model, n and the chain alone: it touches no engine and returns the
+chain's records. The codes are its local values, never a record's. Ranking
+the codomain first clears rows, as in persistent homology (Chen & Kerber,
+EuroCG 2011; Bauer, Kerber & Reininghaus, TopoInVis 2013). Let d' leave the
+codomain (p + D, q - 1) of d, and A be the codomain's pivot columns: those
+where its prefix rank rises, so d' is injective on them. Since d' d = 0,
+each row of d at A is a combination of the rows outside A, in every column,
+so deleting those rows keeps the rank of every column prefix: every rank at
+every length end of every piece, and the spot check's. Pieces keep this, as
+d keeps labels and the codomain's pieces hold the rows of the cell's.
+`assemble_matrix` skips every term landing on A. A cell whose codomain the
+pass did not rank just before it, such as a chain's first, is assembled
+without clearing: it lists its codomain at its own truncation for the rows
+only, and keeps no record of it.
 
 A table walks the cells it reads once, in `_table_reads`: each n, then the
-cells (p, q) on its lines below n's vanishing bound. The lines only grow with
-n, so the reads at the largest n name each cell, at its largest truncation
-min(n, p + 2q), and `compute_ranks` plans their cells at the largest n:
-`_plan` groups the cells no record covers by chain, q = 0 included, and
-ranks each chain once, so every record is a cell some plan named. A table's
-cells of one chain form one interval of q, so each cell but the chain's
-lowest is cleared. A single value plans just the cells it reads, at its own n; a read
-that no plan covered raises `InternalConsistencyError`.
-A pool ranks one chain per job and returns the job's records, so the
-parent lists no cell.
-Every monomial's p, and D, are multiples of g (`degree_gcd`), the gcd of the
-ring's degrees (2 when all are even), so p steps by g: a cell off that
-lattice is empty, like its source, and is neither planned nor read. Every
-Betti number is then a sum of limit-page dimensions over its line's cells: a
-single query sums one line, and a table adds each read into its line.
-`_limit_dim` reads the dimension and the two ranks straight off the records
-and raises `InternalConsistencyError` when they leave a negative dimension.
+cells (p, q) on its lines below n's vanishing bound. The lines only grow
+with n, so the reads at the largest n name each cell, at its largest
+truncation min(n, p + 2q), and `compute_ranks` plans their cells at the
+largest n: `_plan` groups the cells no record covers by chain, q = 0
+included, ranks each chain once and stores the records it returns; no other
+code stores one, so every record is a cell some plan named. A table's cells
+of one chain form one interval of q, so each cell but the chain's lowest is
+cleared. A single value plans just the cells it reads, at its own n; a read
+that no plan covered raises `InternalConsistencyError`. A pool job is one
+chain: it carries the ring and returns the chain's records, so the parent
+lists no cell. Every monomial's p, and D, are multiples of g (`degree_gcd`),
+the gcd of the ring's degrees (2 when all are even), so p steps by g: a cell
+off that lattice is empty, like its source, and is neither planned nor read.
+Every Betti number is then a sum of limit-page dimensions over its line's
+cells: a single query sums one line, and a table adds each read into its
+line. `_limit_dim` reads the dimension and the two ranks straight off the
+records and raises `InternalConsistencyError` when they leave a negative
+dimension.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 
-from .differential import PackedPieces, assemble_matrix, degree_gcd, packed_pieces
+from .differential import assemble_matrix, degree_gcd, packed_pieces
 from .linalg import RankProfile, RationalMatrix, rank_profile_modular
 from .linalg import rank_profile_exact as exact_rank
 from .rings import GradedRing
@@ -102,12 +104,75 @@ class _Cell:
         self.ranks = ranks  # ranks[L] = rank of d on the monomials of length <= L
 
 
-def _dims(codes: PackedPieces, truncation: int) -> list[int]:
-    """dims[L]: the monomials of length <= L that codes list, orbits counted."""
-    added = [0] * (truncation + 1)
-    for orbit, length, count in codes.runs:
-        added[length] += orbit * count
+def _per_length(runs, prefix, truncation: int) -> list[int]:
+    """[L] for L <= truncation: the sum, over runs of length <= L, of orbit size times rise.
+
+    A run's rise is that of prefix from the run's first column to past its
+    last. With prefix[k] = k this counts the monomials of length <= L. With a
+    matrix's prefix ranks it is the rank at L: d keeps labels, so the matrix
+    is block-diagonal over the pieces, and a piece's rank at L is the rise
+    of the prefix rank from the piece's start to its end at L.
+    """
+    added, start = [0] * (truncation + 1), 0
+    for orbit, length, count in runs:
+        end = start + count
+        added[length] += orbit * (prefix[end] - prefix[start])
+        start = end
     return list(accumulate(added))
+
+
+def _rank_chain(
+    ring: GradedRing, reduced: bool, n: int, chain: list[tuple[int, int]]
+) -> dict[tuple[int, int], _Cell]:
+    """The records of the cells (p, q) of one chain p + Dq, q ascending, at min(saturation, n).
+
+    Each cell is listed, ranked over Q in one pass against the codes of
+    its codomain (p + D, q - 1), and returned as a complete record; a q = 0
+    cell ranks 0, as d sends it to the zero space. The codomain ranked
+    just before gives its codes as the rows and its pivot codes to clear;
+    any other is listed at the cell's truncation t for its rows alone
+    (rows longer than t would stay empty: d never raises length) and not
+    returned. It reads and writes no engine, so a pool job is one call.
+    """
+    records = {}
+    below = None  # the q, codes and prefix ranks of the cell ranked last
+    for p, q in chain:
+        t = min(max(1, p + 2 * q), n)  # `packed_pieces` lists from length 1
+        codes = packed_pieces(ring, p, q, t, reduced)
+        dims = _per_length(codes.runs, range(len(codes.codes) + 1), t)
+        ranks, prefix = [0] * (t + 1), ()  # an empty cell ranks 0
+        if q and dims[-1]:
+            cleared = ()
+            if below and below[0] == q - 1:
+                _, rows, ranked = below
+                rises = zip(rows.codes, ranked, ranked[1:])
+                cleared = {code for code, before, after in rises if after > before}
+            else:
+                rows = packed_pieces(ring, p + ring.dimension, q - 1, t, reduced)
+            if any(length <= t for _, length, _ in rows.runs):  # else no row at t
+                bases = (codes.codes, rows.codes)
+                matrix = assemble_matrix(ring, p, q, t, reduced, bases=bases, cleared=cleared)
+                profile = exact_rank(matrix)
+                prefix = profile.prefix_ranks
+                shortest = codes.runs[0][2]  # the first piece's shortest monomials
+                if prefix[shortest] < shortest:  # else no prime ranks higher
+                    _spot_check(matrix, profile, shortest, (p, q))
+                ranks = _per_length(codes.runs, prefix, t)
+        records[p, q] = _Cell(t, dims, ranks)
+        below = q, codes, prefix
+    return records
+
+
+def _spot_check(
+    matrix: RationalMatrix, profile: RankProfile, k: int, cell: tuple[int, int]
+) -> None:
+    """Reduction modulo a prime never raises a rank, so the exact profile dominates."""
+    modular = rank_profile_modular(matrix, _CHECK_PRIME, k)
+    if any(m > e for m, e in zip(modular.prefix_ranks, profile.prefix_ranks)):
+        raise InternalConsistencyError(
+            f"exact prefix ranks {profile.prefix_ranks[: k + 1]} fall below the ranks "
+            f"{modular.prefix_ranks} modulo {_CHECK_PRIME} in cell {cell}"
+        )
 
 
 class BettiEngine:
@@ -125,54 +190,6 @@ class BettiEngine:
         self.uncertified_cells: list[tuple[int, int, int]] = []  # always empty; perfbench reads it
 
     # -- cell records -----------------------------------------------------------
-
-    def _rank_chain(self, chain: list[tuple[int, int]], n: int) -> None:
-        """Rank the cells (p, q) of one chain p + Dq, q ascending, at min(saturation, n).
-
-        Each cell is listed, ranked over Q in one pass against the codes of
-        its codomain (p + D, q - 1), and stored as a complete record; a q = 0
-        cell ranks 0, as d sends it to the zero space. The codomain ranked
-        just before gives its codes as the rows and its pivot codes to clear;
-        any other is listed at the cell's truncation t for its rows alone
-        (rows longer than t would stay empty: d never raises length) and not
-        stored. d keeps labels, so the matrix is block-diagonal over the
-        pieces, and the rank of a piece at length L is the difference of two
-        prefix ranks: at the piece's start and at its end at length L, which
-        is the sum of the rises across its runs up to L. So each run adds its
-        rise, times its orbit size, at its length.
-        """
-        dimension = self.ring.dimension
-        below = None  # the q, codes and prefix ranks of the cell ranked last
-        for p, q in chain:
-            t = min(max(1, p + 2 * q), n)  # `packed_pieces` lists from length 1
-            codes = packed_pieces(self.ring, p, q, t, self.reduced)
-            dims, ranks, prefix = _dims(codes, t), [0] * (t + 1), ()  # an empty cell ranks 0
-            if q and dims[-1]:
-                cleared = ()
-                if below and below[0] == q - 1:
-                    _, rows, ranked = below
-                    rises = zip(rows.codes, ranked, ranked[1:])
-                    cleared = {code for code, before, after in rises if after > before}
-                else:
-                    rows = packed_pieces(self.ring, p + dimension, q - 1, t, self.reduced)
-                if any(length <= t for _, length, _ in rows.runs):  # else no row at t
-                    bases = (codes.codes, rows.codes)
-                    matrix = assemble_matrix(
-                        self.ring, p, q, t, self.reduced, bases=bases, cleared=cleared
-                    )
-                    profile = exact_rank(matrix)
-                    prefix = profile.prefix_ranks
-                    shortest = codes.runs[0][2]  # the first piece's shortest monomials
-                    if prefix[shortest] < shortest:  # else no prime ranks higher
-                        self._spot_check(matrix, profile, shortest, (p, q))
-                    added, start = [0] * (t + 1), 0  # the rank each length adds, orbits counted
-                    for orbit, length, count in codes.runs:
-                        end = start + count
-                        added[length] += orbit * (prefix[end] - prefix[start])
-                        start = end
-                    ranks = list(accumulate(added))
-            self._cells[p, q] = _Cell(t, dims, ranks)
-            below = q, codes, prefix
 
     def _covered(self, p: int, q: int, n: int) -> _Cell | None:
         """The record of cell (p, q) if it covers truncation n."""
@@ -194,23 +211,11 @@ class BettiEngine:
         Both bases are graded by length and the differential preserves it, so
         the matrix at n is the cell's columns of length at most n.
         """
-        if q <= 0 or p < 0 or n < 2 * q:
+        if q <= 0 or p < 0 or n < 2 * q or p % self._p_step:  # else the cell is empty
             return 0
         self._plan(n, [(p, q)])
         cell = self._ranked(p, q, n)
         return cell.ranks[min(n, cell.truncation)]
-
-    @staticmethod
-    def _spot_check(
-        matrix: RationalMatrix, profile: RankProfile, k: int, cell: tuple[int, int]
-    ) -> None:
-        """Reduction modulo a prime never raises a rank, so the exact profile dominates."""
-        modular = rank_profile_modular(matrix, _CHECK_PRIME, k)
-        if any(m > e for m, e in zip(modular.prefix_ranks, profile.prefix_ranks)):
-            raise InternalConsistencyError(
-                f"exact prefix ranks {profile.prefix_ranks[: k + 1]} fall below the ranks "
-                f"{modular.prefix_ranks} modulo {_CHECK_PRIME} in cell {cell}"
-            )
 
     # -- dimensions of the limit page and Betti numbers ------------------------
 
@@ -222,7 +227,7 @@ class BettiEngine:
         """
         if n < 1:
             raise ValueError("n must be at least 1")
-        if p < 0 or q < 0 or n < 2 * q:
+        if p < 0 or q < 0 or n < 2 * q or p % self._p_step:  # else it and its source are empty
             return 0
         self._plan(n, [(p, q), (p - self.ring.dimension, q + 1)])
         return self._limit_dim(p, q, n)
@@ -294,33 +299,31 @@ class BettiEngine:
         self._plan(n_max, cells, workers)
 
     def _plan(self, n: int, cells, workers: int = 1) -> None:
-        """Rank each cell (p, q) at n not covered yet, with its chain p + Dq.
+        """Rank and store each cell (p, q) at n not covered yet, with its chain p + Dq.
 
         A cell with no monomial at n (p < 0 or n < 2q) is skipped. Each
         record is built at min(saturation, n): the limit page reads cell
-        dimensions at n too. `_rank_chain` ranks the cells of each chain,
-        which come q ascending; a pool ranks one chain per job, largest chain
-        key first, and keeps every record a job returns.
+        dimensions at n too. Each chain's cells come q ascending, and
+        `_rank_chain`, which touches no engine, returns their records; this
+        is the only place that stores one. The chains run largest key
+        first, in this process or, with `workers > 1`, as one pool job each.
         """
         chains: dict[int, list[tuple[int, int]]] = {}
         for p, q in cells:
             if p >= 0 and n >= 2 * q and not self._covered(p, q, n):
                 chains.setdefault(p + self.ring.dimension * q, []).append((p, q))
-        if workers > 1 and len(chains) > 1:
+        jobs = [chains[key] for key in sorted(chains, reverse=True)]
+        rank_chain = partial(_rank_chain, self.ring, self.reduced, n)
+        ranked = map(rank_chain, jobs)
+        if workers > 1 and len(jobs) > 1:
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
 
-            jobs = [(n, chains[key]) for key in sorted(chains, reverse=True)]
             # a forking pool starts every worker at once, so ask for no more than can run
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(jobs), os.cpu_count() or 1),
-                initializer=_pool_init,
-                initargs=(self.ring, self.reduced),
-            ) as pool:
-                for records in pool.map(_pool_chain, jobs):
-                    self._cells.update(records)
-        else:
-            for chain in chains.values():
-                self._rank_chain(chain, n)
+            size = min(workers, len(jobs), os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=size) as pool:
+                ranked = list(pool.map(rank_chain, jobs))
+        for records in ranked:
+            self._cells.update(records)
 
 
 @dataclass
@@ -428,16 +431,3 @@ def betti_odd_closed(ring: GradedRing, n: int, i_max: int | None = None) -> list
                 row[d] += prev[d - degree]
     return table[n]
 
-
-def _pool_init(ring: GradedRing, reduced: bool) -> None:
-    """A worker's engine on the parent's ring, inherited or unpickled: it is not validated again."""
-    global _POOL_ENGINE
-    _POOL_ENGINE = BettiEngine(ring, reduced=reduced)
-
-
-def _pool_chain(job: tuple) -> dict[tuple[int, int], _Cell]:
-    """The records of one chain's cells; each job starts with none."""
-    n, chain = job
-    _POOL_ENGINE._cells = {}
-    _POOL_ENGINE._rank_chain(chain, n)
-    return _POOL_ENGINE._cells

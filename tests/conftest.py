@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-import confbetti.engine as engine_module
 from confbetti import (
     GradedRing,
     Monomial,
@@ -182,8 +181,8 @@ def reference_d_generator(ring, j):
 class InlineExecutor:
     """Runs every job in this process, as one worker that takes them in pool order."""
 
-    def __init__(self, max_workers, initializer, initargs):
-        initializer(*initargs)
+    def __init__(self, max_workers):
+        pass
 
     def __enter__(self):
         return self
@@ -199,7 +198,6 @@ class InlineExecutor:
 def inline_pool(monkeypatch):
     """A `workers > 1` table runs its pool jobs in this process, where a test sees their calls."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
-    monkeypatch.setattr(engine_module, "_POOL_ENGINE", None, raising=False)
 
 
 @pytest.fixture(scope="session")

@@ -3,10 +3,13 @@ from __future__ import annotations
 import concurrent.futures
 import gc
 import math
+import multiprocessing
 import os
+import pickle
 import re
 import types
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -201,9 +204,15 @@ def test_compute_ranks_ranks_each_cell_a_table_reads_once_at_its_largest_read(
 ):
     n_min = min(n_min, n_max)
     engine = BettiEngine(ring)
-    chains, rank_chain = [], engine._rank_chain
-    engine._rank_chain = lambda chain, n: (chains.append(chain), rank_chain(chain, n))
-    engine.compute_ranks(n_max, i_max)
+    chains, rank_chain = [], engine_module._rank_chain
+
+    def recording(ring, reduced, n, chain):
+        chains.append(chain)
+        return rank_chain(ring, reduced, n, chain)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "_rank_chain", recording)
+        engine.compute_ranks(n_max, i_max)
     largest: dict[tuple[int, int], int] = {}
     for p, q, n_eff in engine.required_ranks(n_min, n_max, i_max):
         largest[p, q] = max(largest.get((p, q), 0), n_eff)
@@ -377,13 +386,32 @@ def test_worker_pool_table_matches_serial(cp1xcp1, fresh_engines):
     assert pooled.grid == betti_table(cp1xcp1, 1, 6, 10, workers=1).grid
 
 
+def _as_values(records) -> dict:
+    return {key: (cell.truncation, cell.dims, cell.ranks) for key, cell in records.items()}
+
+
 def test_pool_workers_take_the_ring_without_validating_it(cp1xcp1, monkeypatch):
+    # a pool job crosses to its worker pickled with its ring, and its records come back pickled
     validations = []
     monkeypatch.setattr(rings_module, "validate_ring", validations.append)
-    monkeypatch.setattr(engine_module, "_POOL_ENGINE", None, raising=False)
-    engine_module._pool_init(cp1xcp1, True)
+    job, chain = partial(engine_module._rank_chain, cp1xcp1, True, 6), [(4, 0), (0, 1)]
+    sent, sent_chain = pickle.loads(pickle.dumps((job, chain)))
+    records = pickle.loads(pickle.dumps(sent(sent_chain)))
     assert validations == []
-    assert engine_module._POOL_ENGINE.ring is cp1xcp1
+    assert sent.args[0] == cp1xcp1 and hash(sent.args[0]) == hash(cp1xcp1)
+    assert _as_values(records) == _as_values(job(chain))
+    assert sorted(records) == sorted(chain)
+
+
+def test_a_spawned_pool_table_matches_serial(sigma2, fresh_engines, monkeypatch):
+    # a spawned worker inherits nothing: every job and record crosses as a pickle
+    spawning = partial(
+        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+    )
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawning)
+    pooled = betti_table(sigma2, 1, 6, 12, workers=2)
+    fresh_engines()
+    assert pooled.grid == betti_table(sigma2, 1, 6, 12, workers=1).grid
 
 
 @pytest.mark.parametrize("cpus, expected", [(3, 3), (None, 1)])
@@ -395,9 +423,9 @@ def test_worker_pool_asks_for_no_more_workers_than_cpus(
     class Recording(InlineExecutor):
         """Records the pool size asked for."""
 
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             requested.append(max_workers)
-            super().__init__(max_workers, initializer, initargs)
+            super().__init__(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -566,6 +594,14 @@ def test_a_single_rank_records_only_its_cell(sigma2, fresh_engines):
     named = _named_cells(engine)
     engine.rank(2, 1, 4)
     assert set(engine._cells) == named == {(2, 1)}
+
+
+def test_an_off_lattice_single_value_plans_nothing(cp2):
+    # every degree of cp2 is even, so a cell with odd p is empty, and so is its source
+    engine = BettiEngine(cp2)
+    assert engine.rank(1, 1, 4) == 0
+    assert engine.e_infinity_dim(3, 0, 3) == 0
+    assert engine._cells == {}
 
 
 def _assert_records_complete(engine: BettiEngine) -> None:
